@@ -1,98 +1,49 @@
-"""BENCH-PARALLEL -- serial vs parallel wall-clock on a fixed workload.
+"""BENCH-PARALLEL -- in-process vs persistent-pool wall-clock on fixed workloads.
 
-Not a paper figure: the performance-trajectory tracker for the parallel
-runtime.  Runs one fixed, deterministic workload -- a uniform
-phase-offset sweep of the synthesized symmetric eta=0.02 pair -- through
-the serial :func:`repro.simulation.analytic.sweep_offsets` and through
-:class:`repro.parallel.ParallelSweep`, asserts the reports are
-bit-identical, and writes ``results/BENCH_parallel.json`` so successive
-PRs can be compared::
+Not a paper figure: the performance-trajectory tracker for the process
+runtime.  ``RuntimeProfile.jobs`` is the only parallelism setting:
+``jobs <= 1`` runs everything in-process, ``jobs > 1`` runs every
+sharded batch on the one persistent worker pool.  The bench times both
+on fixed, deterministic workloads, asserts bit-identity, and writes
+``results/BENCH_parallel.json`` (read-modify-write: sections this run
+does not produce, such as ``bench_service_load.py``'s ``service``,
+survive)::
 
     python benchmarks/bench_parallel_speedup.py --jobs 4
 
-Since PR 2 the JSON also breaks the trajectory into *phases* -- pattern
-build (cold vs registry-warm), the offset sweep itself, and the DES
-spot-check replays of ``verified_worst_case`` -- so the series shows
-where each PR's speedup comes from.  The acceptance gate is >= 3x on
-the fixed sweep at 4 workers (>= 2x at PR 1); on single-core machines
-that margin comes from the memoized listening-set pattern plus the
-keyed registry and shared-memory segments that stop workers rebuilding
-it, not from core count.
+Rows, each compared against the fastest simple baseline -- the
+in-process default (numpy) kernel:
 
-Since PR 3 the payload additionally distinguishes *kernel* from *pool*
-speedups: a single-worker backend shoot-out (``python`` reference vs
-the vectorized ``numpy`` kernel vs the persistent ``pooled`` pool,
-cold and warm) with a hard bit-identity assert between ``numpy`` and
-``python`` on the fixed POINT-model sweep -- bit-identity is the exit
-gate; the kernel speedup itself is *recorded* (the PR-3 acceptance
-evidence, >= 3x on the reference machine) rather than asserted, since
-shared CI runners make wall-clock ratios unreliable -- plus top-level
-``backend``/``numpy_version`` provenance fields and measured
-per-scenario grid wall-clock (with the two event-rate cost components)
-that :func:`repro.parallel.fit_cost_weights` regresses into calibrated
-``Scenario.cost_hint`` weights.
-
-Since PR 5 two more phases cover the worst-case pipeline setup:
-
-* **critical-offset enumeration** on a large-zoo pair (Disco 101x103 at
-  slot 1000: ~330k beacon x bound cells per direction, a ~156k-offset
-  critical set), python reference vs the vectorized kernel, with
-  **bit-identity as a hard exit gate** exactly like the sweep kernels
-  (the speedup -- >= 3x acceptance, ~7x on the reference machine -- is
-  recorded, not asserted);
-* **pooled arena cold start**: one cold sweep through two private
-  spawn-context pools, with and without the shared-memory pattern
-  arena, so the JSON tracks what the arena saves spawn-start workers
-  (the pattern rebuild each worker paid before PR 5).
-
-Since PR 6 a **store** phase runs the checked-in golden campaign twice
-against a fresh content-addressed result store: the cold pass executes
-all sweeps, the warm pass must be 100% fingerprint hits with zero
-re-execution, and the four golden CSVs regenerated from store payloads
-must be byte-identical to the pinned files -- both hard exit gates.
-The JSON records the hit rate and the lookup-vs-sweep per-entry
-timings.
-
-Since PR 7 a **campaign** phase runs a lattice cold under
-``--entry-jobs`` work-stealing campaign workers (longest estimated
-entry first) into a fresh store.  Content equivalence with a serial
-cold pass -- same fingerprint set, byte-identical payloads, same
-done/failed partition -- is a hard exit gate; the serial-vs-parallel
-lattice wall-clock is the recorded trajectory.  PR 8 swapped the
-measured lattice: the golden campaign's entries are millisecond sweeps,
-so its serial-vs-parallel pair timed thread overhead (~1.0x); the phase
-now times a dedicated compute-bound Searchlight slot-length lattice
-(the golden lattice keeps gating content equivalence in the store
-phase).
-
-Since PR 8 the kernel shoot-out also covers the two new tiers:
-
-* the **incremental cross-offset engine** (the fixed sweep's offsets
-  are an arithmetic progression, so the default numpy kernel takes the
-  strided fast path) against the wholesale batch kernel it replaces
-  (``NumpyBackend(use_incremental=False)``), bit-identity hard-gated,
-  with ``incremental_speedup_over_batch`` as the acceptance row;
-* the **native (numba) kernel**, JIT-warmed before timing, against the
-  python reference, recording ``native_seconds`` and
-  ``kernel_speedup_native_over_python`` next to its >= 20x target --
-  with native == python bit-identity folded into the hard exit gate.
-  Skipped cleanly (no rows, no gate) when numba is not importable.
-
-PR 8 also adds **perf floors**: the run fails if the numpy kernel
-speedup over python drops below 3x, or the native kernel speedup below
-15x, when the respective kernels are available.  ``--no-perf-floors``
-disables the assertion (shared/overloaded runners) while keeping the
-recorded rows.
-
-Since PR 10 a **worst_case** phase measures the adaptive-fidelity
-ladder behind ``Session.worst_case``: for every family in the 13-family
-equivalence zoo (plus the heavy Disco 101x103 pair), exact mode is
-checked bit-identical to the pre-ladder engine composition -- a hard
-exit gate -- and bounded mode reruns the same query under a 100 ms
-budget with the freshly fitted cost weights installed.  The recorded
-rows are the exact-vs-bounded latency/accuracy frontier; a perf floor
-requires at least one family where bounded mode met the budget that
-exact mode exceeded.
+* **sweep** -- a uniform phase-offset sweep of the synthesized
+  symmetric eta=0.02 pair, in-process vs the persistent pool, cold
+  (the first sweep boots the workers) and warm.  The top-level
+  ``speedup`` is *persistent pool (warm) vs in-process numpy*; the
+  exact legacy serial path (``sweep_offsets``) survives only as the
+  labelled ``speedup_over_legacy_serial`` row.
+* **grid** -- a 12-scenario dense-network grid, in-process vs the
+  persistent pool.
+* **kernels** -- a single-process shoot-out: python reference vs numpy
+  (incremental and batch formulations) vs native when Numba is
+  importable.  Bit-identity is a hard exit gate; the speedups are
+  guarded by coarse perf floors (3x numpy, 15x native) that
+  ``--no-perf-floors`` turns into recorded-only rows.
+* **enumeration** -- critical-offset enumeration on Disco 101x103,
+  python reference vs numpy, bit-identity hard-gated.
+* **DES spot checks** -- a replay batch below the pool's
+  estimated-event floor, so both timings run in-process (near parity
+  is the expected result).
+* **cost fit** -- measured per-scenario grid wall-clock that
+  :func:`repro.parallel.fit_cost_weights` regresses into calibrated
+  cost weights.
+* **worst_case** -- the adaptive-fidelity ladder: exact mode is
+  bit-identical to the pre-ladder engine (a hard gate) and bounded
+  mode answers under a 100 ms budget, across the 13-family zoo plus
+  two heavy Disco pairs; a perf floor requires at least one family
+  where bounded mode met the budget that exact mode exceeded.
+* **store** -- the golden campaign cold then warm against a fresh
+  content-addressed store: the warm pass must be 100% hits with zero
+  re-execution and the regenerated golden CSVs byte-identical (both
+  hard gates).
 """
 
 from __future__ import annotations
@@ -110,9 +61,8 @@ from repro.backends import (
     numba_version,
     numpy_version,
     NumpyBackend,
-    SweepParams,
 )
-from repro.backends.pooled import PooledBackend, shutdown_pooled_backends
+from repro.backends.pooled import shutdown_pooled_backends
 from repro.core.optimal import synthesize_symmetric
 from repro.core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
 from repro.parallel import (
@@ -155,6 +105,7 @@ OFFSET_STRIDE = 997  # prime: exercises every residue class of the pattern
 N_OFFSETS = 6000
 HORIZON_MULTIPLE = 3
 N_SPOT_CHECKS = 8  # DES replays per spot-check phase (fixed subset)
+GRID_AXES = {"n_devices": [3, 6, 10], "eta": [0.02, 0.05], "seed": [0, 1]}
 
 
 def build_workload():
@@ -347,23 +298,66 @@ def main(argv: list[str] | None = None) -> int:
         f"{cache_warm_s * 1e6:.0f} us registry-warm"
     )
 
-    # Phase: the fixed offset sweep, serial reference vs parallel.
+    # Phase: the fixed offset sweep.  The baseline is the in-process
+    # default kernel; the exact legacy serial path is a labelled row.
     serial_s, serial_report = best_of(
         args.repeats,
         lambda: sweep_offsets(protocol, protocol, offsets, horizon),
     )
-    print(f"serial       : {serial_s:.3f} s (best of {args.repeats})")
-
-    executor = ParallelSweep(jobs=args.jobs)
-    parallel_s, parallel_report = best_of(
+    print(f"legacy serial: {serial_s:.3f} s (best of {args.repeats})")
+    inprocess = ParallelSweep(jobs=1)
+    inprocess_s, inprocess_report = best_of(
         args.repeats,
-        lambda: executor.sweep_offsets(protocol, protocol, offsets, horizon),
+        lambda: inprocess.sweep_offsets(protocol, protocol, offsets, horizon),
     )
-    print(f"parallel({args.jobs:2d}) : {parallel_s:.3f} s (best of {args.repeats})")
+    print(f"in-process   : {inprocess_s:.3f} s (best of {args.repeats})")
+    # The first pool sweep pays worker startup; later ones reuse the
+    # warm workers, which is the steady state of a session.
+    shutdown_pooled_backends()
+    pool = ParallelSweep(jobs=args.jobs)
+    pool_cold_s, pool_cold_report = best_of(
+        1,
+        lambda: pool.sweep_offsets(protocol, protocol, offsets, horizon),
+    )
+    pool_warm_s, pool_report = best_of(
+        args.repeats,
+        lambda: pool.sweep_offsets(protocol, protocol, offsets, horizon),
+    )
+    identical = (
+        pool_report == pool_cold_report == inprocess_report == serial_report
+    )
+    speedup = inprocess_s / pool_warm_s if pool_warm_s > 0 else float("inf")
+    legacy_speedup = (
+        serial_s / pool_warm_s if pool_warm_s > 0 else float("inf")
+    )
+    print(
+        f"pool({args.jobs:2d})     : {pool_cold_s:.3f} s cold, "
+        f"{pool_warm_s:.3f} s warm (best of {args.repeats})"
+    )
+    print(
+        f"speedup      : {speedup:.2f}x persistent pool vs in-process "
+        f"numpy ({legacy_speedup:.2f}x vs legacy serial)   "
+        f"bit-identical: {identical}"
+    )
 
-    identical = parallel_report == serial_report
-    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-    print(f"speedup      : {speedup:.2f}x   bit-identical: {identical}")
+    # Phase: a scenario grid, in-process vs the warm persistent pool.
+    grid = scenario_grid(dense_network, **GRID_AXES)
+    grid_inprocess_s, grid_inprocess = best_of(
+        args.repeats, lambda: ParallelSweep(jobs=1).map_scenarios(grid)
+    )
+    grid_pool_s, grid_pool = best_of(
+        args.repeats, lambda: pool.map_scenarios(grid)
+    )
+    grid_identical = grid_pool == grid_inprocess
+    identical = identical and grid_identical
+    grid_speedup = (
+        grid_inprocess_s / grid_pool_s if grid_pool_s > 0 else float("inf")
+    )
+    print(
+        f"grid x{len(grid)}     : {grid_inprocess_s:.3f} s in-process, "
+        f"{grid_pool_s:.3f} s pool({args.jobs}) [{grid_speedup:.2f}x]   "
+        f"bit-identical: {grid_identical}"
+    )
 
     # Phase: single-worker kernel shoot-out (backend, not pool, speedup).
     # The numpy == python (and native == python) asserts are the CI
@@ -450,27 +444,6 @@ def main(argv: list[str] | None = None) -> int:
             f"kernel native: {native_s:.3f} s   {native_speedup:.2f}x over "
             f"python (target >= 20x)   bit-identical: {native_identical}"
         )
-    # Persistent pool: first sweep pays pool startup, the second reuses
-    # warm workers -- the gap is what per-sweep pools charged every time.
-    pooled = ParallelSweep(jobs=args.jobs, backend="pooled")
-    pooled_cold_s, pooled_report = best_of(
-        1,
-        lambda: pooled.sweep_offsets(protocol, protocol, offsets, horizon),
-    )
-    pooled_warm_s, pooled_warm_report = best_of(
-        args.repeats,
-        lambda: pooled.sweep_offsets(protocol, protocol, offsets, horizon),
-    )
-    backend_timings["pooled_cold_seconds"] = pooled_cold_s
-    backend_timings["pooled_warm_seconds"] = pooled_warm_s
-    pooled_identical = pooled_report == pooled_warm_report == serial_report
-    identical = identical and pooled_identical
-    print(
-        f"pooled({args.jobs:2d})   : {pooled_cold_s:.3f} s cold, "
-        f"{pooled_warm_s:.3f} s warm   bit-identical: {pooled_identical}"
-    )
-    shutdown_pooled_backends()
-
     # Phase: critical-offset enumeration on a large-zoo pair (PR 5).
     # The python reference double loop vs the vectorized kernel;
     # bit-identity between the full sorted offset lists is a hard exit
@@ -504,62 +477,12 @@ def main(argv: list[str] | None = None) -> int:
             f"python   bit-identical: {enum_identical}"
         )
 
-    # Phase: pooled cold start with vs without the shared-memory pattern
-    # arena, under spawn (the start method whose workers rebuild every
-    # pattern from scratch -- fork gets the parent registry for free).
-    # The workload is a heavy-pattern pair (PeriodicInterval 997x10007:
-    # ~2 s of exact segment derivation per cold build) with the parent
-    # registry prewarmed, matching a real session: the parent holds the
-    # pattern, and the question is whether each spawn worker re-derives
-    # it (no arena) or maps the parent's copy (arena).  Private pools so
-    # neither run reuses the other's workers; one cold sweep each.
-    arena_proto = PeriodicInterval(997, 10_007, 100, omega=32,
-                                   bidirectional=True)
-    arena_e, arena_f = arena_proto.device(Role.E), arena_proto.device(Role.F)
-    arena_offsets = [i * 131 for i in range(64)]
-    arena_params = SweepParams(
-        arena_e, arena_f, 1_000_000, ReceptionModel.POINT
-    )
-    for receiver in (arena_e, arena_f):
-        get_listening_cache(receiver)  # prewarm the parent registry
-    arena_reference = ParallelSweep(
-        jobs=1, backend="python"
-    ).evaluate_offsets(arena_e, arena_f, arena_offsets, 1_000_000)
-    arena_timings = {}
-    for label, use_arena in (("arena", True), ("no_arena", False)):
-        private = PooledBackend(
-            jobs=args.jobs, mp_context="spawn", use_arena=use_arena
-        )
-        try:
-            seconds, outcomes = best_of(
-                1,
-                lambda: private.evaluate_offsets_batch(
-                    arena_params, arena_offsets
-                ),
-            )
-        finally:
-            private.close()
-        arena_identical = outcomes == arena_reference
-        identical = identical and arena_identical
-        arena_timings[f"pooled_spawn_cold_{label}_seconds"] = seconds
-    backend_timings.update(arena_timings)
-    arena_delta = (
-        arena_timings["pooled_spawn_cold_no_arena_seconds"]
-        - arena_timings["pooled_spawn_cold_arena_seconds"]
-    )
-    print(
-        f"pooled spawn : {arena_timings['pooled_spawn_cold_arena_seconds']:.3f} s "
-        f"cold with arena, "
-        f"{arena_timings['pooled_spawn_cold_no_arena_seconds']:.3f} s without "
-        f"({arena_delta:+.3f} s saved)"
-    )
-
     # Phase: DES spot-check replays (the verified_worst_case tail),
-    # serial vs the jobs-aware path.  This batch sits below the pooled
-    # path's estimated-work floor, so near-parity between the two
+    # in-process vs the jobs-aware path.  This batch sits below the
+    # pool's estimated-event floor, so near-parity between the two
     # timings is the expected result -- it demonstrates the gate that
-    # keeps short replay batches from paying pool startup; long-horizon
-    # validations clear the floor and shard across workers.
+    # keeps short replay batches off the pool; long-horizon validations
+    # clear the floor and shard across workers.
     spot_offsets = offsets[:: max(1, len(offsets) // N_SPOT_CHECKS)][
         :N_SPOT_CHECKS
     ]
@@ -571,15 +494,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     spot_parallel_s, spot_parallel = best_of(
         1,
-        lambda: executor.spot_check_pairs(
+        lambda: pool.spot_check_pairs(
             protocol, protocol, spot_offsets, horizon
         ),
     )
     spot_identical = spot_serial == spot_parallel
     identical = identical and spot_identical
+    shutdown_pooled_backends()
     print(
         f"DES spot x{len(spot_offsets)} : {spot_serial_s:.3f} s serial, "
-        f"{spot_parallel_s:.3f} s parallel({args.jobs})   "
+        f"{spot_parallel_s:.3f} s jobs={args.jobs}   "
         f"bit-identical: {spot_identical}"
     )
 
@@ -587,11 +511,11 @@ def main(argv: list[str] | None = None) -> int:
     # calibration.  Serial, one run per scenario, seeds derived exactly
     # as sweep_network_grid derives them; the recorded event-rate
     # components are what fit_cost_weights regresses seconds onto.
-    grid = scenario_grid(
+    calibration_grid = scenario_grid(
         dense_network, n_devices=[3, 6], eta=[0.02, 0.05], seed=[0]
     )
     per_scenario = []
-    for index, scenario in enumerate(grid):
+    for index, scenario in enumerate(calibration_grid):
         start = time.perf_counter()
         _run_scenario(scenario, seed=derive_seed(0, index))
         seconds = time.perf_counter() - start
@@ -715,7 +639,6 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.campaign import (
         build_golden_campaign,
-        Campaign,
         CampaignRunner,
         regenerate_golden_csvs,
     )
@@ -774,94 +697,6 @@ def main(argv: list[str] | None = None) -> int:
             "golden_csvs_bit_identical": csv_ok,
         }
 
-        # Phase: parallel campaign execution (PR 7, reworked PR 8).
-        # The golden lattice's entries are millisecond sweeps, so its
-        # serial-vs-parallel pair measured per-entry thread overhead
-        # (~1.0x), not entry-level parallelism.  Time a dedicated
-        # compute-bound lattice instead: one Searchlight run with a
-        # slot-length axis, each entry a dense uniform sweep costing
-        # real kernel time (~100 ms, two orders of magnitude over the
-        # per-entry store/manifest overhead).  Serial cold pass first,
-        # then the same lattice cold under --entry-jobs work-stealing
-        # workers into a fresh store.  Content equivalence is a hard
-        # exit gate: same fingerprint set, byte-identical payloads,
-        # same done/failed partition.  The wall-clock pair is the
-        # recorded trajectory (~1.0x on a single-core reference
-        # machine, where no entry-level overlap is possible).
-        compute_campaign = Campaign(
-            name="bench-compute",
-            description=(
-                "compute-bound lattice for the entry-parallelism bench"
-            ),
-            runs=[
-                {
-                    "verb": "sweep",
-                    "label": "searchlight-slots",
-                    "spec": {
-                        "pair": {
-                            "kind": "zoo",
-                            "protocol": "Searchlight",
-                            "params": {"period_slots": 8, "omega": 32},
-                        },
-                        "sampling": "uniform",
-                        "samples": 10000,
-                    },
-                    "axes": {
-                        "pair.params.slot_length": [
-                            607, 641, 673, 709, 743, 769, 809, 839,
-                        ],
-                    },
-                },
-            ],
-        )
-        ser_store = ResultStore(store_dir / "cstore")
-        start = time.perf_counter()
-        cser = CampaignRunner(
-            compute_campaign, ser_store,
-            manifest_path=store_dir / "cser.json",
-        ).run()
-        campaign_serial_s = time.perf_counter() - start
-        par_store = ResultStore(store_dir / "pstore")
-        start = time.perf_counter()
-        par = CampaignRunner(
-            compute_campaign, par_store,
-            manifest_path=store_dir / "par.json",
-        ).run(entry_jobs=args.jobs)
-        campaign_parallel_s = time.perf_counter() - start
-        same_fps = (
-            par_store.known_fingerprints() == ser_store.known_fingerprints()
-        )
-        same_payloads = same_fps and all(
-            json.dumps(par_store.get(fp).payload, sort_keys=True)
-            == json.dumps(ser_store.get(fp).payload, sort_keys=True)
-            for fp in ser_store.known_fingerprints()
-        )
-        same_partition = [
-            (r["status"], r.get("source")) for r in par["entries"]
-        ] == [(r["status"], r.get("source")) for r in cser["entries"]]
-        campaign_ok = (
-            cser["complete"] and par["complete"]
-            and same_fps and same_payloads and same_partition
-        )
-        identical = identical and campaign_ok
-        campaign_speedup = (
-            campaign_serial_s / campaign_parallel_s
-            if campaign_parallel_s > 0 else float("inf")
-        )
-        print(
-            f"campaign     : {campaign_serial_s:.3f} s serial lattice, "
-            f"{campaign_parallel_s:.3f} s parallel({args.jobs}) "
-            f"[{campaign_speedup:.2f}x]   content-equivalent: {campaign_ok}"
-        )
-        campaign_phase = {
-            "lattice": "bench-compute (Searchlight slot-length axis)",
-            "entries": par["total"],
-            "entry_jobs": args.jobs,
-            "serial_seconds": campaign_serial_s,
-            "parallel_seconds": campaign_parallel_s,
-            "speedup": campaign_speedup,
-            "content_equivalent": campaign_ok,
-        }
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
 
@@ -880,21 +715,30 @@ def main(argv: list[str] | None = None) -> int:
         "backend": default_backend_name(),
         "numpy_version": numpy_version(),
         "numba_version": numba_version(),
-        "serial_seconds": serial_s,
-        "parallel_seconds": parallel_s,
+        "baseline": "in-process numpy (jobs=1)",
+        "inprocess_seconds": inprocess_s,
+        "pool_cold_seconds": pool_cold_s,
+        "pool_warm_seconds": pool_warm_s,
         "speedup": speedup,
+        "legacy_serial_seconds": serial_s,
+        "speedup_over_legacy_serial": legacy_speedup,
         "bit_identical": identical,
         "phases": {
             "cache_build_cold_seconds": cache_cold_s,
             "cache_build_warm_seconds": cache_warm_s,
-            "sweep_serial_seconds": serial_s,
-            "sweep_parallel_seconds": parallel_s,
-            "des_spot_serial_seconds": spot_serial_s,
-            "des_spot_parallel_seconds": spot_parallel_s,
+            "des_spot_inprocess_seconds": spot_serial_s,
+            "des_spot_jobs_seconds": spot_parallel_s,
+        },
+        "grid": {
+            "scenarios": len(grid),
+            "axes": GRID_AXES,
+            "inprocess_seconds": grid_inprocess_s,
+            "pool_seconds": grid_pool_s,
+            "speedup": grid_speedup,
+            "bit_identical": grid_identical,
         },
         "backends": backend_timings,
         "store": store_phase,
-        "campaign": campaign_phase,
         "worst_case": worst_case_phase,
         "per_scenario": per_scenario,
         "fitted_cost_weights": {
@@ -932,9 +776,14 @@ def main(argv: list[str] | None = None) -> int:
         "enforced": not args.no_perf_floors,
         "failures": floor_failures,
     }
+    # Read-modify-write: keep the sections this run does not produce.
     output = Path(args.output)
+    merged = {}
+    if output.exists():
+        merged = json.loads(output.read_text(encoding="utf-8"))
+    merged.update(payload)
     output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(json.dumps(payload, indent=2) + "\n")
+    output.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf-8")
     print(f"-> {output}")
 
     if not identical:

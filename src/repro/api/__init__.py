@@ -6,8 +6,8 @@ an experiment is from *how* it runs:
 
 * :class:`RunSpec` -- protocols / scenario / grid, reception model,
   fidelity knobs, DES spot-check policy (:mod:`repro.api.spec`);
-* :class:`RuntimeProfile` -- backend, jobs, schedule, mp context,
-  cache/shm limits, fitted cost weights; loadable from TOML/JSON
+* :class:`RuntimeProfile` -- backend, jobs, mp context, cache limits,
+  fitted cost weights; loadable from TOML/JSON
   (``RuntimeProfile.load``, the CLI's ``--profile``);
 
 and one context-managed facade runs them:
@@ -43,7 +43,7 @@ answered under -- serialized under ``payload["provenance"]`` and
 rehydrated by :func:`repro.api.result.rehydrate_raw`.
 
 The pre-Session entry points (``evaluate_offsets(backend=)``,
-``verified_worst_case(jobs=)``, ``sweep_network_grid(schedule=)``, ...)
+``verified_worst_case(jobs=)``, ``sweep_network_grid(jobs=)``, ...)
 remain as thin shims over this facade behind the single deprecation
 path of :mod:`repro.api._compat`.
 

@@ -1,7 +1,7 @@
 """The single legacy-compatibility path behind every deprecated shim.
 
 PR 4 rebuilt the public surface around :class:`repro.api.Session`; the
-old per-call runtime kwargs (``backend=``, ``jobs=``, ``schedule=``,
+old per-call runtime kwargs (``backend=``, ``jobs=``,
 ``mp_context=``) on ``evaluate_offsets`` / ``sweep_offsets`` /
 ``verified_worst_case`` / ``sweep_network_grid`` keep working as thin
 shims over the facade, but every one of them funnels through this
@@ -16,8 +16,8 @@ cache -- so deprecation policy lives in exactly one place.
 * :func:`legacy_session` hands shims a process-shared, never-closed
   :class:`~repro.api.Session` per profile shape.  That preserves the
   PR-3 semantics legacy callers rely on -- e.g. repeated
-  ``sweep_network_grid(backend="pooled")`` calls amortizing one
-  persistent pool -- with the ``atexit`` backstop as their cleanup,
+  ``sweep_network_grid(jobs=4)`` calls amortizing one persistent
+  pool -- with the ``atexit`` backstop as their cleanup,
   exactly as before.  Code that wants deterministic shutdown uses a
   ``with Session(...)`` block instead; that is the whole point.
 """
@@ -30,8 +30,8 @@ __all__ = ["LegacyRuntimeAPIWarning", "legacy_session", "warn_legacy"]
 
 
 class LegacyRuntimeAPIWarning(DeprecationWarning):
-    """A per-call runtime kwarg (``backend=``/``jobs=``/``schedule=``/
-    ``mp_context=``) was used on a pre-Session entry point."""
+    """A per-call runtime kwarg (``backend=``/``jobs=``/``mp_context=``)
+    was used on a pre-Session entry point."""
 
 
 def warn_legacy(entry_point: str, replacement: str, stacklevel: int = 3) -> None:

@@ -8,7 +8,7 @@ exposes the whole verb set over declarative
 
     from repro.api import RunSpec, RuntimeProfile, Session
 
-    profile = RuntimeProfile(backend="pooled", jobs=4)
+    profile = RuntimeProfile(jobs=4)
     with Session(profile) as session:
         sweep = session.sweep(RunSpec(pair={"kind": "symmetric", "eta": 0.01}))
         check = session.worst_case(RunSpec(pair={"kind": "symmetric", "eta": 0.01}))
@@ -24,14 +24,11 @@ Resource ownership
 The session *owns* what it creates and releases it deterministically on
 ``close()`` / ``__exit__`` -- no reliance on ``atexit``:
 
-* **Persistent pools** -- a resolved pooled backend is reference-
-  counted (:meth:`PooledBackend.retain`): nested sessions sharing one
-  profile share one pool, and the pool shuts down exactly when the last
-  session holding it exits.  Per-sweep pools were already
-  context-managed inside :class:`repro.parallel.ParallelSweep`.
-* **Shared-memory segments** -- per-sweep
-  :class:`~repro.parallel.shm.SharedPatternStore` segments unlink on
-  sweep exit by construction; a session therefore leaks no segments.
+* **The persistent pool** -- a ``jobs > 1`` session retains the
+  shared pool for its ``(kernel, jobs, mp_context)``
+  (:meth:`PooledBackend.retain`): nested sessions sharing one profile
+  share one pool, and the pool -- with its shared-memory pattern
+  arena -- shuts down exactly when the last session holding it exits.
 * **Listening-cache registry** -- with
   ``RuntimeProfile.cache_policy="release"`` the session snapshots the
   registry on activation and drops, on exit, every fingerprint
@@ -48,9 +45,8 @@ The session *owns* what it creates and releases it deterministically on
 Every verb returns a :class:`~repro.api.RunResult` carrying the spec
 and profile snapshots, the resolved backend name and phase timings --
 the full reproduction recipe -- and results are **bit-identical** to
-the legacy kwarg entry points for every backend/jobs/schedule
-combination (pinned zoo-wide by
-``tests/test_parallel_equivalence_zoo.py``).
+the legacy kwarg entry points for every backend/jobs combination
+(pinned zoo-wide by ``tests/test_parallel_equivalence_zoo.py``).
 """
 
 from __future__ import annotations
@@ -72,11 +68,9 @@ def evaluate_offsets_with_backend(
     """Facade-internal in-process batch evaluation.
 
     The engine behind the ``evaluate_offsets(backend=...)`` legacy shim:
-    resolve the kernel once and run it directly, exactly as the
-    pre-Session entry point did (a pooled backend shards itself over its
-    own persistent pool; stateless kernels run in-process).  Backend
-    selection knowledge lives here, in the facade layer, not in
-    :mod:`repro.simulation.analytic`.
+    resolve the kernel once and run it in-process, exactly as the
+    pre-Session entry point did.  Backend selection knowledge lives
+    here, in the facade layer, not in :mod:`repro.simulation.analytic`.
     """
     from ..backends import resolve_backend, SweepParams
 
@@ -143,8 +137,8 @@ class Session:
         self._backend = None
         self._retained_pool = None
         self._retain_token = None
-        #: Whether this session takes a retain/release reference on a
-        #: resolved pooled backend.  True for user sessions (the
+        #: Whether this session takes a retain/release reference on its
+        #: persistent pool.  True for user sessions (the
         #: deterministic-shutdown contract); the never-closed legacy-shim
         #: sessions set it False so they keep the pre-Session semantics
         #: -- pools live until ``shutdown_pooled_backends()``/``atexit``
@@ -262,32 +256,10 @@ class Session:
     def closed(self) -> bool:
         return self._closed
 
-    def worker(self) -> "Session":
-        """A sibling session for a worker thread: same profile, same
-        *shared* store instance, independent runtime state.
-
-        A :class:`Session` is not thread-safe -- backend resolution,
-        the cached sweeper and the scoped-knob bookkeeping all assume
-        one caller -- so concurrent entry execution (the parallel
-        :class:`~repro.campaign.CampaignRunner`) gives every worker
-        thread its own session via this method.  Workers share:
-
-        * the **store instance** (not merely the root path), so they
-          also share its lock-protected in-process LRU and stats;
-        * the **profile object**, so a pooled backend resolves to the
-          same refcounted pool (shutdown when the last worker closes).
-
-        Each worker must be closed like any other session; closing a
-        worker never tears down state the parent still uses.
-        """
-        if self._closed:
-            raise RuntimeError("Session is closed; create a new one")
-        return Session(self.profile, store=self.store)
-
     def close(self) -> None:
         """Release everything this session created (idempotent).
 
-        Deterministic by design: pooled workers are gone (or handed to
+        Deterministic by design: pool workers are gone (or handed to
         an outer session still holding the shared pool) by the time
         this returns -- the ``atexit`` backstop exists only for
         non-session legacy callers.
@@ -337,7 +309,6 @@ class Session:
             raise RuntimeError("Session is closed; create a new one")
         self._activate()
         if self._sweeper is None:
-            from ..backends.pooled import PooledBackend
             from ..parallel import ParallelSweep
 
             sweeper = ParallelSweep.from_profile(self.profile)
@@ -353,9 +324,10 @@ class Session:
                 raise SpecError(
                     f"RuntimeProfile.backend: {exc.args[0]}"
                 ) from exc
-            if self._owns_pools and isinstance(resolved, PooledBackend):
-                self._retain_token = resolved.retain()
-                self._retained_pool = resolved
+            pool = sweeper.pool()
+            if self._owns_pools and pool is not None:
+                self._retain_token = pool.retain()
+                self._retained_pool = pool
             self._sweeper = sweeper
             self._backend = resolved
         return self._sweeper
@@ -501,8 +473,8 @@ class Session:
         ``raw``: the :class:`repro.simulation.PairWorstCase`.  The
         session's resolved kernel runs the whole pipeline -- critical
         enumeration (``critical_offsets(backend=...)``, vectorized
-        under numpy), the sweep, and (for pooled profiles) the
-        spot-check sharding over the arena-warmed persistent pool.
+        under numpy) and the sweep; with ``jobs > 1`` the sweep and
+        long spot-check batches shard over the persistent pool.
 
         Exact by default.  With ``spec.budget_ms`` set (and
         ``spec.fidelity`` ``"auto"``/``"bounded"``), the adaptive

@@ -2,19 +2,19 @@
 :class:`RuntimeProfile`.
 
 Three PRs of runtime growth left the public surface threading
-``backend=``/``jobs=``/``schedule=``/``mp_context=`` kwargs through
-every entry point.  This module splits that surface into two
-serializable dataclasses with a strict separation of concerns:
+``backend=``/``jobs=``/``mp_context=`` kwargs through every entry
+point.  This module splits that surface into two serializable
+dataclasses with a strict separation of concerns:
 
 * :class:`RunSpec` -- **what** to run: the protocol pair or scenario
   (declaratively, so a spec can live in a JSON file next to its
   results), the reception model, fidelity knobs (turnaround,
   advertising jitter, seed) and the DES spot-check policy.
 * :class:`RuntimeProfile` -- **how** to run it: sweep-kernel backend,
-  worker count, scheduling discipline, multiprocessing start method,
-  cache limits and fitted cost weights.  Profiles load from TOML or
-  JSON (``RuntimeProfile.load``), so a deployment describes its runtime
-  once instead of re-passing flags at every callsite.
+  worker count, multiprocessing start method, cache limits and fitted
+  cost weights.  Profiles load from TOML or JSON
+  (``RuntimeProfile.load``), so a deployment describes its runtime once
+  instead of re-passing flags at every callsite.
 
 Both reject unknown fields on deserialization -- a typo in a profile
 file fails loudly instead of silently running with defaults -- and both
@@ -77,10 +77,26 @@ def _plain(value: Any) -> Any:
     return value
 
 
+#: Runtime knobs that no longer exist, with what replaced them: a saved
+#: profile or spec still naming one fails loudly instead of running
+#: under a configuration it did not ask for.
+_REMOVED_FIELDS = {
+    "schedule": "grids always use longest-first work stealing",
+    "shared_memory": "the persistent pool always ships patterns through "
+                     "its shared-memory arena",
+    "chunks_per_job": "offset batches always split into 4 chunks per job",
+}
+
+
 def _from_mapping(cls, data: Mapping) -> Any:
     """Shared strict constructor: reject unknown fields loudly."""
     if not isinstance(data, Mapping):
         raise SpecError(f"{cls.__name__} payload must be a mapping, got {data!r}")
+    for name, replacement in _REMOVED_FIELDS.items():
+        if name in data:
+            raise SpecError(
+                f"{cls.__name__} field {name!r} was removed: {replacement}"
+            )
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
@@ -458,25 +474,21 @@ class RuntimeProfile(_SerializableConfig):
     """**How** to run -- the runtime policy a :class:`~repro.api.Session`
     applies to every verb.
 
-    One profile replaces the ``backend=``/``jobs=``/``schedule=``/
-    ``mp_context=`` kwarg plumbing of PR 1-3: resolve it once per
-    session, not once per call.  Profiles are plain data -- load one
-    from TOML or JSON with :meth:`load`, or build the environment
-    default with :meth:`default` (honouring ``REPRO_BACKEND``,
-    ``REPRO_JOBS``, ``REPRO_SCHEDULE`` and ``REPRO_PROFILE``).
+    One profile replaces per-call ``backend=``/``jobs=``/``mp_context=``
+    kwarg plumbing: resolve it once per session, not once per call.  Profiles are plain data -- load one from TOML or JSON with
+    :meth:`load`, or build the environment default with :meth:`default`
+    (honouring ``REPRO_BACKEND``, ``REPRO_JOBS`` and ``REPRO_PROFILE``).
     """
 
     backend: Any = "auto"
     """Sweep-kernel selection (:mod:`repro.backends` name or instance)."""
     jobs: int | None = 1
-    """Worker processes; ``None`` = CPU count, ``1`` = serial."""
-    schedule: str = "steal"
-    """Grid scheduling discipline: ``"steal"`` or ``"chunk"``."""
+    """Worker processes; ``None`` = CPU count.  ``<= 1`` runs everything
+    in-process; ``> 1`` runs every sharded batch (offset sweeps, long
+    DES spot-check batches, scenario grids) on the one persistent pool
+    shared per ``(kernel, jobs, mp_context)``."""
     mp_context: str | None = None
     """Multiprocessing start method; ``None`` = platform default."""
-    chunks_per_job: int = 4
-    shared_memory: bool = True
-    """Ship listening patterns to per-sweep workers via shared memory."""
     cache_limit: int | None = None
     """Session-scoped cap on the listening-cache registry (LRU);
     ``None`` keeps the process default."""
@@ -512,9 +524,10 @@ class RuntimeProfile(_SerializableConfig):
             raise SpecError(f"invalid RuntimeProfile field value: {exc}") from exc
 
     def _validate(self) -> None:
-        if self.schedule not in ("steal", "chunk"):
+        if self.backend == "pooled":
             raise SpecError(
-                f"schedule must be 'steal' or 'chunk', got {self.schedule!r}"
+                "RuntimeProfile.backend 'pooled' was removed: jobs > 1 now "
+                "selects the persistent pool (name a kernel, or 'auto')"
             )
         if self.cache_policy not in ("retain", "release"):
             raise SpecError(
@@ -523,8 +536,6 @@ class RuntimeProfile(_SerializableConfig):
             )
         if self.jobs is not None and self.jobs < 0:
             raise SpecError(f"jobs must be non-negative, got {self.jobs}")
-        if self.chunks_per_job < 1:
-            raise SpecError("chunks_per_job must be positive")
         if self.cache_limit is not None and self.cache_limit < 1:
             raise SpecError("cache_limit must be positive")
         if self.cost_weights is not None:
@@ -620,10 +631,9 @@ class RuntimeProfile(_SerializableConfig):
         """The environment-default profile.
 
         ``REPRO_PROFILE`` (a TOML/JSON path) seeds the profile;
-        ``REPRO_BACKEND``, ``REPRO_JOBS`` and ``REPRO_SCHEDULE``
-        override individual fields -- which is how CI exercises the
-        examples under both the ``python`` and ``numpy`` kernels
-        without touching their source.
+        ``REPRO_BACKEND`` and ``REPRO_JOBS`` override individual
+        fields -- which is how CI exercises the examples under both the
+        ``python`` and ``numpy`` kernels without touching their source.
         """
         profile_path = os.environ.get("REPRO_PROFILE")
         profile = cls.load(profile_path) if profile_path else cls()
@@ -638,8 +648,6 @@ class RuntimeProfile(_SerializableConfig):
                     f"REPRO_JOBS must be an integer, "
                     f"got {os.environ['REPRO_JOBS']!r}"
                 ) from exc
-        if os.environ.get("REPRO_SCHEDULE"):
-            overrides["schedule"] = os.environ["REPRO_SCHEDULE"]
         return profile.replace(**overrides) if overrides else profile
 
     def cache_key(self) -> tuple:

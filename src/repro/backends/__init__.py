@@ -7,9 +7,8 @@ structure of PR 1-2: instead of callers reaching into cache/evaluator
 internals, kernels implement
 :meth:`SweepBackend.evaluate_offsets_batch(params, offsets)` and
 register by name, and every layer above (``analytic.evaluate_offsets``,
-:class:`repro.parallel.ParallelSweep`, ``verified_worst_case``,
-``sweep_network_grid``, :class:`repro.workloads.Scenario`, the CLI's
-``--backend`` flag) selects one without knowing how it computes.
+:class:`repro.parallel.ParallelSweep`, ``verified_worst_case``, the
+CLI's ``--backend`` flag) selects one without knowing how it computes.
 
 Backend-selection contract
 --------------------------
@@ -34,10 +33,6 @@ Backend-selection contract
   (and NumPy, for the array plumbing) are importable --
   :mod:`repro.backends._numba` is the matching import-guard shim --
   and likewise an optional extra (``pip install repro-nd[native]``).
-* ``"pooled"`` -- a lazily created, explicitly shut-down persistent
-  ``ProcessPoolExecutor`` wrapping any inner kernel
-  (:mod:`repro.backends.pooled`), so many-small-sweep workloads stop
-  paying per-sweep pool startup.
 * ``"auto"`` (or ``None``) -- :func:`default_backend_name`:
   ``native`` when Numba is importable, else ``numpy`` when NumPy is,
   ``python`` fallback.  All defaults route through auto-detection, so
@@ -106,30 +101,31 @@ enumeration feeding ``verified_worst_case`` and
   direction.
 * **Delegation.**  The abstract base provides the reference as the
   default implementation, so custom kernels stay correct without
-  opting in; ``pooled`` delegates to its inner kernel in-process (the
-  enumeration is one pass, not a batch worth sharding), and the numpy
-  kernel falls back to the reference wholesale beyond its int64
-  headroom.
+  opting in, and the numpy kernel falls back to the reference
+  wholesale beyond its int64 headroom.  Enumeration always runs
+  in-process: it is one pass, not a batch worth sharding.
 
 Persistent-pool lifecycle
 -------------------------
 
-:class:`~repro.backends.pooled.PooledBackend` creates **no processes
-until first sharded use**; the pool then survives across batches (and
-across ``ParallelSweep`` instances, via
+Process parallelism is not a backend: ``RuntimeProfile.jobs > 1`` runs
+every sharded batch on the persistent
+:class:`~repro.backends.pooled.PooledBackend` pool for the profile's
+``(kernel, jobs, mp_context)``, whose workers run the selected kernel.
+The pool creates **no processes until first sharded use**; it then
+survives across batches (and across ``ParallelSweep`` instances, via
 :func:`~repro.backends.pooled.get_pooled_backend`'s keyed sharing) so
 worker-side pattern registries stay warm.  Shutdown is explicit --
-``backend.close()``, the context-manager protocol, or
+``pool.close()``, the context-manager protocol, or
 :func:`~repro.backends.pooled.shutdown_pooled_backends` (idempotent) --
 with an ``atexit`` hook as the no-leak backstop for legacy callers.
 
-Since PR 4 the preferred owner is a :class:`repro.api.Session`: a
-session that resolves a pooled backend takes a
-:meth:`~repro.backends.pooled.PooledBackend.retain` reference and
-releases it on ``__exit__``, so nested sessions sharing one profile
-share one pool and the pool closes deterministically -- without
-``atexit`` -- exactly when the last owning session exits.  Backend
-*selection* likewise now flows from one
+The preferred owner is a :class:`repro.api.Session`: a ``jobs > 1``
+session takes a :meth:`~repro.backends.pooled.PooledBackend.retain`
+reference and releases it on ``__exit__``, so nested sessions sharing
+one profile share one pool and the pool closes deterministically --
+without ``atexit`` -- exactly when the last owning session exits.
+Backend *selection* likewise flows from one
 :class:`repro.api.RuntimeProfile` (``profile.backend``) instead of
 per-call ``backend=`` kwargs, which survive only as deprecated shims.
 """
@@ -159,7 +155,6 @@ from .python_loop import CachedPairEvaluator, PythonBackend
 register_backend("python", PythonBackend)
 register_backend("numpy", NumpyBackend)
 register_backend("native", NativeBackend)
-register_backend("pooled", get_pooled_backend)
 
 __all__ = [
     "available_backends",

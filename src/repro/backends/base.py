@@ -63,7 +63,7 @@ class SweepParams:
     """Everything that identifies one pair-sweep workload except the
     offsets themselves.
 
-    Frozen and picklable: the pooled backend ships one ``SweepParams``
+    Frozen and picklable: the persistent pool ships one ``SweepParams``
     per submitted chunk, and worker processes resolve the listening
     patterns from it through their own keyed cache registries.
     """
@@ -135,11 +135,8 @@ class SweepBackend(ABC):
         )
 
     def close(self) -> None:
-        """Release backend-held resources (worker pools, buffers).
-
-        Stateless kernels need nothing; the pooled backend shuts its
-        persistent executor down here.  Idempotent.
-        """
+        """Release backend-held resources (buffers).  Stateless kernels
+        need nothing.  Idempotent."""
 
 
 # ----------------------------------------------------------------------
@@ -155,8 +152,7 @@ def register_backend(name: str, factory: Callable[[], SweepBackend]) -> None:
 
     ``factory`` is a zero-argument callable returning a
     :class:`SweepBackend`; it may also expose ``available()`` (classes
-    do, via the classmethod) to gate environment-dependent backends,
-    and ``self_managed = True`` to opt out of the singleton cache.
+    do, via the classmethod) to gate environment-dependent backends.
     """
     _FACTORIES[name] = factory
     # Re-registration must win: drop any singleton the old factory made.
@@ -188,11 +184,9 @@ def default_backend_name() -> str:
 def get_backend(name: str) -> SweepBackend:
     """The shared instance registered under ``name``.
 
-    Stateless kernels are process-wide singletons; ``pooled`` resolves to
-    the shared default persistent-pool backend (see
-    :func:`repro.backends.pooled.get_pooled_backend` for custom pools).
-    Raises :class:`KeyError` for unknown names and
-    :class:`BackendUnavailable` for registered-but-unavailable ones.
+    Kernels are process-wide singletons.  Raises :class:`KeyError` for
+    unknown names and :class:`BackendUnavailable` for
+    registered-but-unavailable ones.
     """
     try:
         factory = _FACTORIES[name]
@@ -216,12 +210,6 @@ def get_backend(name: str) -> SweepBackend:
         raise BackendUnavailable(
             f"backend {name!r} is not available in this environment" + hint
         )
-    if getattr(factory, "self_managed", False):
-        # Factories that keep their own instance map (the pooled
-        # backend's shape-keyed sharing) resolve fresh every call, so
-        # environment-dependent defaults (e.g. the auto-detected inner
-        # kernel) can never go stale in a second cache here.
-        return factory()
     instance = _INSTANCES.get(name)
     if instance is None:
         instance = factory()
@@ -229,36 +217,26 @@ def get_backend(name: str) -> SweepBackend:
     return instance
 
 
-def resolve_backend(
-    spec: "str | SweepBackend | None",
-    jobs: int | None = None,
-    mp_context: str | None = None,
-) -> SweepBackend:
+def resolve_backend(spec: "str | SweepBackend | None") -> SweepBackend:
     """Turn a user-facing backend spec into a backend instance.
 
     * ``None`` or ``"auto"`` -- auto-detection via
       :func:`default_backend_name`;
-    * a registered name -- the shared instance (``"pooled"`` additionally
-      honours ``jobs``/``mp_context``, resolving to the shared persistent
-      pool for that shape);
+    * a registered name -- the shared instance;
     * a :class:`SweepBackend` instance -- passed through unchanged.
     """
     if isinstance(spec, SweepBackend):
         return spec
     if spec is None or spec == "auto":
         spec = default_backend_name()
-    if spec == "pooled" and (jobs is not None or mp_context is not None):
-        from .pooled import get_pooled_backend
-
-        return get_pooled_backend(jobs=jobs, mp_context=mp_context)
     return get_backend(spec)
 
 
 def chunk_evenly(items: list, n_chunks: int) -> list[list]:
     """Contiguous, order-preserving partition into at most ``n_chunks``.
 
-    The one chunking rule shared by the per-sweep executor and the
-    persistent pool, so merged results always preserve input order.
+    The persistent pool's chunking rule, so merged results always
+    preserve input order.
     """
     n = len(items)
     n_chunks = max(1, min(n_chunks, n))
@@ -277,9 +255,8 @@ def encode_outcomes(outcomes: "Iterable[DiscoveryOutcome]") -> list[tuple]:
 
     Plain ``(offset, e_by_f, f_by_e)`` tuples: pickling a dataclass
     costs several times a tuple, and at thousands of outcomes per sweep
-    the difference is measurable.  The one encode/decode pair shared by
-    the per-sweep executor and the persistent pool, so the format (and
-    its field order) is defined exactly once.
+    the difference is measurable.  The format (and its field order) is
+    defined exactly once, here.
     """
     return [
         (o.offset, o.e_discovered_by_f, o.f_discovered_by_e)

@@ -1,43 +1,37 @@
-"""Persistent worker-pool backend: pay pool startup once, not per sweep.
+"""The persistent worker pool: the one process runtime.
 
-Many workloads -- protocol-zoo tables, grid cells, repeated
-``verified_worst_case`` calls -- run *many small sweeps*, and PR 1-2's
-per-sweep ``ProcessPoolExecutor`` charged each one tens of milliseconds
-of fork/spawn startup.  :class:`PooledBackend` wraps any inner kernel
-(``python``, ``numpy`` or ``native``, by registry name) in a **lazily
-created,
-explicitly shut-down** persistent pool:
+Every batch this package shards -- offset sweeps, DES spot-check
+batches and scenario grids -- runs on :class:`PooledBackend`, a
+**lazily created, explicitly shut-down** ``ProcessPoolExecutor``
+wrapping one inner sweep kernel (``python``, ``numpy`` or ``native``,
+by registry name).  :class:`repro.parallel.ParallelSweep` selects it
+whenever ``RuntimeProfile.jobs > 1``:
 
 * **Lazy creation** -- no processes exist until the first batch large
   enough to shard arrives; degenerate batches (fewer than two offsets,
-  ``jobs <= 1``) run through the inner backend in-process.
-* **Reuse** -- the executor survives across ``evaluate_offsets_batch``
-  calls (and across :class:`repro.parallel.ParallelSweep` instances via
-  :func:`get_pooled_backend`'s keyed sharing), so workers keep their
-  warm keyed pattern registries: a zoo's patterns are built once per
-  worker for the whole session, not once per sweep.
+  ``jobs <= 1``) run through the inner kernel in-process.
+* **Reuse** -- the executor survives across batches (and across
+  :class:`repro.parallel.ParallelSweep` instances via
+  :func:`get_pooled_backend`'s sharing keyed by
+  ``(kernel, jobs, mp_context)``), so workers keep their warm keyed
+  pattern registries: a zoo's patterns are built once per worker for
+  the whole session, not once per sweep.
 * **Explicit shutdown** -- :meth:`PooledBackend.close` (or the context
   manager protocol, or module-wide :func:`shutdown_pooled_backends`)
   terminates the workers deterministically; an ``atexit`` hook is the
   backstop so no interpreter exit ever leaks processes.
 
-Work ships as ``(inner_name, params, offsets, arena_handles)`` chunks
-through a module-level function -- everything pickles under fork and
-spawn, and workers resolve listening patterns through their own
-process-wide registries (no per-sweep initializer exists on a
-persistent pool, and none is needed: the registry memoizes across
-tasks).
-
-Since PR 5 the pool also pins a **shared-memory pattern arena**
-(:class:`repro.parallel.shm.PatternArena`) for the registry's sweep
-patterns: the parent publishes each pair's listening patterns (resolved
-through the keyed cache registry, so a warm zoo costs one dict probe)
-into pool-lifetime segments, and every sweep chunk carries the covering
-segment handles so workers map the patterns zero-copy instead of
-rebuilding them -- removing the one cold rebuild spawn-start workers
-still paid per protocol.  The arena lives and dies with the pool: it is
-released in :meth:`PooledBackend.close` (reached from
-``Session.__exit__`` via the retain/release protocol, or from
+Sweep work ships as ``(inner_name, params, offsets, arena_handles)``
+chunks through a module-level function -- everything pickles under
+fork and spawn, and no per-sweep initializer exists (or is needed: the
+worker registries memoize across tasks).  The pool pins a shared-memory
+**pattern arena** (:class:`repro.parallel.shm.PatternArena`): the
+parent publishes each pair's listening patterns (resolved through the
+keyed cache registry, so a warm zoo costs one dict probe) into
+pool-lifetime segments, and every chunk carries the covering segment
+handles so workers map the patterns zero-copy instead of rebuilding
+them.  The arena is released in :meth:`PooledBackend.close` (reached
+from ``Session.__exit__`` via the retain/release protocol, or from
 :func:`shutdown_pooled_backends`), never leaking segments past the
 owning pool.
 """
@@ -57,7 +51,6 @@ from .base import (
     decode_outcomes,
     encode_outcomes,
     get_backend,
-    SweepBackend,
     SweepParams,
 )
 
@@ -66,6 +59,11 @@ __all__ = [
     "get_pooled_backend",
     "shutdown_pooled_backends",
 ]
+
+
+#: Contiguous chunks submitted per worker for one offset batch: small
+#: enough to balance load, large enough to amortize IPC.
+_CHUNKS_PER_JOB = 4
 
 
 def _default_mp_context() -> str:
@@ -99,7 +97,7 @@ def _pooled_chunk(
     inner_name: str,
     params: SweepParams,
     offsets: list[int],
-    arena_handles: tuple = (),
+    arena_handles: tuple,
 ) -> list[tuple]:
     """Worker entry point: evaluate one chunk through the inner kernel.
 
@@ -112,45 +110,34 @@ def _pooled_chunk(
     cheaper to pickle than dataclasses); the parent rebuilds
     :class:`DiscoveryOutcome` field-for-field.
     """
-    if arena_handles:
-        from ..parallel.shm import attach_pattern_arena
+    from ..parallel.shm import attach_pattern_arena
 
-        attach_pattern_arena(
-            arena_handles,
-            [
-                (params.protocol_e, params.turnaround),
-                (params.protocol_f, params.turnaround),
-            ],
-        )
+    attach_pattern_arena(
+        arena_handles,
+        [
+            (params.protocol_e, params.turnaround),
+            (params.protocol_f, params.turnaround),
+        ],
+    )
     return encode_outcomes(
         get_backend(inner_name).evaluate_offsets_batch(params, offsets)
     )
 
 
-class PooledBackend(SweepBackend):
-    """A persistent process pool wrapping any inner sweep kernel."""
-
-    name = "pooled"
+class PooledBackend:
+    """A persistent process pool wrapping one inner sweep kernel."""
 
     def __init__(
         self,
         inner: str | None = None,
         jobs: int | None = None,
         mp_context: str | None = None,
-        chunks_per_job: int = 4,
-        use_arena: bool = True,
     ) -> None:
         from .base import default_backend_name
 
         self.inner = inner or default_backend_name()
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.mp_context = mp_context or _default_mp_context()
-        self.chunks_per_job = chunks_per_job
-        #: Pin a pool-lifetime shared-memory pattern arena (module
-        #: docstring); ``False`` keeps the PR-3 rebuild-per-worker
-        #: behaviour -- results are bit-identical either way, the flag
-        #: exists for the cold-start benchmark comparison.
-        self.use_arena = use_arena
         self._executor: ProcessPoolExecutor | None = None
         self._arena = None
         self._session_refs = 0
@@ -186,7 +173,7 @@ class PooledBackend(SweepBackend):
     @property
     def arena(self):
         """The pool's :class:`repro.parallel.shm.PatternArena` (or
-        ``None`` before the first sharded sweep / when disabled)."""
+        ``None`` before the first sharded sweep)."""
         return self._arena
 
     def _arena_handles(self, params: SweepParams) -> tuple:
@@ -198,8 +185,6 @@ class PooledBackend(SweepBackend):
         does not hold yet into a new pool-lifetime segment, and returns
         the handles covering this pair for the chunk submissions.
         """
-        if not self.use_arena:
-            return ()
         from ..parallel.cache import get_listening_cache, protocol_fingerprint
         from ..parallel.shm import PatternArena
 
@@ -278,41 +263,17 @@ class PooledBackend(SweepBackend):
         self.close()
 
     # ------------------------------------------------------------------
-    def enumerate_critical_offsets(
-        self,
-        params: SweepParams,
-        omega: int | None = None,
-        max_count: int = 200_000,
-    ) -> list[int]:
-        """Critical-offset enumeration through the *inner* kernel,
-        in-process: the enumeration is one (possibly vectorized) pass,
-        not a batch worth sharding, so a ``pooled(numpy)`` backend gets
-        the numpy kernel's batched modular arithmetic without paying
-        any pool round-trip."""
-        return get_backend(self.inner).enumerate_critical_offsets(
-            params, omega, max_count
-        )
-
-    # ------------------------------------------------------------------
     def evaluate_offsets_batch(
-        self,
-        params: SweepParams,
-        offsets: Sequence[int],
-        chunks_per_job: int | None = None,
+        self, params: SweepParams, offsets: Sequence[int]
     ) -> list[DiscoveryOutcome]:
-        """Shard one batch over the persistent pool.
-
-        ``chunks_per_job`` overrides the instance default for this call
-        -- the hook :class:`repro.parallel.ParallelSweep` uses to keep
-        its load-balancing knob meaningful on shared pooled instances.
-        """
+        """Shard one batch over the persistent pool: per-offset outcomes
+        in input order, bit-identical to the inner kernel in-process."""
         offsets = list(offsets)
         if self.jobs <= 1 or len(offsets) < 2:
             return get_backend(self.inner).evaluate_offsets_batch(
                 params, offsets
             )
-        per_job = chunks_per_job if chunks_per_job else self.chunks_per_job
-        chunks = chunk_evenly(offsets, self.jobs * per_job)
+        chunks = chunk_evenly(offsets, self.jobs * _CHUNKS_PER_JOB)
         # Boot (or reuse) the executor before publishing into the
         # arena: only a booted pool is tracked by _LIVE_POOLS, so a
         # failed boot must not strand freshly published shm segments
@@ -355,9 +316,10 @@ def get_pooled_backend(
 
     Two callers asking for the same ``(inner, jobs, mp_context)`` get
     the *same* instance -- and therefore the same warm worker pool --
-    which is what makes ``ParallelSweep(backend="pooled")`` amortize
-    startup across independent sweeps.  Construct :class:`PooledBackend`
-    directly for a private pool.
+    which is what makes every ``jobs > 1``
+    :class:`repro.parallel.ParallelSweep` amortize startup across
+    independent sweeps.  Construct :class:`PooledBackend` directly for a
+    private pool.
     """
     from .base import default_backend_name
 
@@ -372,10 +334,6 @@ def get_pooled_backend(
         _SHARED[key] = backend
     return backend
 
-
-#: Tells the registry this factory manages its own (shape-keyed)
-#: instances -- see :func:`repro.backends.base.get_backend`.
-get_pooled_backend.self_managed = True
 
 
 def shutdown_pooled_backends(wait: bool = True) -> int:

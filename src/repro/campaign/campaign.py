@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from copy import deepcopy
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,74 +51,6 @@ class CampaignEntry:
     verb: str
     label: str
     spec: RunSpec
-
-    def cost_hint(self) -> float:
-        """Deterministic relative cost of this entry, derived from the
-        spec alone.
-
-        The override point :func:`repro.parallel.estimate_scenario_cost`
-        looks for -- which makes a campaign lattice schedulable by
-        :func:`repro.parallel.plan_longest_first` exactly like a
-        scenario grid: the parallel :class:`~repro.campaign.CampaignRunner`
-        submits entries in descending estimated cost so the long poles
-        start first.  Rank-only, like every cost hint: a misestimate
-        costs wall-clock, never correctness (completion merges are
-        index-stable).  Unestimable specs rank neutrally at ``1.0``.
-        """
-        try:
-            return max(_estimate_entry_cost(self.verb, self.spec), 1.0)
-        except Exception:
-            # A spec this estimator cannot price (exotic factory, live
-            # objects...) still has to schedule; rank it neutrally.
-            return 1.0
-
-
-def _estimate_entry_cost(verb: str, spec: RunSpec) -> float:
-    """Per-verb event-rate cost of one entry (see ``cost_hint``).
-
-    Pair verbs price as offsets-to-evaluate x the per-offset event rate
-    of :func:`repro.parallel.schedule.default_simulation_cost` over the
-    sweep horizon (``worst_case`` doubles: enumeration plus DES
-    replays ride on top of its sweep); scenario verbs delegate to the
-    grid scheduler's own :func:`estimate_scenario_cost`.
-    """
-    from ..api.spec import build_grid, build_pair, build_scenario
-    from ..parallel.schedule import (
-        default_simulation_cost,
-        estimate_scenario_cost,
-    )
-
-    if verb in ("sweep", "worst_case"):
-        protocol_e, protocol_f, base = build_pair(spec.pair)
-        horizon = spec.horizon
-        if horizon is None:
-            if base is None:
-                base = math.lcm(
-                    protocol_e.hyperperiod(), protocol_f.hyperperiod()
-                )
-            horizon = int(base) * spec.horizon_multiple
-        if spec.offsets is not None:
-            n_offsets = len(spec.offsets)
-        elif spec.sampling == "critical":
-            # The true critical count needs the enumeration itself;
-            # cap-bounded hyperperiod breakpoints are a rank-only proxy.
-            hyper = math.lcm(
-                protocol_e.hyperperiod(), protocol_f.hyperperiod()
-            )
-            n_offsets = min(spec.max_critical, hyper)
-        else:
-            n_offsets = spec.samples
-        cost = n_offsets * default_simulation_cost(
-            (protocol_e, protocol_f), horizon
-        )
-        return cost * 2.0 if verb == "worst_case" else cost
-    if verb == "simulate":
-        return estimate_scenario_cost(build_scenario(spec.scenario))
-    if verb == "grid":
-        return float(
-            sum(estimate_scenario_cost(s) for s in build_grid(spec.grid))
-        )
-    return 1.0
 
 
 def _set_path(payload: dict, path: str, value) -> None:

@@ -13,28 +13,6 @@ previous self -- records carried by an existing manifest (statuses,
 wall-clock, error strings) survive until the entry is actually
 re-processed, so an interrupted or capped rerun never loses what an
 earlier invocation learned.
-
-Entry-level parallelism
------------------------
-``run(entry_jobs=N)`` executes lattice entries over ``N`` work-stealing
-worker threads, each owning a store-backed sibling
-:class:`~repro.api.Session` (:meth:`Session.worker`): entries are
-submitted individually in descending estimated cost
-(:func:`repro.parallel.plan_longest_first` over
-:meth:`CampaignEntry.cost_hint`), idle workers steal the next pending
-entry, and completions merge back into the manifest **in arrival
-order** with the same atomic write-after-every-entry checkpointing as
-the serial path.  Correctness does not depend on the schedule: each
-entry is an independent deterministic computation keyed by its
-content-addressed fingerprint, so a parallel run produces a store and
-final manifest content-equivalent to the serial run (the bench's hard
-exit gate).  ``max_runs`` capping picks the same entries the serial
-loop would (store misses in lattice order), per-entry failures are
-isolated to their record, and Ctrl-C leaves a current manifest behind
-exactly as before.  The one sanctioned divergence: duplicate
-fingerprints *within* one campaign may both execute concurrently
-instead of second-hits-first -- last-writer-wins with identical
-numbers, per the store's concurrency contract.
 """
 
 from __future__ import annotations
@@ -42,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -181,7 +158,7 @@ class CampaignRunner:
         _atomic_write_json(self.manifest_path, manifest)
 
     # ------------------------------------------------------------------
-    # Per-entry execution (shared by the serial and parallel paths)
+    # Per-entry execution
     # ------------------------------------------------------------------
     @staticmethod
     def _process_entry(session, entry):
@@ -237,7 +214,6 @@ class CampaignRunner:
         self,
         max_runs: int | None = None,
         session: Session | None = None,
-        entry_jobs: int | None = None,
     ) -> dict:
         """Run the campaign; returns the final manifest dict.
 
@@ -248,30 +224,13 @@ class CampaignRunner:
         on; KeyboardInterrupt propagates (the manifest on disk is
         already current up to the interrupted entry).
 
-        ``entry_jobs`` >= 2 executes entries over that many
-        work-stealing worker threads (longest estimated cost first, see
-        the module docstring); ``None``/``1`` keeps the serial loop.
-        ``session`` overrides the runner-owned session(s): a real
-        :class:`Session` contributes per-thread siblings via
-        :meth:`Session.worker` under the parallel path, anything else
-        (test doubles) is shared as-is and must tolerate the
-        concurrency it is handed.
+        ``session`` overrides the runner-owned session (which runs under
+        ``profile`` and is closed on return).
         """
         entries = self.campaign.expand()
         fingerprints = self._fingerprints(entries)
         manifest = self._manifest_skeleton(entries, fingerprints)
         _atomic_write_json(self.manifest_path, manifest)
-        if entry_jobs is not None and int(entry_jobs) > 1:
-            return self._run_parallel(
-                entries, fingerprints, manifest, max_runs, session,
-                int(entry_jobs),
-            )
-        return self._run_serial(
-            entries, fingerprints, manifest, max_runs, session
-        )
-
-    # ------------------------------------------------------------------
-    def _run_serial(self, entries, fingerprints, manifest, max_runs, session):
         own_session = session is None
         if own_session:
             session = Session(self.profile, store=self.store)
@@ -297,108 +256,6 @@ class CampaignRunner:
         finally:
             if own_session:
                 session.close()
-        return manifest
-
-    # ------------------------------------------------------------------
-    def _run_parallel(
-        self, entries, fingerprints, manifest, max_runs, session, entry_jobs
-    ):
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ThreadPoolExecutor,
-            wait,
-        )
-
-        from ..parallel.schedule import plan_longest_first
-
-        records = manifest["entries"]
-
-        # The execution budget is decided up front, from the same store
-        # snapshot and in the same lattice order the serial loop would
-        # consult: hits always process, and the first ``max_runs``
-        # misses (in lattice order) may execute; later misses are
-        # capped before anything is submitted.
-        allowed = []
-        budget = max_runs
-        for position, fp in enumerate(fingerprints):
-            if fp in self.store:
-                allowed.append(position)
-            elif budget is None or budget > 0:
-                allowed.append(position)
-                if budget is not None:
-                    budget -= 1
-            else:
-                self._mark_capped(records[position])
-        self._checkpoint(manifest)
-
-        # Longest-first work stealing over *entries*: submit in
-        # descending estimated cost (CampaignEntry.cost_hint through
-        # the grid scheduler's planner) so the long poles start first;
-        # the pool's shared queue is the stealing mechanism.
-        allowed_set = set(allowed)
-        order = [
-            position
-            for position in plan_longest_first(entries)
-            if position in allowed_set
-        ]
-
-        # Worker sessions: one store-backed sibling session per worker
-        # thread (sharing the profile and the *instance* of the store),
-        # lazily created and deterministically closed.  An injected
-        # non-Session test double is shared as-is.
-        local = threading.local()
-        created = []
-        created_lock = threading.Lock()
-
-        def worker_session():
-            sess = getattr(local, "session", None)
-            if sess is None:
-                if session is None:
-                    sess = Session(self.profile, store=self.store)
-                elif callable(getattr(session, "worker", None)):
-                    sess = session.worker()
-                else:
-                    return session  # shared test double
-                local.session = sess
-                with created_lock:
-                    created.append(sess)
-            return sess
-
-        def task(position):
-            return position, self._process_entry(
-                worker_session(), entries[position]
-            )
-
-        executed = 0
-        executor = ThreadPoolExecutor(
-            max_workers=entry_jobs, thread_name_prefix="campaign-entry"
-        )
-        try:
-            pending = {executor.submit(task, position) for position in order}
-            try:
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    # Merge completions in arrival order, checkpointing
-                    # after every entry exactly like the serial loop.
-                    for future in done:
-                        position, (patch, did_execute) = future.result()
-                        if did_execute:
-                            executed += 1
-                        self._apply(records[position], patch)
-                        self._checkpoint(manifest)
-            except BaseException:
-                # Ctrl-C (or a worker's KeyboardInterrupt surfacing
-                # through .result()): drop everything not yet started;
-                # in-flight entries run to completion below so their
-                # sessions shut down cleanly.  Their results reach the
-                # store but not the manifest -- the resume hits them.
-                for future in pending:
-                    future.cancel()
-                raise
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-            for sess in created:
-                sess.close()
         return manifest
 
     # ------------------------------------------------------------------

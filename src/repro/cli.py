@@ -24,14 +24,15 @@ runtime flags instead of per-subcommand plumbing:
 * ``--profile PATH`` loads a profile from TOML or JSON (the deployment
   story: describe the runtime once, reuse it across every command and
   machine);
-* ``--jobs N``, ``--backend {auto,python,numpy,native,pooled}``,
-  ``--schedule {steal,chunk}`` and ``--mp-context`` override individual
-  profile fields for one invocation.
+* ``--jobs N``, ``--backend {auto,python,numpy,native}`` and
+  ``--mp-context`` override individual profile fields for one
+  invocation.  ``--jobs`` above 1 runs every sharded batch on one
+  persistent worker pool.
 
-Results are bit-identical for every profile: ``--jobs``/``--backend``/
-``--schedule`` only change how fast the answer arrives.  Session-owned
-resources (persistent ``pooled`` worker pools, shared-memory segments)
-are shut down deterministically when the command's session exits.
+Results are bit-identical for every profile: ``--jobs``/``--backend``
+only change how fast the answer arrives.  Session-owned resources (the
+persistent worker pool and its shared-memory pattern arena) are shut
+down deterministically when the command's session exits.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _profile_from_args(args: argparse.Namespace):
         else RuntimeProfile.default()
     )
     overrides = {}
-    for name in ("jobs", "backend", "schedule", "mp_context"):
+    for name in ("jobs", "backend", "mp_context"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -298,8 +299,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             ["scenario", "pairs", "rate", "median latency", "collisions"],
             rows,
             title=(
-                f"{len(rows)} scenarios (jobs={result.profile['jobs']}, "
-                f"schedule={result.profile['schedule']})"
+                f"{len(rows)} scenarios (jobs={result.profile['jobs']})"
             ),
         )
     )
@@ -335,7 +335,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         profile=_profile_from_args(args),
         manifest_path=args.manifest,
     )
-    manifest = runner.run(max_runs=args.max_runs, entry_jobs=args.entry_jobs)
+    manifest = runner.run(max_runs=args.max_runs)
     print(
         f"campaign {manifest['campaign']!r}: {manifest['total']} entries -- "
         f"{manifest['executed']} executed, {manifest['hits']} store hits, "
@@ -715,24 +715,22 @@ def _runtime_flags() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--jobs", type=_positive_int, default=None,
-        help="worker processes (profile default: 1 = serial)",
+        help=(
+            "worker processes (profile default: 1 = in-process); above 1, "
+            "sweeps, long DES spot-check batches and grids run on one "
+            "persistent pool owned by the command's session"
+        ),
     )
     group.add_argument(
         "--backend",
-        choices=["auto", "python", "numpy", "native", "pooled"],
+        choices=["auto", "python", "numpy", "native"],
         default=None,
         help=(
             "sweep + critical-offset-enumeration kernel: auto = "
             "Numba-compiled native kernel when Numba is importable, "
             "else NumPy-vectorized when NumPy is (python fallback); "
-            "pooled = persistent worker pool (with its shared-memory "
-            "pattern arena) owned by the command's session; results "
-            "are bit-identical"
+            "results are bit-identical"
         ),
-    )
-    group.add_argument(
-        "--schedule", choices=["steal", "chunk"], default=None,
-        help="grid scheduling: work-stealing (cost-sorted) or chunked",
     )
     group.add_argument(
         "--mp-context", choices=["fork", "spawn", "forkserver"], default=None,
@@ -871,13 +869,6 @@ def main(argv: list[str] | None = None) -> int:
     c_run.add_argument(
         "--max-runs", type=_positive_int, default=None,
         help="cap on *executed* (non-hit) entries this invocation",
-    )
-    c_run.add_argument(
-        "--entry-jobs", type=_positive_int, default=None,
-        help=(
-            "execute lattice entries over this many work-stealing worker "
-            "threads (longest estimated entry first); default serial"
-        ),
     )
     c_run.set_defaults(func=_cmd_campaign_run)
 

@@ -12,9 +12,9 @@ faster.
 * :class:`ParallelSweep` -- the executor: chunked offset sweeps with
   order-stable merging, one-submission-per-offset DES spot-checks, and
   cost-model-sorted work-stealing scenario grids
-  (:mod:`repro.parallel.schedule`).  Since PR 3 the *kernel* each
-  worker runs is a pluggable :mod:`repro.backends` selection
-  (``backend="auto"|"python"|"numpy"|"pooled"``): this package owns
+  (:mod:`repro.parallel.schedule`).  The *kernel* each worker runs is a
+  pluggable :mod:`repro.backends` selection
+  (``backend="auto"|"python"|"numpy"|"native"``): this package owns
   process orchestration, the backends package owns the math.
 * :class:`ListeningCache` -- the memoized listening-set pattern,
   bit-identical to the exact computation by construction (the
@@ -23,8 +23,9 @@ faster.
   compatibility).
 * :func:`get_listening_cache` -- the process-wide keyed registry
   (protocol fingerprint -> pattern) behind every kernel.
-* :mod:`repro.parallel.shm` -- shared-memory pattern transport, so
-  workers map the parent's int64 pattern arrays instead of copying.
+* :mod:`repro.parallel.shm` -- the persistent pool's shared-memory
+  pattern arena, so workers map the parent's int64 pattern arrays
+  instead of copying.
 * :func:`derive_seed` -- chunking- and scheduling-invariant per-item
   seeding.
 * :func:`fit_cost_weights` / :func:`use_cost_weights` -- calibrate the
@@ -41,47 +42,36 @@ fingerprint.  :func:`invalidate_listening_caches` exists to reclaim
 memory (or force cold rebuilds in benchmarks), never for correctness;
 the registry additionally self-bounds via LRU eviction.  Forked workers
 inherit the parent registry (safe: entries are immutable); spawned
-workers start empty and are seeded through shared memory.
+workers start empty and are seeded through the pool's pattern arena.
 
-Shared-memory lifecycle contract
---------------------------------
+Process-runtime contract
+------------------------
 
-For each pooled sweep the parent packs every enabled pattern into one
-``multiprocessing.shared_memory`` int64 segment via
-:class:`repro.parallel.shm.SharedPatternStore`, a context manager that
-**always unlinks the segment when the sweep exits** (success or error).
-Workers receive the segment *name* through the pool initializer (fork-
-and spawn-safe), map it once, and register zero-copy pattern views in
-their own registries; their mappings are released by an ``atexit`` hook,
-and POSIX keeps mapped memory valid past the unlink, so no ordering
-hazard exists between parent teardown and in-flight chunks.  Pass
-``ParallelSweep(shared_memory=False)`` for the PR-1 copy-per-worker
-behaviour; results are bit-identical either way.
+``jobs`` is the only parallelism setting.  ``jobs <= 1`` runs every
+verb in-process.  ``jobs > 1`` sends every sharded batch -- offset
+sweeps, DES spot-check batches above the ``_SPOT_POOL_MIN_EVENTS``
+estimated-event floor, and scenario grids -- to the **persistent**
+pool of :mod:`repro.backends.pooled`, shared per
+``(kernel, jobs, mp_context)``: created lazily on the first sharded
+batch, reused across batches and executors, shut down explicitly via
+``PooledBackend.close()`` / ``shutdown_pooled_backends()`` (or the
+owning ``Session.__exit__``) with an ``atexit`` backstop so no
+interpreter exit leaks worker processes.  A custom kernel instance
+that is not registered cannot be named inside a worker, so it keeps
+everything in-process.
 
-Persistent-pool lifecycle contract
-----------------------------------
-
-``ParallelSweep(backend="pooled")`` (and the CLI's
-``--backend pooled``) swaps the per-sweep pool for the **persistent**
-one of :mod:`repro.backends.pooled`, shared per
-``(inner kernel, jobs, mp_context)`` shape: created lazily on the
-first sharded batch, reused across offset sweeps, DES spot-check
-batches *and* scenario grids, shut down explicitly via
-``PooledBackend.close()`` / ``shutdown_pooled_backends()`` with an
-``atexit`` backstop so no interpreter exit leaks worker processes.
 Persistent workers hold no per-sweep initializer state: work arrives
 fully parameterized and patterns resolve through each worker's own
-keyed registry, which stays warm across sweeps.  Since PR 5 the
-persistent pool additionally pins a pool-lifetime shared-memory
-**pattern arena** (:class:`repro.parallel.shm.PatternArena`): the
-parent publishes each pair's registry patterns into append-only int64
-segments and every sweep chunk carries the covering handles, so even
-spawn-start workers map their patterns zero-copy instead of paying one
-cold rebuild per protocol.  Arena segments are released exactly when
-the owning pool closes (``Session.__exit__`` /
-``shutdown_pooled_backends``) -- the per-sweep
-:class:`~repro.parallel.shm.SharedPatternStore` contract (unlink on
-sweep exit) is unchanged for per-sweep pools.
+keyed registry, which stays warm across sweeps.  The pool pins a
+pool-lifetime shared-memory **pattern arena**
+(:class:`repro.parallel.shm.PatternArena`): the parent publishes each
+pair's registry patterns into append-only int64 segments and every
+sweep chunk carries the covering handles, so even spawn-start workers
+map their patterns zero-copy instead of paying one cold rebuild per
+protocol.  Arena segments are unlinked exactly when the owning pool
+closes; worker mappings are released by an ``atexit`` hook, and POSIX
+keeps mapped memory valid past the unlink, so no ordering hazard
+exists between parent teardown and in-flight chunks.
 """
 
 from .cache import (
@@ -103,7 +93,7 @@ from .schedule import (
     plan_longest_first,
     use_cost_weights,
 )
-from .shm import PatternArena, PatternHandle, SharedPatternStore
+from .shm import PatternArena, PatternHandle
 
 __all__ = [
     "CachedPairEvaluator",
@@ -123,7 +113,6 @@ __all__ = [
     "plan_longest_first",
     "protocol_fingerprint",
     "set_listening_cache_cap",
-    "SharedPatternStore",
     "use_cost_weights",
 ]
 

@@ -1,11 +1,10 @@
-"""Multiprocessing executor for offset sweeps, spot-checks and grids.
+"""Process-parallel executor for offset sweeps, spot-checks and grids.
 
 The experiments behind every bound-validation figure reduce to many
 *independent* evaluations -- one exact pair computation per phase
 offset, one DES replay per spot-check offset, or one event-driven
-network run per grid point.  :class:`ParallelSweep` shards them across a
-pool of worker processes while preserving the serial path's results
-exactly:
+network run per grid point.  :class:`ParallelSweep` shards them across
+worker processes while preserving the serial path's results exactly:
 
 * workers return *per-offset outcomes*, and the final report is built
   by the very same :func:`repro.simulation.analytic.summarize_outcomes`
@@ -13,23 +12,20 @@ exactly:
   rules (strict-``>`` tie-breaking, left-to-right mean summation) exist
   in one place, so the parallel path cannot drift from them;
 * seeded runs derive each item's seed from its *global* index via
-  :func:`repro.parallel.cache.derive_seed`, never from its chunk or
-  submission slot, so scheduling is invisible to the RNG.
+  :func:`repro.parallel.cache.derive_seed`, never from its submission
+  slot, so scheduling is invisible to the RNG.
 
-Offset sweeps stay contiguously chunked (per-offset cost is near
-uniform); the parent builds the listening patterns once through the
-keyed registry and ships them to workers as a shared-memory segment
-(:mod:`repro.parallel.shm`), so workers map instead of rebuild.  The
-*kernel* each worker (or the in-process path) runs is a pluggable
-:class:`repro.backends.SweepBackend` selected by name -- ``"auto"``
-resolves to the vectorized NumPy kernel when NumPy is importable and
-the pure-python reference otherwise, and ``"pooled"`` swaps the
-per-sweep pool for the lazily created persistent one so many-small-
-sweep workloads stop paying pool startup.  Grid scenarios go through
-the cost-model-sorted work-stealing schedule of
-:mod:`repro.parallel.schedule`: one submission per scenario, longest
-first, merged back by grid index.  DES spot-checks follow the same
-one-submission-per-offset pattern.
+There is one process runtime, chosen by ``jobs`` alone: ``jobs <= 1``
+runs everything in-process, and ``jobs > 1`` sends every sharded batch
+to the persistent pool of :mod:`repro.backends.pooled` shared per
+``(kernel, jobs, mp_context)``.  The *kernel* each worker (or the
+in-process path) runs is a pluggable :class:`repro.backends.SweepBackend`
+selected by name -- ``"auto"`` resolves to the fastest importable one.
+Offset sweeps are contiguously chunked (per-offset cost is near
+uniform); grid scenarios go through the cost-model-sorted work-stealing
+order of :mod:`repro.parallel.schedule`: one submission per scenario,
+longest first, merged back by grid index.  DES spot-checks follow the
+same one-submission-per-offset pattern.
 
 Worker payloads are plain protocols/offsets sent through module-level
 functions; nothing closes over simulator state, so everything pickles
@@ -39,9 +35,9 @@ under both fork and spawn start methods.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-
-import multiprocessing
+import time
+# Bound at module level so instrumentation can count pool boots here.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 
 from ..core.sequences import NDProtocol
 from ..simulation.analytic import (
@@ -51,79 +47,22 @@ from ..simulation.analytic import (
     summarize_outcomes,
     SweepReport,
 )
-from .cache import (
-    derive_seed,
-    get_listening_cache,
-    protocol_fingerprint,
-)
+from .cache import derive_seed
 from .schedule import default_simulation_cost, plan_longest_first
-from .shm import attach_pattern_caches, SharedPatternStore
 
 __all__ = ["ParallelSweep"]
 
 # Estimated simulated-event floor below which DES spot-checks stay
-# in-process even with jobs > 1: pool startup costs tens of
-# milliseconds, so a handful of short replays finishes serially before
-# a pool would boot -- on any core count.  Roughly one second of
-# serial replay work at typical event throughput.
+# in-process even with jobs > 1: a handful of short replays finishes
+# serially before the pool's round-trips (or its first boot) would --
+# on any core count.  Roughly one second of serial replay work at
+# typical event throughput.
 _SPOT_POOL_MIN_EVENTS = 100_000
 
 
 # ----------------------------------------------------------------------
-# Worker-side state and entry points (module-level: picklable by name)
+# Worker entry points (module-level: picklable by name)
 # ----------------------------------------------------------------------
-
-_PAIR_BACKEND = None
-_PAIR_PARAMS = None
-_NETWORK_CONFIG: dict | None = None
-_SPOT_CONFIG: dict | None = None
-
-
-def _init_pair_worker(
-    protocol_e: NDProtocol,
-    protocol_f: NDProtocol,
-    horizon: int,
-    model: ReceptionModel,
-    turnaround: int,
-    handle,
-    backend_name: str = "python",
-) -> None:
-    global _PAIR_BACKEND, _PAIR_PARAMS
-    from ..backends import get_backend, SweepParams
-
-    if handle is not None:
-        # Map the parent's pattern segment before the kernel resolves
-        # its caches, so the keyed registry hands out segment-backed
-        # patterns instead of rebuilding (spawn) or CoW-copying (fork).
-        attach_pattern_caches(
-            handle, [(protocol_e, turnaround), (protocol_f, turnaround)]
-        )
-    _PAIR_BACKEND = get_backend(backend_name)
-    _PAIR_PARAMS = SweepParams(
-        protocol_e, protocol_f, horizon, model, turnaround
-    )
-
-
-def _sweep_chunk(offsets: list[int]) -> list[tuple]:
-    """Evaluate one offset chunk in order through the worker's kernel.
-
-    Outcomes travel back in the shared tuple wire format
-    (:func:`repro.backends.base.encode_outcomes`); the parent rebuilds
-    :class:`DiscoveryOutcome` field-for-field, so callers see exactly
-    the serial path's objects.
-    """
-    from ..backends.base import encode_outcomes
-
-    backend = _PAIR_BACKEND
-    assert backend is not None, "worker not initialized"
-    return encode_outcomes(
-        backend.evaluate_offsets_batch(_PAIR_PARAMS, offsets)
-    )
-
-
-def _init_spot_worker(config: dict) -> None:
-    global _SPOT_CONFIG
-    _SPOT_CONFIG = config
 
 
 def _spot_check_replay(
@@ -154,45 +93,13 @@ def _spot_check_replay(
     return analytic, des
 
 
-def _spot_check_one(offset: int) -> tuple[DiscoveryOutcome, DiscoveryOutcome]:
-    """Worker entry point: replay one offset from the initializer config."""
-    config = _SPOT_CONFIG
-    assert config is not None, "worker not initialized"
-    return _spot_check_replay(
-        config["protocol_e"],
-        config["protocol_f"],
-        offset,
-        config["horizon"],
-        config["model"],
-        config["turnaround"],
-    )
-
-
-def _init_network_worker(config: dict) -> None:
-    global _NETWORK_CONFIG
-    _NETWORK_CONFIG = config
-
-
-def _network_one(item: tuple[int, object]):
-    """Run one (global_index, scenario) network simulation.
+def _network_one_cfg(config: dict, item: tuple[int, object]):
+    """Run one ``(global_index, scenario)`` network simulation.
 
     The global index rides along only to derive the scenario's
     schedule-invariant seed; result placement uses the index map kept by
     the submitting side.
     """
-    config = _NETWORK_CONFIG
-    assert config is not None, "worker not initialized"
-    return _network_one_cfg(config, item)
-
-
-def _network_chunk(items: list[tuple[int, object]]) -> list:
-    """Run one chunk of (global_index, scenario) network simulations."""
-    return [_network_one(item) for item in items]
-
-
-def _network_one_cfg(config: dict, item: tuple[int, object]):
-    """Initializer-free variant of :func:`_network_one` for persistent
-    pools, whose workers outlive any single grid's configuration."""
     from ..simulation.runner import _run_scenario
 
     global_index, scenario = item
@@ -205,35 +112,19 @@ def _network_one_cfg(config: dict, item: tuple[int, object]):
     )
 
 
-# Timed variants: identical computation wrapped in one perf_counter
-# pair, so per-scenario wall-clock rides back next to the result for
-# cost-model auto-calibration (``map_scenarios(collect_timings=True)``)
-# without perturbing results -- the simulation is seed-deterministic
-# and never reads the clock.
-
-
 def _network_one_cfg_timed(config: dict, item: tuple[int, object]):
-    import time
-
+    """:func:`_network_one_cfg` wrapped in one ``perf_counter`` pair, so
+    per-scenario wall-clock rides back next to the result for cost-model
+    auto-calibration (``map_scenarios(collect_timings=True)``) without
+    perturbing results -- the simulation is seed-deterministic and never
+    reads the clock."""
     started = time.perf_counter()
     result = _network_one_cfg(config, item)
     return result, time.perf_counter() - started
 
 
-def _network_one_timed(item: tuple[int, object]):
-    import time
-
-    started = time.perf_counter()
-    result = _network_one(item)
-    return result, time.perf_counter() - started
-
-
-def _network_chunk_timed(items: list[tuple[int, object]]) -> list:
-    return [_network_one_timed(item) for item in items]
-
-
 def _steal_merge(scenarios: list, submit) -> list:
-    """The work-stealing discipline, defined once for both pool kinds.
+    """The work-stealing discipline.
 
     Submit every scenario index longest-estimated-first through
     ``submit(index) -> Future`` (idle workers then steal from the
@@ -262,82 +153,44 @@ def _estimated_spot_events(protocols, horizon, n_offsets: int) -> float:
     )
 
 
-def _chunk(items: list, n_chunks: int) -> list[list]:
-    """Contiguous, order-preserving partition into at most ``n_chunks``
-    (the one chunking rule, shared with the persistent pool)."""
-    from ..backends.base import chunk_evenly
-
-    return chunk_evenly(items, n_chunks)
-
-
 class ParallelSweep:
     """Shard independent evaluations across worker processes.
 
     Parameters
     ----------
     jobs:
-        Worker processes; ``None`` uses the CPU count, ``<= 1`` runs the
-        plain serial path in-process.
-    chunks_per_job:
-        Chunks submitted per worker for offset sweeps (smaller chunks
-        balance load, larger ones amortize IPC); the default of 4 keeps
-        every worker busy without measurable pickling overhead.
+        Worker processes; ``None`` uses the CPU count, ``<= 1`` runs
+        everything in-process.  ``> 1`` runs every sharded batch on the
+        shared persistent pool for ``(kernel, jobs, mp_context)``
+        (:func:`repro.backends.pooled.get_pooled_backend`).
     mp_context:
         ``multiprocessing`` start-method name; defaults to ``fork``
         where available (Linux) and ``spawn`` elsewhere.  Results are
         identical either way -- workers hold no inherited mutable state.
-    shared_memory:
-        Ship precomputed listening patterns to sweep workers as one
-        int64 ``multiprocessing.shared_memory`` segment (workers map
-        instead of copy).  ``False`` keeps PR-1 behaviour where each
-        worker resolves patterns through its own registry.  Results are
-        bit-identical either way.
-    schedule:
-        Grid scheduling discipline for :meth:`map_scenarios`:
-        ``"steal"`` (default) submits scenarios individually in
-        longest-estimated-first order over the pool's shared queue;
-        ``"chunk"`` keeps PR-1 uniform contiguous chunks.  Results are
-        bit-identical either way -- seeds derive from grid indices and
-        merging is index-stable.
     backend:
         Sweep-kernel selection (:mod:`repro.backends`): a registered
-        name (``"python"``, ``"numpy"``, ``"pooled"``), ``"auto"``
-        (default: NumPy kernel when importable, python reference
-        otherwise), or a :class:`repro.backends.SweepBackend` instance.
-        ``"pooled"`` replaces the per-sweep worker pool with the shared
-        persistent pool for this ``(jobs, mp_context)`` shape --
-        ``shared_memory`` then has no effect, because persistent
-        workers keep warm pattern registries across sweeps instead.
-        Results are bit-identical for every selection.
+        name (``"python"``, ``"numpy"``, ``"native"``), ``"auto"``
+        (default: the fastest importable kernel), or a
+        :class:`repro.backends.SweepBackend` instance.  A custom
+        instance that is not registered cannot be named inside a
+        worker, so it keeps everything in-process.  Results are
+        bit-identical for every selection.
     """
 
     def __init__(
         self,
         jobs: int | None = None,
-        chunks_per_job: int = 4,
         mp_context: str | None = None,
-        shared_memory: bool = True,
-        schedule: str = "steal",
         backend="auto",
     ) -> None:
+        from ..backends.pooled import _default_mp_context
+
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 0:
             raise ValueError(f"jobs must be non-negative, got {jobs}")
         self.jobs = jobs
-        if chunks_per_job < 1:
-            raise ValueError("chunks_per_job must be positive")
-        self.chunks_per_job = chunks_per_job
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self.mp_context = mp_context
-        self.shared_memory = shared_memory
-        if schedule not in ("steal", "chunk"):
-            raise ValueError(
-                f"schedule must be 'steal' or 'chunk', got {schedule!r}"
-            )
-        self.schedule = schedule
+        self.mp_context = mp_context or _default_mp_context()
         self.backend = backend
 
     # ------------------------------------------------------------------
@@ -347,28 +200,35 @@ class ParallelSweep:
         describes.
 
         The one mapping between the declarative runtime configuration
-        and this engine's constructor knobs -- :class:`repro.api.Session`
+        and this engine's constructor -- :class:`repro.api.Session`
         builds its engine here, so profile fields and executor
         parameters cannot drift apart silently.
         """
         return cls(
             jobs=profile.jobs,
-            chunks_per_job=profile.chunks_per_job,
             mp_context=profile.mp_context,
-            shared_memory=profile.shared_memory,
-            schedule=profile.schedule,
             backend=profile.backend,
         )
 
     # ------------------------------------------------------------------
     def _resolve_backend(self):
-        """The kernel instance this sweep runs (pooled pools are shared
-        per shape, so repeated sweeps reuse warm workers)."""
+        """The kernel instance this sweep runs (in-process or, by
+        registry name, inside the pool's workers)."""
         from ..backends import resolve_backend
 
-        return resolve_backend(
-            self.backend, jobs=self.jobs, mp_context=self.mp_context
-        )
+        return resolve_backend(self.backend)
+
+    def pool(self):
+        """The shared persistent pool this executor shards over, or
+        ``None`` when everything runs in-process (``jobs <= 1``, or an
+        unregistered kernel instance).  Resolving it boots nothing."""
+        from ..backends.base import is_registered
+        from ..backends.pooled import get_pooled_backend
+
+        kernel = self._resolve_backend()
+        if self.jobs <= 1 or not is_registered(kernel.name):
+            return None
+        return get_pooled_backend(kernel.name, self.jobs, self.mp_context)
 
     # ------------------------------------------------------------------
     def sweep_offsets(
@@ -399,66 +259,14 @@ class ParallelSweep:
         turnaround: int = 0,
     ) -> list[DiscoveryOutcome]:
         """Parallel :func:`repro.simulation.analytic.evaluate_offsets`:
-        per-offset outcomes in input order, merged from chunk results in
-        chunk-index order."""
+        per-offset outcomes in input order."""
         from ..backends import SweepParams
-        from ..backends.pooled import PooledBackend
 
-        offsets = list(offsets)
         params = SweepParams(protocol_e, protocol_f, horizon, model, turnaround)
-        resolved = self._resolve_backend()
-        if isinstance(resolved, PooledBackend):
-            # The persistent pool is its own sharding executor; it
-            # lazily boots workers on first sharded batch and keeps
-            # their pattern registries warm across sweeps.  The
-            # chunks_per_job knob rides along per call, since the
-            # pooled instance itself is shared across sweeps.
-            return resolved.evaluate_offsets_batch(
-                params, offsets, chunks_per_job=self.chunks_per_job
-            )
-        if self.jobs <= 1 or len(offsets) < 2:
-            # In-process path still goes through the selected kernel:
-            # same results, and callers get the pattern (and, under
-            # auto-detection, the vectorization) speedup without any
-            # pool overhead.
-            return resolved.evaluate_offsets_batch(params, offsets)
-        from ..backends.base import is_registered
-
-        if not is_registered(resolved.name):
-            # A custom unregistered kernel instance cannot be resolved
-            # by name inside workers; let it run (and shard) itself.
-            return resolved.evaluate_offsets_batch(params, offsets)
-        chunks = _chunk(offsets, self.jobs * self.chunks_per_job)
-        ctx = multiprocessing.get_context(self.mp_context)
-        with SharedPatternStore() as store:
-            handle = None
-            if self.shared_memory:
-                # Build (or registry-hit) the patterns once in the
-                # parent and publish them; workers map the segment.
-                caches = {
-                    protocol_fingerprint(receiver, turnaround):
-                        get_listening_cache(receiver, turnaround)
-                    for receiver in (protocol_e, protocol_f)
-                }
-                handle = store.publish(caches)
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(chunks)),
-                mp_context=ctx,
-                initializer=_init_pair_worker,
-                initargs=(
-                    protocol_e, protocol_f, horizon, model, turnaround,
-                    handle, resolved.name,
-                ),
-            ) as pool:
-                from ..backends.base import decode_outcomes
-
-                # pool.map yields chunk results in submission order, so
-                # flattening preserves the input offset order exactly.
-                return decode_outcomes(
-                    row
-                    for chunk in pool.map(_sweep_chunk, chunks)
-                    for row in chunk
-                )
+        # The pool runs fewer than two offsets through its kernel
+        # in-process, so both branches see the same degenerate rule.
+        runner = self.pool() or self._resolve_backend()
+        return runner.evaluate_offsets_batch(params, list(offsets))
 
     # ------------------------------------------------------------------
     def spot_check_pairs(
@@ -481,37 +289,18 @@ class ParallelSweep:
         Batches whose estimated simulated-event count falls below
         ``_SPOT_POOL_MIN_EVENTS`` run in-process regardless of ``jobs``:
         short replays (small horizons, sparse schedules, few offsets)
-        finish serially faster than a pool can boot.  Long-horizon
-        validations -- where the replays actually dominate -- clear the
-        floor and shard.  With ``backend="pooled"`` the floor does not
-        apply: the persistent pool's startup is already paid (or about
-        to be amortized over the session), so every multi-offset batch
-        shards over its warm workers.
+        finish serially faster than the pool round-trips them.
+        Long-horizon validations -- where the replays actually
+        dominate -- clear the floor and shard.
         """
-        from ..backends.pooled import PooledBackend
-
         offsets = list(offsets)
-        resolved = self._resolve_backend()
+        pool = self.pool()
         if (
-            isinstance(resolved, PooledBackend)
-            and resolved.jobs > 1
-            and len(offsets) >= 2
-        ):
-            futures = [
-                resolved.submit(
-                    _spot_check_replay,
-                    protocol_e, protocol_f, offset, horizon, model, turnaround,
-                )
-                for offset in offsets
-            ]
-            return [future.result() for future in futures]
-        estimated_events = _estimated_spot_events(
-            [protocol_e, protocol_f], horizon, len(offsets)
-        )
-        if (
-            self.jobs <= 1
+            pool is None
             or len(offsets) < 2
-            or estimated_events < _SPOT_POOL_MIN_EVENTS
+            or _estimated_spot_events(
+                [protocol_e, protocol_f], horizon, len(offsets)
+            ) < _SPOT_POOL_MIN_EVENTS
         ):
             return [
                 _spot_check_replay(
@@ -519,21 +308,14 @@ class ParallelSweep:
                 )
                 for offset in offsets
             ]
-        config = {
-            "protocol_e": protocol_e,
-            "protocol_f": protocol_f,
-            "horizon": horizon,
-            "model": model,
-            "turnaround": turnaround,
-        }
-        ctx = multiprocessing.get_context(self.mp_context)
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(offsets)),
-            mp_context=ctx,
-            initializer=_init_spot_worker,
-            initargs=(config,),
-        ) as pool:
-            return list(pool.map(_spot_check_one, offsets))
+        futures = [
+            pool.submit(
+                _spot_check_replay,
+                protocol_e, protocol_f, offset, horizon, model, turnaround,
+            )
+            for offset in offsets
+        ]
+        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     def map_scenarios(
@@ -548,12 +330,10 @@ class ParallelSweep:
         """Run one network simulation per scenario, in input order.
 
         Each scenario's RNG seed derives from its global index, so the
-        returned list is identical whatever ``jobs``, ``schedule`` or
-        ``backend`` is (including the in-process serial path used for
-        ``jobs <= 1``).  With ``backend="pooled"`` the grid reuses the
-        persistent worker pool (always in work-stealing submission
-        order -- there is no per-grid initializer to chunk around), so
-        successive small grids stop paying pool startup.
+        returned list is identical whatever ``jobs`` or ``backend`` is
+        (including the in-process serial path).  With ``jobs > 1`` the
+        grid runs on the persistent pool in work-stealing submission
+        order, so successive small grids stop paying pool startup.
 
         ``collect_timings=True`` returns ``(results, seconds)`` instead:
         per-scenario wall-clock measured *inside* the worker that ran
@@ -562,85 +342,27 @@ class ParallelSweep:
         the results list is bit-identical either way (the timing wrapper
         only reads the clock around an unchanged computation).
         """
-        from ..backends.pooled import PooledBackend
-        from ..simulation.runner import _run_scenario
-
         scenarios = list(scenarios)
-        if self.jobs <= 1 or len(scenarios) < 2:
-            import time
-
-            timed: list[tuple] = []
-            for i, scenario in enumerate(scenarios):
-                started = time.perf_counter()
-                result = _run_scenario(
-                    scenario,
-                    seed=derive_seed(base_seed, i),
-                    reception_model=reception_model,
-                    turnaround=turnaround,
-                    advertising_jitter=advertising_jitter,
-                )
-                timed.append((result, time.perf_counter() - started))
-            return self._split_timings(timed, collect_timings)
         config = {
             "base_seed": base_seed,
             "reception_model": reception_model,
             "turnaround": turnaround,
             "advertising_jitter": advertising_jitter,
         }
-        resolved = self._resolve_backend()
-        if isinstance(resolved, PooledBackend) and resolved.jobs > 1:
-            worker = _network_one_cfg_timed if collect_timings else _network_one_cfg
-            merged = _steal_merge(
-                scenarios,
-                lambda index: resolved.submit(
-                    worker, config, (index, scenarios[index])
-                ),
-            )
-            return self._split_timings(merged, collect_timings, wrapped=collect_timings)
-        ctx = multiprocessing.get_context(self.mp_context)
-        if self.schedule == "chunk":
-            chunks = _chunk(
-                list(enumerate(scenarios)), self.jobs * self.chunks_per_job
-            )
-            chunk_worker = (
-                _network_chunk_timed if collect_timings else _network_chunk
-            )
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(chunks)),
-                mp_context=ctx,
-                initializer=_init_network_worker,
-                initargs=(config,),
-            ) as pool:
-                merged = [
-                    result
-                    for chunk in pool.map(chunk_worker, chunks)
-                    for result in chunk
-                ]
-            return self._split_timings(merged, collect_timings, wrapped=collect_timings)
-        # Work stealing: submit longest-estimated-first, one scenario
-        # per task, and let idle workers pull from the shared queue;
-        # results land back at their grid index.
-        one_worker = _network_one_timed if collect_timings else _network_one
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(scenarios)),
-            mp_context=ctx,
-            initializer=_init_network_worker,
-            initargs=(config,),
-        ) as pool:
-            merged = _steal_merge(
+        pool = self.pool()
+        if pool is None or len(scenarios) < 2:
+            timed = [
+                _network_one_cfg_timed(config, item)
+                for item in enumerate(scenarios)
+            ]
+        else:
+            timed = _steal_merge(
                 scenarios,
                 lambda index: pool.submit(
-                    one_worker, (index, scenarios[index])
+                    _network_one_cfg_timed, config, (index, scenarios[index])
                 ),
             )
-        return self._split_timings(merged, collect_timings, wrapped=collect_timings)
-
-    @staticmethod
-    def _split_timings(items: list, collect_timings: bool, wrapped: bool = True):
-        """Unzip ``(result, seconds)`` pairs when timings were requested;
-        otherwise return the bare result list unchanged."""
+        results = [result for result, _ in timed]
         if not collect_timings:
-            return [item[0] for item in items] if wrapped else items
-        results = [result for result, _ in items]
-        seconds = [seconds for _, seconds in items]
-        return results, seconds
+            return results
+        return results, [seconds for _, seconds in timed]

@@ -11,8 +11,8 @@ task queue, and results are merged back by original grid index.
 
 Scheduling order is a pure wall-clock concern: each scenario's RNG seed
 derives from its *grid* index (:func:`repro.parallel.cache.derive_seed`)
-and the merge is index-stable, so any schedule -- chunked, stolen, or
-serial -- produces bit-identical result lists.
+and the merge is index-stable, so any schedule -- stolen by any number
+of workers, or serial -- produces bit-identical result lists.
 
 The cost model is deliberately cheap and deterministic: it only has to
 rank scenarios, not predict wall-clock.  The event-driven simulator's

@@ -1,38 +1,30 @@
 """Shared-memory transport for precomputed listening patterns.
 
 A :class:`repro.parallel.cache.ListeningCache` pattern is two flat int
-arrays (segment starts/ends over two receiver hyperperiods).  PR 1's
-workers each rebuilt -- or, under ``fork``, copy-on-wrote -- their own
-copy; for large hyperperiods that multiplies both init time and resident
-memory by the worker count.  This module packs every enabled pattern of
-a sweep into **one** ``multiprocessing.shared_memory`` segment of int64
-words, so workers map the parent's arrays instead of copying them.
+arrays (segment starts/ends over two receiver hyperperiods).  Workers
+that rebuilt -- or, under ``fork``, copy-on-wrote -- their own copy
+multiplied both init time and resident memory by the worker count.
+This module packs patterns into ``multiprocessing.shared_memory``
+segments of int64 words, so workers map the parent's arrays instead of
+copying them.
 
 Lifecycle contract
 ------------------
 
-* The **parent** owns the segment.  :class:`SharedPatternStore` is a
-  context manager: ``publish()`` creates the segment and copies the
-  pattern words in; leaving the ``with`` block (or calling ``close()``)
-  closes the mapping and **unlinks** the segment, so a sweep can never
-  leak kernel objects past its own lifetime -- also not on error paths.
-* **Workers** receive a picklable :class:`PatternHandle` (segment name
-  plus per-fingerprint offsets) through the pool initializer -- names
-  travel through ``initargs``, so the scheme works under both ``fork``
-  and ``spawn`` start methods.  :func:`attach_pattern_caches` maps the
-  segment once per worker and registers zero-copy
-  ``ListeningCache.from_pattern`` views (int64 memoryview slices) in the
-  worker's keyed registry, replacing any fork-inherited private copies.
+* The **parent** owns the segments.  :class:`PatternArena` is owned by
+  the persistent pool (:class:`repro.backends.pooled.PooledBackend`):
+  segments are append-only, published incrementally from the keyed
+  cache registry, and unlinked when the owning pool closes.
+* **Workers** receive picklable :class:`PatternHandle` objects (segment
+  name plus per-fingerprint offsets) with every sweep chunk -- names
+  travel with the work, so the scheme works under both ``fork`` and
+  ``spawn`` start methods.  :func:`attach_pattern_arena` maps a segment
+  once per worker and registers ``ListeningCache.from_pattern`` views
+  in the worker's keyed registry, idempotently per fingerprint.
 * Workers never unlink; their mappings are released by an ``atexit``
   hook (memoryviews first, then the segment) so pool shutdown stays
   warning-free.  POSIX keeps a mapped segment's memory valid even after
   the parent unlinks the name, so in-flight chunks are always safe.
-* For **persistent pools** the per-sweep lifetime is wrong by design:
-  :class:`PatternArena` (PR 5) owns append-only segments for the
-  pool's lifetime instead, published incrementally from the keyed
-  cache registry and attached idempotently per chunk
-  (:func:`attach_pattern_arena`), released when the owning
-  :class:`repro.backends.pooled.PooledBackend` closes.
 """
 
 from __future__ import annotations
@@ -48,9 +40,7 @@ __all__ = [
     "PatternArena",
     "PatternEntry",
     "PatternHandle",
-    "SharedPatternStore",
     "attach_pattern_arena",
-    "attach_pattern_caches",
 ]
 
 # Patterns below this many segments are copied out of the segment into
@@ -77,128 +67,90 @@ class PatternEntry:
 
 @dataclass(frozen=True)
 class PatternHandle:
-    """Picklable description of a published segment (sent via initargs)."""
+    """Picklable description of a published segment (sent with chunks)."""
 
     shm_name: str
     total_words: int
     entries: tuple[PatternEntry, ...]
 
 
-class SharedPatternStore:
-    """Parent-side owner of one shared pattern segment per sweep."""
-
-    def __init__(self) -> None:
-        self._shm: shared_memory.SharedMemory | None = None
-        self.handle: PatternHandle | None = None
-
-    def publish(
-        self, caches: dict[str, ListeningCache]
-    ) -> PatternHandle | None:
-        """Pack all *enabled* patterns into one int64 segment.
-
-        Returns ``None`` (and allocates nothing) when no cache has a
-        precomputable pattern -- non-integer schedules and oversized
-        hyperperiods then simply keep their per-query fallback path.
-        """
-        if self._shm is not None:
-            raise RuntimeError("store already holds a published segment")
-        enabled = {
-            fp: cache
-            for fp, cache in caches.items()
-            if cache.enabled and cache.pattern_segments
-        }
-        if not enabled:
-            return None
-        total_words = sum(2 * c.pattern_segments for c in enabled.values())
-        shm = shared_memory.SharedMemory(create=True, size=8 * total_words)
-        entries = []
+def _publish(
+    caches: dict[str, ListeningCache],
+) -> tuple[shared_memory.SharedMemory, PatternHandle]:
+    """Pack the (enabled, non-empty) patterns of ``caches`` into one new
+    int64 segment; the caller owns -- and must unlink -- the segment."""
+    total_words = sum(2 * c.pattern_segments for c in caches.values())
+    shm = shared_memory.SharedMemory(create=True, size=8 * total_words)
+    entries = []
+    try:
+        view = shm.buf.cast("q")
         try:
-            view = shm.buf.cast("q")
-            try:
-                offset = 0
-                for fp in sorted(enabled):
-                    cache = enabled[fp]
-                    n = cache.pattern_segments
-                    view[offset : offset + n] = array("q", cache._starts)
-                    view[offset + n : offset + 2 * n] = array("q", cache._ends)
-                    entries.append(
-                        PatternEntry(
-                            fingerprint=fp,
-                            hyper=cache.hyper,
-                            threshold=cache.threshold,
-                            offset=offset,
-                            length=n,
-                        )
+            offset = 0
+            for fp in sorted(caches):
+                cache = caches[fp]
+                n = cache.pattern_segments
+                view[offset : offset + n] = array("q", cache._starts)
+                view[offset + n : offset + 2 * n] = array("q", cache._ends)
+                entries.append(
+                    PatternEntry(
+                        fingerprint=fp,
+                        hyper=cache.hyper,
+                        threshold=cache.threshold,
+                        offset=offset,
+                        length=n,
                     )
-                    offset += 2 * n
-            finally:
-                # The parent only writes; releasing the view immediately
-                # keeps close()/unlink() free of exported-pointer errors.
-                view.release()
-        except BaseException:
-            # Packing failed (e.g. a pattern value outside int64): the
-            # no-leak contract still holds -- tear the segment down
-            # before propagating.
-            shm.close()
-            shm.unlink()
-            raise
-        self._shm = shm
-        self.handle = PatternHandle(shm.name, total_words, tuple(entries))
-        return self.handle
+                )
+                offset += 2 * n
+        finally:
+            # The parent only writes; releasing the view immediately
+            # keeps close()/unlink() free of exported-pointer errors.
+            view.release()
+    except BaseException:
+        # Packing failed (e.g. a pattern value outside int64): tear the
+        # segment down before propagating, so nothing leaks.
+        _unlink(shm)
+        raise
+    return shm, PatternHandle(shm.name, total_words, tuple(entries))
 
-    def close(self) -> None:
-        """Release the mapping and unlink the segment name (idempotent)."""
-        shm, self._shm = self._shm, None
-        self.handle = None
-        if shm is None:
-            return
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double-unlink race
-            pass
 
-    def __enter__(self) -> "SharedPatternStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+def _unlink(shm: shared_memory.SharedMemory) -> None:
+    shm.close()
+    try:
+        shm.unlink()
+    except FileNotFoundError:  # pragma: no cover - double-unlink race
+        pass
 
 
 class PatternArena:
     """Long-lived, incrementally grown pattern store for persistent pools.
 
-    A :class:`SharedPatternStore` is per-sweep by contract: one segment,
-    published once, unlinked when the sweep exits.  A persistent
-    :class:`repro.backends.pooled.PooledBackend` has the opposite
-    lifetime -- its workers survive across sweeps, and under ``spawn``
-    each one used to rebuild every listening pattern once per protocol
-    before the keyed registry went warm.  The arena pins the patterns to
-    the *pool's* lifetime instead: the parent packs each batch of
-    not-yet-published patterns (resolved through the keyed
-    listening-cache registry) into an additional immutable segment, and
-    workers map the segments zero-copy on first use
-    (:func:`attach_pattern_arena`), so even a spawn-start worker's first
-    chunk finds its patterns already built.
+    A persistent :class:`repro.backends.pooled.PooledBackend`'s workers
+    survive across sweeps, and under ``spawn`` each one would rebuild
+    every listening pattern once per protocol before its keyed registry
+    went warm.  The arena pins the patterns to the *pool's* lifetime
+    instead: the parent packs each batch of not-yet-published patterns
+    (resolved through the keyed listening-cache registry) into an
+    additional immutable segment, and workers map the segments
+    zero-copy on first use (:func:`attach_pattern_arena`), so even a
+    spawn-start worker's first chunk finds its patterns already built.
 
     Segments are append-only -- shared memory cannot grow in place, so
     new fingerprints get a new segment rather than a repack -- and the
     arena never unlinks until :meth:`close`, which the owning pool calls
     from its own ``close()`` (reached via ``Session.__exit__`` releasing
-    the last retain reference, or ``shutdown_pooled_backends``).  Worker
-    mappings are released by the same ``atexit`` hook as per-sweep
-    segments; POSIX keeps mapped memory valid past the unlink, so
-    teardown order cannot race in-flight chunks.
+    the last retain reference, or ``shutdown_pooled_backends``).  POSIX
+    keeps mapped memory valid past the unlink, so teardown order cannot
+    race in-flight chunks.
     """
 
     def __init__(self) -> None:
-        self._stores: list[SharedPatternStore] = []
+        self._segments: list[shared_memory.SharedMemory] = []
         self._by_fingerprint: dict[str, PatternHandle] = {}
 
     @property
     def segments(self) -> int:
         """Published shared-memory segments currently owned."""
-        return len(self._stores)
+        return len(self._segments)
 
     @property
     def fingerprints(self) -> frozenset[str]:
@@ -222,11 +174,8 @@ class PatternArena:
         }
         if not fresh:
             return 0
-        store = SharedPatternStore()
-        handle = store.publish(fresh)
-        if handle is None:  # pragma: no cover - fresh is pre-filtered
-            return 0
-        self._stores.append(store)
+        shm, handle = _publish(fresh)
+        self._segments.append(shm)
         for entry in handle.entries:
             self._by_fingerprint[entry.fingerprint] = handle
         return len(handle.entries)
@@ -246,10 +195,10 @@ class PatternArena:
 
     def close(self) -> None:
         """Unlink every owned segment (idempotent)."""
-        stores, self._stores = self._stores, []
+        segments, self._segments = self._segments, []
         self._by_fingerprint.clear()
-        for store in stores:
-            store.close()
+        for shm in segments:
+            _unlink(shm)
 
     def __enter__(self) -> "PatternArena":
         return self
@@ -303,76 +252,54 @@ def _map_segment(handle: PatternHandle) -> memoryview:
     return view
 
 
-def _register_from_handle(
-    handle: PatternHandle, receivers, skip: frozenset | set = frozenset()
-) -> set[str]:
-    """Register segment-backed caches for every receiver whose
-    fingerprint appears in ``handle`` and not in ``skip``; returns the
-    fingerprints registered (the shared body behind both attach
-    entry points)."""
-    by_fp = {entry.fingerprint: entry for entry in handle.entries}
-    matched = {}
-    for protocol, turnaround in receivers:
-        fingerprint = protocol_fingerprint(protocol, turnaround)
-        if fingerprint in skip:
-            continue
-        entry = by_fp.get(fingerprint)
-        if entry is not None:
-            matched[fingerprint] = (protocol, turnaround, entry)
-    if not matched:
-        return set()
-    view = _map_segment(handle)
-    for fingerprint, (protocol, turnaround, entry) in matched.items():
-        lo, n = entry.offset, entry.length
-        starts = view[lo : lo + n]
-        ends = view[lo + n : lo + 2 * n]
-        if n >= ZERO_COPY_MIN_SEGMENTS:
-            _ATTACHED_VIEWS.extend((starts, ends))
-        else:
-            starts = list(starts)
-            ends = list(ends)
-        register_listening_cache(
-            fingerprint,
-            ListeningCache.from_pattern(
-                protocol, turnaround, entry.hyper, entry.threshold, starts, ends
-            ),
-        )
-    return set(matched)
-
-
-def attach_pattern_caches(handle: PatternHandle, receivers) -> int:
-    """Register segment-backed caches for ``receivers`` in this process.
-
-    ``receivers`` is an iterable of ``(protocol, turnaround)`` pairs;
-    each one whose fingerprint appears in ``handle`` gets a
-    :meth:`ListeningCache.from_pattern` over the mapped segment --
-    zero-copy int64 memoryview slices for patterns of at least
-    ``ZERO_COPY_MIN_SEGMENTS`` segments, a plain-list copy below that
-    (the segment is still the single transport; only the per-query
-    representation differs) -- installed via
-    :func:`repro.parallel.cache.register_listening_cache`, deliberately
-    replacing fork-inherited private copies.  Returns the number of
-    caches registered.
-    """
-    return len(_register_from_handle(handle, receivers))
-
-
 def attach_pattern_arena(
     handles: tuple[PatternHandle, ...], receivers
 ) -> int:
     """Idempotently register arena-backed caches in this worker.
 
-    Unlike :func:`attach_pattern_caches` (one call per pool boot,
-    through the initializer), this runs on **every** pooled chunk -- a
-    persistent pool has no per-sweep initializer -- so it must be a
-    cheap no-op once a pattern is installed: fingerprints already
-    registered from an arena are skipped (preserving the worker's warm
-    residue memos), and only genuinely new ones map their segment and
-    register.  Returns the number of caches newly registered.
+    ``receivers`` is an iterable of ``(protocol, turnaround)`` pairs;
+    each one whose fingerprint appears in some handle gets a
+    :meth:`ListeningCache.from_pattern` over the mapped segment --
+    zero-copy int64 memoryview slices for patterns of at least
+    ``ZERO_COPY_MIN_SEGMENTS`` segments, a plain-list copy below that --
+    installed via :func:`repro.parallel.cache.register_listening_cache`,
+    deliberately replacing fork-inherited private copies.
+
+    This runs on **every** pooled chunk -- a persistent pool has no
+    per-sweep initializer -- so it is a cheap no-op once a pattern is
+    installed: fingerprints already registered from an arena are
+    skipped (preserving the worker's warm residue memos), and only
+    genuinely new ones map their segment and register.  Returns the
+    number of caches newly registered.
     """
     registered = 0
     for handle in handles:
-        fresh = _register_from_handle(handle, receivers, _ARENA_REGISTERED)
-        _ARENA_REGISTERED.update(fresh)
-        registered += len(fresh)
+        by_fp = {entry.fingerprint: entry for entry in handle.entries}
+        matched = {}
+        for protocol, turnaround in receivers:
+            fingerprint = protocol_fingerprint(protocol, turnaround)
+            entry = by_fp.get(fingerprint)
+            if entry is not None and fingerprint not in _ARENA_REGISTERED:
+                matched[fingerprint] = (protocol, turnaround, entry)
+        if not matched:
+            continue
+        view = _map_segment(handle)
+        for fingerprint, (protocol, turnaround, entry) in matched.items():
+            lo, n = entry.offset, entry.length
+            starts = view[lo : lo + n]
+            ends = view[lo + n : lo + 2 * n]
+            if n >= ZERO_COPY_MIN_SEGMENTS:
+                _ATTACHED_VIEWS.extend((starts, ends))
+            else:
+                starts = list(starts)
+                ends = list(ends)
+            register_listening_cache(
+                fingerprint,
+                ListeningCache.from_pattern(
+                    protocol, turnaround, entry.hyper, entry.threshold,
+                    starts, ends,
+                ),
+            )
+        _ARENA_REGISTERED.update(matched)
+        registered += len(matched)
     return registered

@@ -17,7 +17,7 @@ Quickstart::
 
     async def main():
         async with SweepService(
-            RuntimeProfile(backend="pooled", jobs=4),
+            RuntimeProfile(jobs=4),
             store="results/store", workers=2,
         ) as service:
             client = ServiceClient(service)

@@ -18,11 +18,11 @@ killing the service):
   already-admitted jobs bypass the bound).
 * **Dispatch**: a priority queue (higher ``priority`` first, FIFO
   within a level) feeds ``workers`` asyncio worker tasks.
-* **Compute**: each worker runs jobs through a thread-local sibling
-  :class:`~repro.api.Session` (one per executor thread --
-  ``Session.worker()`` semantics: shared store instance, shared
-  refcounted pooled backend) via ``loop.run_in_executor``, under an
-  optional per-job timeout.
+* **Compute**: each worker runs jobs through a thread-local
+  :class:`~repro.api.Session` (one per executor thread, sharing the
+  service's store instance and -- with ``jobs > 1`` -- its refcounted
+  persistent pool) via ``loop.run_in_executor``, under an optional
+  per-job timeout.
 * **Recovery**: crash-class failures (a SIGKILLed pool child surfacing
   as ``BrokenProcessPool``, broken pipes, timeouts) re-queue the job
   with exponential backoff up to ``max_retries``; the broken pool is
@@ -57,7 +57,6 @@ from typing import Mapping
 from ..api.result import network_result_payload, RunResult
 from ..api.session import Session
 from ..api.spec import build_grid, RunSpec, RuntimeProfile, SpecError
-from ..backends.pooled import PooledBackend
 from ..campaign.campaign import VERBS
 from ..parallel.executor import _network_one_cfg
 from .jobs import (
@@ -554,8 +553,8 @@ class SweepService:
         )
 
     def _thread_session(self) -> Session:
-        """This executor thread's sibling session (``Session.worker()``
-        semantics: shared store instance, shared pooled backend)."""
+        """This executor thread's own session (shared store instance,
+        shared persistent pool)."""
         session = getattr(self._local, "session", None)
         if session is None or session.closed:
             session = Session(self.profile, store=self.store)
@@ -577,19 +576,20 @@ class SweepService:
                 return self._compute_grid(job, session)
             return getattr(session, job.verb)(job.spec)
         except RETRYABLE:
-            backend = session._backend
-            if isinstance(backend, PooledBackend):
+            sweeper = session._sweeper
+            pool = sweeper.pool() if sweeper is not None else None
+            if pool is not None:
                 # A SIGKILLed child leaves the whole pool broken; close
                 # it so the retry (any thread) lazily boots a fresh one.
-                backend.close(wait=False)
+                pool.close(wait=False)
             raise
 
     def _compute_grid(self, job: Job, session: Session) -> RunResult:
         """Checkpointed grid compute, payload-identical to
         :meth:`Session.grid <repro.api.Session.grid>`.
 
-        Scenarios run one at a time -- through the session's pooled
-        backend when it has one (so a pool-child crash is survivable
+        Scenarios run one at a time -- through the session's persistent
+        pool when ``jobs > 1`` (so a pool-child crash is survivable
         mid-grid), in-thread otherwise -- and every finished scenario
         lands in ``job.checkpoint`` keyed by its **global index**.
         Seeds derive from that same global index
@@ -615,6 +615,7 @@ class SweepService:
             raise ValueError("RunSpec.grid is required for grid")
         scenarios = build_grid(job.spec.grid)
         backend = session.backend  # resolves the engine exactly once
+        pool = session._engine().pool()
         t1 = time.perf_counter()
         config = {
             "base_seed": job.spec.seed,
@@ -622,14 +623,13 @@ class SweepService:
             "turnaround": job.spec.turnaround,
             "advertising_jitter": job.spec.advertising_jitter,
         }
-        pooled = isinstance(backend, PooledBackend) and backend.jobs >= 2
         results = []
         for index, scenario in enumerate(scenarios):
             if index in job.checkpoint:
                 results.append(job.checkpoint[index])
                 continue
-            if pooled:
-                result = backend.submit(
+            if pool is not None:
+                result = pool.submit(
                     _network_one_cfg, config, (index, scenario)
                 ).result()
             else:

@@ -454,36 +454,6 @@ def _one_way_upper(horizon: int, analytic_upper, lo) -> int:
     return hi
 
 
-def _neighbour_offsets(offsets, anchors, count: int, exclude) -> list[int]:
-    """Up to ``count`` already-evaluated offsets nearest (by rank in the
-    sorted sweep grid) to the disagreeing ``anchors``, skipping
-    ``exclude``.  Deterministic: anchors in sweep-report order, their
-    neighbours nearest-first."""
-    grid = sorted(dict.fromkeys(offsets))
-    index = {offset: i for i, offset in enumerate(grid)}
-    taken = set(exclude)
-    picked: list[int] = []
-    for anchor in anchors:
-        centre = index.get(anchor)
-        if centre is None:
-            continue
-        for distance in range(1, len(grid)):
-            if len(picked) >= count:
-                return picked
-            hit = False
-            for i in (centre - distance, centre + distance):
-                if 0 <= i < len(grid) and grid[i] not in taken:
-                    taken.add(grid[i])
-                    picked.append(grid[i])
-                    hit = True
-                    if len(picked) >= count:
-                        return picked
-            if not hit and (centre - distance < 0
-                            and centre + distance >= len(grid)):
-                break
-    return picked
-
-
 def _verified_worst_case_impl(
     protocol_e: NDProtocol,
     protocol_f: NDProtocol,
@@ -582,7 +552,7 @@ def _verified_worst_case_impl(
     agrees = not _des_mismatches(checks)
     tier_records.append(
         {"tier": "des", "ran": bool(check_offsets),
-         "checks": len(check_offsets), "escalated": False},
+         "checks": len(check_offsets)},
     )
     lo = report.worst_one_way
     hi = lo if exact else _one_way_upper(horizon, analytic_upper, lo)
@@ -626,9 +596,9 @@ def _budgeted_worst_case(
     3. **dense** -- otherwise, a prefix-nested low-discrepancy sample
        sized to the budget left after a small DES reserve; its sweep
        maximum is the lower bound.
-    4. **des** -- spot checks from the leftover budget, allocated by
-       disagreement: half up front (always covering the worst offsets),
-       the rest escalated to the neighbours of disagreeing offsets.
+    4. **des** -- one batch of spot checks from the leftover budget:
+       half the allocation, always covering the worst offsets.  Its
+       replays alone decide ``des_agrees``.
 
     All prices are planner estimates -- never measured wall-clock -- so
     identical queries produce identical provenance.
@@ -709,41 +679,25 @@ def _budgeted_worst_case(
 
     # DES spot checks sized to the leftover budget, never the other way
     # round (with the planner's price margin, since replay prices are
-    # optimistic on long-hyperperiod pairs); half the allocation replays
-    # up front (always covering the worst offsets), the rest only where
-    # analytic and DES disagree.
+    # optimistic on long-hyperperiod pairs): one batch of half the
+    # allocation, always covering the worst offsets.
     allocation = planner.spot_check_allocation(remaining, des_spot_checks)
     checked: list[int] = []
     agrees = True
-    escalated = False
     if allocation > 0:
-        first = max(1, allocation // 2)
         checked = _select_spot_check_offsets(
             offsets,
             (report.worst_offset_one_way, report.worst_offset_two_way),
-            first,
+            max(1, allocation // 2),
         )
         checks = sweeper.spot_check_pairs(
             protocol_e, protocol_f, checked, horizon,
             reception_model, turnaround,
         )
-        mismatched = _des_mismatches(checks)
-        agrees = not mismatched
-        headroom = allocation - len(checked)
-        if mismatched and headroom > 0:
-            escalated = True
-            extra = _neighbour_offsets(
-                offsets, mismatched, headroom, exclude=checked
-            )
-            if extra:
-                sweeper.spot_check_pairs(
-                    protocol_e, protocol_f, extra, horizon,
-                    reception_model, turnaround,
-                )
-                checked = checked + extra
+        agrees = not _des_mismatches(checks)
     tier_records.append(
         {"tier": "des", "ran": bool(checked), "checks": len(checked),
-         "allocation": allocation, "escalated": escalated,
+         "allocation": allocation,
          "estimated_ms": planner.checks_ms(len(checked))},
     )
     lo = report.worst_one_way
@@ -844,7 +798,6 @@ def sweep_network_grid(
     reception_model: ReceptionModel = ReceptionModel.POINT,
     turnaround: int = 0,
     advertising_jitter: int = 0,
-    schedule=_UNSET,
     backend=_UNSET,
 ) -> list[NetworkResult]:
     """Run every scenario of a grid through the event-driven simulator.
@@ -853,45 +806,32 @@ def sweep_network_grid(
     pre-Session call shape.  Results come back in input order; each
     scenario's RNG seed derives from ``(base_seed, its grid index)`` via
     :func:`repro.parallel.derive_seed`, so the output is bit-identical
-    for any ``jobs`` value, either ``schedule`` discipline and any
-    ``backend`` -- scheduling is invisible to the RNG.
+    for any ``jobs`` value and any ``backend`` -- scheduling is
+    invisible to the RNG.
 
-    The per-call runtime kwargs (``jobs``, ``schedule``, ``backend``)
-    are **deprecated**: passing them warns
+    The per-call runtime kwargs (``jobs``, ``backend``) are
+    **deprecated**: passing them warns
     (:class:`repro.api.LegacyRuntimeAPIWarning`) and routes through a
     shared legacy session for that runtime shape -- configure a
-    :class:`repro.api.RuntimeProfile` once instead.  Legacy semantics
-    are preserved exactly, including the :attr:`Scenario.backend`
-    unanimous-preference resolution when no backend is given.
+    :class:`repro.api.RuntimeProfile` once instead.
     """
     from ..api import RunSpec
     from ..api._compat import legacy_session, warn_legacy
 
-    scenarios = list(scenarios)
     # Only *non-default* runtime plumbing warns: explicitly restating
-    # the documented defaults (jobs=1, schedule="steal", backend=None)
-    # requests nothing and must not start raising under -W error lanes.
-    runtime_given = (
-        jobs not in (_UNSET, 1)
-        or schedule not in (_UNSET, "steal")
-        or backend not in (_UNSET, None)
-    )
-    jobs = 1 if jobs is _UNSET else jobs
-    schedule = "steal" if schedule is _UNSET else schedule
-    if backend is _UNSET or backend is None:
-        hints = {
-            getattr(scenario, "backend", None) for scenario in scenarios
-        } - {None}
-        backend = hints.pop() if len(hints) == 1 else "auto"
-    if runtime_given:
+    # the documented defaults (jobs=1, backend=None) requests nothing
+    # and must not start raising under -W error lanes.
+    if jobs not in (_UNSET, 1) or backend not in (_UNSET, None):
         warn_legacy(
-            "sweep_network_grid(jobs=..., schedule=..., backend=...)",
+            "sweep_network_grid(jobs=..., backend=...)",
             "repro.api.Session.grid",
         )
-    session = legacy_session(jobs=jobs, schedule=schedule, backend=backend)
+    jobs = 1 if jobs is _UNSET else jobs
+    backend = "auto" if backend in (_UNSET, None) else backend
+    session = legacy_session(jobs=jobs, backend=backend)
     return session.grid(
         RunSpec(
-            grid=scenarios,
+            grid=list(scenarios),
             seed=base_seed,
             model=reception_model.value,
             turnaround=turnaround,

@@ -15,7 +15,7 @@ description replaced by its schema-canonical form
 (:func:`repro.protocols.canonical_pair`).  Invariants:
 
 * :class:`~repro.api.RuntimeProfile` runtime knobs (backend, jobs,
-  schedule, mp_context, ...) never enter the hash -- results are
+  mp_context, ...) never enter the hash -- results are
   bit-identical across them per the kernel-equivalence gates, so one
   entry serves every runtime.
 * JSON round-trips of the same spec hash identically (tuples normalize

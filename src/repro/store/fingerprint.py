@@ -7,8 +7,8 @@ Two invariance guarantees define the contract:
 
 * **Runtime invariance** -- :class:`repro.api.RuntimeProfile` never
   enters the hash.  Results are bit-identical across backend/jobs/
-  schedule/mp_context by the kernel-equivalence gates, so runtime knobs
-  must not split the cache.
+  mp_context by the kernel-equivalence gates, so runtime knobs must
+  not split the cache.
 * **Spelling invariance** -- the spec payload is ``RunSpec.to_dict()``
   (tuples normalized to lists, so JSON round-trips of the same spec
   hash identically), with the declarative ``pair`` description replaced

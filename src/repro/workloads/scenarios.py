@@ -47,13 +47,6 @@ class Scenario:
     start_times: list[int] = field(default_factory=list)
     """Per-device boot times for gradual-join scenarios (empty: all at 0)."""
     description: str = ""
-    backend: str | None = None
-    """Preferred sweep-kernel backend (:mod:`repro.backends` name) for
-    drivers evaluating this scenario -- e.g. ``"pooled"`` marks members
-    of many-small-sweep batches that should amortize one persistent
-    worker pool.  ``None`` defers to the driver (auto-detection);
-    :func:`repro.simulation.runner.sweep_network_grid` honours a
-    unanimous preference across a grid."""
 
     def __post_init__(self) -> None:
         if len(self.protocols) != len(self.phases):
@@ -62,10 +55,6 @@ class Scenario:
             raise ValueError("drift_ppm must align with protocols")
         if self.start_times and len(self.start_times) != len(self.protocols):
             raise ValueError("start_times must align with protocols")
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ValueError(
-                f"backend must be a backend name or None, got {self.backend!r}"
-            )
 
     def cost_hint(self) -> float:
         """Deterministic relative simulation cost for grid scheduling.

@@ -53,9 +53,16 @@ class TestRunSpecSerialization:
         assert clone == spec
         assert clone.grid["axes"]["n_devices"] == [3, 5]
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(SpecError, match="unknown RunSpec field"):
-            RunSpec.from_dict({"pair": None, "warp_factor": 9})
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"pair": None, "warp_factor": 9}, "unknown RunSpec field"),
+            ({"pair": None, "schedule": "chunk"}, "'schedule' was removed"),
+        ],
+    )
+    def test_unknown_field_rejected(self, payload, message):
+        with pytest.raises(SpecError, match=message):
+            RunSpec.from_dict(payload)
 
     def test_unknown_field_error_names_known_fields(self):
         with pytest.raises(SpecError, match="samples"):
@@ -90,10 +97,7 @@ class TestRuntimeProfileSerialization:
         profile = RuntimeProfile(
             backend="python",
             jobs=3,
-            schedule="chunk",
             mp_context="spawn",
-            chunks_per_job=2,
-            shared_memory=False,
             cache_limit=8,
             cache_policy="release",
             cost_weights=(3e-6, 7e-6),
@@ -103,13 +107,23 @@ class TestRuntimeProfileSerialization:
         assert clone == profile
         assert clone.cost_weights == (3e-6, 7e-6)  # tuple restored
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(SpecError, match="unknown RuntimeProfile field"):
-            RuntimeProfile.from_dict({"backend": "auto", "gpu": True})
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"backend": "auto", "gpu": True}, "unknown RuntimeProfile field"),
+            ({"schedule": "steal"}, "'schedule' was removed"),
+            ({"shared_memory": True}, "'shared_memory' was removed"),
+            ({"chunks_per_job": 4}, "'chunks_per_job' was removed"),
+            ({"backend": "pooled", "jobs": 2}, "jobs > 1 now selects"),
+        ],
+    )
+    def test_unknown_field_rejected(self, payload, message):
+        with pytest.raises(SpecError, match=message):
+            RuntimeProfile.from_dict(payload)
 
     def test_validation(self):
         with pytest.raises(SpecError):
-            RuntimeProfile(schedule="lifo")
+            RuntimeProfile(backend="pooled")
         with pytest.raises(SpecError):
             RuntimeProfile(cache_policy="hoard")
         with pytest.raises(SpecError):
@@ -165,11 +179,9 @@ class TestRuntimeProfileSerialization:
     def test_default_honours_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "python")
         monkeypatch.setenv("REPRO_JOBS", "2")
-        monkeypatch.setenv("REPRO_SCHEDULE", "chunk")
         profile = RuntimeProfile.default()
         assert profile.backend == "python"
         assert profile.jobs == 2
-        assert profile.schedule == "chunk"
 
     def test_default_loads_profile_file_from_env(self, monkeypatch, tmp_path):
         path = tmp_path / "profile.toml"

@@ -53,6 +53,11 @@ def _assert_processes_exit(pids, timeout_s=10.0):
     assert not remaining, f"worker processes leaked: {remaining}"
 
 
+def _pool(session):
+    """The persistent pool a ``jobs > 1`` session resolved (and retains)."""
+    return session._engine().pool()
+
+
 def _worker_pids(backend, count=8):
     futures = [backend.submit(os.getpid) for _ in range(count)]
     return {future.result() for future in futures}
@@ -104,33 +109,6 @@ class TestSessionBasics:
 
         assert RunResult.from_json(result.to_json()) == result
 
-    def test_worker_shares_profile_and_store(self, tmp_path):
-        from repro.store import ResultStore
-
-        store = ResultStore(tmp_path / "store")
-        with Session(RuntimeProfile(jobs=1), store=store) as session:
-            worker = session.worker()
-            try:
-                assert worker is not session
-                assert worker.profile is session.profile
-                assert worker.store is session.store
-                result = worker.sweep(_sweep_spec())
-                assert result.store_meta["hit"] is False
-            finally:
-                worker.close()
-            # The parent sees the worker's write-back through the
-            # shared store instance.
-            hit = session.sweep(_sweep_spec())
-            assert hit.store_meta["hit"] is True
-            # Closing the worker did not close the parent.
-            assert not session.closed
-
-    def test_worker_of_closed_session_raises(self):
-        session = Session(RuntimeProfile(jobs=1))
-        session.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            session.worker()
-
 
 class TestSessionPoolLifecycle:
     def setup_method(self):
@@ -140,10 +118,10 @@ class TestSessionPoolLifecycle:
         shutdown_pooled_backends()
 
     def test_exit_shuts_down_session_pool(self):
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         with Session(profile) as session:
             session.sweep(_sweep_spec())
-            backend = session.backend
+            backend = _pool(session)
             assert isinstance(backend, PooledBackend)
             assert backend.started
             pids = _worker_pids(backend)
@@ -154,14 +132,14 @@ class TestSessionPoolLifecycle:
         """Two nested sessions on one profile share one pool; the inner
         exit must neither kill the outer's workers nor the outer exit
         double-shutdown -- the satellite regression."""
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         with Session(profile) as outer:
             outer.sweep(_sweep_spec())
-            backend = outer.backend
+            backend = _pool(outer)
             pids = _worker_pids(backend)
             assert backend.session_refs == 1
             with Session(profile) as inner:
-                assert inner.backend is backend  # shared shape -> shared pool
+                assert _pool(inner) is backend  # shared shape -> shared pool
                 assert backend.session_refs == 2
                 inner.sweep(_sweep_spec())
             # Inner exit released its reference but left the pool alive.
@@ -178,15 +156,15 @@ class TestSessionPoolLifecycle:
         """A retained backend whose pool never booted must also have its
         retain state cleared by a force shutdown -- otherwise its stale
         reference keeps a later session's pool alive."""
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         stale = Session(profile)
-        backend = stale.backend  # retained, but no pool booted yet
+        backend = _pool(stale)  # retained, but no pool booted yet
         assert not backend.started and backend.session_refs == 1
         assert shutdown_pooled_backends() == 0  # nothing was running
         assert backend.session_refs == 0
         fresh = Session(profile)
         fresh.sweep(_sweep_spec())
-        assert fresh.backend is backend and backend.started
+        assert _pool(fresh) is backend and backend.started
         fresh.close()
         assert not backend.started  # stale's reference did not pin it
         stale.close()  # voided token: no-op
@@ -196,14 +174,14 @@ class TestSessionPoolLifecycle:
         its own (later) close, decrement a reference taken by a session
         created *after* the shutdown -- retain tokens are voided by
         generation."""
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         stale = Session(profile)
         stale.sweep(_sweep_spec())
-        backend = stale.backend
+        backend = _pool(stale)
         shutdown_pooled_backends()  # voids stale's retain token
         fresh = Session(profile)
         fresh.sweep(_sweep_spec())
-        assert fresh.backend is backend  # same shared shape
+        assert _pool(fresh) is backend  # same shared shape
         assert backend.session_refs == 1
         stale.close()  # stale token: must be a no-op on the refcount
         assert backend.session_refs == 1
@@ -216,10 +194,10 @@ class TestSessionPoolLifecycle:
     def test_force_shutdown_then_session_exit_is_safe(self):
         """shutdown_pooled_backends() is idempotent and clears retain
         counts, so a session exiting afterwards is a clean no-op."""
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         session = Session(profile)
         session.sweep(_sweep_spec())
-        backend = session.backend
+        backend = _pool(session)
         assert backend.started
         assert shutdown_pooled_backends() == 1
         assert shutdown_pooled_backends() == 0  # idempotent
@@ -232,7 +210,7 @@ class TestSessionPoolLifecycle:
         with Session(RuntimeProfile(backend="python", jobs=1)) as session:
             session.sweep(_sweep_spec())
             assert session._retained_pool is None
-        # No pooled backend was ever created, so nothing to shut down.
+        # No persistent pool was ever booted, so nothing to shut down.
         assert shutdown_pooled_backends() == 0
 
 
@@ -246,7 +224,7 @@ class TestSessionLeaksNothing:
         shm_dir = "/dev/shm"
         can_watch_shm = os.path.isdir(shm_dir)
         before_shm = set(os.listdir(shm_dir)) if can_watch_shm else set()
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         with Session(profile) as session:
             session.sweep(_sweep_spec())
             session.grid(_grid_spec())
@@ -254,7 +232,7 @@ class TestSessionLeaksNothing:
                 RunSpec(pair={"kind": "symmetric", "eta": 0.05},
                         omega=32, des_spot_checks=4)
             )
-            pids = _worker_pids(session.backend)
+            pids = _worker_pids(_pool(session))
         _assert_processes_exit(pids)
         assert not multiprocessing.active_children()
         if can_watch_shm:
@@ -263,7 +241,7 @@ class TestSessionLeaksNothing:
 
 
 class TestPooledPatternArena:
-    """PR-5 satellite: the pool-lifetime shared-memory pattern arena is
+    """ the pool-lifetime shared-memory pattern arena is
     created with the pool, grows only for new patterns, and never
     outlives the pool -- not on ``Session.__exit__`` and not on a force
     ``shutdown_pooled_backends()`` mid-session."""
@@ -283,10 +261,10 @@ class TestPooledPatternArena:
 
     def test_arena_reuse_across_sweeps_and_zero_leaks(self):
         before_shm = self._shm_listing()
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         with Session(profile) as session:
             session.sweep(_sweep_spec())
-            backend = session.backend
+            backend = _pool(session)
             arena = backend.arena
             assert arena is not None
             assert arena.segments >= 1
@@ -321,10 +299,10 @@ class TestPooledPatternArena:
 
     def test_force_shutdown_mid_session_releases_arena(self):
         before_shm = self._shm_listing()
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         with Session(profile) as session:
             expected = session.sweep(_sweep_spec()).raw
-            backend = session.backend
+            backend = _pool(session)
             first_arena = backend.arena
             assert first_arena is not None
             assert shutdown_pooled_backends() == 1
@@ -355,13 +333,11 @@ class TestPooledPatternArena:
         spec = _sweep_spec()
         with Session(RuntimeProfile(backend="python", jobs=1)) as session:
             expected = session.sweep(spec).raw
-        profile = RuntimeProfile(
-            backend="pooled", jobs=2, mp_context="spawn"
-        )
+        profile = RuntimeProfile(jobs=2, mp_context="spawn")
         with Session(profile) as session:
             got = session.sweep(spec)
-            assert session.backend.arena is not None
-            assert session.backend.arena.segments >= 1
+            assert _pool(session).arena is not None
+            assert _pool(session).arena.segments >= 1
         assert got.raw == expected
 
 

@@ -45,7 +45,7 @@ from repro.parallel.schedule import (
     use_cost_weights,
 )
 from repro.simulation import evaluate_offsets, ReceptionModel, sweep_offsets
-from repro.workloads import dense_network, Scenario, symmetric_pair
+from repro.workloads import dense_network, symmetric_pair
 
 
 def _small_pair():
@@ -58,7 +58,7 @@ class TestRegistry:
     def test_registered_names(self):
         names = available_backends()
         assert "python" in names
-        assert "pooled" in names
+        assert "pooled" not in names  # parallelism is jobs, not a backend
         assert ("numpy" in names) == have_numpy()
         assert ("native" in names) == (have_numba() and have_numpy())
 
@@ -79,19 +79,20 @@ class TestRegistry:
         backend = PythonBackend()
         assert resolve_backend(backend) is backend
 
-    def test_resolve_pooled_honours_shape(self):
-        backend = resolve_backend("pooled", jobs=2)
-        assert isinstance(backend, PooledBackend)
-        assert backend.jobs == 2
-        assert resolve_backend("pooled", jobs=2) is backend
+    def test_jobs_selects_shared_pool_for_shape(self):
+        pool = ParallelSweep(jobs=2, backend="python").pool()
+        assert isinstance(pool, PooledBackend)
+        assert pool.jobs == 2 and pool.inner == "python"
+        assert ParallelSweep(jobs=2, backend="python").pool() is pool
+        assert ParallelSweep(jobs=1, backend="python").pool() is None
 
     def test_pooled_inner_kernel_tracks_numpy_availability(self, monkeypatch):
-        """Resolving 'pooled' must re-detect the inner kernel per call,
-        not pin the first call's auto-detection forever."""
-        before = get_backend("pooled").inner
+        """A jobs > 1 executor must re-detect the pool's inner kernel per
+        call, not pin the first call's auto-detection forever."""
+        before = ParallelSweep(jobs=2).pool().inner
         assert before == default_backend_name()
         monkeypatch.setattr(_np, "np", None)
-        assert get_backend("pooled").inner == "python"
+        assert ParallelSweep(jobs=2).pool().inner == "python"
 
 
 class TestNumpyGuard:
@@ -236,7 +237,7 @@ class TestNumbaGuard:
     @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
     def test_pooled_inner_kernel_tracks_numba_availability(self, monkeypatch):
         _fake_numba(monkeypatch)
-        assert get_backend("pooled").inner == "native"
+        assert ParallelSweep(jobs=2).pool().inner == "native"
 
     def test_numpy_less_environment_disables_native_too(self, monkeypatch):
         """Simulated NumPy absence must disable the native tier (its
@@ -517,20 +518,18 @@ class TestEnumerateCriticalOffsets:
             ) == reference
 
     def test_pooled_delegates_in_process_without_booting(self):
-        """Enumeration through a pooled backend runs the inner kernel
-        in the parent -- no worker processes exist afterwards."""
+        """Under ``jobs > 1`` enumeration runs the session's kernel in
+        the parent -- the shared pool is retained but never booted."""
+        from repro.api import RuntimeProfile, Session
         from repro.simulation import critical_offsets
 
         protocol, _, _ = _small_pair()
-        backend = PooledBackend(inner="python", jobs=2)
-        try:
-            params = SweepParams(protocol, protocol, 0, ReceptionModel.POINT)
-            assert backend.enumerate_critical_offsets(
+        params = SweepParams(protocol, protocol, 0, ReceptionModel.POINT)
+        with Session(RuntimeProfile(jobs=2, backend="python")) as session:
+            assert session.backend.enumerate_critical_offsets(
                 params, omega=32
             ) == critical_offsets(protocol, protocol, omega=32)
-            assert not backend.started
-        finally:
-            backend.close()
+            assert not session._engine().pool().started
 
     @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
     def test_numpy_bit_identical_including_sort_regime(self, monkeypatch):
@@ -673,20 +672,6 @@ class TestCostModelCalibration:
             use_cost_weights(previous)
 
 
-class TestScenarioBackendField:
-    def test_default_none_and_validation(self):
-        scenario = dense_network(n_devices=3, eta=0.05)
-        assert scenario.backend is None
-        with pytest.raises(ValueError, match="backend"):
-            Scenario(
-                name="bad",
-                protocols=scenario.protocols,
-                phases=scenario.phases,
-                horizon=scenario.horizon,
-                backend=7,
-            )
-
-
 class TestCLIBackendFlag:
     def test_sweep_accepts_backend(self, capsys):
         from repro.cli import main
@@ -705,14 +690,28 @@ class TestCLIBackendFlag:
         ]) == 0
         assert "DES agrees       : True" in capsys.readouterr().out
 
-    def test_grid_accepts_pooled_backend(self, capsys):
+    def test_grid_runs_on_pool_and_pooled_name_rejected(self, capsys):
         from repro.cli import main
 
         assert main([
             "grid", "--devices", "3", "--etas", "0.05", "--jobs", "2",
-            "--backend", "pooled",
         ]) == 0
         assert "scenario" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["grid", "--devices", "3", "--backend", "pooled"])
+
+    @pytest.mark.parametrize("argv", [
+        ["grid", "--devices", "3", "--schedule", "steal"],
+        ["campaign", "run", "campaign.json", "--entry-jobs", "2"],
+    ], ids=["schedule", "entry-jobs"])
+    def test_removed_runtime_flags_rejected(self, argv, capsys):
+        """``--jobs`` is the only parallelism flag left."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_backend_rejected(self):
         from repro.cli import main

@@ -1,7 +1,6 @@
 """Campaign definitions, lattice expansion and resumable execution."""
 
 import json
-import threading
 from types import SimpleNamespace
 
 import pytest
@@ -309,54 +308,26 @@ class TestCampaignRunner:
 
 
 # ----------------------------------------------------------------------
-# Entry cost hints
-# ----------------------------------------------------------------------
-
-
-class TestEntryCostHints:
-    def test_cost_hints_positive_and_schedulable(self):
-        from repro.parallel.schedule import plan_longest_first
-
-        entries = tiny_campaign().expand()
-        costs = [entry.cost_hint() for entry in entries]
-        assert all(cost >= 1.0 for cost in costs)
-        order = plan_longest_first(entries)
-        assert sorted(order) == list(range(len(entries)))
-
-    def test_worst_case_prices_above_its_sweep(self):
-        sweep, worst = Campaign(
-            name="pair",
-            runs=[
-                {"verb": "sweep", "spec": BASE_SPEC},
-                {"verb": "worst_case", "spec": BASE_SPEC},
-            ],
-        ).expand()
-        assert worst.cost_hint() == pytest.approx(2.0 * sweep.cost_hint())
-
-    def test_more_samples_cost_more(self):
-        small, big = tiny_campaign(1).expand()[0], Campaign(
-            name="big",
-            runs=[{"verb": "sweep", "spec": dict(BASE_SPEC, samples=64)}],
-        ).expand()[0]
-        assert big.cost_hint() > small.cost_hint()
-
-    def test_unestimable_spec_ranks_neutrally(self):
-        from repro.api import RunSpec
-        from repro.campaign.campaign import CampaignEntry
-
-        entry = CampaignEntry(
-            index=0, run_index=0, verb="sweep", label="x", spec=RunSpec()
-        )
-        assert entry.cost_hint() == 1.0
-
-
-# ----------------------------------------------------------------------
-# Parallel entry execution
+# Campaigns under the parallel runtime (jobs > 1: the persistent pool)
 # ----------------------------------------------------------------------
 
 
 class TestParallelRunner:
+    """A campaign whose session runs ``jobs=2`` shards each entry's work
+    on the persistent pool; entries still execute one at a time in
+    lattice order, so capping, failure isolation and checkpointing
+    behave exactly as on the in-process runtime."""
+
+    @pytest.fixture(autouse=True)
+    def _no_pool_outlives_the_test(self):
+        from repro.backends import shutdown_pooled_backends
+
+        yield
+        assert shutdown_pooled_backends() == 0  # sessions released it
+
     def test_parallel_matches_serial(self, tmp_path):
+        from repro.api import RuntimeProfile
+
         campaign = tiny_campaign()
         serial_store = ResultStore(tmp_path / "serial")
         serial = CampaignRunner(
@@ -364,8 +335,9 @@ class TestParallelRunner:
         ).run()
         parallel_store = ResultStore(tmp_path / "parallel")
         parallel = CampaignRunner(
-            campaign, parallel_store, manifest_path=tmp_path / "mp.json"
-        ).run(entry_jobs=2)
+            campaign, parallel_store, profile=RuntimeProfile(jobs=2),
+            manifest_path=tmp_path / "mp.json",
+        ).run()
 
         assert parallel["complete"] and parallel["executed"] == 3
         assert (
@@ -378,52 +350,43 @@ class TestParallelRunner:
             (r["status"], r["source"]) for r in serial["entries"]
         ] == [(r["status"], r["source"]) for r in parallel["entries"]]
 
-    def test_entry_jobs_one_is_serial(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        runner = CampaignRunner(
-            tiny_campaign(), store, manifest_path=tmp_path / "m.json"
-        )
-        manifest = runner.run(entry_jobs=1)
-        assert manifest["complete"] and manifest["executed"] == 3
-
     def test_parallel_max_runs_caps_in_lattice_order(self, tmp_path):
+        from repro.api import RuntimeProfile
+
         store = ResultStore(tmp_path / "store")
         runner = CampaignRunner(
-            tiny_campaign(), store, manifest_path=tmp_path / "m.json"
+            tiny_campaign(), store, profile=RuntimeProfile(jobs=2),
+            manifest_path=tmp_path / "m.json",
         )
-        partial = runner.run(max_runs=1, entry_jobs=2)
+        partial = runner.run(max_runs=1)
         assert not partial["complete"]
         assert partial["executed"] == 1
-        # Same cap choice as the serial loop: first miss in lattice
-        # order executes, later misses are capped.
+        # First miss in lattice order executes, later misses are capped.
         assert [r["status"] for r in partial["entries"]] == [
             "done", "skipped", "skipped",
         ]
-        resumed = runner.run(entry_jobs=2)
+        resumed = runner.run()
         assert resumed["complete"]
         assert resumed["hits"] == 1 and resumed["executed"] == 2
 
     def test_parallel_per_entry_failure_isolated(self, tmp_path):
+        from repro.api import RuntimeProfile, Session
+
         store = ResultStore(tmp_path / "store")
         runner = CampaignRunner(
             tiny_campaign(), store, manifest_path=tmp_path / "m.json"
         )
-
-        from repro.api import Session
-
-        real = Session(store=store)
-        lock = threading.Lock()
+        real = Session(RuntimeProfile(jobs=2), store=store)
 
         def flaky_sweep(spec):
             if spec.pair["eta"] == 0.02:
                 raise RuntimeError("worker lost")
-            with lock:  # the shared real session is not thread-safe
-                return real.sweep(spec)
+            return real.sweep(spec)
 
         try:
-            manifest = runner.run(
-                session=SimpleNamespace(sweep=flaky_sweep), entry_jobs=2
-            )
+            manifest = runner.run(session=SimpleNamespace(sweep=flaky_sweep))
+            # The failure did not take the session's pool down with it.
+            assert real._engine().pool().started
         finally:
             real.close()
         assert manifest["failed"] == 1 and manifest["executed"] == 2
@@ -432,78 +395,36 @@ class TestParallelRunner:
         assert "RuntimeError: worker lost" in failed["error"]
 
     def test_parallel_interrupt_checkpoints_then_resumes(self, tmp_path):
+        from repro.api import RuntimeProfile, Session
+
+        profile = RuntimeProfile(jobs=2)
         store = ResultStore(tmp_path / "store")
         runner = CampaignRunner(
-            tiny_campaign(), store, manifest_path=tmp_path / "m.json"
+            tiny_campaign(), store, profile=profile,
+            manifest_path=tmp_path / "m.json",
         )
-
-        from repro.api import Session
-
-        real = Session(store=store)
-        lock = threading.Lock()
+        real = Session(profile, store=store)
 
         def dying_sweep(spec):
             if spec.pair["eta"] == 0.03:
                 raise KeyboardInterrupt
-            with lock:
-                return real.sweep(spec)
+            return real.sweep(spec)
 
         try:
             with pytest.raises(KeyboardInterrupt):
-                runner.run(
-                    session=SimpleNamespace(sweep=dying_sweep), entry_jobs=2
-                )
+                runner.run(session=SimpleNamespace(sweep=dying_sweep))
         finally:
             real.close()
 
         # The checkpoint on disk is a valid manifest with every record
-        # accounted for -- no record loss, no torn statuses.
+        # accounted for: the two entries before the interrupt are done.
         checkpoint = json.loads((tmp_path / "m.json").read_text())
         assert checkpoint["campaign"] == "tiny"
-        assert len(checkpoint["entries"]) == 3
-        assert all(
-            r["status"] in ("pending", "done") for r in checkpoint["entries"]
-        )
+        assert [r["status"] for r in checkpoint["entries"]] == [
+            "done", "done", "pending",
+        ]
         assert not checkpoint["complete"]
 
-        resumed = runner.run(entry_jobs=2)
+        resumed = runner.run()
         assert resumed["complete"]
-        assert all(r["status"] == "done" for r in resumed["entries"])
-
-    def test_parallel_uses_worker_sessions(self, tmp_path):
-        # An injected object exposing .worker() contributes one sibling
-        # per worker thread (the Session protocol); the doubles record
-        # which entries they served and every worker gets closed.
-        calls = []
-        closed = []
-
-        class FakeWorker:
-            def __init__(self, parent):
-                self.parent = parent
-
-            def sweep(self, spec):
-                calls.append((id(self), spec.pair["eta"]))
-                return SimpleNamespace(store_meta={"hit": False})
-
-            def close(self):
-                closed.append(id(self))
-
-        class FakeSession:
-            def __init__(self):
-                self.workers = []
-
-            def worker(self):
-                worker = FakeWorker(self)
-                self.workers.append(worker)
-                return worker
-
-        parent = FakeSession()
-        store = ResultStore(tmp_path / "store")
-        runner = CampaignRunner(
-            tiny_campaign(), store, manifest_path=tmp_path / "m.json"
-        )
-        manifest = runner.run(session=parent, entry_jobs=2)
-        assert manifest["executed"] == 3
-        assert sorted(eta for _, eta in calls) == [0.01, 0.02, 0.03]
-        assert 1 <= len(parent.workers) <= 2
-        assert sorted(closed) == sorted(id(w) for w in parent.workers)
+        assert resumed["hits"] == 2 and resumed["executed"] == 1

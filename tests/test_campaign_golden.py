@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import RuntimeProfile
 from repro.campaign import (
     build_golden_campaign,
     build_val_prot_campaign,
@@ -111,15 +112,17 @@ class TestValProtTable:
             val_prot_rows(ResultStore(tmp_path / "empty"))
 
 
-def test_parallel_run_content_equivalent_to_serial(warm_store, tmp_path):
-    # The parallel runner's hard gate: a cold golden run under
-    # --entry-jobs produces the same fingerprints with byte-identical
-    # payloads as the serial reference, the same done/executed
-    # partition, and regenerates the pinned CSVs byte-identically.
+def test_jobs2_run_content_equivalent_to_serial(warm_store, tmp_path):
+    # The process runtime's hard gate: a cold golden run under jobs=2
+    # (the persistent pool) produces the same fingerprints with
+    # byte-identical payloads as the serial reference, the same
+    # done/executed partition, and regenerates the pinned CSVs
+    # byte-identically.
     store = ResultStore(tmp_path / "store")
     manifest = CampaignRunner(
-        build_golden_campaign(), store, manifest_path=tmp_path / "m.json"
-    ).run(entry_jobs=4)
+        build_golden_campaign(), store, profile=RuntimeProfile(jobs=2),
+        manifest_path=tmp_path / "m.json",
+    ).run()
     assert manifest["complete"], manifest
     assert manifest["executed"] == manifest["total"]
     assert all(
@@ -135,5 +138,5 @@ def test_parallel_run_content_equivalent_to_serial(warm_store, tmp_path):
     written = regenerate_golden_csvs(store, tmp_path / "csv")
     for path in written:
         assert path.read_bytes() == (RESULTS / path.name).read_bytes(), (
-            f"{path.name} diverged under parallel campaign execution"
+            f"{path.name} diverged under the jobs=2 process runtime"
         )

@@ -59,11 +59,8 @@ except ImportError:  # pragma: no cover - exercised by the no-deps CI lane
     HAVE_HYPOTHESIS = False
 
 # The accelerated kernels to pin against the reference: everything
-# registered and runnable except the reference itself and the pooled
-# wrapper (which delegates enumeration to its inner kernel).
-FAST_KERNELS = [
-    name for name in available_backends() if name not in ("python", "pooled")
-]
+# registered and runnable except the reference itself.
+FAST_KERNELS = [name for name in available_backends() if name != "python"]
 
 # Dense sweeps above this hyperperiod would dominate the harness's
 # runtime; family parameters below are chosen so most draws land under

@@ -22,7 +22,7 @@ from repro.parallel import (
     ListeningCache,
     ParallelSweep,
 )
-from repro.parallel.executor import _chunk
+from repro.backends.base import chunk_evenly
 from repro.simulation import (
     evaluate_offsets,
     mutual_discovery_times,
@@ -145,18 +145,18 @@ class TestBatchEntryPoints:
 class TestParallelSweep:
     def test_chunking_partitions_in_order(self):
         items = list(range(17))
-        chunks = _chunk(items, 5)
+        chunks = chunk_evenly(items, 5)
         assert [x for chunk in chunks for x in chunk] == items
         assert len(chunks) == 5
         assert max(len(c) for c in chunks) - min(len(c) for c in chunks) <= 1
-        assert _chunk(items, 100) == [[x] for x in items]
+        assert chunk_evenly(items, 100) == [[x] for x in items]
 
     def test_bit_identical_to_serial_random_pairs(self):
-        """Property test: the chunked multiprocessing sweep reproduces
+        """Property test: the pooled multiprocessing sweep reproduces
         the serial report exactly -- counts, worsts, float means and
         tie-broken worst offsets."""
         rng = random.Random(11)
-        executor = ParallelSweep(jobs=2, chunks_per_job=3)
+        executor = ParallelSweep(jobs=2)
         for _ in range(3):
             protocol_e, protocol_f = random_pair(rng)
             offsets = [rng.randint(0, 20_000) for _ in range(120)]
@@ -191,7 +191,7 @@ class TestParallelSweep:
         offsets = list(range(0, 700))
         horizon = 5_000
         serial = sweep_offsets(adv, scan, offsets, horizon)
-        parallel = ParallelSweep(jobs=2, chunks_per_job=3).sweep_offsets(
+        parallel = ParallelSweep(jobs=2).sweep_offsets(
             adv, scan, offsets, horizon
         )
         assert parallel == serial
@@ -223,8 +223,6 @@ class TestParallelSweep:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             ParallelSweep(jobs=-1)
-        with pytest.raises(ValueError):
-            ParallelSweep(jobs=2, chunks_per_job=0)
 
 
 class TestNetworkGrid:
@@ -328,6 +326,22 @@ class TestSpotCheckSelection:
         )
         assert pooled == serial
         assert [analytic.offset for analytic, _ in pooled] == offsets
+
+    def test_short_spot_check_batch_stays_in_process(self):
+        """Below the estimated-event floor a ``jobs > 1`` batch replays
+        in-process: the shared pool is resolved but never booted."""
+        from repro.backends import shutdown_pooled_backends
+
+        protocol, design = synthesize_symmetric(32, 0.05)
+        horizon = design.worst_case_latency
+        offsets = [0, 1_234, 56_789, 111_111]
+        shutdown_pooled_backends()
+        executor = ParallelSweep(jobs=2)
+        got = executor.spot_check_pairs(protocol, protocol, offsets, horizon)
+        assert not executor.pool().started
+        assert got == ParallelSweep(jobs=1).spot_check_pairs(
+            protocol, protocol, offsets, horizon
+        )
 
 
 class TestMutualAssistanceFidelity:

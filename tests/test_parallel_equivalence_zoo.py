@@ -1,8 +1,8 @@
 """Zoo-wide equivalence harness: every execution path is bit-identical.
 
-The load-bearing invariant of the parallel runtime is that *all four*
-execution paths -- serial, chunked multiprocessing, shared-memory
-chunked, and work-stealing -- produce bit-identical results for every
+The load-bearing invariant of the parallel runtime is that both
+execution paths -- in-process and the persistent worker pool that
+``jobs > 1`` selects -- produce bit-identical results for every
 protocol family in the reproduction, including non-integer-period
 schedules (which disable the pattern cache) and the drift/jitter
 fidelity knobs of grid scenarios.  This file pins that invariant:
@@ -13,15 +13,14 @@ fidelity knobs of grid scenarios.  This file pins that invariant:
   float-period PI pair exercising the uncached fallback);
 * dedicated cases for the residue-memo and zero-copy shared-memory
   regimes, which small zoo schedules never reach;
-* grid equivalence across chunked vs work-stealing scheduling with
-  drift and advertising jitter enabled;
+* grid equivalence between the serial path and the work-stealing pool
+  with drift and advertising jitter enabled;
 * unit tests of the keyed cache registry (hit/miss/LRU/invalidation)
-  and the shared-memory segment lifecycle;
-* (PR 3) backend equivalence: ``python`` == ``numpy`` == ``pooled``
-  sweep kernels pinned bit-identical for every family under **all
-  three** reception models, plus persistent-pool lifecycle units (lazy
-  creation, reuse across sweeps, explicit shutdown, no leaked worker
-  processes);
+  and the pattern-arena segment lifecycle;
+* backend equivalence: ``python`` == ``numpy`` == ``jobs=2`` pinned
+  bit-identical for every family under **all three** reception
+  models, plus persistent-pool lifecycle units (lazy creation, reuse
+  across sweeps, explicit shutdown, no leaked worker processes);
 * (PR 4) Session-facade equivalence: :class:`repro.api.Session` verbs
   pinned bit-identical to the legacy kwarg entry points across all 13
   families, plus a session lifecycle test showing zero leaked worker
@@ -32,6 +31,7 @@ import os
 
 import pytest
 
+from repro.api import RunSpec, RuntimeProfile, Session
 from repro.backends import (
     available_backends,
     get_pooled_backend,
@@ -47,11 +47,15 @@ from repro.parallel import (
     ListeningCache,
     listening_cache_stats,
     ParallelSweep,
+    PatternArena,
     protocol_fingerprint,
-    SharedPatternStore,
 )
 from repro.parallel.cache import _MEMO_MIN_SEGMENTS, _REGISTRY
-from repro.parallel.shm import attach_pattern_caches, ZERO_COPY_MIN_SEGMENTS
+from repro.parallel.shm import (
+    _ARENA_REGISTERED,
+    attach_pattern_arena,
+    ZERO_COPY_MIN_SEGMENTS,
+)
 from repro.protocols import (
     Birthday,
     CorrelatedOneWay,
@@ -156,8 +160,9 @@ def _workload(protocol_e, protocol_f):
 
 @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
 def test_family_all_paths_bit_identical(family):
-    """serial == chunked == shared-memory for every protocol family,
-    as full per-offset outcome lists and as aggregated reports."""
+    """serial == in-process executor == persistent pool for every
+    protocol family, as full per-offset outcome lists and as aggregated
+    reports."""
     protocol_e, protocol_f = ZOO[family]()
     offsets, horizon = _workload(protocol_e, protocol_f)
     # Rotate the reception model per family so all three decode
@@ -174,8 +179,7 @@ def test_family_all_paths_bit_identical(family):
 
     paths = {
         "in-process-cached": ParallelSweep(jobs=1),
-        "chunked": ParallelSweep(jobs=2, chunks_per_job=3, shared_memory=False),
-        "shared-memory": ParallelSweep(jobs=2, chunks_per_job=3, shared_memory=True),
+        "pool": ParallelSweep(jobs=2),
     }
     for name, executor in paths.items():
         outcomes = executor.evaluate_offsets(
@@ -203,28 +207,36 @@ BACKENDS = available_backends()
 
 @pytest.fixture(scope="module", autouse=True)
 def _shutdown_pools_after_module():
-    """Persistent pools are shared module-wide (that is the point of the
-    pooled backend); shut them down when this module's tests finish."""
+    """Persistent pools are shared module-wide (that is the point of
+    them); shut them down when this module's tests finish."""
     yield
     shutdown_pooled_backends()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS + ["jobs=2"])
 @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
 def test_family_backends_bit_identical_all_models(family, backend):
-    """python == numpy == pooled kernels, pinned against the exact
-    uncached reference, for every family under all three reception
-    models -- full per-offset outcome lists, not just aggregates."""
+    """python == numpy == ``jobs=2`` (the persistent pool), pinned
+    against the exact uncached reference, for every family under all
+    three reception models -- full per-offset outcome lists, not just
+    aggregates."""
     protocol_e, protocol_f = ZOO[family]()
     offsets, horizon = _workload(protocol_e, protocol_f)
-    for model in MODELS:
-        serial = evaluate_offsets(
-            protocol_e, protocol_f, offsets, horizon, model
-        )
-        got = evaluate_offsets(
-            protocol_e, protocol_f, offsets, horizon, model, backend=backend
-        )
-        assert got == serial, (family, backend, model)
+    with Session(RuntimeProfile(jobs=2)) as session:
+        for model in MODELS:
+            serial = evaluate_offsets(
+                protocol_e, protocol_f, offsets, horizon, model
+            )
+            if backend == "jobs=2":
+                got = session._engine().evaluate_offsets(
+                    protocol_e, protocol_f, offsets, horizon, model
+                )
+            else:
+                got = evaluate_offsets(
+                    protocol_e, protocol_f, offsets, horizon, model,
+                    backend=backend,
+                )
+            assert got == serial, (family, backend, model)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -234,7 +246,7 @@ def test_backend_threads_through_parallel_sweep(backend):
     protocol_e, protocol_f = ZOO["disco"]()
     offsets, horizon = _workload(protocol_e, protocol_f)
     serial = evaluate_offsets(protocol_e, protocol_f, offsets, horizon)
-    executor = ParallelSweep(jobs=2, chunks_per_job=3, backend=backend)
+    executor = ParallelSweep(jobs=2, backend=backend)
     assert executor.evaluate_offsets(
         protocol_e, protocol_f, offsets, horizon
     ) == serial
@@ -289,10 +301,10 @@ def test_large_pattern_regimes_bit_identical(gap, window_period, regime):
     horizon = 6 * window_period
 
     serial = evaluate_offsets(protocol_e, protocol_f, offsets, horizon)
-    for shared_memory in (False, True):
-        executor = ParallelSweep(jobs=2, shared_memory=shared_memory)
-        got = executor.evaluate_offsets(protocol_e, protocol_f, offsets, horizon)
-        assert got == serial, (regime, shared_memory)
+    got = ParallelSweep(jobs=2).evaluate_offsets(
+        protocol_e, protocol_f, offsets, horizon
+    )
+    assert got == serial, regime
     for backend in available_backends():
         got = evaluate_offsets(
             protocol_e, protocol_f, offsets, horizon, backend=backend
@@ -300,9 +312,9 @@ def test_large_pattern_regimes_bit_identical(gap, window_period, regime):
         assert got == serial, (regime, backend)
 
 
-def test_grid_chunk_vs_steal_with_fidelity_knobs():
-    """Work-stealing == chunked == serial for grids mixing device
-    counts, drift and staggered joins, with advertising jitter on."""
+def test_grid_pool_matches_serial_with_fidelity_knobs():
+    """Work-stealing pool == serial for grids mixing device counts,
+    drift and staggered joins, with advertising jitter on."""
     grid = (
         scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1])
         + [drifting_pair(eta=0.05, drift_ppm=40, seed=2)]
@@ -310,9 +322,7 @@ def test_grid_chunk_vs_steal_with_fidelity_knobs():
     )
     kwargs = dict(base_seed=11, advertising_jitter=300)
     serial = sweep_network_grid(grid, jobs=1, **kwargs)
-    chunked = sweep_network_grid(grid, jobs=2, schedule="chunk", **kwargs)
-    stolen = sweep_network_grid(grid, jobs=2, schedule="steal", **kwargs)
-    assert chunked == serial
+    stolen = sweep_network_grid(grid, jobs=2, **kwargs)
     assert stolen == serial
     # The jitter knob actually reached the simulation: a different
     # jitter bound must move at least one scenario's outcome.
@@ -385,18 +395,25 @@ class TestKeyedCacheRegistry:
         assert protocol_fingerprint(protocols[-1], 0) in _REGISTRY
 
 
-class TestSharedMemoryLifecycle:
+class TestPatternArenaLifecycle:
+    @pytest.fixture(autouse=True)
+    def _fresh_worker_side(self):
+        """Attach state is per-process; start and end each test clean."""
+        _ARENA_REGISTERED.clear()
+        yield
+        _ARENA_REGISTERED.clear()
+
     def test_publish_attach_roundtrip_decisions(self):
         protocol, _ = ZOO["searchlight"]()
         fingerprint = protocol_fingerprint(protocol)
         cache = ListeningCache(protocol)
         assert cache.enabled
-        with SharedPatternStore() as store:
-            handle = store.publish({fingerprint: cache})
-            assert handle is not None
+        with PatternArena() as arena:
+            assert arena.ensure({fingerprint: cache}) == 1
+            (handle,) = arena.handles_for([fingerprint])
             assert handle.total_words == 2 * cache.pattern_segments
             invalidate_listening_caches()
-            assert attach_pattern_caches(handle, [(protocol, 0)]) == 1
+            assert attach_pattern_arena((handle,), [(protocol, 0)]) == 1
             attached = _REGISTRY[fingerprint]
             assert attached is not cache and attached.enabled
             for start in (0, 99, 1234, 55555):
@@ -404,36 +421,40 @@ class TestSharedMemoryLifecycle:
                     assert attached.packet_heard(
                         7, start, start + OMEGA, model
                     ) == packet_heard(protocol, 7, start, start + OMEGA, model, 0)
+            # Idempotent per fingerprint: a second chunk attaches nothing.
+            assert attach_pattern_arena((handle,), [(protocol, 0)]) == 0
 
-    def test_store_unlinks_on_exit(self):
+    def test_arena_unlinks_on_exit(self):
         from multiprocessing import shared_memory
 
         protocol, _ = ZOO["disco"]()
-        cache = ListeningCache(protocol)
-        with SharedPatternStore() as store:
-            handle = store.publish({protocol_fingerprint(protocol): cache})
+        fingerprint = protocol_fingerprint(protocol)
+        with PatternArena() as arena:
+            arena.ensure({fingerprint: ListeningCache(protocol)})
+            (handle,) = arena.handles_for([fingerprint])
             name = handle.shm_name
             probe = shared_memory.SharedMemory(name=name)
             probe.close()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
-        store.close()  # idempotent after exit
+        arena.close()  # idempotent after exit
 
     def test_disabled_patterns_publish_nothing(self):
         adv, scan = _float_pi_pair()
         cache = ListeningCache(scan)
         assert not cache.enabled
-        with SharedPatternStore() as store:
-            assert store.publish({protocol_fingerprint(scan): cache}) is None
-            assert store.handle is None
+        with PatternArena() as arena:
+            assert arena.ensure({protocol_fingerprint(scan): cache}) == 0
+            assert arena.segments == 0
 
     def test_attach_ignores_unknown_fingerprints(self):
         protocol, _ = ZOO["disco"]()
         other, _ = ZOO["nihao"]()
-        cache = ListeningCache(protocol)
-        with SharedPatternStore() as store:
-            handle = store.publish({protocol_fingerprint(protocol): cache})
-            assert attach_pattern_caches(handle, [(other, 0)]) == 0
+        fingerprint = protocol_fingerprint(protocol)
+        with PatternArena() as arena:
+            arena.ensure({fingerprint: ListeningCache(protocol)})
+            handles = arena.handles_for([fingerprint])
+            assert attach_pattern_arena(handles, [(other, 0)]) == 0
 
 
 def _worker_pids(backend, count=8):
@@ -459,7 +480,7 @@ def _assert_processes_exit(pids, timeout_s=10.0):
 
 
 class TestPersistentPoolLifecycle:
-    """The pooled backend's contract: lazy creation, reuse across
+    """The persistent pool's contract: lazy creation, reuse across
     sweeps, explicit shutdown, no leaked worker processes."""
 
     def _params(self):
@@ -522,10 +543,10 @@ class TestPersistentPoolLifecycle:
         c = get_pooled_backend(jobs=3)
         assert a is b
         assert a is not c
-        # ParallelSweep resolves "pooled" through the same shared map,
-        # so independent sweeps reuse one warm pool.
-        sweep = ParallelSweep(jobs=2, backend="pooled")
-        assert sweep._resolve_backend() is a
+        # Every jobs=2 ParallelSweep resolves the same shared map, so
+        # independent sweeps reuse one warm pool.
+        assert ParallelSweep(jobs=2).pool() is a
+        assert ParallelSweep(jobs=1).pool() is None
 
     def test_shutdown_pooled_backends_counts_live_pools_only(self):
         shutdown_pooled_backends()
@@ -538,15 +559,15 @@ class TestPersistentPoolLifecycle:
         _assert_processes_exit(pids)
 
     def test_grid_and_spot_checks_reuse_persistent_pool(self):
-        """sweep_network_grid and DES spot-checks share the pooled
+        """sweep_network_grid and DES spot-checks share the pool's
         workers and stay bit-identical to the serial path."""
         grid = scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1])
         serial = sweep_network_grid(grid, jobs=1, base_seed=5)
-        pooled = sweep_network_grid(grid, jobs=2, base_seed=5, backend="pooled")
+        pooled = sweep_network_grid(grid, jobs=2, base_seed=5)
         assert pooled == serial
         protocol_e, protocol_f = ZOO["disco"]()
         offsets, horizon = _workload(protocol_e, protocol_f)
-        executor = ParallelSweep(jobs=2, backend="pooled")
+        executor = ParallelSweep(jobs=2)
         reference = ParallelSweep(jobs=1).spot_check_pairs(
             protocol_e, protocol_f, offsets[:4], horizon
         )
@@ -554,26 +575,16 @@ class TestPersistentPoolLifecycle:
             protocol_e, protocol_f, offsets[:4], horizon
         ) == reference
 
-    def test_scenario_backend_preference_reaches_grid_driver(self):
-        grid = scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05], seed=[0])
-        for scenario in grid:
-            scenario.backend = "pooled"
-        serial = sweep_network_grid(grid, jobs=1, base_seed=3)
-        assert sweep_network_grid(grid, jobs=2, base_seed=3) == serial
-
 
 # ----------------------------------------------------------------------
 # PR 4: the Session facade vs the legacy kwarg entry points
 # ----------------------------------------------------------------------
 
-from repro.api import RunSpec, RuntimeProfile, Session  # noqa: E402
-
-
 @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
 def test_session_sweep_matches_legacy_entry_points(family):
     """Session.sweep pinned bit-identical to the legacy kwarg paths --
-    the exact reference, the kwarg-threaded backend selection, and the
-    chunked ParallelSweep -- for every protocol family."""
+    the exact reference and the kwarg-threaded backend selection -- for
+    every protocol family."""
     protocol_e, protocol_f = ZOO[family]()
     offsets, horizon = _workload(protocol_e, protocol_f)
     model = MODELS[sorted(ZOO).index(family) % len(MODELS)]
@@ -596,17 +607,17 @@ def test_session_sweep_matches_legacy_entry_points(family):
 
 
 def test_session_sweep_sharded_matches_legacy():
-    """The multi-worker facade path (jobs=2, shared memory) equals the
-    legacy sharded executor and the serial reference."""
+    """The multi-worker facade path (jobs=2, the persistent pool) equals
+    the sharded executor and the serial reference."""
     protocol_e, protocol_f = ZOO["disco"]()
     offsets, horizon = _workload(protocol_e, protocol_f)
     serial = sweep_offsets(protocol_e, protocol_f, offsets, horizon)
-    legacy = ParallelSweep(jobs=2, chunks_per_job=3).sweep_offsets(
+    legacy = ParallelSweep(jobs=2).sweep_offsets(
         protocol_e, protocol_f, offsets, horizon
     )
     spec = RunSpec(pair=(protocol_e, protocol_f), offsets=list(offsets),
                    horizon=horizon)
-    with Session(RuntimeProfile(jobs=2, chunks_per_job=3)) as session:
+    with Session(RuntimeProfile(jobs=2)) as session:
         facade = session.sweep(spec).raw
     assert facade == serial == legacy
 
@@ -656,17 +667,17 @@ def test_session_lifecycle_leaks_nothing():
     offsets, horizon = _workload(protocol_e, protocol_f)
     spec = RunSpec(pair=(protocol_e, protocol_f), offsets=list(offsets),
                    horizon=horizon)
-    with Session(RuntimeProfile(backend="pooled", jobs=2)) as session:
+    with Session(RuntimeProfile(jobs=2)) as session:
         session.sweep(spec)
         session.grid(RunSpec(
             grid=scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05],
                                seed=[0]),
             seed=7,
         ))
-        backend = session.backend
-        assert backend.started
-        pids = _worker_pids(backend)
-    assert not backend.started
+        pool = session._engine().pool()
+        assert pool.started
+        pids = _worker_pids(pool)
+    assert not pool.started
     _assert_processes_exit(pids)
     if can_watch_shm:
         leaked = set(os.listdir(shm_dir)) - before_shm

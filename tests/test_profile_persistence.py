@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.api import RuntimeProfile
+from repro.api import RuntimeProfile, SpecError
 from repro.cli import main
 
 
@@ -15,9 +15,7 @@ class TestSaveRoundTrip:
         profile = RuntimeProfile(
             backend="numpy",
             jobs=4,
-            schedule="chunk",
-            chunks_per_job=8,
-            shared_memory=False,
+            mp_context="spawn",
             cache_policy="release",
             cost_weights=(1.5e-6, 3.25e-5),
             store="results/store",
@@ -40,6 +38,21 @@ class TestSaveRoundTrip:
         path = RuntimeProfile().save(tmp_path / "a" / "b" / "p.toml")
         assert path.exists()
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('schedule = "steal"', "'schedule' was removed"),
+            ("shared_memory = true", "'shared_memory' was removed"),
+            ("chunks_per_job = 4", "'chunks_per_job' was removed"),
+            ('backend = "pooled"', "jobs > 1 now selects"),
+        ],
+    )
+    def test_load_rejects_removed_fields(self, tmp_path, line, message):
+        path = tmp_path / "profile.toml"
+        path.write_text(f"jobs = 2\n{line}\n")
+        with pytest.raises(SpecError, match=message):
+            RuntimeProfile.load(path)
+
 
 class TestCliSaveProfile:
     def test_requires_profile_path(self, capsys):
@@ -51,7 +64,7 @@ class TestCliSaveProfile:
 
     def test_calibrated_weights_written_back(self, tmp_path, capsys):
         path = tmp_path / "profile.toml"
-        RuntimeProfile(jobs=1, schedule="chunk").save(path)
+        RuntimeProfile(jobs=1, cache_policy="release").save(path)
         code = main([
             "grid", "--devices", "3,4", "--etas", "0.02",
             "--profile", str(path), "--save-profile",
@@ -64,7 +77,7 @@ class TestCliSaveProfile:
         w_beacon, w_window = saved.cost_weights
         assert w_beacon > 0 and w_window >= 0
         # ...and the rest of the file profile survived untouched.
-        assert saved.jobs == 1 and saved.schedule == "chunk"
+        assert saved.jobs == 1 and saved.cache_policy == "release"
         assert saved.auto_calibrate is False
 
     def test_one_shot_flag_overrides_not_persisted(self, tmp_path):

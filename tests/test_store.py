@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -382,6 +383,10 @@ class TestStoreCopySemantics:
 # ----------------------------------------------------------------------
 
 
+#: Upper bound on each racing reader's passes over the fingerprints.
+READER_PASSES = 500
+
+
 class TestConcurrentGetGc:
     def test_evicted_entry_is_clean_miss_not_quarantine(self, tmp_path):
         # The deterministic core of the race: gc lands between a
@@ -430,8 +435,13 @@ class TestConcurrentGetGc:
         observed = {"misses": 0, "hits": 0}
 
         def reader():
+            # Bounded passes that yield the GIL each time round: busy
+            # readers would otherwise starve the churner, and the test's
+            # runtime would depend on the scheduler.
             try:
-                while not stop.is_set():
+                for _ in range(READER_PASSES):
+                    if stop.is_set():
+                        break
                     for fp in fps:
                         got = store.get(fp)
                         if got is None:
@@ -439,6 +449,7 @@ class TestConcurrentGetGc:
                         else:
                             assert got.payload == payloads[fp]
                             observed["hits"] += 1
+                    time.sleep(0)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
                 stop.set()
@@ -530,7 +541,7 @@ class TestSessionStore:
 
     def test_hits_invariant_across_runtime_profiles(self, tmp_path):
         # The acceptance property: RuntimeProfile knobs (backend/jobs/
-        # schedule) never change identity, so a store warmed under one
+        # mp_context) never change identity, so a store warmed under one
         # profile serves every other profile.
         store = ResultStore(tmp_path / "store")
         with Session(RuntimeProfile(backend="python"), store=store) as s:
@@ -538,7 +549,7 @@ class TestSessionStore:
         assert cold.store_meta["hit"] is False
         for profile in (
             RuntimeProfile(backend="auto"),
-            RuntimeProfile(jobs=2, schedule="chunk"),
+            RuntimeProfile(jobs=2, mp_context="spawn"),
         ):
             with Session(profile, store=store) as s:
                 warm = s.sweep(SPEC)

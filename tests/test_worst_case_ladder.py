@@ -20,6 +20,7 @@ Four contract groups:
 """
 
 import asyncio
+import dataclasses
 import json
 import math
 
@@ -115,12 +116,15 @@ def _legacy_engine(
 # ----------------------------------------------------------------------
 # Ladder equivalence: exact mode == the pre-ladder engine, whole zoo.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS + ["jobs=2"])
 @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
 def test_exact_mode_bit_identical_to_legacy_engine(family, backend):
     protocol_e, protocol_f = ZOO[family]()
     horizon = _horizon(protocol_e, protocol_f)
-    sweeper = ParallelSweep(jobs=1, backend=backend)
+    sweeper = (
+        ParallelSweep(jobs=2) if backend == "jobs=2"
+        else ParallelSweep(jobs=1, backend=backend)
+    )
     report, agrees, n_offsets, fell_back = _legacy_engine(
         protocol_e, protocol_f, horizon, OMEGA, sweeper
     )
@@ -307,6 +311,44 @@ def test_over_budget_critical_tier_is_priced_and_skipped(pinned_weights):
     }
     dense = next(t for t in outcome.tiers if t["tier"] == "dense")
     assert dense["ran"] and dense["offsets"] == outcome.offsets_checked
+
+
+@pytest.mark.parametrize("budget_ms", [None, 1e6], ids=["exact", "budgeted"])
+def test_des_mismatch_runs_one_batch_and_counts_its_replays(
+    pinned_weights, budget_ms
+):
+    """A disagreeing DES batch decides the verdict on its own: no second
+    batch replays neighbouring offsets, and the ``des`` tier's
+    ``checks`` counts exactly the replays that ran."""
+    protocol_e, protocol_f = _disco_pair()
+    horizon = _horizon(protocol_e, protocol_f)
+    batches = []
+
+    class ContradictingSweeper(ParallelSweep):
+        def spot_check_pairs(self, protocol_e, protocol_f, offsets, *args):
+            batches.append(list(offsets))
+            return [
+                (analytic, dataclasses.replace(des, e_discovered_by_f=-1))
+                for analytic, des in super().spot_check_pairs(
+                    protocol_e, protocol_f, offsets, *args
+                )
+            ]
+
+    outcome = _verified_worst_case_impl(
+        protocol_e, protocol_f, horizon, omega=OMEGA,
+        des_spot_checks=SPOT_CHECKS, sweeper=ContradictingSweeper(jobs=1),
+        fidelity="exact" if budget_ms is None else "bounded",
+        budget_ms=budget_ms,
+    )
+    assert outcome.des_agrees is False
+    assert len(batches) == 1 and batches[0]
+    des = next(t for t in outcome.tiers if t["tier"] == "des")
+    assert des["checks"] == len(batches[0])
+    if budget_ms is not None:
+        # Budget to spare: the removed escalation would have replayed
+        # the unused half of the allocation.
+        assert des["allocation"] > des["checks"]
+    assert all("escalated" not in tier for tier in outcome.tiers)
 
 
 def test_low_discrepancy_offsets_prefix_nested():
