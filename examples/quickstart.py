@@ -10,9 +10,10 @@ schedule that attains them, then validate it through the **unified
 experiment API** -- one declarative :class:`repro.api.RunSpec` per
 experiment, one lifecycle-managed :class:`repro.api.Session` running
 them all.  The session resolves the sweep backend once (set
-``REPRO_BACKEND=python|numpy|native`` and ``REPRO_JOBS=N``, or pass a
-:class:`repro.api.RuntimeProfile` to choose; ``jobs > 1`` runs on one
-persistent worker pool), owns that pool, and returns :class:`repro.api.RunResult` objects that carry
+``REPRO_BACKEND=python|numpy`` and ``REPRO_JOBS=N``, or pass a
+:class:`repro.api.RuntimeProfile` to choose -- the only place runtime
+is set; ``jobs > 1`` runs on one persistent worker pool), owns that
+pool, and returns :class:`repro.api.RunResult` objects that carry
 their full reproduction recipe (spec + profile + backend + timings) and
 round-trip to JSON.
 """

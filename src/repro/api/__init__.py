@@ -42,10 +42,13 @@ identical provenance), ``fallback_used``, and the ``budget_ms`` it was
 answered under -- serialized under ``payload["provenance"]`` and
 rehydrated by :func:`repro.api.result.rehydrate_raw`.
 
-The pre-Session entry points (``evaluate_offsets(backend=)``,
-``verified_worst_case(jobs=)``, ``sweep_network_grid(jobs=)``, ...)
-remain as thin shims over this facade behind the single deprecation
-path of :mod:`repro.api._compat`.
+Runtime behaviour is set only here: a :class:`RuntimeProfile` on a
+:class:`Session`, or a :class:`repro.parallel.ParallelSweep` executor
+built with ``jobs``/``backend``.  The plain functions of
+:mod:`repro.simulation` take no runtime kwargs: ``evaluate_offsets`` /
+``sweep_offsets`` are the uncached reference computation, and
+``verified_worst_case`` / ``sweep_network_grid`` run in-process on the
+auto-detected kernel.
 
 Quickstart::
 
@@ -57,7 +60,6 @@ Quickstart::
         result.save("results")
 """
 
-from ._compat import LegacyRuntimeAPIWarning
 from .result import RunResult
 from .session import Session
 from .spec import (
@@ -73,7 +75,6 @@ __all__ = [
     "build_grid",
     "build_pair",
     "build_scenario",
-    "LegacyRuntimeAPIWarning",
     "RunResult",
     "RunSpec",
     "RuntimeProfile",

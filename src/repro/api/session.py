@@ -45,7 +45,7 @@ The session *owns* what it creates and releases it deterministically on
 Every verb returns a :class:`~repro.api.RunResult` carrying the spec
 and profile snapshots, the resolved backend name and phase timings --
 the full reproduction recipe -- and results are **bit-identical** to
-the legacy kwarg entry points for every backend/jobs combination
+the uncached reference computation for every backend/jobs combination
 (pinned zoo-wide by ``tests/test_parallel_equivalence_zoo.py``).
 """
 
@@ -59,25 +59,7 @@ from typing import Mapping
 from .result import network_result_payload, RunResult, sweep_report_payload
 from .spec import build_grid, build_pair, build_scenario, RunSpec, RuntimeProfile
 
-__all__ = ["Session", "evaluate_offsets_with_backend"]
-
-
-def evaluate_offsets_with_backend(
-    protocol_e, protocol_f, offsets, horizon, model, turnaround, backend
-):
-    """Facade-internal in-process batch evaluation.
-
-    The engine behind the ``evaluate_offsets(backend=...)`` legacy shim:
-    resolve the kernel once and run it in-process, exactly as the
-    pre-Session entry point did.  Backend selection knowledge lives
-    here, in the facade layer, not in :mod:`repro.simulation.analytic`.
-    """
-    from ..backends import resolve_backend, SweepParams
-
-    return resolve_backend(backend).evaluate_offsets_batch(
-        SweepParams(protocol_e, protocol_f, horizon, model, turnaround),
-        list(offsets),
-    )
+__all__ = ["Session"]
 
 
 def _as_spec(spec) -> RunSpec:
@@ -137,14 +119,6 @@ class Session:
         self._backend = None
         self._retained_pool = None
         self._retain_token = None
-        #: Whether this session takes a retain/release reference on its
-        #: persistent pool.  True for user sessions (the
-        #: deterministic-shutdown contract); the never-closed legacy-shim
-        #: sessions set it False so they keep the pre-Session semantics
-        #: -- pools live until ``shutdown_pooled_backends()``/``atexit``
-        #: -- without pinning a refcount that would block a concurrent
-        #: ``with Session(...)`` from shutting its own pool down.
-        self._owns_pools = True
         self._activated = False
         self._weights_installed = False
         self._previous_weights = None
@@ -262,7 +236,7 @@ class Session:
         Deterministic by design: pool workers are gone (or handed to
         an outer session still holding the shared pool) by the time
         this returns -- the ``atexit`` backstop exists only for
-        non-session legacy callers.
+        executors used without a session.
         """
         if self._closed:
             return
@@ -325,7 +299,7 @@ class Session:
                     f"RuntimeProfile.backend: {exc.args[0]}"
                 ) from exc
             pool = sweeper.pool()
-            if self._owns_pools and pool is not None:
+            if pool is not None:
                 self._retain_token = pool.retain()
                 self._retained_pool = pool
             self._sweeper = sweeper

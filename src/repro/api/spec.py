@@ -649,21 +649,3 @@ class RuntimeProfile(_SerializableConfig):
                     f"got {os.environ['REPRO_JOBS']!r}"
                 ) from exc
         return profile.replace(**overrides) if overrides else profile
-
-    def cache_key(self) -> tuple:
-        """A hashable identity for legacy-shim session sharing.
-
-        Field-driven so a future profile field can never be silently
-        omitted (which would alias two different profiles onto one
-        shared legacy session); unhashable values -- backend instances
-        -- key by object identity.
-        """
-        parts = []
-        for profile_field in fields(self):
-            value = getattr(self, profile_field.name)
-            if not isinstance(
-                value, (str, int, float, bool, tuple, type(None))
-            ):
-                value = ("instance", id(value))
-            parts.append(value)
-        return tuple(parts)

@@ -6,9 +6,11 @@ precomputed listening pattern.  This package inverts the dependency
 structure of PR 1-2: instead of callers reaching into cache/evaluator
 internals, kernels implement
 :meth:`SweepBackend.evaluate_offsets_batch(params, offsets)` and
-register by name, and every layer above (``analytic.evaluate_offsets``,
-:class:`repro.parallel.ParallelSweep`, ``verified_worst_case``, the
-CLI's ``--backend`` flag) selects one without knowing how it computes.
+register by name, and every layer above
+(:class:`repro.parallel.ParallelSweep`, :class:`repro.api.Session`,
+the CLI's ``--backend`` flag) selects one without knowing how it
+computes.  ``analytic.evaluate_offsets`` stays the uncached reference
+computation and selects no kernel.
 
 Backend-selection contract
 --------------------------
@@ -26,18 +28,10 @@ Backend-selection contract
   (``pip install repro-nd[fast]``), never a hard dependency --
   :mod:`repro.backends._np` is the one import-guard shim every
   vectorizing module goes through.
-* ``"native"`` -- the compiled kernel
-  (:mod:`repro.backends.native_kernel`): the whole per-lane discovery
-  loop jitted with ``numba.njit(cache=True)`` over the same int64
-  arrays, zero per-candidate dispatch.  Available only when Numba
-  (and NumPy, for the array plumbing) are importable --
-  :mod:`repro.backends._numba` is the matching import-guard shim --
-  and likewise an optional extra (``pip install repro-nd[native]``).
-* ``"auto"`` (or ``None``) -- :func:`default_backend_name`:
-  ``native`` when Numba is importable, else ``numpy`` when NumPy is,
-  ``python`` fallback.  All defaults route through auto-detection, so
-  installing an extra is the only step a deployment needs to get the
-  fastest kernel everywhere.
+* ``"auto"`` (or ``None``) -- :func:`default_backend_name`: ``numpy``
+  when NumPy is importable, ``python`` fallback.  All defaults route
+  through auto-detection, so installing the extra is the only step a
+  deployment needs to get the fastest kernel everywhere.
 
 Whatever the selection, results are **bit-identical** by contract: the
 same ``DiscoveryOutcome`` sequence in the same order for every protocol
@@ -57,8 +51,8 @@ first evaluated candidate's decode positions once, then advance each
 ``(residue, segment-index)`` pair by the shared stride delta,
 re-resolving only the windows whose segment index changed -- amortized
 O(changed windows) per offset instead of O(log pattern) per candidate.
-Both the ``numpy`` and ``native`` kernels use it as an internal fast
-path, gated on these preconditions (any miss falls back to the plain
+The ``numpy`` kernel uses it as an internal fast path, gated on these
+preconditions (any miss falls back to the plain
 batch kernel, never to approximation):
 
 * the offset batch is an arithmetic progression of at least
@@ -66,9 +60,8 @@ batch kernel, never to approximation):
 * the receiver's listening pattern is precomputed and non-empty;
 * every beacon duration fits within the pattern hyperperiod.
 
-``NumpyBackend(use_incremental=False)`` /
-``NativeBackend(use_incremental=False)`` are the benching escape
-hatches that force the plain batch formulation.
+``NumpyBackend(use_incremental=False)`` is the benching escape hatch
+that forces the plain batch formulation.
 
 The ``enumerate_critical_offsets`` operation (PR 5)
 ---------------------------------------------------
@@ -118,7 +111,8 @@ survives across batches (and across ``ParallelSweep`` instances, via
 worker-side pattern registries stay warm.  Shutdown is explicit --
 ``pool.close()``, the context-manager protocol, or
 :func:`~repro.backends.pooled.shutdown_pooled_backends` (idempotent) --
-with an ``atexit`` hook as the no-leak backstop for legacy callers.
+with an ``atexit`` hook as the no-leak backstop for callers that hold
+no session.
 
 The preferred owner is a :class:`repro.api.Session`: a ``jobs > 1``
 session takes a :meth:`~repro.backends.pooled.PooledBackend.retain`
@@ -126,8 +120,9 @@ reference and releases it on ``__exit__``, so nested sessions sharing
 one profile share one pool and the pool closes deterministically --
 without ``atexit`` -- exactly when the last owning session exits.
 Backend *selection* likewise flows from one
-:class:`repro.api.RuntimeProfile` (``profile.backend``) instead of
-per-call ``backend=`` kwargs, which survive only as deprecated shims.
+:class:`repro.api.RuntimeProfile` (``profile.backend``) or a
+``ParallelSweep(backend=...)`` executor; no entry point takes a
+per-call ``backend=`` kwarg.
 """
 
 from .base import (
@@ -142,8 +137,6 @@ from .base import (
     SweepParams,
 )
 from ._np import have_numpy, numpy_version
-from ._numba import have_numba, numba_version
-from .native_kernel import NativeBackend
 from .numpy_kernel import NumpyBackend
 from .pooled import (
     get_pooled_backend,
@@ -154,7 +147,6 @@ from .python_loop import CachedPairEvaluator, PythonBackend
 
 register_backend("python", PythonBackend)
 register_backend("numpy", NumpyBackend)
-register_backend("native", NativeBackend)
 
 __all__ = [
     "available_backends",
@@ -164,10 +156,7 @@ __all__ = [
     "default_backend_name",
     "get_backend",
     "get_pooled_backend",
-    "have_numba",
     "have_numpy",
-    "NativeBackend",
-    "numba_version",
     "numpy_version",
     "NumpyBackend",
     "PooledBackend",

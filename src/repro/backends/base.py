@@ -20,7 +20,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from . import _np, _numba
+from . import _np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.sequences import NDProtocol
@@ -174,10 +174,8 @@ def available_backends() -> list[str]:
 
 
 def default_backend_name() -> str:
-    """Auto-detection: ``native`` when Numba (and NumPy) are importable,
-    else ``numpy`` when NumPy is, ``python`` fallback."""
-    if _numba.numba is not None and _np.np is not None:
-        return "native"
+    """Auto-detection: ``numpy`` when NumPy is importable, ``python``
+    fallback."""
     return "numpy" if _np.np is not None else "python"
 
 
@@ -201,11 +199,6 @@ def get_backend(name: str) -> SweepBackend:
             hint = (
                 " (NumPy not importable; `pip install repro-nd[fast]`"
                 " or select backend='python')"
-            )
-        elif name == "native":
-            hint = (
-                " (Numba not importable; `pip install repro-nd[native]`"
-                " or select backend='numpy'/'python')"
             )
         raise BackendUnavailable(
             f"backend {name!r} is not available in this environment" + hint

@@ -54,9 +54,7 @@ delta ``dC`` is offset-independent, so the state machine itself never
 reads the stride; the gate keeps the fast path on the workload shape it
 is measured on.)
 
-The ``native`` kernel (:mod:`repro.backends.native_kernel`) runs the
-same formulation serially per lane inside its compiled loops; this
-module is the vectorized rendition the ``numpy`` kernel uses.
+The ``numpy`` kernel is the one caller.
 """
 
 from __future__ import annotations

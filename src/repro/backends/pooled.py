@@ -3,8 +3,8 @@
 Every batch this package shards -- offset sweeps, DES spot-check
 batches and scenario grids -- runs on :class:`PooledBackend`, a
 **lazily created, explicitly shut-down** ``ProcessPoolExecutor``
-wrapping one inner sweep kernel (``python``, ``numpy`` or ``native``,
-by registry name).  :class:`repro.parallel.ParallelSweep` selects it
+wrapping one inner sweep kernel (``python`` or ``numpy``, by registry
+name).  :class:`repro.parallel.ParallelSweep` selects it
 whenever ``RuntimeProfile.jobs > 1``:
 
 * **Lazy creation** -- no processes exist until the first batch large

@@ -24,7 +24,7 @@ runtime flags instead of per-subcommand plumbing:
 * ``--profile PATH`` loads a profile from TOML or JSON (the deployment
   story: describe the runtime once, reuse it across every command and
   machine);
-* ``--jobs N``, ``--backend {auto,python,numpy,native}`` and
+* ``--jobs N``, ``--backend {auto,python,numpy}`` and
   ``--mp-context`` override individual profile fields for one
   invocation.  ``--jobs`` above 1 runs every sharded batch on one
   persistent worker pool.
@@ -723,13 +723,12 @@ def _runtime_flags() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--backend",
-        choices=["auto", "python", "numpy", "native"],
+        choices=["auto", "python", "numpy"],
         default=None,
         help=(
             "sweep + critical-offset-enumeration kernel: auto = "
-            "Numba-compiled native kernel when Numba is importable, "
-            "else NumPy-vectorized when NumPy is (python fallback); "
-            "results are bit-identical"
+            "NumPy-vectorized when NumPy is importable (python "
+            "fallback); results are bit-identical"
         ),
     )
     group.add_argument(

@@ -14,13 +14,12 @@ faster.
   cost-model-sorted work-stealing scenario grids
   (:mod:`repro.parallel.schedule`).  The *kernel* each worker runs is a
   pluggable :mod:`repro.backends` selection
-  (``backend="auto"|"python"|"numpy"|"native"``): this package owns
-  process orchestration, the backends package owns the math.
+  (``backend="auto"|"python"|"numpy"``): this package owns process
+  orchestration, the backends package owns the math.
 * :class:`ListeningCache` -- the memoized listening-set pattern,
   bit-identical to the exact computation by construction (the
-  ``CachedPairEvaluator`` hot loop on top of it now lives in
-  :mod:`repro.backends.python_loop`; the name re-exports from here for
-  compatibility).
+  ``CachedPairEvaluator`` hot loop on top of it lives in
+  :mod:`repro.backends`).
 * :func:`get_listening_cache` -- the process-wide keyed registry
   (protocol fingerprint -> pattern) behind every kernel.
 * :mod:`repro.parallel.shm` -- the persistent pool's shared-memory
@@ -96,7 +95,6 @@ from .schedule import (
 from .shm import PatternArena, PatternHandle
 
 __all__ = [
-    "CachedPairEvaluator",
     "calibration_rows",
     "cost_weights",
     "derive_seed",
@@ -115,12 +113,3 @@ __all__ = [
     "set_listening_cache_cap",
     "use_cost_weights",
 ]
-
-
-def __getattr__(name: str):
-    # Lazy back-compat re-export; see repro.parallel.cache.__getattr__.
-    if name == "CachedPairEvaluator":
-        from ..backends.python_loop import CachedPairEvaluator
-
-        return CachedPairEvaluator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,8 +31,8 @@ model's equality test distinguishes one spanning segment from two
 abutting ones.
 
 One cache per receiver is shared across all chunks a worker process
-evaluates; the sweep kernels of :mod:`repro.backends` (where the
-``CachedPairEvaluator`` hot loop moved in PR 3) mirror
+evaluates; the sweep kernels of :mod:`repro.backends` (including the
+reference ``CachedPairEvaluator`` hot loop) mirror
 :func:`repro.simulation.analytic.mutual_discovery_times` on top of it.
 
 Process-wide keyed registry (PR 2)
@@ -82,7 +82,6 @@ from ..simulation.analytic import (
 
 __all__ = [
     "ListeningCache",
-    "CachedPairEvaluator",
     "derive_seed",
     "protocol_fingerprint",
     "get_listening_cache",
@@ -450,8 +449,8 @@ class ListeningCache:
     def pattern_arrays(self):
         """The pattern as ``(starts, ends)`` int64 NumPy arrays.
 
-        The one sanctioned path every array-consuming kernel (``numpy``,
-        ``native``, the incremental strided engine) resolves patterns
+        The one sanctioned path every array-consuming kernel (``numpy``
+        and its incremental strided engine) resolves patterns
         through -- built once per cache object, on first use, and owned
         by the cache so its lifetime *is* the invalidation contract:
         caches are immutable after construction (fingerprint-keyed, see
@@ -483,15 +482,3 @@ class ListeningCache:
             )
             self._np_pattern = arrays
         return arrays
-
-
-def __getattr__(name: str):
-    # Backward-compatible lazy re-export: the evaluator hot loop moved
-    # to ``repro.backends.python_loop`` (the reference sweep kernel) in
-    # PR 3.  Lazy so importing this module never pulls in the backends
-    # package -- the dependency now points the other way.
-    if name == "CachedPairEvaluator":
-        from ..backends.python_loop import CachedPairEvaluator
-
-        return CachedPairEvaluator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,11 @@ runs everything in-process, and ``jobs > 1`` sends every sharded batch
 to the persistent pool of :mod:`repro.backends.pooled` shared per
 ``(kernel, jobs, mp_context)``.  The *kernel* each worker (or the
 in-process path) runs is a pluggable :class:`repro.backends.SweepBackend`
-selected by name -- ``"auto"`` resolves to the fastest importable one.
+selected by name -- ``"python"`` or ``"numpy"``; ``"auto"`` resolves
+to ``numpy`` when NumPy is importable.  This executor (built directly
+or by :class:`repro.api.Session` from a ``RuntimeProfile``) is the one
+place ``jobs`` and ``backend`` are chosen: the plain functions of
+:mod:`repro.simulation` take neither.
 Offset sweeps are contiguously chunked (per-offset cost is near
 uniform); grid scenarios go through the cost-model-sorted work-stealing
 order of :mod:`repro.parallel.schedule`: one submission per scenario,
@@ -169,7 +173,7 @@ class ParallelSweep:
         identical either way -- workers hold no inherited mutable state.
     backend:
         Sweep-kernel selection (:mod:`repro.backends`): a registered
-        name (``"python"``, ``"numpy"``, ``"native"``), ``"auto"``
+        name (``"python"``, ``"numpy"``), ``"auto"``
         (default: the fastest importable kernel), or a
         :class:`repro.backends.SweepBackend` instance.  A custom
         instance that is not registered cannot be named inside a

@@ -22,7 +22,8 @@ killing the service):
   :class:`~repro.api.Session` (one per executor thread, sharing the
   service's store instance and -- with ``jobs > 1`` -- its refcounted
   persistent pool) via ``loop.run_in_executor``, under an optional
-  per-job timeout.
+  per-attempt timeout that starts when the attempt's compute starts
+  (not while it waits for a free executor thread).
 * **Recovery**: crash-class failures (a SIGKILLed pool child surfacing
   as ``BrokenProcessPool``, broken pipes, timeouts) re-queue the job
   with exponential backoff up to ``max_retries``; the broken pool is
@@ -441,17 +442,29 @@ class SweepService:
     async def _run_job(self, job: Job) -> None:
         job.attempts += 1
         job.state = RUNNING
-        job.started = time.time()  # display; durations use monotonic
-        job.started_mono = time.monotonic()
         job.emit(RUNNING, {"attempt": job.attempts})
         loop = asyncio.get_running_loop()
+        started = loop.create_future()
         try:
-            future = loop.run_in_executor(self._pool, self._compute, job)
+            future = loop.run_in_executor(
+                self._pool, self._attempt, job, started
+            )
+            # The deadline covers the attempt's own compute, not its wait
+            # for an executor thread: a timed-out attempt's thread runs
+            # on, and a retry queued behind it must not time out unrun.
+            await asyncio.wait(
+                (started, future), return_when=asyncio.FIRST_COMPLETED
+            )
+            job.started = time.time()  # display; durations use monotonic
+            job.started_mono = time.monotonic()
             result = await asyncio.wait_for(
                 future, timeout=self._attempt_timeout(job)
             )
         except asyncio.CancelledError:
-            raise  # worker shutdown / supervisor path, not a job failure
+            # Worker shutdown / supervisor path, not a job failure: drop
+            # the attempt if it has not started.
+            future.cancel()
+            raise
         except Exception as exc:
             self._dispose_failure(job, exc)
         else:
@@ -562,6 +575,14 @@ class SweepService:
                 self._sessions.append(session)
             self._local.session = session
         return session
+
+    def _attempt(self, job: Job, started: asyncio.Future) -> RunResult:
+        """Executor-thread entry of one attempt: tell the event loop the
+        compute has started (its deadline starts now), then compute."""
+        self._loop.call_soon_threadsafe(
+            lambda: started.done() or started.set_result(None)
+        )
+        return self._compute(job)
 
     def _compute(self, job: Job) -> RunResult:
         """One compute attempt, on an executor thread.  Crash-class

@@ -315,10 +315,9 @@ def critical_offsets(
     dispatches to its
     :meth:`~repro.backends.SweepBackend.enumerate_critical_offsets`,
     bit-identical by contract (the ``numpy`` kernel replaces the double
-    loop with batched modular arithmetic).  Unlike the deprecated
-    ``evaluate_offsets(backend=...)`` plumbing this parameter is
-    first-class: ``verified_worst_case`` and
-    :meth:`repro.api.Session.worst_case` thread their resolved kernel
+    loop with batched modular arithmetic).  The worst-case engine
+    behind ``verified_worst_case`` and
+    :meth:`repro.api.Session.worst_case` threads its resolved kernel
     through it.
     """
     if backend is None:
@@ -363,7 +362,6 @@ def evaluate_offsets(
     horizon: int,
     model: ReceptionModel = ReceptionModel.POINT,
     turnaround: int = 0,
-    backend=None,
 ) -> list[DiscoveryOutcome]:
     """Per-offset discovery outcomes, in the order offsets are given.
 
@@ -372,26 +370,11 @@ def evaluate_offsets(
     aggregate them later (see :func:`summarize_outcomes`), since each
     outcome depends only on its own offset.
 
-    ``backend=None`` (the default) keeps this function the direct
-    uncached reference computation -- the anchor the equivalence zoo
-    compares every kernel against.  Passing a backend is the
-    **deprecated** pre-Session runtime plumbing: it warns
-    (:class:`repro.api.LegacyRuntimeAPIWarning`) and delegates to the
-    facade's kernel engine, bit-identical to every prior release --
-    select the kernel on a :class:`repro.api.RuntimeProfile` instead.
+    This is the direct uncached reference computation -- the anchor the
+    equivalence zoo compares every kernel against.  To run a sweep
+    kernel, use :meth:`repro.parallel.ParallelSweep.evaluate_offsets` or
+    :meth:`repro.api.Session.sweep`.
     """
-    if backend is not None:
-        from ..api._compat import warn_legacy
-        from ..api.session import evaluate_offsets_with_backend
-
-        warn_legacy(
-            "evaluate_offsets(backend=...)",
-            "repro.api.Session.sweep",
-        )
-        return evaluate_offsets_with_backend(
-            protocol_e, protocol_f, offsets, horizon, model, turnaround,
-            backend,
-        )
     return [
         mutual_discovery_times(
             protocol_e, protocol_f, offset, horizon, model, turnaround
@@ -453,25 +436,10 @@ def sweep_offsets(
     horizon: int,
     model: ReceptionModel = ReceptionModel.POINT,
     turnaround: int = 0,
-    backend=None,
 ) -> SweepReport:
     """Evaluate both-direction discovery over a set of phase offsets and
-    aggregate worst/mean statistics (``backend`` as in
-    :func:`evaluate_offsets`: ``None`` is the exact reference, anything
-    else is the deprecated kwarg path through the facade)."""
-    if backend is not None:
-        # Warn here (not via evaluate_offsets) so the warning names this
-        # entry point and points at the caller's line.
-        from ..api._compat import warn_legacy
-        from ..api.session import evaluate_offsets_with_backend
-
-        warn_legacy("sweep_offsets(backend=...)", "repro.api.Session.sweep")
-        return summarize_outcomes(
-            evaluate_offsets_with_backend(
-                protocol_e, protocol_f, offsets, horizon, model, turnaround,
-                backend,
-            )
-        )
+    aggregate worst/mean statistics (the exact reference, like
+    :func:`evaluate_offsets`)."""
     return summarize_outcomes(
         evaluate_offsets(
             protocol_e, protocol_f, offsets, horizon, model, turnaround

@@ -426,11 +426,6 @@ def _select_spot_check_offsets(
     return sorted(chosen)
 
 
-#: Sentinel distinguishing "caller left the runtime kwarg alone" from an
-#: explicit value -- only explicit legacy runtime plumbing deprecation-warns.
-_UNSET = object()
-
-
 def _des_mismatches(checks) -> list[int]:
     """Offsets where the event-driven replay contradicts the analytic
     outcome (either discovery direction)."""
@@ -470,8 +465,7 @@ def _verified_worst_case_impl(
     analytic_upper=None,
 ) -> PairWorstCase:
     """The worst-case verification engine behind
-    :meth:`repro.api.Session.worst_case` (and, through it, the legacy
-    :func:`verified_worst_case` shim).
+    :meth:`repro.api.Session.worst_case` and :func:`verified_worst_case`.
 
     Two paths, selected by ``budget_ms``:
 
@@ -724,46 +718,26 @@ def verified_worst_case(
     max_critical: int = 200_000,
     des_spot_checks: int = 16,
     fallback_samples: int = 4096,
-    jobs=_UNSET,
-    backend=_UNSET,
 ) -> PairWorstCase:
     """Exact worst-case latency over all phase offsets, cross-validated.
 
-    Thin shim over :meth:`repro.api.Session.worst_case`, kept for the
-    pre-Session call shape.  The per-call runtime kwargs (``jobs``,
-    ``backend``) are **deprecated**: passing them warns
-    (:class:`repro.api.LegacyRuntimeAPIWarning`) and routes through a
-    shared legacy session for that runtime shape -- configure a
-    :class:`repro.api.RuntimeProfile` once instead.  Results are
-    bit-identical to every prior release for every ``jobs``/``backend``
-    combination.
+    An in-process convenience: the engine runs on the auto-detected
+    kernel with ``jobs=1``.  For another kernel, process parallelism, a
+    fidelity budget or result caching, use
+    :meth:`repro.api.Session.worst_case`, which returns the same
+    verdict for every runtime profile.
     """
-    from ..api import RunSpec
-    from ..api._compat import legacy_session, warn_legacy
-
-    jobs = 1 if jobs is _UNSET else jobs
-    backend = "auto" if backend is _UNSET else backend
-    # Only *non-default* runtime plumbing warns: explicitly restating
-    # the documented defaults (jobs=1, backend="auto") requests nothing
-    # and must not start raising under -W error lanes.
-    if jobs != 1 or backend != "auto":
-        warn_legacy(
-            "verified_worst_case(jobs=..., backend=...)",
-            "repro.api.Session.worst_case",
-        )
-    session = legacy_session(jobs=jobs, backend=backend)
-    return session.worst_case(
-        RunSpec(
-            pair=(protocol_e, protocol_f),
-            horizon=horizon,
-            omega=omega,
-            model=reception_model.value,
-            turnaround=turnaround,
-            max_critical=max_critical,
-            des_spot_checks=des_spot_checks,
-            fallback_samples=fallback_samples,
-        )
-    ).raw
+    return _verified_worst_case_impl(
+        protocol_e,
+        protocol_f,
+        horizon,
+        omega=omega,
+        reception_model=reception_model,
+        turnaround=turnaround,
+        max_critical=max_critical,
+        des_spot_checks=des_spot_checks,
+        fallback_samples=fallback_samples,
+    )
 
 
 def _run_scenario(
@@ -793,48 +767,27 @@ def _run_scenario(
 
 def sweep_network_grid(
     scenarios,
-    jobs=_UNSET,
+    *,
     base_seed: int = 0,
     reception_model: ReceptionModel = ReceptionModel.POINT,
     turnaround: int = 0,
     advertising_jitter: int = 0,
-    backend=_UNSET,
 ) -> list[NetworkResult]:
     """Run every scenario of a grid through the event-driven simulator.
 
-    Thin shim over :meth:`repro.api.Session.grid`, kept for the
-    pre-Session call shape.  Results come back in input order; each
-    scenario's RNG seed derives from ``(base_seed, its grid index)`` via
-    :func:`repro.parallel.derive_seed`, so the output is bit-identical
-    for any ``jobs`` value and any ``backend`` -- scheduling is
-    invisible to the RNG.
-
-    The per-call runtime kwargs (``jobs``, ``backend``) are
-    **deprecated**: passing them warns
-    (:class:`repro.api.LegacyRuntimeAPIWarning`) and routes through a
-    shared legacy session for that runtime shape -- configure a
-    :class:`repro.api.RuntimeProfile` once instead.
+    An in-process convenience (``jobs=1``).  Results come back in input
+    order; each scenario's RNG seed derives from ``(base_seed, its grid
+    index)`` via :func:`repro.parallel.derive_seed`, so
+    :meth:`repro.api.Session.grid` and
+    :meth:`repro.parallel.ParallelSweep.map_scenarios` return the same
+    list for any ``jobs`` value -- scheduling is invisible to the RNG.
     """
-    from ..api import RunSpec
-    from ..api._compat import legacy_session, warn_legacy
+    from ..parallel import ParallelSweep
 
-    # Only *non-default* runtime plumbing warns: explicitly restating
-    # the documented defaults (jobs=1, backend=None) requests nothing
-    # and must not start raising under -W error lanes.
-    if jobs not in (_UNSET, 1) or backend not in (_UNSET, None):
-        warn_legacy(
-            "sweep_network_grid(jobs=..., backend=...)",
-            "repro.api.Session.grid",
-        )
-    jobs = 1 if jobs is _UNSET else jobs
-    backend = "auto" if backend in (_UNSET, None) else backend
-    session = legacy_session(jobs=jobs, backend=backend)
-    return session.grid(
-        RunSpec(
-            grid=list(scenarios),
-            seed=base_seed,
-            model=reception_model.value,
-            turnaround=turnaround,
-            advertising_jitter=advertising_jitter,
-        )
-    ).raw
+    return ParallelSweep(jobs=1).map_scenarios(
+        scenarios,
+        base_seed=base_seed,
+        reception_model=reception_model,
+        turnaround=turnaround,
+        advertising_jitter=advertising_jitter,
+    )

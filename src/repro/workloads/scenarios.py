@@ -102,7 +102,7 @@ def scenario_grid(
     deterministic.  Example::
 
         grid = scenario_grid(dense_network, n_devices=[5, 10], eta=[0.01, 0.02])
-        results = sweep_network_grid(grid, jobs=4)
+        results = ParallelSweep(jobs=4).map_scenarios(grid)
 
     expands to ``(5, 0.01), (5, 0.02), (10, 0.01), (10, 0.02)``.
     """

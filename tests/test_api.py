@@ -1,10 +1,8 @@
 """Unit tests of the declarative config layer (:mod:`repro.api.spec`)
 and the result provenance layer (:mod:`repro.api.result`).
 
-This file (with ``test_api_session.py``) is the **facade-only** test
-subset: CI runs it under ``-W error::DeprecationWarning``, so nothing
-here may touch a legacy shim -- every call goes through
-:class:`repro.api.Session` or the spec/profile/result classes directly.
+Every call goes through :class:`repro.api.Session` or the
+spec/profile/result classes directly.
 """
 
 import json
@@ -152,13 +150,15 @@ class TestRuntimeProfileSerialization:
         with pytest.raises(SpecError, match="field value"):
             RunSpec(samples="many")
 
-    def test_unknown_backend_name_is_a_config_error(self):
+    @pytest.mark.parametrize("name", ["bogus", "native"])
+    def test_unknown_backend_name_is_a_config_error(self, name):
         from repro.api import Session
 
-        with Session(RuntimeProfile(backend="bogus")) as session:
-            with pytest.raises(SpecError, match="bogus"):
+        with Session(RuntimeProfile(backend=name)) as session:
+            with pytest.raises(SpecError, match=name) as excinfo:
                 session.sweep(RunSpec(pair={"kind": "symmetric", "eta": 0.05},
                                       samples=8))
+        assert "registered: ['numpy', 'python']" in str(excinfo.value)
 
     def test_session_accepts_profile_path(self, tmp_path):
         from repro.api import Session

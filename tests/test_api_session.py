@@ -1,9 +1,5 @@
-"""Tests of the :class:`repro.api.Session` facade lifecycle.
-
-Part of the **facade-only** subset (run in CI under
-``-W error::DeprecationWarning``): everything here uses the Session
-verbs and the spec/profile layer exclusively -- a legacy shim sneaking
-into any code path these tests exercise fails the lane.
+"""Tests of the :class:`repro.api.Session` facade lifecycle: everything
+here uses the Session verbs and the spec/profile layer exclusively.
 """
 
 import os

@@ -1,18 +1,15 @@
 """Unit tests of the pluggable sweep-backend layer.
 
 Registry semantics (names, auto-detection, unavailability errors), the
-NumPy and Numba import-guard shims (including simulated dependency-less
-environments, so every fallback path is exercised on machines that do
-have the extras), kernel fallback behaviour on non-vectorizable inputs,
-the native compiled kernel's exact arithmetic (its kernels run un-jitted
-as plain Python without Numba, so bit-identity is pinned here in every
-environment), the incremental strided-sweep engine and its gates, the
+NumPy import-guard shim (including a simulated NumPy-less environment,
+so every fallback path is exercised on machines that do have the
+extra), kernel fallback behaviour on non-vectorizable inputs, the
+incremental strided-sweep engine and its gates, the
 ``ListeningCache.pattern_arrays()`` accessor, the cost-model calibration
 helpers, and CLI threading of ``--backend``.
 """
 
 import math
-import types
 
 import pytest
 
@@ -21,10 +18,7 @@ from repro.backends import (
     BackendUnavailable,
     default_backend_name,
     get_backend,
-    have_numba,
     have_numpy,
-    NativeBackend,
-    numba_version,
     numpy_version,
     NumpyBackend,
     PooledBackend,
@@ -33,7 +27,7 @@ from repro.backends import (
     SweepBackend,
     SweepParams,
 )
-from repro.backends import _np, _numba
+from repro.backends import _np
 from repro.core.optimal import synthesize_symmetric
 from repro.core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
 from repro.parallel import ParallelSweep
@@ -60,7 +54,7 @@ class TestRegistry:
         assert "python" in names
         assert "pooled" not in names  # parallelism is jobs, not a backend
         assert ("numpy" in names) == have_numpy()
-        assert ("native" in names) == (have_numba() and have_numpy())
+        assert set(names) <= {"python", "numpy"}
 
     def test_get_backend_returns_shared_instances(self):
         assert get_backend("python") is get_backend("python")
@@ -97,10 +91,7 @@ class TestRegistry:
 
 class TestNumpyGuard:
     def test_auto_detection_prefers_fastest_available(self):
-        if have_numba() and have_numpy():
-            assert default_backend_name() == "native"
-            assert numba_version()
-        elif have_numpy():
+        if have_numpy():
             assert default_backend_name() == "numpy"
             assert numpy_version()
         else:
@@ -118,8 +109,8 @@ class TestNumpyGuard:
         # The whole sweep stack still works on the fallback kernel.
         protocol, offsets, horizon = _small_pair()
         serial = evaluate_offsets(protocol, protocol, offsets, horizon)
-        auto = evaluate_offsets(
-            protocol, protocol, offsets, horizon, backend="auto"
+        auto = ParallelSweep(jobs=1, backend="auto").evaluate_offsets(
+            protocol, protocol, offsets, horizon
         )
         assert auto == serial
 
@@ -128,8 +119,8 @@ class TestNumpyGuard:
             pytest.skip("NumPy extra not installed")
         protocol, offsets, horizon = _small_pair()
         serial = sweep_offsets(protocol, protocol, offsets, horizon)
-        assert sweep_offsets(
-            protocol, protocol, offsets, horizon, backend="numpy"
+        assert ParallelSweep(jobs=1, backend="numpy").sweep_offsets(
+            protocol, protocol, offsets, horizon
         ) == serial
 
 
@@ -141,8 +132,8 @@ class TestNumpyKernelFallbacks:
         serial = evaluate_offsets(
             protocol_e, protocol_f, offsets, horizon, **kwargs
         )
-        got = evaluate_offsets(
-            protocol_e, protocol_f, offsets, horizon, backend="numpy", **kwargs
+        got = ParallelSweep(jobs=1, backend="numpy").evaluate_offsets(
+            protocol_e, protocol_f, offsets, horizon, **kwargs
         )
         assert got == serial
 
@@ -171,8 +162,8 @@ class TestNumpyKernelFallbacks:
 
     def test_empty_offsets(self):
         protocol, _, horizon = _small_pair()
-        assert evaluate_offsets(
-            protocol, protocol, [], horizon, backend="numpy"
+        assert ParallelSweep(jobs=1, backend="numpy").evaluate_offsets(
+            protocol, protocol, [], horizon
         ) == []
 
     def test_below_threshold_queries_with_turnaround(self):
@@ -185,99 +176,29 @@ class TestNumpyKernelFallbacks:
             self._check(protocol, protocol, offsets[:16], horizon, model=model)
 
 
-def _fake_numba(monkeypatch):
-    """Simulate an importable Numba without compiling anything.
-
-    ``jit_or_pyfunc`` ran at import time, so the native kernels are
-    already plain Python here; a stand-in module object is enough to
-    flip every availability gate to the native tier.
-    """
-    monkeypatch.setattr(
-        _numba, "numba", types.SimpleNamespace(__version__="0.0-stub")
-    )
-
-
-def _pyfunc_native(use_incremental=True):
-    """A NativeBackend running its kernels un-jitted, constructible
-    without Numba (bypasses the availability check only)."""
-    backend = NativeBackend.__new__(NativeBackend)
-    backend.use_incremental = use_incremental
-    backend._numpy = NumpyBackend(use_incremental=use_incremental)
-    return backend
-
-
-class TestNumbaGuard:
-    def test_simulated_numba_absence_falls_back(self, monkeypatch):
-        monkeypatch.setattr(_numba, "numba", None)
-        assert not have_numba()
-        assert numba_version() is None
-        assert "native" not in available_backends()
-        assert default_backend_name() == (
-            "numpy" if have_numpy() else "python"
-        )
-        with pytest.raises(BackendUnavailable, match="native"):
-            get_backend("native")
-
-    @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
-    def test_simulated_numba_presence_resolves_native(self, monkeypatch):
-        _fake_numba(monkeypatch)
-        assert have_numba()
-        assert numba_version() == "0.0-stub"
-        assert "native" in available_backends()
-        assert default_backend_name() == "native"
-        resolved = resolve_backend("auto")
-        assert isinstance(resolved, NativeBackend)
-        # The whole stack runs (un-jitted) and stays bit-identical.
-        protocol, offsets, horizon = _small_pair()
-        serial = evaluate_offsets(protocol, protocol, offsets, horizon)
-        assert evaluate_offsets(
-            protocol, protocol, offsets, horizon, backend="auto"
-        ) == serial
-
-    @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
-    def test_pooled_inner_kernel_tracks_numba_availability(self, monkeypatch):
-        _fake_numba(monkeypatch)
-        assert ParallelSweep(jobs=2).pool().inner == "native"
-
-    def test_numpy_less_environment_disables_native_too(self, monkeypatch):
-        """Simulated NumPy absence must disable the native tier (its
-        array plumbing is NumPy) even when Numba is importable."""
-        _fake_numba(monkeypatch)
-        monkeypatch.setattr(_np, "np", None)
-        assert "native" not in available_backends()
-        assert default_backend_name() == "python"
-        assert not NativeBackend.available()
-
-
 @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
-class TestNativeKernel:
-    """Exact-arithmetic pinning of the native kernel, runnable without
-    Numba: ``jit_or_pyfunc`` leaves the kernels as plain Python, so the
-    same code the JIT compiles is checked bit-for-bit here (the CI
-    numba lane runs the full zoo with the compiled version)."""
+class TestNumpyFormulationParity:
+    """Both formulations of the numpy kernel -- the incremental strided
+    engine and the plain batch kernel -- on the inputs where they must
+    hand over to another path, pinned against the reference."""
 
     def _check(self, protocol_e, protocol_f, offsets, horizon, **kwargs):
         serial = evaluate_offsets(
             protocol_e, protocol_f, offsets, horizon, **kwargs
         )
+        params = SweepParams(
+            protocol_e, protocol_f, horizon,
+            kwargs.get("model", ReceptionModel.POINT),
+            kwargs.get("turnaround", 0),
+        )
         for use_incremental in (True, False):
-            backend = _pyfunc_native(use_incremental)
-            params = SweepParams(
-                protocol_e, protocol_f, horizon,
-                kwargs.get("model", ReceptionModel.POINT),
-                kwargs.get("turnaround", 0),
-            )
+            backend = NumpyBackend(use_incremental=use_incremental)
             got = backend.evaluate_offsets_batch(params, offsets)
             assert got == serial, use_incremental
 
-    def test_bit_identical_all_models(self):
-        protocol, offsets, horizon = _small_pair()
-        for model in ReceptionModel:
-            self._check(protocol, protocol, offsets, horizon, model=model)
-
     def test_boot_threshold_split_with_turnaround(self):
         """Below-threshold candidates run the exact scalar scan; the
-        compiled loop starts at each lane's boot-safe instance."""
+        vectorized loop starts at each lane's boot-safe instance."""
         protocol, offsets, horizon = _small_pair()
         self._check(protocol, protocol, offsets, horizon, turnaround=9)
 
@@ -297,10 +218,10 @@ class TestNativeKernel:
         )
         self._check(adv, scan, list(range(0, 600, 7)), 4_000)
 
-    def test_oversized_duration_falls_back_to_numpy_batch(self):
+    def test_oversized_duration_falls_back_to_batch_kernel(self):
         """A beacon longer than the receiver's hyperperiod fails the
-        compiled kernel's precondition; the direction must fall back
-        (to the numpy batch kernel) and stay exact."""
+        incremental engine's precondition; the direction must fall back
+        to the batch kernel and stay exact."""
         adv = NDProtocol(
             beacons=BeaconSchedule.uniform(1, 5_000, 700),
             reception=ReceptionSchedule.single_window(25, 600),
@@ -318,13 +239,13 @@ class TestNativeKernel:
         protocol, _, _ = _small_pair()
         reference = critical_offsets(protocol, protocol, omega=32)
         assert reference
-        backend = _pyfunc_native()
+        backend = NumpyBackend()
         params = SweepParams(protocol, protocol, 0, ReceptionModel.POINT)
         assert backend.enumerate_critical_offsets(
             params, omega=32
         ) == reference
         undersized = max(1, len(reference) // 4)
-        with pytest.raises(ValueError) as native_err:
+        with pytest.raises(ValueError) as numpy_err:
             backend.enumerate_critical_offsets(
                 params, omega=32, max_count=undersized
             )
@@ -332,19 +253,7 @@ class TestNativeKernel:
             critical_offsets(
                 protocol, protocol, omega=32, max_count=undersized
             )
-        assert str(native_err.value) == str(ref_err.value)
-
-    def test_enumeration_delegates_beyond_bitmap_regime(self, monkeypatch):
-        from repro.backends import native_kernel
-        from repro.simulation import critical_offsets
-
-        protocol, _, _ = _small_pair()
-        reference = critical_offsets(protocol, protocol, omega=32)
-        monkeypatch.setattr(native_kernel, "_BITMAP_MAX_HYPER", 0)
-        assert _pyfunc_native().enumerate_critical_offsets(
-            SweepParams(protocol, protocol, 0, ReceptionModel.POINT),
-            omega=32,
-        ) == reference
+        assert str(numpy_err.value) == str(ref_err.value)
 
 
 @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
@@ -713,11 +622,13 @@ class TestCLIBackendFlag:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_bad_backend_rejected(self):
+    @pytest.mark.parametrize("name", ["gpu", "native"])
+    def test_bad_backend_rejected(self, name):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["sweep", "--eta", "0.05", "--backend", "gpu"])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--eta", "0.05", "--backend", name])
+        assert excinfo.value.code == 2
 
     def test_unavailable_backend_exits_cleanly(self, monkeypatch, capsys):
         """--backend numpy on a base install: a one-line error and exit

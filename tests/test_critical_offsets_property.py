@@ -7,8 +7,8 @@ draws from all 13 protocol-zoo families (random family parameters,
 random omega, random turnaround):
 
 1. **Kernel parity** -- every accelerated kernel that can run here
-   (``numpy``; ``native`` under the CI numba lane -- the list comes
-   from ``available_backends()``, so future kernels join automatically)
+   (``numpy`` -- the list comes from ``available_backends()``, so
+   future kernels join automatically)
    returns the bit-identical sorted list of python ints as the
    pure-python reference, and raises ``ValueError`` with the identical
    message at the identical point for undersized ``max_count`` --

@@ -10,14 +10,15 @@ import random
 
 import pytest
 
+from repro.api import RunSpec, RuntimeProfile, Session
 from repro.core.optimal import synthesize_symmetric
 from repro.core.sequences import (
     BeaconSchedule,
     NDProtocol,
     ReceptionSchedule,
 )
+from repro.backends import CachedPairEvaluator
 from repro.parallel import (
-    CachedPairEvaluator,
     derive_seed,
     ListeningCache,
     ParallelSweep,
@@ -213,9 +214,10 @@ class TestParallelSweep:
         protocol, design = synthesize_symmetric(32, 0.05)
         horizon = design.worst_case_latency * 3
         serial = verified_worst_case(protocol, protocol, horizon, omega=32)
-        parallel = verified_worst_case(
-            protocol, protocol, horizon, omega=32, jobs=2
-        )
+        with Session(RuntimeProfile(jobs=2)) as session:
+            parallel = session.worst_case(RunSpec(
+                pair=(protocol, protocol), horizon=horizon, omega=32,
+            )).raw
         assert parallel.analytic == serial.analytic
         assert parallel.offsets_checked == serial.offsets_checked
         assert parallel.des_agrees and serial.des_agrees
@@ -246,8 +248,8 @@ class TestNetworkGrid:
         grid = scenario_grid(
             dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1]
         )
-        serial = sweep_network_grid(grid, jobs=1, base_seed=9)
-        parallel = sweep_network_grid(grid, jobs=2, base_seed=9)
+        serial = sweep_network_grid(grid, base_seed=9)
+        parallel = ParallelSweep(jobs=2).map_scenarios(grid, base_seed=9)
         assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel):
             assert a == b
@@ -303,9 +305,11 @@ class TestSpotCheckSelection:
         serial = verified_worst_case(
             protocol, protocol, horizon, omega=32, des_spot_checks=6
         )
-        parallel = verified_worst_case(
-            protocol, protocol, horizon, omega=32, des_spot_checks=6, jobs=2
-        )
+        with Session(RuntimeProfile(jobs=2)) as session:
+            parallel = session.worst_case(RunSpec(
+                pair=(protocol, protocol), horizon=horizon, omega=32,
+                des_spot_checks=6,
+            )).raw
         assert serial == parallel
         assert serial.des_agrees
 

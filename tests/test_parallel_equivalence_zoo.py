@@ -22,8 +22,8 @@ fidelity knobs of grid scenarios.  This file pins that invariant:
   models, plus persistent-pool lifecycle units (lazy creation, reuse
   across sweeps, explicit shutdown, no leaked worker processes);
 * (PR 4) Session-facade equivalence: :class:`repro.api.Session` verbs
-  pinned bit-identical to the legacy kwarg entry points across all 13
-  families, plus a session lifecycle test showing zero leaked worker
+  pinned bit-identical to the plain in-process entry points across all
+  13 families, plus a session lifecycle test showing zero leaked worker
   processes and shared-memory segments after ``__exit__``.
 """
 
@@ -199,9 +199,8 @@ def test_family_all_paths_bit_identical(family):
             ), (family, name)
 
 
-# Every kernel that can run here is pinned automatically -- new
-# backends (e.g. ``native`` under the CI numba lane) join the zoo by
-# registering, with no test edits.
+# Every kernel that can run here is pinned automatically -- a new
+# backend joins the zoo by registering, with no test edits.
 BACKENDS = available_backends()
 
 
@@ -232,9 +231,8 @@ def test_family_backends_bit_identical_all_models(family, backend):
                     protocol_e, protocol_f, offsets, horizon, model
                 )
             else:
-                got = evaluate_offsets(
-                    protocol_e, protocol_f, offsets, horizon, model,
-                    backend=backend,
+                got = ParallelSweep(jobs=1, backend=backend).evaluate_offsets(
+                    protocol_e, protocol_f, offsets, horizon, model
                 )
             assert got == serial, (family, backend, model)
 
@@ -262,9 +260,8 @@ def test_turnaround_guard_reaches_every_backend():
             protocol_e, protocol_f, offsets, horizon, model, turnaround=7
         )
         for backend in available_backends():
-            got = evaluate_offsets(
-                protocol_e, protocol_f, offsets, horizon, model,
-                turnaround=7, backend=backend,
+            got = ParallelSweep(jobs=1, backend=backend).evaluate_offsets(
+                protocol_e, protocol_f, offsets, horizon, model, turnaround=7
             )
             assert got == serial, (backend, model)
 
@@ -306,8 +303,8 @@ def test_large_pattern_regimes_bit_identical(gap, window_period, regime):
     )
     assert got == serial, regime
     for backend in available_backends():
-        got = evaluate_offsets(
-            protocol_e, protocol_f, offsets, horizon, backend=backend
+        got = ParallelSweep(jobs=1, backend=backend).evaluate_offsets(
+            protocol_e, protocol_f, offsets, horizon
         )
         assert got == serial, (regime, backend)
 
@@ -321,12 +318,13 @@ def test_grid_pool_matches_serial_with_fidelity_knobs():
         + [gradual_join(n_devices=3, eta=0.05, seed=3)]
     )
     kwargs = dict(base_seed=11, advertising_jitter=300)
-    serial = sweep_network_grid(grid, jobs=1, **kwargs)
-    stolen = sweep_network_grid(grid, jobs=2, **kwargs)
+    serial = sweep_network_grid(grid, **kwargs)
+    pool = ParallelSweep(jobs=2)
+    stolen = pool.map_scenarios(grid, **kwargs)
     assert stolen == serial
     # The jitter knob actually reached the simulation: a different
     # jitter bound must move at least one scenario's outcome.
-    unjittered = sweep_network_grid(grid, jobs=2, base_seed=11)
+    unjittered = pool.map_scenarios(grid, base_seed=11)
     assert unjittered != serial
 
 
@@ -559,15 +557,15 @@ class TestPersistentPoolLifecycle:
         _assert_processes_exit(pids)
 
     def test_grid_and_spot_checks_reuse_persistent_pool(self):
-        """sweep_network_grid and DES spot-checks share the pool's
-        workers and stay bit-identical to the serial path."""
+        """Grids and DES spot-checks share the pool's workers and stay
+        bit-identical to the serial path."""
         grid = scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1])
-        serial = sweep_network_grid(grid, jobs=1, base_seed=5)
-        pooled = sweep_network_grid(grid, jobs=2, base_seed=5)
+        executor = ParallelSweep(jobs=2)
+        serial = sweep_network_grid(grid, base_seed=5)
+        pooled = executor.map_scenarios(grid, base_seed=5)
         assert pooled == serial
         protocol_e, protocol_f = ZOO["disco"]()
         offsets, horizon = _workload(protocol_e, protocol_f)
-        executor = ParallelSweep(jobs=2)
         reference = ParallelSweep(jobs=1).spot_check_pairs(
             protocol_e, protocol_f, offsets[:4], horizon
         )
@@ -577,14 +575,13 @@ class TestPersistentPoolLifecycle:
 
 
 # ----------------------------------------------------------------------
-# PR 4: the Session facade vs the legacy kwarg entry points
+# PR 4: the Session facade vs the plain entry points
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
 def test_session_sweep_matches_legacy_entry_points(family):
-    """Session.sweep pinned bit-identical to the legacy kwarg paths --
-    the exact reference and the kwarg-threaded backend selection -- for
-    every protocol family."""
+    """Session.sweep pinned bit-identical to the exact reference and to
+    an auto-kernel executor, for every protocol family."""
     protocol_e, protocol_f = ZOO[family]()
     offsets, horizon = _workload(protocol_e, protocol_f)
     model = MODELS[sorted(ZOO).index(family) % len(MODELS)]
@@ -624,7 +621,7 @@ def test_session_sweep_sharded_matches_legacy():
 
 @pytest.mark.parametrize("family", ["disco", "nihao", "optimal-slotless"])
 def test_session_worst_case_matches_legacy(family):
-    """Session.worst_case equals the legacy verified_worst_case shim
+    """Session.worst_case equals the in-process verified_worst_case
     (report, verdict and offsets checked) for representative families."""
     protocol_e, protocol_f = ZOO[family]()
     _offsets, horizon = _workload(protocol_e, protocol_f)
@@ -641,16 +638,15 @@ def test_session_worst_case_matches_legacy(family):
 
 
 def test_session_grid_matches_legacy_entry_point():
-    """Session.grid equals the legacy sweep_network_grid shim for a grid
-    mixing device counts, drift and staggered joins."""
+    """Session.grid on the pool equals the in-process
+    sweep_network_grid for a grid mixing device counts, drift and
+    staggered joins."""
     grid = (
         scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1])
         + [drifting_pair(eta=0.05, drift_ppm=40, seed=2)]
         + [gradual_join(n_devices=3, eta=0.05, seed=3)]
     )
-    legacy = sweep_network_grid(
-        grid, jobs=2, base_seed=11, advertising_jitter=300
-    )
+    legacy = sweep_network_grid(grid, base_seed=11, advertising_jitter=300)
     spec = RunSpec(grid=grid, seed=11, advertising_jitter=300)
     with Session(RuntimeProfile(jobs=2)) as session:
         facade = session.grid(spec).raw

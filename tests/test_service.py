@@ -4,6 +4,7 @@ protocol."""
 
 import asyncio
 import json
+import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -293,32 +294,46 @@ class TestRecovery:
         assert service._stats["retries"] == 0
 
     def test_timeout_counts_and_retries(self, tmp_path, monkeypatch):
+        """The first attempt is held on an Event past its deadline and
+        keeps the only executor thread busy after it times out.  The
+        retry waits for that thread; its own deadline must start only
+        when its compute does, however long the wait."""
+        timeout = 0.2
         calls = {"n": 0}
+        release = threading.Event()
         real = SweepService._compute
 
-        def slow_once(self, job):
+        def held_once(self, job):
             calls["n"] += 1
             if calls["n"] == 1:
-                import time
-
-                time.sleep(0.6)
+                assert release.wait(timeout=30)
             return real(self, job)
 
-        monkeypatch.setattr(SweepService, "_compute", slow_once)
+        monkeypatch.setattr(SweepService, "_compute", held_once)
 
         async def main():
             service, _ = await make_service(
-                tmp_path, workers=1, job_timeout=0.2
+                tmp_path, workers=1, job_timeout=timeout
             )
             await service.start()
             job = service.submit("sweep", SWEEP_SPEC)
+            events = job.subscribe()
+            try:
+                while (await events.get())["kind"] != "retry":
+                    pass
+                # Keep the retry waiting for the thread well past its
+                # deadline before the first attempt finishes.
+                await asyncio.sleep(3 * timeout)
+            finally:
+                release.set()
             result = await job.wait()
             await service.stop()
             return service, job, result
 
         service, job, result = run(main())
-        assert service._stats["timeouts"] >= 1
-        assert job.attempts >= 2
+        assert service._stats["timeouts"] == 1
+        assert service._stats["retries"] == 1
+        assert job.attempts == 2
         assert result.payload["offsets_evaluated"] == 16
 
     def test_grid_resumes_from_checkpoint(self, tmp_path, monkeypatch):
