@@ -6,7 +6,7 @@ from .measurement import measure_pair_worst_case, ProtocolMeasurement
 from .optimality import gap_for_protocol, gap_table_rows, OptimalityGap
 from .pareto import front_distance, pareto_front, ParetoPoint
 from .stats import LatencySummary, summarize_latencies, wilson_interval
-from .tables import format_seconds, format_table, format_value, rows_from_store, write_csv
+from .tables import format_seconds, format_table, format_value, write_csv
 from .visualize import render_campaign_status, render_coverage_map, render_schedule
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "render_schedule",
     "summarize_latencies",
     "wilson_interval",
-    "rows_from_store",
     "write_csv",
 ]

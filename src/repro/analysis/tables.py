@@ -85,44 +85,3 @@ def write_csv(
         for row in rows:
             writer.writerow(["" if cell is None else cell for cell in row])
     return path
-
-
-def _payload_path(payload: Any, path: str) -> Any:
-    """Resolve a dotted path (mapping keys, integer list indices) inside
-    a result payload; missing segments resolve to ``None``."""
-    node = payload
-    for key in path.split("."):
-        if isinstance(node, dict) and key in node:
-            node = node[key]
-        elif (
-            isinstance(node, (list, tuple))
-            and key.lstrip("-").isdigit()
-            and -len(node) <= int(key) < len(node)
-        ):
-            node = node[int(key)]
-        else:
-            return None
-    return node
-
-
-def rows_from_store(store, runs, columns: Sequence[str]) -> list[list[Any]]:
-    """Build table rows straight from a content-addressed result store.
-
-    ``runs`` is an iterable of ``(verb, spec)`` pairs (a
-    :class:`~repro.api.RunSpec` or its mapping form); ``columns`` are
-    dotted paths into the stored result payload (list indices allowed:
-    ``"eta.0"``).  Each run becomes one row; runs missing from the
-    store yield all-``None`` rows, so a partially-populated campaign
-    still renders.  No sweep ever executes here -- this is the
-    store-fed path behind table regeneration.
-    """
-    rows = []
-    for verb, spec in runs:
-        result = store.get(store.fingerprint(verb, spec))
-        if result is None:
-            rows.append([None] * len(columns))
-        else:
-            rows.append(
-                [_payload_path(result.payload, column) for column in columns]
-            )
-    return rows

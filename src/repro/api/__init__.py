@@ -6,16 +6,15 @@ an experiment is from *how* it runs:
 
 * :class:`RunSpec` -- protocols / scenario / grid, reception model,
   fidelity knobs, DES spot-check policy (:mod:`repro.api.spec`);
-* :class:`RuntimeProfile` -- backend, jobs, mp context, cache limits,
-  fitted cost weights; loadable from TOML/JSON
+* :class:`RuntimeProfile` -- backend, jobs, mp context and result-store
+  directory, none of which can change a result; loadable from TOML/JSON
   (``RuntimeProfile.load``, the CLI's ``--profile``);
 
 and one context-managed facade runs them:
 
-* :class:`Session` -- resolves the backend once, owns every resource it
-  creates (persistent pools via refcounts, session-scoped cache caps
-  and cost weights, cache fingerprints under ``cache_policy="release"``)
-  and releases them deterministically on ``__exit__``;
+* :class:`Session` -- resolves the backend once, owns the persistent
+  pool it retains (via refcounts) and releases it deterministically on
+  ``__exit__``;
 * :class:`RunResult` -- what each verb returns: payload + provenance
   (spec, profile, resolved backend, timings), JSON round-trippable into
   ``results/``.
@@ -33,7 +32,7 @@ within ``RunSpec.budget_ms``; ``"auto"`` -- exact when unbudgeted,
 budgeted otherwise), and the adaptive ladder behind
 ``Session.worst_case`` prices its tiers (analytic bound, critical
 enumeration, dense low-discrepancy sweep, DES spot checks) with the
-fitted cost weights of :mod:`repro.parallel.schedule`.  Every
+checked-in ``REFERENCE_WEIGHTS`` of :mod:`repro.simulation.ladder`.  Every
 :class:`~repro.simulation.PairWorstCase` carries the **provenance
 contract**: ``fidelity`` of the verdict, the one-way ``bound_interval``
 (``(w, w)`` when exact), the ``tiers`` that ran with their planner

@@ -29,18 +29,13 @@ The session *owns* what it creates and releases it deterministically on
   (:meth:`PooledBackend.retain`): nested sessions sharing one profile
   share one pool, and the pool -- with its shared-memory pattern
   arena -- shuts down exactly when the last session holding it exits.
-* **Listening-cache registry** -- with
-  ``RuntimeProfile.cache_policy="release"`` the session snapshots the
-  registry on activation and drops, on exit, every fingerprint
-  registered during its open window (pre-existing entries always
-  survive; a nested session's caches fall inside the window);
-  ``"retain"`` (default) leaves everything warm for the next session.
-  ``RuntimeProfile.cache_limit`` scopes the registry's LRU cap to the
-  session (previous cap restored on close).
-* **Scheduler cost weights** -- ``RuntimeProfile.cost_weights`` install
-  on construction and the previous process-wide pair is restored on
-  close; ``auto_calibrate`` lets :meth:`grid` re-fit them from its own
-  measured per-scenario timings and persist them into the profile.
+
+A session installs **no** process-wide state: the listening-cache
+registry keeps its fixed LRU cap, and the worst-case ladder prices its
+tiers with the checked-in
+:data:`~repro.simulation.ladder.REFERENCE_WEIGHTS`.  No profile field
+can therefore change a result, which is what lets the store key
+answers by ``(verb, RunSpec)`` alone.
 
 Every verb returns a :class:`~repro.api.RunResult` carrying the spec
 and profile snapshots, the resolved backend name and phase timings --
@@ -84,9 +79,9 @@ class Session:
         ``None`` (also settable via ``RuntimeProfile.store``).  With a
         store attached every verb first looks up the spec's
         content-addressed fingerprint and only computes on a miss,
-        writing the result back; hits skip *all* computation (including
-        ``auto_calibrate`` refits on :meth:`grid`).  Specs holding live
-        objects have no declarative identity and always compute.
+        writing the result back; hits skip *all* computation.  Specs
+        holding live objects have no declarative identity and always
+        compute.
     **overrides:
         Field overrides applied on top of ``profile`` via
         :meth:`RuntimeProfile.replace` -- ``Session(jobs=4)`` is the
@@ -119,11 +114,6 @@ class Session:
         self._backend = None
         self._retained_pool = None
         self._retain_token = None
-        self._activated = False
-        self._weights_installed = False
-        self._previous_weights = None
-        self._previous_cache_cap = None
-        self._cache_baseline = None
 
     def _resolve_store(self, store):
         """Resolve the session's result store (explicit argument wins
@@ -187,32 +177,6 @@ class Session:
         }
         return result
 
-    def _activate(self) -> None:
-        """Install the profile's scoped process-wide knobs (cost
-        weights, cache cap, cache-ownership baseline) exactly once.
-
-        Deferred out of ``__init__`` to ``__enter__`` / the first verb,
-        so a session that is constructed but never used mutates nothing;
-        previous values are captured for the LIFO restore in
-        :meth:`close` (correct for nested sessions).
-        """
-        if self._activated or self._closed:
-            return
-        self._activated = True
-        from ..parallel.cache import (
-            listening_cache_fingerprints,
-            set_listening_cache_cap,
-        )
-
-        if self.profile.cost_weights is not None:
-            self._install_weights(self.profile.cost_weights)
-        if self.profile.cache_limit is not None:
-            self._previous_cache_cap = set_listening_cache_cap(
-                self.profile.cache_limit
-            )
-        if self.profile.cache_policy == "release":
-            self._cache_baseline = listening_cache_fingerprints()
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -220,7 +184,6 @@ class Session:
     def __enter__(self) -> "Session":
         if self._closed:
             raise RuntimeError("Session is closed; create a new one")
-        self._activate()
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -243,32 +206,8 @@ class Session:
         self._closed = True
         retained, self._retained_pool = self._retained_pool, None
         token, self._retain_token = self._retain_token, None
-        try:
-            if retained is not None:
-                retained.release(token)
-        finally:
-            # The scoped-knob restores must run even if the pool
-            # shutdown raised: _closed is already True, so this is the
-            # only chance to hand the process-wide state back.
-            from ..parallel.cache import (
-                invalidate_listening_caches,
-                listening_cache_fingerprints,
-                set_listening_cache_cap,
-            )
-            from ..parallel.schedule import use_cost_weights
-
-            if self._weights_installed:
-                use_cost_weights(self._previous_weights)
-                self._weights_installed = False
-            if self._previous_cache_cap is not None:
-                set_listening_cache_cap(self._previous_cache_cap)
-                self._previous_cache_cap = None
-            if self._cache_baseline is not None:
-                for fingerprint in (
-                    listening_cache_fingerprints() - self._cache_baseline
-                ):
-                    invalidate_listening_caches(fingerprint)
-                self._cache_baseline = None
+        if retained is not None:
+            retained.release(token)
 
     # ------------------------------------------------------------------
     # Runtime resolution (once per session)
@@ -281,7 +220,6 @@ class Session:
         kernel this environment cannot run."""
         if self._closed:
             raise RuntimeError("Session is closed; create a new one")
-        self._activate()
         if self._sweeper is None:
             from ..parallel import ParallelSweep
 
@@ -316,14 +254,6 @@ class Session:
     def backend_name(self) -> str:
         """The resolved kernel name (``"auto"`` pinned to what runs)."""
         return self.backend.name
-
-    def _install_weights(self, weights) -> None:
-        from ..parallel.schedule import use_cost_weights
-
-        previous = use_cost_weights(weights)
-        if not self._weights_installed:
-            self._previous_weights = previous
-            self._weights_installed = True
 
     # ------------------------------------------------------------------
     # Spec resolution helpers
@@ -519,14 +449,8 @@ class Session:
         """Run a scenario grid through the event-driven simulator.
 
         ``raw``: the list of :class:`repro.simulation.NetworkResult`
-        objects in grid order.  With ``profile.auto_calibrate`` the grid
-        also measures per-scenario wall-clock, re-fits the scheduler's
-        ``(beacon, window)`` cost weights from its *own* timings
-        (:func:`repro.parallel.fit_cost_weights`) and persists them into
-        ``profile.cost_weights`` -- replacing the manual
-        bench-then-``use_cost_weights`` calibration step.  Fitted
-        weights affect only future scheduling order; results are
-        seed-stable regardless.
+        objects in grid order.  Results are seed-stable: the same for
+        every ``jobs`` and scheduling order.
         """
         return self._through_store("grid", _as_spec(spec), self._grid)
 
@@ -537,32 +461,18 @@ class Session:
         scenarios = build_grid(spec.grid)
         engine = self._engine()
         t1 = time.perf_counter()
-        calibration = None
-        if self.profile.auto_calibrate:
-            results, seconds = engine.map_scenarios(
-                scenarios,
-                base_seed=spec.seed,
-                reception_model=spec.reception_model(),
-                turnaround=spec.turnaround,
-                advertising_jitter=spec.advertising_jitter,
-                collect_timings=True,
-            )
-            calibration = self._calibrate(scenarios, seconds)
-        else:
-            results = engine.map_scenarios(
-                scenarios,
-                base_seed=spec.seed,
-                reception_model=spec.reception_model(),
-                turnaround=spec.turnaround,
-                advertising_jitter=spec.advertising_jitter,
-            )
+        results = engine.map_scenarios(
+            scenarios,
+            base_seed=spec.seed,
+            reception_model=spec.reception_model(),
+            turnaround=spec.turnaround,
+            advertising_jitter=spec.advertising_jitter,
+        )
         t2 = time.perf_counter()
         payload = {
             "scenarios": [scenario.name for scenario in scenarios],
             "results": [network_result_payload(result) for result in results],
         }
-        if calibration is not None:
-            payload["calibration"] = calibration
         return self._result(
             "grid",
             spec,
@@ -570,22 +480,6 @@ class Session:
             raw=results,
             timings={"build": t1 - t0, "run": t2 - t1, "total": t2 - t0},
         )
-
-    def _calibrate(self, scenarios, seconds) -> dict:
-        """Re-fit cost weights from this grid's measured timings and
-        persist them into the active profile (the ROADMAP follow-up:
-        calibration without a separate bench step)."""
-        from ..parallel.schedule import calibration_rows, fit_cost_weights
-
-        rows = calibration_rows(scenarios, seconds)
-        weights = fit_cost_weights(rows)
-        self.profile.cost_weights = weights
-        self._install_weights(weights)
-        return {
-            "cost_weights": list(weights),
-            "samples": len(rows),
-            "seconds": list(seconds),
-        }
 
     def simulate(self, spec) -> RunResult:
         """Run one scenario through the event-driven simulator.

@@ -11,10 +11,10 @@ dataclasses with a strict separation of concerns:
   results), the reception model, fidelity knobs (turnaround,
   advertising jitter, seed) and the DES spot-check policy.
 * :class:`RuntimeProfile` -- **how** to run it: sweep-kernel backend,
-  worker count, multiprocessing start method, cache limits and fitted
-  cost weights.  Profiles load from TOML or JSON
-  (``RuntimeProfile.load``), so a deployment describes its runtime once
-  instead of re-passing flags at every callsite.
+  worker count, multiprocessing start method and result-store
+  directory.  No profile field reaches a result.  Profiles load from
+  TOML or JSON (``RuntimeProfile.load``), so a deployment describes its
+  runtime once instead of re-passing flags at every callsite.
 
 Both reject unknown fields on deserialization -- a typo in a profile
 file fails loudly instead of silently running with defaults -- and both
@@ -475,9 +475,12 @@ class RuntimeProfile(_SerializableConfig):
     applies to every verb.
 
     One profile replaces per-call ``backend=``/``jobs=``/``mp_context=``
-    kwarg plumbing: resolve it once per session, not once per call.  Profiles are plain data -- load one from TOML or JSON with
-    :meth:`load`, or build the environment default with :meth:`default`
-    (honouring ``REPRO_BACKEND``, ``REPRO_JOBS`` and ``REPRO_PROFILE``).
+    kwarg plumbing: resolve it once per session, not once per call.
+    No field changes a result -- only where and how fast it is
+    computed, and where it is stored.  Profiles are plain data -- load
+    one from TOML or JSON with :meth:`load`, or build the environment
+    default with :meth:`default` (honouring ``REPRO_BACKEND``,
+    ``REPRO_JOBS`` and ``REPRO_PROFILE``).
     """
 
     backend: Any = "auto"
@@ -489,24 +492,6 @@ class RuntimeProfile(_SerializableConfig):
     shared per ``(kernel, jobs, mp_context)``."""
     mp_context: str | None = None
     """Multiprocessing start method; ``None`` = platform default."""
-    cache_limit: int | None = None
-    """Session-scoped cap on the listening-cache registry (LRU);
-    ``None`` keeps the process default."""
-    cache_policy: str = "retain"
-    """``"retain"``: listening caches built during the session stay in
-    the process-wide registry (warm for the next session);
-    ``"release"``: on exit the session drops every cache registered
-    while it was open (window-based ownership -- includes caches a
-    nested session built inside that window; pre-existing entries are
-    always preserved)."""
-    cost_weights: Any = None
-    """Fitted ``(beacon, window)`` grid-scheduler cost weights; the
-    session installs them on entry and restores the previous pair on
-    exit.  ``None`` keeps whatever is installed."""
-    auto_calibrate: bool = False
-    """Have :meth:`Session.grid <repro.api.Session.grid>` re-fit
-    ``cost_weights`` from its own per-scenario timings and persist them
-    into this profile."""
     store: str | None = None
     """Result-store directory for read-through/write-back caching of
     session verbs (:mod:`repro.store`); ``None`` disables the store.
@@ -529,23 +514,8 @@ class RuntimeProfile(_SerializableConfig):
                 "RuntimeProfile.backend 'pooled' was removed: jobs > 1 now "
                 "selects the persistent pool (name a kernel, or 'auto')"
             )
-        if self.cache_policy not in ("retain", "release"):
-            raise SpecError(
-                f"cache_policy must be 'retain' or 'release', "
-                f"got {self.cache_policy!r}"
-            )
         if self.jobs is not None and self.jobs < 0:
             raise SpecError(f"jobs must be non-negative, got {self.jobs}")
-        if self.cache_limit is not None and self.cache_limit < 1:
-            raise SpecError("cache_limit must be positive")
-        if self.cost_weights is not None:
-            weights = tuple(float(w) for w in self.cost_weights)
-            if len(weights) != 2 or any(w < 0 for w in weights):
-                raise SpecError(
-                    f"cost_weights must be two non-negative numbers, "
-                    f"got {self.cost_weights!r}"
-                )
-            self.cost_weights = weights
 
     # ------------------------------------------------------------------
     def replace(self, **overrides) -> "RuntimeProfile":
@@ -584,47 +554,6 @@ class RuntimeProfile(_SerializableConfig):
                 return cls.from_toml(text)
         except (json.JSONDecodeError, tomllib.TOMLDecodeError) as exc:
             raise SpecError(f"malformed profile {path}: {exc}") from exc
-
-    def save(self, path) -> Path:
-        """Write the profile to a ``.toml`` or ``.json`` file (extension
-        picks the format; anything else writes TOML) such that
-        :meth:`load` round-trips it exactly.
-
-        This is the persistence half of ``auto_calibrate``: ``repro grid
-        --calibrate --save-profile`` fits cost weights and writes them
-        back to the profile file.  ``None``-valued fields are omitted
-        from TOML output (TOML has no null); :meth:`load` restores them
-        as the field defaults.  The one lossy case is an explicit
-        ``jobs=None`` (CPU count), whose default is ``1`` -- use JSON
-        when that distinction must survive.
-        """
-        path = Path(path)
-        payload = self.to_dict()
-        if path.suffix.lower() == ".json":
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        else:
-            lines = []
-            for key, value in payload.items():
-                if value is None:
-                    continue
-                if isinstance(value, bool):
-                    rendered = "true" if value else "false"
-                elif isinstance(value, (int, float)):
-                    rendered = repr(value)
-                elif isinstance(value, str):
-                    rendered = json.dumps(value)
-                elif isinstance(value, (list, tuple)):
-                    rendered = "[" + ", ".join(repr(v) for v in value) + "]"
-                else:  # pragma: no cover - to_dict only emits plain data
-                    raise SpecError(
-                        f"cannot render profile field {key!r} = {value!r} "
-                        f"as TOML"
-                    )
-                lines.append(f"{key} = {rendered}")
-            text = "\n".join(lines) + "\n"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        return path
 
     @classmethod
     def default(cls) -> "RuntimeProfile":

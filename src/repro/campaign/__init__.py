@@ -37,12 +37,6 @@ from .golden import (
     regenerate_golden_csvs,
 )
 from .runner import CampaignRunner, MANIFEST_FORMAT
-from .tables import (
-    build_val_prot_campaign,
-    regenerate_val_prot_csv,
-    VAL_PROT_CAMPAIGN_PATH,
-    val_prot_rows,
-)
 
 __all__ = [
     "Campaign",
@@ -51,11 +45,7 @@ __all__ = [
     "MANIFEST_FORMAT",
     "VERBS",
     "build_golden_campaign",
-    "build_val_prot_campaign",
     "GOLDEN_CAMPAIGN_PATH",
     "golden_rows",
     "regenerate_golden_csvs",
-    "regenerate_val_prot_csv",
-    "VAL_PROT_CAMPAIGN_PATH",
-    "val_prot_rows",
 ]

@@ -275,14 +275,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         },
         seed=args.seed,
     )
-    profile = _profile_from_args(args)
-    if args.save_profile and not args.profile:
-        from .api import SpecError
-
-        raise SpecError("--save-profile needs --profile PATH to write back to")
-    if args.calibrate or args.save_profile:
-        profile = profile.replace(auto_calibrate=True)
-    with Session(profile) as session:
+    with Session(_profile_from_args(args)) as session:
         result = session.grid(spec)
     rows = []
     for name, network in zip(result.payload["scenarios"], result.raw):
@@ -303,24 +296,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             ),
         )
     )
-    calibration = result.payload.get("calibration")
-    if calibration is not None:
-        w_beacon, w_window = calibration["cost_weights"]
-        print(
-            f"calibrated cost weights: beacon={w_beacon:.3e}, "
-            f"window={w_window:.3e} (from {calibration['samples']} "
-            f"scenario timings)"
-        )
-    if args.save_profile:
-        from .api import RuntimeProfile
-
-        # Persist only the fitted weights into the *file* profile, not
-        # this invocation's one-shot flag overrides.
-        original = RuntimeProfile.load(args.profile)
-        path = original.replace(
-            cost_weights=session.profile.cost_weights
-        ).save(args.profile)
-        print(f"calibrated cost weights saved to {path}")
     return 0
 
 
@@ -827,20 +802,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_grid.add_argument("--omega", type=int, default=32)
     p_grid.add_argument("--seed", type=int, default=0)
-    p_grid.add_argument(
-        "--calibrate", action="store_true",
-        help=(
-            "re-fit the grid scheduler's cost weights from this run's "
-            "own per-scenario timings (auto-calibration)"
-        ),
-    )
-    p_grid.add_argument(
-        "--save-profile", action="store_true",
-        help=(
-            "write the calibrated cost weights back into the --profile "
-            "file (implies --calibrate; requires --profile)"
-        ),
-    )
     p_grid.set_defaults(func=_cmd_grid)
 
     p_camp = sub.add_parser(

@@ -27,9 +27,12 @@ faster.
   instead of copying.
 * :func:`derive_seed` -- chunking- and scheduling-invariant per-item
   seeding.
-* :func:`fit_cost_weights` / :func:`use_cost_weights` -- calibrate the
-  grid scheduler's event-rate cost model from measured per-scenario
-  wall-clock (``results/BENCH_parallel.json``).
+* :func:`fit_cost_weights` -- fit the event-rate cost model's
+  seconds-per-event weights to measured per-scenario wall-clock
+  (``results/BENCH_parallel.json``); the bench re-derives the ladder's
+  checked-in ``REFERENCE_WEIGHTS`` with it.  Nothing installs fitted
+  weights at runtime: grid ranking uses unit weights and the ladder
+  the constant.
 
 Cache invalidation contract
 ---------------------------
@@ -39,9 +42,10 @@ immutable schedule objects, so **entries can never go stale**: a
 protocol cannot be mutated, only replaced by a new object with a new
 fingerprint.  :func:`invalidate_listening_caches` exists to reclaim
 memory (or force cold rebuilds in benchmarks), never for correctness;
-the registry additionally self-bounds via LRU eviction.  Forked workers
-inherit the parent registry (safe: entries are immutable); spawned
-workers start empty and are seeded through the pool's pattern arena.
+the registry additionally self-bounds via LRU eviction at a fixed cap.
+Forked workers inherit the parent registry (safe: entries are
+immutable); spawned workers start empty and are seeded through the
+pool's pattern arena.
 
 Process-runtime contract
 ------------------------
@@ -78,38 +82,24 @@ from .cache import (
     get_listening_cache,
     invalidate_listening_caches,
     ListeningCache,
-    listening_cache_fingerprints,
     listening_cache_stats,
     protocol_fingerprint,
-    set_listening_cache_cap,
 )
 from .executor import ParallelSweep
-from .schedule import (
-    calibration_rows,
-    cost_weights,
-    estimate_scenario_cost,
-    fit_cost_weights,
-    plan_longest_first,
-    use_cost_weights,
-)
+from .schedule import estimate_scenario_cost, fit_cost_weights, plan_longest_first
 from .shm import PatternArena, PatternHandle
 
 __all__ = [
-    "calibration_rows",
-    "cost_weights",
     "derive_seed",
     "estimate_scenario_cost",
     "fit_cost_weights",
     "get_listening_cache",
     "invalidate_listening_caches",
     "ListeningCache",
-    "listening_cache_fingerprints",
     "listening_cache_stats",
     "ParallelSweep",
     "PatternArena",
     "PatternHandle",
     "plan_longest_first",
     "protocol_fingerprint",
-    "set_listening_cache_cap",
-    "use_cost_weights",
 ]

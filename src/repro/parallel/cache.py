@@ -88,8 +88,6 @@ __all__ = [
     "register_listening_cache",
     "invalidate_listening_caches",
     "listening_cache_stats",
-    "listening_cache_fingerprints",
-    "set_listening_cache_cap",
 ]
 
 
@@ -120,13 +118,13 @@ _MEMO_CAP = 1 << 18
 # residue memo would only pay insertion overhead.
 _MEMO_MIN_SEGMENTS = 256
 _REGISTRY: dict[str, "ListeningCache"] = {}
-_DEFAULT_REGISTRY_CAP = 64
-_REGISTRY_CAP = _DEFAULT_REGISTRY_CAP
+# LRU bound on registered caches.
+_REGISTRY_CAP = 64
 _STATS = {"hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
-# Guards _REGISTRY/_STATS/_REGISTRY_CAP: concurrent store-backed worker
-# sessions (repro.campaign's parallel entry execution) share this
-# registry from many threads.  Pattern *builds* stay outside the lock
-# -- a lost race costs one redundant build, never a torn registry.
+# Guards _REGISTRY/_STATS: concurrent worker sessions (the service's
+# compute threads) share this registry.  Pattern *builds* stay outside
+# the lock -- a lost race costs one redundant build, never a torn
+# registry.
 _REGISTRY_LOCK = threading.RLock()
 
 
@@ -231,45 +229,6 @@ def listening_cache_stats() -> dict:
     """Registry counters (hits/misses/evictions/invalidations) + size."""
     with _REGISTRY_LOCK:
         return dict(_STATS, size=len(_REGISTRY))
-
-
-def listening_cache_fingerprints() -> set[str]:
-    """The fingerprints currently registered.
-
-    :class:`repro.api.Session` snapshots this on entry so a
-    ``cache_policy="release"`` profile can drop, on exit, the caches
-    registered *during its open window*.  Ownership is window-based,
-    not per-caller: caches that existed before the session opened are
-    always preserved, while anything registered while it was open --
-    including by a nested session running inside that window -- is
-    released.  Entries are rebuild-on-demand memoization, so a release
-    only ever costs a cold rebuild; prefer ``cache_policy="retain"``
-    when concurrent sessions share a zoo.
-    """
-    with _REGISTRY_LOCK:
-        return set(_REGISTRY)
-
-
-def set_listening_cache_cap(cap: int | None = None) -> int:
-    """Install a new registry LRU cap; ``None`` restores the default.
-
-    Returns the *previous* cap so scoped callers (a session applying
-    ``RuntimeProfile.cache_limit``) can restore it.  Lowering the cap
-    evicts LRU entries immediately.
-    """
-    global _REGISTRY_CAP
-    if cap is None:
-        cap = _DEFAULT_REGISTRY_CAP
-    cap = int(cap)
-    if cap < 1:
-        raise ValueError(f"cache cap must be positive, got {cap}")
-    with _REGISTRY_LOCK:
-        previous = _REGISTRY_CAP
-        _REGISTRY_CAP = cap
-        while len(_REGISTRY) > _REGISTRY_CAP:
-            _REGISTRY.pop(next(iter(_REGISTRY)))
-            _STATS["evictions"] += 1
-        return previous
 
 
 class ListeningCache:

@@ -39,7 +39,6 @@ under both fork and spawn start methods.
 from __future__ import annotations
 
 import os
-import time
 # Bound at module level so instrumentation can count pool boots here.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 
@@ -116,17 +115,6 @@ def _network_one_cfg(config: dict, item: tuple[int, object]):
     )
 
 
-def _network_one_cfg_timed(config: dict, item: tuple[int, object]):
-    """:func:`_network_one_cfg` wrapped in one ``perf_counter`` pair, so
-    per-scenario wall-clock rides back next to the result for cost-model
-    auto-calibration (``map_scenarios(collect_timings=True)``) without
-    perturbing results -- the simulation is seed-deterministic and never
-    reads the clock."""
-    started = time.perf_counter()
-    result = _network_one_cfg(config, item)
-    return result, time.perf_counter() - started
-
-
 def _steal_merge(scenarios: list, submit) -> list:
     """The work-stealing discipline.
 
@@ -146,15 +134,10 @@ def _steal_merge(scenarios: list, submit) -> list:
 def _estimated_spot_events(protocols, horizon, n_offsets: int) -> float:
     """Estimated simulated events for a DES spot-check batch.
 
-    Unit weights on purpose: the ``_SPOT_POOL_MIN_EVENTS`` floor is an
-    absolute event-count threshold, and calibrated cost weights
-    (:func:`repro.parallel.use_cost_weights`) are seconds-per-event
-    scales that must only affect scheduling *order*, never whether a
-    batch shards.
+    The unit-weight event count: the ``_SPOT_POOL_MIN_EVENTS`` floor
+    is an absolute event-count threshold.
     """
-    return n_offsets * default_simulation_cost(
-        protocols, horizon, weights=(1.0, 1.0)
-    )
+    return n_offsets * default_simulation_cost(protocols, horizon)
 
 
 class ParallelSweep:
@@ -329,7 +312,6 @@ class ParallelSweep:
         reception_model: ReceptionModel = ReceptionModel.POINT,
         turnaround: int = 0,
         advertising_jitter: int = 0,
-        collect_timings: bool = False,
     ) -> list:
         """Run one network simulation per scenario, in input order.
 
@@ -338,13 +320,6 @@ class ParallelSweep:
         (including the in-process serial path).  With ``jobs > 1`` the
         grid runs on the persistent pool in work-stealing submission
         order, so successive small grids stop paying pool startup.
-
-        ``collect_timings=True`` returns ``(results, seconds)`` instead:
-        per-scenario wall-clock measured *inside* the worker that ran
-        each scenario, grid-ordered like the results.  This feeds
-        :meth:`repro.api.Session.grid`'s cost-weight auto-calibration;
-        the results list is bit-identical either way (the timing wrapper
-        only reads the clock around an unchanged computation).
         """
         scenarios = list(scenarios)
         config = {
@@ -355,18 +330,13 @@ class ParallelSweep:
         }
         pool = self.pool()
         if pool is None or len(scenarios) < 2:
-            timed = [
-                _network_one_cfg_timed(config, item)
+            return [
+                _network_one_cfg(config, item)
                 for item in enumerate(scenarios)
             ]
-        else:
-            timed = _steal_merge(
-                scenarios,
-                lambda index: pool.submit(
-                    _network_one_cfg_timed, config, (index, scenarios[index])
-                ),
-            )
-        results = [result for result, _ in timed]
-        if not collect_timings:
-            return results
-        return results, [seconds for _, seconds in timed]
+        return _steal_merge(
+            scenarios,
+            lambda index: pool.submit(
+                _network_one_cfg, config, (index, scenarios[index])
+            ),
+        )

@@ -22,16 +22,16 @@ mirrors from the schedules alone.  Scenario objects may also carry their
 own ``cost_hint()`` (see :class:`repro.workloads.Scenario`), which takes
 precedence.
 
-Since PR 3 the two event-rate components (beacon-side, window-side) are
-separately weighted, and the weights can be **calibrated from real
-timings**: ``benchmarks/bench_parallel_speedup.py`` records measured
-per-scenario wall-clock (plus the two components) into
+The two event-rate components (beacon-side, window-side) are separately
+weighted.  Ranking uses unit weights; the worst-case ladder
+(:mod:`repro.simulation.ladder`) prices its tiers in milliseconds with
+the checked-in ``REFERENCE_WEIGHTS`` constant instead.  Both are
+constants, never process-wide state, so no session can change a result
+or a tier decision.  ``benchmarks/bench_parallel_speedup.py`` records
+measured per-scenario wall-clock (plus the two components) into
 ``results/BENCH_parallel.json``, and :func:`fit_cost_weights` solves the
 least-squares fit ``seconds ~ w_beacon * beacon + w_window * window``
-over those rows.  Install the result with :func:`use_cost_weights` to
-have every ``cost_hint()`` (and therefore work-stealing submission
-order) reflect the measured machine; scheduling order remains a pure
-wall-clock concern, so results stay bit-identical under any weights.
+over those rows -- the recipe for refreshing that constant.
 """
 
 from __future__ import annotations
@@ -39,20 +39,12 @@ from __future__ import annotations
 import json
 
 __all__ = [
-    "calibration_rows",
     "cost_components",
-    "cost_weights",
     "default_simulation_cost",
     "estimate_scenario_cost",
     "fit_cost_weights",
     "plan_longest_first",
-    "use_cost_weights",
 ]
-
-#: (beacon-side, window-side) event weights.  The defaults weigh both
-#: equally -- the pre-calibration PR-2 model.
-_DEFAULT_COST_WEIGHTS = (1.0, 1.0)
-_cost_weights = _DEFAULT_COST_WEIGHTS
 
 
 def cost_components(protocols, horizon) -> tuple[float, float]:
@@ -79,42 +71,18 @@ def cost_components(protocols, horizon) -> tuple[float, float]:
     return float(horizon) * beacon_rate, float(horizon) * window_rate
 
 
-def default_simulation_cost(protocols, horizon, weights=None) -> float:
+def default_simulation_cost(protocols, horizon, weights=(1.0, 1.0)) -> float:
     """Event-rate cost model for one event-driven simulation.
 
-    The weighted sum of :func:`cost_components`; ``weights`` defaults to
-    the process-wide pair installed by :func:`use_cost_weights`.  Only
-    the *ranking* across scenarios matters, not absolute accuracy.  The
-    single copy of the formula --
+    The weighted sum of :func:`cost_components`.  The default unit
+    ``(beacon, window)`` weights count events, which is all ranking
+    needs; the ladder passes seconds-per-event weights to price tiers.
+    The single copy of the formula --
     :meth:`repro.workloads.Scenario.cost_hint` delegates here.
     """
-    w_beacon, w_window = weights if weights is not None else _cost_weights
+    w_beacon, w_window = weights
     beacon_component, window_component = cost_components(protocols, horizon)
     return w_beacon * beacon_component + w_window * window_component
-
-
-def cost_weights() -> tuple[float, float]:
-    """The currently installed ``(beacon, window)`` cost weights."""
-    return _cost_weights
-
-
-def use_cost_weights(weights=None) -> tuple[float, float]:
-    """Install process-wide cost weights; ``None`` restores defaults.
-
-    Returns the *previous* pair so callers (benchmarks, tests) can
-    restore it.  Affects only scheduling order -- results are seed- and
-    index-stable regardless.
-    """
-    global _cost_weights
-    previous = _cost_weights
-    if weights is None:
-        _cost_weights = _DEFAULT_COST_WEIGHTS
-    else:
-        w_beacon, w_window = float(weights[0]), float(weights[1])
-        if w_beacon < 0 or w_window < 0:
-            raise ValueError(f"cost weights must be non-negative: {weights}")
-        _cost_weights = (w_beacon, w_window)
-    return previous
 
 
 def fit_cost_weights(bench) -> tuple[float, float]:
@@ -129,7 +97,8 @@ def fit_cost_weights(bench) -> tuple[float, float]:
     require the optional NumPy extra), clamping negative solutions to
     zero; degenerate inputs (collinear components, too few rows) fall
     back to one shared scale so the fit can only refine the ranking,
-    never destroy it.  Install the result with :func:`use_cost_weights`.
+    never destroy it.  The fit over the bench's reference-machine rows
+    is what :data:`repro.simulation.ladder.REFERENCE_WEIGHTS` records.
     """
     if isinstance(bench, (str, bytes)) and bench.lstrip()[:1] in (
         "{", "[", b"{", b"[",
@@ -177,40 +146,6 @@ def fit_cost_weights(bench) -> tuple[float, float]:
     w_beacon = (s_bs * s_ww - s_ws * s_bw) / det
     w_window = (s_ws * s_bb - s_bs * s_bw) / det
     return (max(w_beacon, 0.0), max(w_window, 0.0))
-
-
-def calibration_rows(scenarios, seconds) -> list[dict]:
-    """Pair scenarios with their measured wall-clock into fit rows.
-
-    The bridge between a grid run's own timings
-    (``ParallelSweep.map_scenarios(collect_timings=True)``) and
-    :func:`fit_cost_weights`: each row carries the scenario's two
-    event-rate components plus its measured seconds, exactly the
-    ``per_scenario`` layout the benchmark records.  This is what lets
-    :meth:`repro.api.Session.grid` auto-calibrate without a separate
-    bench step.
-    """
-    scenarios = list(scenarios)
-    seconds = list(seconds)
-    if len(scenarios) != len(seconds):
-        raise ValueError(
-            f"scenarios and seconds must align "
-            f"({len(scenarios)} vs {len(seconds)})"
-        )
-    rows = []
-    for scenario, measured in zip(scenarios, seconds):
-        beacon_component, window_component = cost_components(
-            scenario.protocols, scenario.horizon
-        )
-        rows.append(
-            {
-                "scenario": getattr(scenario, "name", ""),
-                "beacon_component": beacon_component,
-                "window_component": window_component,
-                "seconds": float(measured),
-            }
-        )
-    return rows
 
 
 def estimate_scenario_cost(scenario) -> float:

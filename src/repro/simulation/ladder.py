@@ -10,32 +10,29 @@ decisions for ``Session.worst_case``'s adaptive fidelity ladder:
 * price the **DES tier** per replay, so spot checks are cut (never the
   sweep) when the budget runs short.
 
-Prices derive from the same fitted ``(beacon, window)`` cost weights
-the grid scheduler uses (:mod:`repro.parallel.schedule`):
-:func:`~repro.parallel.schedule.fit_cost_weights` regresses measured
-wall-clock seconds onto the two event-rate components, so
-``default_simulation_cost`` approximates one DES replay of the pair in
-seconds.  One analytic offset evaluation is priced at a fixed fraction
-of a replay (:data:`ANALYTIC_OFFSET_FACTOR`).  When the process still
-holds the *uncalibrated* ``(1.0, 1.0)`` defaults -- which only rank
-scenarios and do not measure seconds -- the planner substitutes
-:data:`REFERENCE_WEIGHTS`, the reference-machine fit recorded in
-``results/BENCH_parallel.json``, so budgets stay interpretable as
-milliseconds out of the box.
+Prices use the grid scheduler's event-rate cost formula
+(:func:`~repro.parallel.schedule.default_simulation_cost`) with the
+checked-in :data:`REFERENCE_WEIGHTS` -- seconds per event-rate unit,
+the reference-machine fit :func:`~repro.parallel.schedule.fit_cost_weights`
+produces from the bench's measured grid timings -- so one DES replay of
+the pair is priced in seconds and budgets read as milliseconds.  One
+analytic offset evaluation is priced at a fixed fraction of a replay
+(:data:`ANALYTIC_OFFSET_FACTOR`).  The weights are a constant, not
+process-wide state: refresh them by re-deriving the bench's
+``fitted_cost_weights`` row and checking the new pair in.
 
-The plan is a **pure function** of the spec and the installed weights
-(no wall-clock feedback), so tier selection is deterministic and
-reproducible: the same query under the same weights always runs the
-same tiers, and a larger budget can only grow the work -- the nested
-offset prefixes below make the reported bound interval monotone in the
-budget.
+The plan is a **pure function** of the spec (no wall-clock feedback, no
+runtime setting), so tier selection is deterministic and reproducible:
+the same query always runs the same tiers in every session, and a
+larger budget can only grow the work -- the nested offset prefixes
+below make the reported bound interval monotone in the budget.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..parallel.schedule import cost_weights, default_simulation_cost
+from ..parallel.schedule import default_simulation_cost
 
 __all__ = [
     "ANALYTIC_OFFSET_FACTOR",
@@ -71,8 +68,7 @@ DES_PRICE_MARGIN = 2.0
 
 #: Reference-machine ``(beacon, window)`` weights in seconds per
 #: event-rate unit -- the scale ``fit_cost_weights`` produces from the
-#: bench's measured grid timings.  Used only while the process holds
-#: the uncalibrated ``(1.0, 1.0)`` ranking defaults.
+#: bench's measured grid timings.  The planner's whole cost model.
 REFERENCE_WEIGHTS = (3.3e-06, 4.8e-06)
 
 #: Floors keeping prices positive for degenerate schedules (a pair with
@@ -138,24 +134,13 @@ def low_discrepancy_offsets(hyper: int, count: int) -> list[int]:
 
 
 class LadderPlanner:
-    """Deterministic tier prices for one worst-case query (module docs).
+    """Deterministic tier prices for one worst-case query, priced with
+    :data:`REFERENCE_WEIGHTS` (module docs)."""
 
-    ``weights=None`` reads the process-wide pair installed by
-    :func:`repro.parallel.schedule.use_cost_weights` (falling back to
-    :data:`REFERENCE_WEIGHTS` while the uncalibrated defaults are
-    installed); pass an explicit pair to pin the cost model, e.g. in
-    tests asserting tier selection.
-    """
-
-    def __init__(self, protocol_e, protocol_f, horizon, weights=None):
-        if weights is None:
-            weights = cost_weights()
-            if weights == (1.0, 1.0):
-                weights = REFERENCE_WEIGHTS
+    def __init__(self, protocol_e, protocol_f, horizon):
         pair_cost_s = default_simulation_cost(
-            (protocol_e, protocol_f), horizon, weights
+            (protocol_e, protocol_f), horizon, REFERENCE_WEIGHTS
         )
-        self.weights = tuple(float(w) for w in weights)
         #: Price of one DES replay of the pair over the horizon, ms.
         self.des_ms = max(pair_cost_s * 1000.0, _MIN_DES_MS)
         #: Price of one analytic offset evaluation, ms.

@@ -14,10 +14,12 @@ payload is ``RunSpec.to_dict()`` with the declarative ``pair``
 description replaced by its schema-canonical form
 (:func:`repro.protocols.canonical_pair`).  Invariants:
 
-* :class:`~repro.api.RuntimeProfile` runtime knobs (backend, jobs,
-  mp_context, ...) never enter the hash -- results are
-  bit-identical across them per the kernel-equivalence gates, so one
-  entry serves every runtime.
+* :class:`~repro.api.RuntimeProfile` fields (``backend``, ``jobs``,
+  ``mp_context``, ``store``) never enter the hash, because none of them
+  reaches a result: kernels and job counts are bit-identical per the
+  kernel-equivalence gates, and nothing a profile sets feeds the
+  budgeted ladder's tier decisions (it prices with the constant
+  ``REFERENCE_WEIGHTS``).  So one entry serves every runtime.
 * JSON round-trips of the same spec hash identically (tuples normalize
   to lists before hashing).
 * Pair descriptions hash by constructor schema with defaults filled

@@ -6,9 +6,12 @@ JSON of ``{"format": 1, "verb": <verb>, "spec": <canonical spec>}``.
 Two invariance guarantees define the contract:
 
 * **Runtime invariance** -- :class:`repro.api.RuntimeProfile` never
-  enters the hash.  Results are bit-identical across backend/jobs/
-  mp_context by the kernel-equivalence gates, so runtime knobs must
-  not split the cache.
+  enters the hash, because no profile field reaches a result.
+  Results are bit-identical across backend/jobs/mp_context by the
+  kernel-equivalence gates, the store directory only says where
+  answers live, and the budgeted ladder plans with the constant
+  ``REFERENCE_WEIGHTS`` rather than any session state.  Runtime knobs
+  therefore must not split the cache.
 * **Spelling invariance** -- the spec payload is ``RunSpec.to_dict()``
   (tuples normalized to lists, so JSON round-trips of the same spec
   hash identically), with the declarative ``pair`` description replaced

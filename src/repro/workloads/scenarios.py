@@ -62,10 +62,9 @@ class Scenario:
         Consumed by :func:`repro.parallel.estimate_scenario_cost` to
         order work-stealing submissions longest-first; subclasses with
         extra knobs can override it.  Delegates to the one event-rate
-        cost model in :mod:`repro.parallel.schedule` -- including any
-        measured weights installed via
-        :func:`repro.parallel.use_cost_weights` after a
-        :func:`repro.parallel.fit_cost_weights` calibration.  Staggered
+        cost model in :mod:`repro.parallel.schedule` with its unit
+        weights: an event count, which ranks scenarios the same on any
+        machine.  Staggered
         boots shorten each device's active span, which the estimate
         ignores -- an upper bound is exactly what longest-first
         scheduling wants.

@@ -5,6 +5,7 @@ Every call goes through :class:`repro.api.Session` or the
 spec/profile/result classes directly.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -91,19 +92,20 @@ class TestRunSpecSerialization:
 
 
 class TestRuntimeProfileSerialization:
-    def test_roundtrip_with_cost_weights(self):
+    def test_roundtrip(self):
         profile = RuntimeProfile(
             backend="python",
             jobs=3,
             mp_context="spawn",
-            cache_limit=8,
-            cache_policy="release",
-            cost_weights=(3e-6, 7e-6),
-            auto_calibrate=True,
+            store="results/store",
         )
         clone = RuntimeProfile.from_json(profile.to_json())
         assert clone == profile
-        assert clone.cost_weights == (3e-6, 7e-6)  # tuple restored
+
+    def test_exactly_four_fields(self):
+        assert [f.name for f in dataclasses.fields(RuntimeProfile)] == [
+            "backend", "jobs", "mp_context", "store",
+        ]
 
     @pytest.mark.parametrize(
         "payload,message",
@@ -113,6 +115,10 @@ class TestRuntimeProfileSerialization:
             ({"shared_memory": True}, "'shared_memory' was removed"),
             ({"chunks_per_job": 4}, "'chunks_per_job' was removed"),
             ({"backend": "pooled", "jobs": 2}, "jobs > 1 now selects"),
+            ({"cost_weights": [3e-6, 7e-6]}, r"unknown .*'cost_weights'"),
+            ({"auto_calibrate": True}, r"unknown .*'auto_calibrate'"),
+            ({"cache_limit": 8}, r"unknown .*'cache_limit'"),
+            ({"cache_policy": "release"}, r"unknown .*'cache_policy'"),
         ],
     )
     def test_unknown_field_rejected(self, payload, message):
@@ -123,13 +129,7 @@ class TestRuntimeProfileSerialization:
         with pytest.raises(SpecError):
             RuntimeProfile(backend="pooled")
         with pytest.raises(SpecError):
-            RuntimeProfile(cache_policy="hoard")
-        with pytest.raises(SpecError):
             RuntimeProfile(jobs=-1)
-        with pytest.raises(SpecError):
-            RuntimeProfile(cost_weights=(1.0,))
-        with pytest.raises(SpecError):
-            RuntimeProfile(cost_weights=(-1.0, 2.0))
 
     def test_load_toml_and_json(self, tmp_path):
         toml_path = tmp_path / "profile.toml"
@@ -145,8 +145,6 @@ class TestRuntimeProfileSerialization:
     def test_wrong_typed_field_values_raise_spec_error(self):
         with pytest.raises(SpecError, match="field value"):
             RuntimeProfile(jobs="four")
-        with pytest.raises(SpecError, match="field value"):
-            RuntimeProfile(cost_weights=("a", "b"))
         with pytest.raises(SpecError, match="field value"):
             RunSpec(samples="many")
 
@@ -185,12 +183,12 @@ class TestRuntimeProfileSerialization:
 
     def test_default_loads_profile_file_from_env(self, monkeypatch, tmp_path):
         path = tmp_path / "profile.toml"
-        path.write_text("jobs = 3\ncache_limit = 16\n")
+        path.write_text('jobs = 3\nstore = "results/store"\n')
         monkeypatch.setenv("REPRO_PROFILE", str(path))
         monkeypatch.setenv("REPRO_BACKEND", "python")
         profile = RuntimeProfile.default()
         assert profile.jobs == 3
-        assert profile.cache_limit == 16
+        assert profile.store == "results/store"
         assert profile.backend == "python"  # env override on top
 
     def test_backend_instance_is_runtime_only(self):

@@ -10,12 +10,6 @@ import pytest
 from repro.api import RunSpec, RuntimeProfile, Session
 from repro.backends import get_pooled_backend, PooledBackend
 from repro.backends.pooled import shutdown_pooled_backends
-from repro.parallel import (
-    cost_weights,
-    listening_cache_fingerprints,
-    use_cost_weights,
-)
-from repro.parallel.cache import _REGISTRY_CAP as _DEFAULT_CAP
 
 
 def _sweep_spec(samples=24):
@@ -335,109 +329,6 @@ class TestPooledPatternArena:
             assert _pool(session).arena is not None
             assert _pool(session).arena.segments >= 1
         assert got.raw == expected
-
-
-class TestScopedProcessKnobs:
-    def teardown_method(self):
-        use_cost_weights(None)
-
-    def test_profile_cost_weights_scoped_to_session(self):
-        baseline = cost_weights()
-        with Session(RuntimeProfile(cost_weights=(3e-6, 7e-6))):
-            assert cost_weights() == (3e-6, 7e-6)
-        assert cost_weights() == baseline
-
-    def test_nested_sessions_restore_lifo(self):
-        with Session(RuntimeProfile(cost_weights=(2.0, 2.0))):
-            with Session(RuntimeProfile(cost_weights=(5.0, 5.0))):
-                assert cost_weights() == (5.0, 5.0)
-            assert cost_weights() == (2.0, 2.0)
-        assert cost_weights() == (1.0, 1.0)
-
-    def test_cache_limit_scoped_to_session(self):
-        from repro.parallel.cache import _REGISTRY_CAP as cap_before
-
-        with Session(RuntimeProfile(cache_limit=4)):
-            from repro.parallel import cache
-
-            assert cache._REGISTRY_CAP == 4
-        from repro.parallel import cache
-
-        assert cache._REGISTRY_CAP == cap_before == _DEFAULT_CAP
-
-    def test_cache_policy_release_drops_only_session_caches(self):
-        from repro.core.optimal import synthesize_symmetric
-        from repro.parallel import get_listening_cache
-
-        # A cache created *outside* the session must survive it.
-        outside_protocol, _ = synthesize_symmetric(32, 0.02)
-        get_listening_cache(outside_protocol)
-        from repro.parallel import protocol_fingerprint
-
-        outside_key = protocol_fingerprint(outside_protocol)
-        before = listening_cache_fingerprints()
-        assert outside_key in before
-        fresh_spec = RunSpec(
-            # An eta no other test uses, so the session really builds
-            # (and therefore owns) these caches.
-            pair={"kind": "symmetric", "eta": 0.0387},
-            samples=8, horizon_multiple=1,
-        )
-        with Session(
-            RuntimeProfile(backend="python", cache_policy="release")
-        ) as session:
-            session.sweep(fresh_spec)
-            during = listening_cache_fingerprints()
-            assert during - before, "sweep should have built new caches"
-        after = listening_cache_fingerprints()
-        assert outside_key in after
-        assert after == before
-
-
-class TestAutoCalibration:
-    def teardown_method(self):
-        use_cost_weights(None)
-
-    def test_grid_refits_and_persists_weights(self):
-        profile = RuntimeProfile(backend="python", auto_calibrate=True)
-        assert profile.cost_weights is None
-        with Session(profile) as session:
-            result = session.grid(_grid_spec())
-            # Weights persisted into the *active* profile and installed
-            # process-wide for the rest of the session.
-            assert profile.cost_weights is not None
-            w_beacon, w_window = profile.cost_weights
-            assert w_beacon >= 0 and w_window >= 0
-            assert cost_weights() == profile.cost_weights
-        calibration = result.payload["calibration"]
-        assert calibration["cost_weights"] == list(profile.cost_weights)
-        assert calibration["samples"] == 2
-        assert len(calibration["seconds"]) == 2
-        assert all(s > 0 for s in calibration["seconds"])
-        # Session scope: the process-wide pair is restored on exit...
-        assert cost_weights() == (1.0, 1.0)
-        # ...but the profile keeps the fit for the next session.
-        reused = RuntimeProfile.from_dict(profile.to_dict())
-        assert reused.cost_weights == profile.cost_weights
-
-    def test_calibrated_results_identical_to_uncalibrated(self):
-        with Session(RuntimeProfile(backend="python")) as session:
-            plain = session.grid(_grid_spec())
-        with Session(
-            RuntimeProfile(backend="python", auto_calibrate=True)
-        ) as session:
-            calibrated = session.grid(_grid_spec())
-        assert calibrated.raw == plain.raw
-
-    def test_parallel_calibration_matches_serial_results(self):
-        with Session(RuntimeProfile(backend="python")) as session:
-            serial = session.grid(_grid_spec())
-        with Session(
-            RuntimeProfile(backend="python", jobs=2, auto_calibrate=True)
-        ) as session:
-            parallel = session.grid(_grid_spec())
-            assert session.profile.cost_weights is not None
-        assert parallel.raw == serial.raw
 
 
 class TestVerbValidation:

@@ -5,7 +5,7 @@ NumPy import-guard shim (including a simulated NumPy-less environment,
 so every fallback path is exercised on machines that do have the
 extra), kernel fallback behaviour on non-vectorizable inputs, the
 incremental strided-sweep engine and its gates, the
-``ListeningCache.pattern_arrays()`` accessor, the cost-model calibration
+``ListeningCache.pattern_arrays()`` accessor, the cost-model fit
 helpers, and CLI threading of ``--backend``.
 """
 
@@ -33,13 +33,11 @@ from repro.core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
 from repro.parallel import ParallelSweep
 from repro.parallel.schedule import (
     cost_components,
-    cost_weights,
     default_simulation_cost,
     fit_cost_weights,
-    use_cost_weights,
 )
 from repro.simulation import evaluate_offsets, ReceptionModel, sweep_offsets
-from repro.workloads import dense_network, symmetric_pair
+from repro.workloads import dense_network
 
 
 def _small_pair():
@@ -486,9 +484,6 @@ class TestEnumerateCriticalOffsets:
 
 
 class TestCostModelCalibration:
-    def teardown_method(self):
-        use_cost_weights(None)
-
     def test_components_sum_to_default_cost(self):
         scenario = dense_network(n_devices=4, eta=0.02)
         beacon, window = cost_components(scenario.protocols, scenario.horizon)
@@ -544,42 +539,11 @@ class TestCostModelCalibration:
         path.write_text(json.dumps(payload))
         assert fit_cost_weights(path) == fit_cost_weights(payload)
 
-    def test_installed_weights_reach_cost_hint(self):
-        scenario = symmetric_pair(eta=0.02)
-        baseline = scenario.cost_hint()
-        previous = use_cost_weights((2.0, 2.0))
-        try:
-            assert math.isclose(scenario.cost_hint(), 2.0 * baseline)
-        finally:
-            use_cost_weights(previous)
-        assert math.isclose(scenario.cost_hint(), baseline)
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            use_cost_weights((-1.0, 1.0))
-        assert cost_weights() == (1.0, 1.0)
-
     def test_fit_rejects_payload_without_per_scenario_rows(self):
         # A pre-PR-3 bench payload must produce a clear error, not an
         # opaque TypeError from iterating the dict's keys.
         with pytest.raises(ValueError, match="per_scenario"):
             fit_cost_weights({"serial_seconds": 1.0, "speedup": 4.2})
-
-    def test_spot_check_floor_is_weight_invariant(self):
-        """Calibrated seconds-per-event weights (~1e-6) must not change
-        whether a DES spot-check batch clears the absolute event floor."""
-        from repro.parallel.executor import _estimated_spot_events
-
-        scenario = dense_network(n_devices=2, eta=0.02)
-        baseline = _estimated_spot_events(scenario.protocols, scenario.horizon, 16)
-        previous = use_cost_weights((3e-6, 2e-6))
-        try:
-            assert _estimated_spot_events(
-                scenario.protocols, scenario.horizon, 16
-            ) == baseline
-        finally:
-            use_cost_weights(previous)
-
 
 class TestCLIBackendFlag:
     def test_sweep_accepts_backend(self, capsys):
@@ -612,9 +576,12 @@ class TestCLIBackendFlag:
     @pytest.mark.parametrize("argv", [
         ["grid", "--devices", "3", "--schedule", "steal"],
         ["campaign", "run", "campaign.json", "--entry-jobs", "2"],
-    ], ids=["schedule", "entry-jobs"])
+        ["grid", "--devices", "3", "--calibrate"],
+        ["grid", "--devices", "3", "--profile", "p.toml", "--save-profile"],
+    ], ids=["schedule", "entry-jobs", "calibrate", "save-profile"])
     def test_removed_runtime_flags_rejected(self, argv, capsys):
-        """``--jobs`` is the only parallelism flag left."""
+        """``--jobs`` is the only parallelism flag left, and no flag
+        re-fits or persists cost weights."""
         from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:

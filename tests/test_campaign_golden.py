@@ -10,14 +10,10 @@ import pytest
 from repro.api import RuntimeProfile
 from repro.campaign import (
     build_golden_campaign,
-    build_val_prot_campaign,
     CampaignRunner,
     GOLDEN_CAMPAIGN_PATH,
     golden_rows,
     regenerate_golden_csvs,
-    regenerate_val_prot_csv,
-    VAL_PROT_CAMPAIGN_PATH,
-    val_prot_rows,
 )
 from repro.store import ResultStore
 
@@ -77,39 +73,6 @@ def test_rows_come_from_store_payloads(warm_store):
 def test_missing_fingerprint_is_loud(tmp_path):
     with pytest.raises(KeyError, match="missing campaign entry"):
         golden_rows(ResultStore(tmp_path / "empty"))
-
-
-class TestValProtTable:
-    """The val-prot table as a store-fed campaign (satellite of the
-    service PR): spec-identical to the golden campaign's val-prot
-    entries, rendered through ``rows_from_store``."""
-
-    def test_checked_in_definition_matches_builder(self):
-        checked_in = json.loads(VAL_PROT_CAMPAIGN_PATH.read_text())
-        assert checked_in == build_val_prot_campaign().to_dict()
-
-    def test_shares_fingerprints_with_golden_campaign(self, warm_store):
-        # The four runs ARE the golden campaign's val-prot entries:
-        # a store warmed by either campaign serves this table.
-        campaign = build_val_prot_campaign()
-        known = warm_store.known_fingerprints()
-        for entry in campaign.expand():
-            assert warm_store.fingerprint(entry.verb, entry.spec) in known
-
-    def test_rows_equal_golden_table(self, warm_store):
-        headers, rows = val_prot_rows(warm_store)
-        golden_headers, golden = golden_rows(warm_store)["val-prot"]
-        assert headers == golden_headers
-        assert rows == golden
-
-    def test_regenerates_pinned_csv_bit_identically(self, warm_store,
-                                                    tmp_path):
-        written = regenerate_val_prot_csv(warm_store, tmp_path)
-        assert written.read_bytes() == (RESULTS / "val-prot.csv").read_bytes()
-
-    def test_missing_fingerprint_is_loud(self, tmp_path):
-        with pytest.raises(KeyError, match="missing campaign entry"):
-            val_prot_rows(ResultStore(tmp_path / "empty"))
 
 
 def test_jobs2_run_content_equivalent_to_serial(warm_store, tmp_path):

@@ -1,42 +1,71 @@
-"""RuntimeProfile.save round-trips, and the CLI calibration write-back
-(``grid --calibrate --save-profile``)."""
-
-import json
+"""RuntimeProfile.load over hand-written TOML/JSON files: format choice
+by extension (and sniffing without one), strict field checks, and the
+malformed/missing-file errors."""
 
 import pytest
 
 from repro.api import RuntimeProfile, SpecError
-from repro.cli import main
+
+_TOML = """\
+backend = "numpy"
+jobs = 4
+mp_context = "spawn"
+store = "results/store"
+"""
+
+_JSON = """\
+{"backend": "numpy", "jobs": 4, "mp_context": "spawn",
+ "store": "results/store"}
+"""
+
+_EXPECTED = RuntimeProfile(
+    backend="numpy", jobs=4, mp_context="spawn", store="results/store"
+)
 
 
-class TestSaveRoundTrip:
-    @pytest.mark.parametrize("suffix", ["toml", "json"])
-    def test_round_trip(self, tmp_path, suffix):
-        profile = RuntimeProfile(
-            backend="numpy",
-            jobs=4,
-            mp_context="spawn",
-            cache_policy="release",
-            cost_weights=(1.5e-6, 3.25e-5),
-            store="results/store",
-        )
-        path = profile.save(tmp_path / f"profile.{suffix}")
-        loaded = RuntimeProfile.load(path)
-        assert loaded.describe() == profile.describe()
+class TestLoad:
+    @pytest.mark.parametrize(
+        "name,text",
+        [("profile.toml", _TOML), ("profile.json", _JSON)],
+    )
+    def test_load_by_extension(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert RuntimeProfile.load(path) == _EXPECTED
 
-    def test_round_trip_defaults(self, tmp_path):
-        profile = RuntimeProfile()
-        loaded = RuntimeProfile.load(profile.save(tmp_path / "p.toml"))
-        assert loaded == profile
+    @pytest.mark.parametrize("text", [_TOML, _JSON], ids=["toml", "json"])
+    def test_unknown_extension_sniffs_json_then_toml(self, tmp_path, text):
+        path = tmp_path / "profile.conf"
+        path.write_text(text)
+        assert RuntimeProfile.load(path) == _EXPECTED
+
+    def test_empty_files_load_defaults(self, tmp_path):
+        toml_path = tmp_path / "p.toml"
+        toml_path.write_text("")
+        json_path = tmp_path / "p.json"
+        json_path.write_text("{}")
+        assert RuntimeProfile.load(toml_path) == RuntimeProfile()
+        assert RuntimeProfile.load(json_path) == RuntimeProfile()
 
     def test_json_preserves_jobs_none(self, tmp_path):
-        profile = RuntimeProfile(jobs=None)  # = all cores
-        loaded = RuntimeProfile.load(profile.save(tmp_path / "p.json"))
-        assert loaded.jobs is None
+        path = tmp_path / "p.json"
+        path.write_text('{"jobs": null}')  # = all cores
+        assert RuntimeProfile.load(path).jobs is None
 
-    def test_save_creates_parent_dirs(self, tmp_path):
-        path = RuntimeProfile().save(tmp_path / "a" / "b" / "p.toml")
-        assert path.exists()
+    @pytest.mark.parametrize(
+        "name,text",
+        [("p.toml", "jobs = \n"), ("p.json", '{"jobs": '), ("p", "{jobs")],
+        ids=["toml", "json", "sniffed"],
+    )
+    def test_malformed_file_is_spec_error(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(SpecError, match="malformed profile"):
+            RuntimeProfile.load(path)
+
+    def test_missing_file_is_spec_error(self, tmp_path):
+        with pytest.raises(SpecError, match="cannot read profile"):
+            RuntimeProfile.load(tmp_path / "absent.toml")
 
     @pytest.mark.parametrize(
         "line,message",
@@ -45,6 +74,11 @@ class TestSaveRoundTrip:
             ("shared_memory = true", "'shared_memory' was removed"),
             ("chunks_per_job = 4", "'chunks_per_job' was removed"),
             ('backend = "pooled"', "jobs > 1 now selects"),
+            ("cost_weights = [3.3e-06, 4.8e-06]",
+             r"unknown .*'cost_weights'"),
+            ("auto_calibrate = true", r"unknown .*'auto_calibrate'"),
+            ("cache_limit = 16", r"unknown .*'cache_limit'"),
+            ('cache_policy = "release"', r"unknown .*'cache_policy'"),
         ],
     )
     def test_load_rejects_removed_fields(self, tmp_path, line, message):
@@ -52,42 +86,3 @@ class TestSaveRoundTrip:
         path.write_text(f"jobs = 2\n{line}\n")
         with pytest.raises(SpecError, match=message):
             RuntimeProfile.load(path)
-
-
-class TestCliSaveProfile:
-    def test_requires_profile_path(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["grid", "--devices", "3", "--etas", "0.02",
-                  "--save-profile"])
-        assert err.value.code == 2
-        assert "--save-profile needs --profile" in capsys.readouterr().err
-
-    def test_calibrated_weights_written_back(self, tmp_path, capsys):
-        path = tmp_path / "profile.toml"
-        RuntimeProfile(jobs=1, cache_policy="release").save(path)
-        code = main([
-            "grid", "--devices", "3,4", "--etas", "0.02",
-            "--profile", str(path), "--save-profile",
-        ])
-        assert code == 0
-        assert "saved to" in capsys.readouterr().out
-        saved = RuntimeProfile.load(path)
-        # The fitted weights landed in the file...
-        assert saved.cost_weights is not None
-        w_beacon, w_window = saved.cost_weights
-        assert w_beacon > 0 and w_window >= 0
-        # ...and the rest of the file profile survived untouched.
-        assert saved.jobs == 1 and saved.cache_policy == "release"
-        assert saved.auto_calibrate is False
-
-    def test_one_shot_flag_overrides_not_persisted(self, tmp_path):
-        path = tmp_path / "profile.json"
-        RuntimeProfile(jobs=1).save(path)
-        code = main([
-            "grid", "--devices", "3,4", "--etas", "0.02",
-            "--profile", str(path), "--save-profile", "--jobs", "2",
-        ])
-        assert code == 0
-        saved = json.loads(path.read_text())
-        assert saved["jobs"] == 1  # the --jobs 2 override stayed one-shot
-        assert saved["cost_weights"] is not None

@@ -5,7 +5,8 @@ through :class:`repro.api.RuntimeProfile`/:class:`repro.api.Session` or
 The simulation-layer entry points take no per-call ``jobs=``/``backend=``
 keyword, and the two conveniences that wrap an engine
 (:func:`verified_worst_case`, :func:`sweep_network_grid`) run in-process:
-they boot no worker pool and leave no child process behind.
+they boot no worker pool and leave no child process behind.  No
+runtime setting, and nothing a session ran before, changes a result.
 """
 
 import inspect
@@ -65,3 +66,39 @@ def test_convenience_runs_in_process(function):
     assert {
         p.pid for p in multiprocessing.active_children()
     } <= children_before
+
+
+@pytest.mark.parametrize(
+    "params,fidelity",
+    [
+        ({"prime1": 37, "prime2": 43}, "bounded"),
+        ({"prime1": 3, "prime2": 5, "slot_length": 200, "omega": 16},
+         "exact"),
+    ],
+    ids=["bounded", "exact-within-budget"],
+)
+def test_budgeted_worst_case_payload_is_runtime_invariant(params, fidelity):
+    """The store keys a budgeted ``worst_case`` by its spec alone, so the
+    ladder's tier decisions must not depend on the session: a fresh
+    default session, a pooled one, and one that ran a grid first all
+    produce the identical payload, whichever verdict the budget buys."""
+    from repro.api import RunSpec, Session
+
+    spec = RunSpec(
+        pair={"kind": "zoo", "protocol": "Disco", "params": params},
+        fidelity="auto", budget_ms=100,
+    )
+    grid = RunSpec(grid={
+        "factory": "dense_network",
+        "axes": {"n_devices": [3, 4], "eta": [0.05]},
+    })
+    with Session() as session:
+        fresh = session.worst_case(spec).payload
+    with Session(jobs=2) as session:
+        pooled = session.worst_case(spec).payload
+    with Session() as session:
+        session.grid(grid)
+        after_grid = session.worst_case(spec).payload
+    assert fresh["provenance"]["fidelity"] == fidelity
+    assert pooled == fresh
+    assert after_grid == fresh

@@ -7,7 +7,7 @@ Four contract groups:
   13-family protocol zoo, for every registered kernel.
 * **Budgets** -- a larger ``budget_ms`` never widens the reported bound
   interval (the dense tier's offsets are prefix-nested), tier selection
-  is a pure function of the spec under a pinned cost model, and the
+  is a pure function of the spec (the cost model is a constant), and the
   spec-level validation matrix holds.
 * **Exactness bugfixes** -- only :class:`CriticalSetTooLarge` triggers
   the sampled fallback (a plain ``ValueError`` from a kernel is a bug
@@ -30,14 +30,12 @@ from repro.api import RunSpec, Session, SpecError
 from repro.api.result import rehydrate_raw
 from repro.backends import available_backends, CriticalSetTooLarge
 from repro.parallel import ParallelSweep
-from repro.parallel.schedule import use_cost_weights
 from repro.protocols import Disco, Nihao, Role
 from repro.simulation import critical_offsets, ReceptionModel
 from repro.simulation.ladder import (
     estimate_critical_count,
     LadderPlanner,
     low_discrepancy_offsets,
-    REFERENCE_WEIGHTS,
 )
 from repro.simulation.runner import (
     _select_spot_check_offsets,
@@ -193,21 +191,12 @@ def test_rehydrate_pre_provenance_payload_uses_defaults():
 # ----------------------------------------------------------------------
 # Budgets: monotone intervals, deterministic tier selection, validation.
 # ----------------------------------------------------------------------
-@pytest.fixture()
-def pinned_weights():
-    previous = use_cost_weights(REFERENCE_WEIGHTS)
-    try:
-        yield
-    finally:
-        use_cost_weights(previous)
-
-
 def _disco_pair():
     proto = Disco(3, 5, slot_length=200, omega=OMEGA)
     return proto.device(Role.E), proto.device(Role.F)
 
 
-def test_budget_monotonicity(pinned_weights):
+def test_budget_monotonicity():
     """A larger budget never widens the bound interval: the lower bound
     is non-decreasing, the width non-increasing, and the evaluated
     offset count non-decreasing up to the exact tier."""
@@ -240,7 +229,7 @@ def test_budget_monotonicity(pinned_weights):
     assert outcomes[-1].analytic == exact.analytic
 
 
-def test_bounded_lower_bound_never_exceeds_exact(pinned_weights):
+def test_bounded_lower_bound_never_exceeds_exact():
     """Every bounded interval brackets the exact answer."""
     protocol_e, protocol_f = _disco_pair()
     horizon = _horizon(protocol_e, protocol_f)
@@ -261,7 +250,7 @@ def test_bounded_lower_bound_never_exceeds_exact(pinned_weights):
         assert hi >= truth
 
 
-def test_tier_selection_deterministic(pinned_weights):
+def test_tier_selection_deterministic():
     """Same spec + same cost model => identical result objects,
     provenance included (the store/parallel equality contract)."""
     protocol_e, protocol_f = _disco_pair()
@@ -281,7 +270,7 @@ def test_tier_selection_deterministic(pinned_weights):
         assert "seconds" not in tier and "wall" not in tier
 
 
-def test_over_budget_critical_tier_is_priced_and_skipped(pinned_weights):
+def test_over_budget_critical_tier_is_priced_and_skipped():
     """A budget below the exact tier's estimated price records the
     priced skip -- from the analytic count estimate, without paying the
     enumeration -- and degrades to the dense tier."""
@@ -314,9 +303,7 @@ def test_over_budget_critical_tier_is_priced_and_skipped(pinned_weights):
 
 
 @pytest.mark.parametrize("budget_ms", [None, 1e6], ids=["exact", "budgeted"])
-def test_des_mismatch_runs_one_batch_and_counts_its_replays(
-    pinned_weights, budget_ms
-):
+def test_des_mismatch_runs_one_batch_and_counts_its_replays(budget_ms):
     """A disagreeing DES batch decides the verdict on its own: no second
     batch replays neighbouring offsets, and the ``des`` tier's
     ``checks`` counts exactly the replays that ran."""
@@ -377,7 +364,7 @@ def test_spec_budget_validation_matrix():
         RunSpec(pair=pair, fidelity="auto", budget_ms=-5.0)
 
 
-def test_session_budgeted_worst_case_carries_budget(pinned_weights):
+def test_session_budgeted_worst_case_carries_budget():
     pair = {
         "kind": "zoo",
         "protocol": "Disco",
@@ -542,7 +529,7 @@ def test_attempt_timeout_tightened_by_budget():
     asyncio.run(scenario())
 
 
-def test_service_budgeted_submission_round_trip(pinned_weights):
+def test_service_budgeted_submission_round_trip():
     """A budgeted worst_case through the live service completes within
     its (slacked) deadline tier and carries provenance end to end."""
     from repro.service import ServiceClient, SweepService
