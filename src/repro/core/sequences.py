@@ -106,7 +106,7 @@ class ReceptionSchedule:
         ``T_C``, the time between the ends of two consecutive instances.
     """
 
-    __slots__ = ("_windows", "_period")
+    __slots__ = ("_windows", "_period", "_window_ends")
 
     def __init__(self, windows: Sequence[ReceptionWindow], period: Number) -> None:
         windows = tuple(windows)
@@ -125,6 +125,7 @@ class ReceptionSchedule:
             )
         self._windows = windows
         self._period = period
+        self._window_ends = tuple(w.end for w in windows)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -149,6 +150,12 @@ class ReceptionSchedule:
     def windows(self) -> tuple[ReceptionWindow, ...]:
         """The windows of one period, sorted by start time."""
         return self._windows
+
+    @property
+    def window_ends(self) -> tuple[Number, ...]:
+        """Window end offsets, strictly increasing (the windows are
+        sorted and disjoint): the bisect key of the window lookups."""
+        return self._window_ends
 
     @property
     def period(self) -> Number:

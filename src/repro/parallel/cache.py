@@ -76,7 +76,7 @@ from bisect import bisect_right
 from ..core.sequences import NDProtocol
 from ..simulation.analytic import (
     listening_segments,
-    packet_heard as _packet_heard,
+    packet_heard,
     ReceptionModel,
 )
 
@@ -235,7 +235,7 @@ class ListeningCache:
     """Precomputed periodic listening pattern for one receiver protocol.
 
     Answers the same question as
-    :func:`repro.simulation.analytic._packet_heard` -- "is a packet
+    :func:`repro.simulation.analytic.packet_heard` -- "is a packet
     occupying ``[start, end)`` decoded by ``receiver`` at phase
     ``rx_phase``?" -- in ``O(log segments)`` where the pattern is
     translation-invariant, falling back to the exact per-query
@@ -359,7 +359,7 @@ class ListeningCache:
             or type(end) is not int
             or type(rx_phase) is not int
         ):
-            return _packet_heard(
+            return packet_heard(
                 self.receiver, rx_phase, start, end, model, self.turnaround
             )
         lo = (start - rx_phase) % self.hyper

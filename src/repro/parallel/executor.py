@@ -76,9 +76,12 @@ def _spot_check_replay(
     model: ReceptionModel,
     turnaround: int,
 ) -> tuple[DiscoveryOutcome, DiscoveryOutcome]:
-    """One spot check: exact analytic outcome plus a full DES replay.
+    """One spot check: exact analytic outcome plus a DES replay.
 
-    The analytic side deliberately uses the *uncached*
+    The replay (:func:`repro.simulation.runner.simulate_pair`) stops
+    once every direction that can discover has discovered, which is all
+    a :class:`DiscoveryOutcome` records.  The analytic side deliberately
+    uses the *uncached*
     :func:`repro.simulation.analytic.mutual_discovery_times`, keeping
     the spot check an independent cross-validation of both the DES and
     the pattern-cache layers the sweep itself ran through.  The single

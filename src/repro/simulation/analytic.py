@@ -23,6 +23,7 @@ For every configuration: ``L(ANY_OVERLAP) <= L(POINT) <= L(CONTAINMENT)``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -59,18 +60,30 @@ def _window_segments(
     if hi <= lo:
         return []
     period = reception.period
-    first_instance = (lo - rx_phase - period) // period
+    windows = reception.windows
+    ends = reception.window_ends
+    n = len(windows)
+    instance = (lo - rx_phase - period) // period
     segments: list[tuple[int, int]] = []
-    instance = first_instance
     while True:
         base = rx_phase + instance * period
         if base >= hi:
             break
-        for w in reception.windows:
+        # Ends increase strictly, so the windows ending after ``lo`` are
+        # a suffix; step back over any that float rounding of
+        # ``lo - base`` put on the wrong side of the bisect.
+        i = bisect_right(ends, lo - base)
+        while i > 0 and base + ends[i - 1] > lo:
+            i -= 1
+        while i < n:
+            w = windows[i]
             w_lo = base + w.start
+            if w_lo >= hi:
+                break
             w_hi = base + w.end
-            if w_lo < hi and w_hi > lo:
+            if w_hi > lo:
                 segments.append((max(w_lo, lo), min(w_hi, hi)))
+            i += 1
         instance += 1
     return segments
 
@@ -178,11 +191,6 @@ def packet_heard(
     return segments == [(start, end)]
 
 
-#: Backward-compatible alias -- the cache layer and tests historically
-#: imported the decode decision under its private name.
-_packet_heard = packet_heard
-
-
 def first_discovery(
     transmitter: NDProtocol,
     receiver: NDProtocol,
@@ -208,7 +216,7 @@ def first_discovery(
     for beacon in transmitter.beacons.iter_beacons_infinite(
         until=horizon, phase=tx_phase
     ):
-        if _packet_heard(
+        if packet_heard(
             receiver,
             rx_phase,
             beacon.time,

@@ -7,6 +7,10 @@ fire in scheduling order).  Determinism matters here -- worst-case
 latency validation compares exact microsecond values across runs, so the
 engine forbids wall-clock or hash-order dependence anywhere.
 
+Heap entries are ``(time, sequence, event)`` tuples: the unique
+insertion sequence decides every tie, so ordering is a plain integer
+comparison and never reaches the :class:`Event` object.
+
 The simulator knows nothing about radios; :mod:`repro.simulation.node`
 and :mod:`repro.simulation.channel` build the wireless semantics on top.
 """
@@ -21,7 +25,7 @@ from typing import Callable
 __all__ = ["Simulator", "Event"]
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Event:
     """One scheduled callback.  Ordering: time, then insertion sequence."""
 
@@ -46,10 +50,11 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[int, int, Event]] = []
         self._sequence = itertools.count()
         self._now = 0
         self._events_processed = 0
+        self._stopped = False
 
     @property
     def now(self) -> int:
@@ -67,8 +72,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at {at}, simulation time is {self._now}"
             )
-        event = Event(time=at, sequence=next(self._sequence), callback=callback)
-        heapq.heappush(self._queue, event)
+        sequence = next(self._sequence)
+        event = Event(at, sequence, callback)
+        heapq.heappush(self._queue, (at, sequence, event))
         return event
 
     def schedule_in(self, delay: int, callback: Callable[[], None]) -> Event:
@@ -77,29 +83,44 @@ class Simulator:
             raise ValueError(f"delay must be non-negative, got {delay}")
         return self.schedule(self._now + delay, callback)
 
+    def stop(self) -> None:
+        """End the current :meth:`run_until` once the running callback
+        returns.
+
+        Events still queued stay queued and the clock stays at the
+        stopping event's time.  The next :meth:`run_until` starts afresh.
+        """
+        self._stopped = True
+
     def run_until(self, end_time: int) -> None:
         """Process events with ``time <= end_time``; leave later ones queued.
 
         The simulation clock lands on ``end_time`` when the queue drains
-        early, so repeated calls advance monotonically.
+        early, so repeated calls advance monotonically.  A callback that
+        calls :meth:`stop` ends the run at its own time instead.
         """
-        while self._queue and self._queue[0].time <= end_time:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        pop = heapq.heappop
+        self._stopped = False
+        while queue and queue[0][0] <= end_time:
+            time, _, event = pop(queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self._events_processed += 1
             event.callback()
+            if self._stopped:
+                return
         self._now = max(self._now, end_time)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
         """Drain the queue completely (with a runaway guard)."""
         processed = 0
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self._events_processed += 1
             event.callback()
             processed += 1
@@ -111,6 +132,6 @@ class Simulator:
 
     def peek(self) -> int | None:
         """Timestamp of the next live event, or ``None`` if idle."""
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][2].cancelled:
             heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None

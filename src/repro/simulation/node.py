@@ -13,11 +13,18 @@ turnaround guards, the Appendix-A.5 self-blocking), and never for
 packets the channel marked as collided.  This keeps the event-driven
 simulator bit-compatible with the closed-form pair computation in
 :mod:`repro.simulation.analytic`, which the validation tests rely on.
+The window lookup bisects the schedule's sorted window ends, so a
+decode costs ``O(log W)`` in the windows per period, not ``O(W)``.
+
+Each first decode of a peer fires :attr:`Node.on_discovery`;
+:func:`repro.simulation.runner.simulate_pair` uses it to stop the run
+once the pair's outcome is decided.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import Callable
 
 from ..core.sequences import NDProtocol
@@ -152,20 +159,32 @@ class Node:
         if reception is None or hi <= lo:
             return []
         period = reception.period
-        local_lo = self.clock.to_local(lo - self.start_time)
-        first_instance = (local_lo - period) // period
+        windows = reception.windows
+        ends = reception.window_ends
+        n = len(windows)
+        start_time = self.start_time
+        to_global = self.clock.to_global
+        # One tick early: ``to_local`` rounds under drift, and a window
+        # ending within that tick may still end after ``lo`` globally.
+        # The exact ``to_global`` filter below decides every window the
+        # bisect keeps.
+        local_lo = self.clock.to_local(lo - start_time) - 1
+        instance = (local_lo - period) // period
         segments: list[tuple[int, int]] = []
-        instance = first_instance
         while True:
             base = instance * period
-            instance_start_global = self.start_time + self.clock.to_global(base)
-            if instance_start_global >= hi:
+            if start_time + to_global(base) >= hi:
                 break
-            for w in reception.windows:
-                w_lo = self.start_time + self.clock.to_global(base + w.start)
-                w_hi = self.start_time + self.clock.to_global(base + w.end)
-                if w_lo < hi and w_hi > lo:
+            i = bisect_right(ends, local_lo - base)
+            while i < n:
+                w = windows[i]
+                w_lo = start_time + to_global(base + w.start)
+                if w_lo >= hi:
+                    break
+                w_hi = start_time + to_global(base + w.end)
+                if w_hi > lo:
                     segments.append((max(w_lo, lo), min(w_hi, hi)))
+                i += 1
             instance += 1
         return segments
 

@@ -2,10 +2,10 @@
 
 Three levels of fidelity:
 
-* :func:`simulate_pair` -- full event-driven run of two nodes (supports
-  drift, jitter, turnaround; collisions cannot occur with only one
-  transmitter audible per receiver pair unless both transmit, which the
-  channel handles).
+* :func:`simulate_pair` -- event-driven run of two nodes until both
+  first discoveries are decided (supports drift, jitter, turnaround;
+  collisions cannot occur with only one transmitter audible per
+  receiver pair unless both transmit, which the channel handles).
 * :func:`simulate_network` -- ``S`` devices discovering each other
   simultaneously on one collision-prone channel (the Appendix-B
   scenario).
@@ -112,7 +112,19 @@ def simulate_pair(
     range from time 0.  Returns first-decode times per direction (packet
     start timestamps), ``None`` for directions not discovered within
     ``horizon``.
+
+    The run stops as soon as every direction that can discover (its
+    receiver listens and its sender beacons) has discovered: first
+    decodes are set once, so later events cannot change the outcome.
+    A pair with no such direction is not simulated at all.
     """
+    e_to_f = protocol_e.beacons is not None and protocol_f.reception is not None
+    f_to_e = protocol_f.beacons is not None and protocol_e.reception is not None
+    pending = e_to_f + f_to_e
+    if not pending:
+        return DiscoveryOutcome(
+            offset=offset, e_discovered_by_f=None, f_discovered_by_e=None
+        )
     sim = Simulator()
     channel = Channel()
     node_e, node_f = _make_pair(
@@ -128,6 +140,14 @@ def simulate_pair(
         advertising_jitter,
         seed,
     )
+
+    def count_down(me: Node, peer: Node, time: int) -> None:
+        nonlocal pending
+        pending -= 1
+        if not pending:
+            sim.stop()
+
+    node_e.on_discovery = node_f.on_discovery = count_down
     node_e.activate()
     node_f.activate()
     # Slack covers decode decisions deferred past the last packet end.

@@ -18,6 +18,7 @@ from repro.core.optimal import (
     synthesize_unidirectional,
 )
 from repro.core.sequences import NDProtocol
+from repro.parallel import ParallelSweep
 from repro.simulation import (
     critical_offsets,
     ReceptionModel,
@@ -66,12 +67,16 @@ class TestUnidirectionalTightness:
 
 
 class TestBoundSafety:
+    """Large exact sweeps, run on the auto-resolved kernel (numpy when
+    installed, else python); the kernels are pinned bit-identical to the
+    python reference elsewhere in the suite."""
+
     @pytest.mark.parametrize("eta", [0.01, 0.02, 0.05, 0.1])
     def test_symmetric_designs_never_beat_theorem_5_5(self, eta):
         protocol, design = synthesize_symmetric(32, eta)
         adv, scan = one_way_roles(design)
-        offsets = critical_offsets(adv, scan, omega=32)
-        report = sweep_offsets(
+        offsets = critical_offsets(adv, scan, omega=32, backend="auto")
+        report = ParallelSweep(jobs=1).sweep_offsets(
             adv, scan, offsets, horizon=design.worst_case_latency * 2
         )
         assert report.failures == 0
@@ -90,8 +95,8 @@ class TestBoundSafety:
         ):
             adv = NDProtocol(beacons=design.beacons, reception=None)
             scan = NDProtocol(beacons=None, reception=design.reception)
-            offsets = critical_offsets(adv, scan, omega=32)
-            report = sweep_offsets(
+            offsets = critical_offsets(adv, scan, omega=32, backend="auto")
+            report = ParallelSweep(jobs=1).sweep_offsets(
                 adv, scan, offsets, horizon=design.worst_case_latency * 2
             )
             assert report.failures == 0

@@ -36,7 +36,7 @@ from repro.simulation import (
     sweep_offsets,
     verified_worst_case,
 )
-from repro.simulation.analytic import _packet_heard
+from repro.simulation.analytic import packet_heard
 from repro.simulation.channel import Channel
 from repro.simulation.engine import Simulator
 from repro.simulation.node import Node
@@ -83,7 +83,7 @@ class TestListeningCache:
                 length = rng.randint(1, 20)
                 phase = rng.randint(0, 2_000)
                 model = rng.choice(list(ReceptionModel))
-                expected = _packet_heard(
+                expected = packet_heard(
                     receiver, phase, start, start + length, model, turnaround
                 )
                 got = cache.packet_heard(phase, start, start + length, model)
@@ -101,7 +101,7 @@ class TestListeningCache:
         for start in (0, 10, 30, 99, 130):
             assert cache.packet_heard(
                 0, start, start + 1, ReceptionModel.POINT
-            ) == _packet_heard(
+            ) == packet_heard(
                 receiver, 0, start, start + 1, ReceptionModel.POINT, 0
             )
 

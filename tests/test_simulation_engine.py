@@ -78,6 +78,57 @@ class TestSimulator:
         event.cancel()
         assert sim.peek() is None
 
+    def test_stop_ends_run_until_after_the_callback(self):
+        sim = Simulator()
+        fired = []
+
+        def stopper():
+            fired.append("stop")
+            sim.stop()
+            fired.append("after-stop")  # the callback itself completes
+
+        sim.schedule(10, lambda: fired.append(10))
+        sim.schedule(20, stopper)
+        sim.schedule(20, lambda: fired.append("tie"))
+        sim.schedule(30, lambda: fired.append(30))
+        sim.run_until(100)
+        assert fired == [10, "stop", "after-stop"]
+        # The clock stays at the stopping event; later events stay queued.
+        assert sim.now == 20
+        assert sim.events_processed == 2
+        assert sim.peek() == 20
+        sim.run_until(100)
+        assert fired == [10, "stop", "after-stop", "tie", 30]
+        assert sim.now == 100
+
+    def test_stop_outside_a_run_does_not_stop_the_next(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1, lambda: fired.append(1))
+        sim.schedule(2, lambda: fired.append(2))
+        sim.stop()
+        sim.run_until(10)
+        assert fired == [1, 2]
+
+    def test_fifo_ties_and_cancel_with_many_events(self):
+        """Ties fire in scheduling order however the heap is built, and
+        a cancelled head is skipped by ``peek`` and the run alike."""
+        sim = Simulator()
+        fired = []
+        events = [
+            sim.schedule(t, lambda t=t, i=i: fired.append((t, i)))
+            for i, t in enumerate([7, 3, 7, 3, 5, 7, 3, 5])
+        ]
+        events[1].cancel()  # the first event at t=3
+        events[4].cancel()  # the first event at t=5
+        assert sim.peek() == 3
+        sim.run_until(100)
+        assert fired == [(3, 3), (3, 6), (5, 7), (7, 0), (7, 2), (7, 5)]
+        head = sim.schedule(200, lambda: fired.append("head"))
+        sim.schedule(300, lambda: None)
+        head.cancel()
+        assert sim.peek() == 300
+
     def test_run_until_idle_guard(self):
         sim = Simulator()
 

@@ -11,6 +11,7 @@ from repro.simulation import (
     simulate_pair,
     verified_worst_case,
 )
+from tests.test_parallel_equivalence_zoo import _workload, ZOO
 
 
 def make_pair(eta=0.05):
@@ -79,6 +80,83 @@ class TestSimulatePair:
         )
         assert a == b
         assert a != c or a.one_way is not None  # different seed, very likely different
+
+
+def _network_reference(protocol_e, protocol_f, offset, horizon, model, turnaround):
+    """``(e_discovered_by_f, f_discovered_by_e)`` from the two-node
+    network run, which always runs to the horizon."""
+    times = simulate_network(
+        [protocol_e, protocol_f],
+        phases=[0, offset],
+        horizon=horizon,
+        reception_model=model,
+        turnaround=turnaround,
+    ).discovery_times
+    return times.get(("n1", "n0")), times.get(("n0", "n1"))
+
+
+class TestEarlyStop:
+    """``simulate_pair`` stops once both first discoveries are decided;
+    the outcome must equal the run to the horizon."""
+
+    @pytest.mark.parametrize("turnaround", [0, 150])
+    @pytest.mark.parametrize(
+        "model", list(ReceptionModel), ids=[m.value for m in ReceptionModel]
+    )
+    @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
+    def test_matches_network_run_to_horizon(self, family, model, turnaround):
+        protocol_e, protocol_f = ZOO[family]()
+        offsets, horizon = _workload(protocol_e, protocol_f)
+        for offset in offsets:
+            des = simulate_pair(
+                protocol_e, protocol_f, offset, horizon, model, turnaround
+            )
+            assert (des.e_discovered_by_f, des.f_discovered_by_e) == (
+                _network_reference(
+                    protocol_e, protocol_f, offset, horizon, model, turnaround
+                )
+            ), (family, offset)
+
+    @pytest.mark.parametrize("family", ["disco", "uconnect"])
+    def test_self_blocking_deadlocks_never_discover(self, family):
+        """Offsets that never discover run to the horizon and agree."""
+        protocol_e, protocol_f = ZOO[family]()
+        offsets, horizon = _workload(protocol_e, protocol_f)
+        undiscovered = 0
+        for offset in offsets:
+            des = simulate_pair(protocol_e, protocol_f, offset, horizon)
+            reference = _network_reference(
+                protocol_e, protocol_f, offset, horizon,
+                ReceptionModel.POINT, 0,
+            )
+            assert (des.e_discovered_by_f, des.f_discovered_by_e) == reference
+            undiscovered += None in reference
+        assert undiscovered > 0
+
+    def test_unidirectional_pairs(self):
+        """Only the direction that can discover is awaited; a pair with
+        no such direction skips the run."""
+        design = synthesize_unidirectional(omega=32, window=320, k=10, stride=11)
+        adv = NDProtocol(beacons=design.beacons, reception=None)
+        scan = NDProtocol(beacons=None, reception=design.reception)
+        horizon = design.worst_case_latency * 2
+        for protocol_e, protocol_f in ((adv, scan), (scan, adv)):
+            for offset in (0, 1, 333, 3_200, 17_777):
+                des = simulate_pair(protocol_e, protocol_f, offset, horizon)
+                reference = _network_reference(
+                    protocol_e, protocol_f, offset, horizon,
+                    ReceptionModel.POINT, 0,
+                )
+                assert (des.e_discovered_by_f, des.f_discovered_by_e) == (
+                    reference
+                )
+                assert reference.count(None) == 1
+        for protocol_e, protocol_f in ((adv, adv), (scan, scan)):
+            des = simulate_pair(protocol_e, protocol_f, 5, horizon)
+            assert des.one_way is None
+            assert _network_reference(
+                protocol_e, protocol_f, 5, horizon, ReceptionModel.POINT, 0
+            ) == (None, None)
 
 
 class TestVerifiedWorstCase:
