@@ -40,6 +40,24 @@ vectorize a batch (non-integer schedules, disabled pattern caches,
 oversized values) silently delegate to the ``python`` reference rather
 than approximate.
 
+The ``sweep_offsets_batch`` report contract
+-------------------------------------------
+
+:meth:`SweepBackend.sweep_offsets_batch(params, offsets)
+<SweepBackend.sweep_offsets_batch>` returns the batch's
+:class:`~repro.simulation.analytic.SweepReport`, equal field for field
+to ``summarize_outcomes(evaluate_offsets_batch(params, offsets))``:
+worst-case ties go to the earliest offset in batch order, means are
+exact integer sums divided by their counts, and an empty batch gives
+the empty report.  The base class provides exactly that composition as
+the default (the reference; the ``python`` kernel keeps it).  The
+``numpy`` kernel overrides it to reduce its first-discovery vectors
+without building per-offset outcomes, and the persistent pool
+summarizes its workers' outcomes in the parent.
+:meth:`repro.parallel.ParallelSweep.sweep_offsets` is one call to it;
+``evaluate_offsets_batch`` keeps returning per-offset outcomes for
+callers that need them.
+
 The incremental cross-offset fast path
 --------------------------------------
 

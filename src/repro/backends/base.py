@@ -24,7 +24,11 @@ from . import _np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.sequences import NDProtocol
-    from ..simulation.analytic import DiscoveryOutcome, ReceptionModel
+    from ..simulation.analytic import (
+        DiscoveryOutcome,
+        ReceptionModel,
+        SweepReport,
+    )
 
 __all__ = [
     "BackendUnavailable",
@@ -99,6 +103,19 @@ class SweepBackend(ABC):
         self, params: SweepParams, offsets: Sequence[int]
     ) -> "list[DiscoveryOutcome]":
         """Evaluate both-direction discovery at every offset, in order."""
+
+    def sweep_offsets_batch(
+        self, params: SweepParams, offsets: Sequence[int]
+    ) -> "SweepReport":
+        """The batch's :class:`SweepReport`, equal field for field to
+        ``summarize_outcomes(evaluate_offsets_batch(params, offsets))``
+        -- which this default is, and the reference every override is
+        pinned against.  Kernels that can reduce without building
+        per-offset outcomes override it.
+        """
+        from ..simulation.analytic import summarize_outcomes
+
+        return summarize_outcomes(self.evaluate_offsets_batch(params, offsets))
 
     def enumerate_critical_offsets(
         self,

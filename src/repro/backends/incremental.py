@@ -24,10 +24,12 @@ budget), making the amortized per-offset cost **O(changed windows)**
 instead of ``O(log patterns)`` per candidate.
 
 Bit-identity is structural, not approximate: the candidate enumeration
-order, the per-instance horizon termination, the boot-threshold split
-(``t < threshold`` lanes take the exact scalar ``packet_heard`` path,
-exactly like the batch kernel) and the three reception-model decision
-predicates are copied from
+order, the per-instance horizon termination, the boot screen (a lane
+whose pattern says "not heard" before its
+:meth:`~repro.parallel.cache.ListeningCache.boot_ends` instant takes
+the exact scalar ``packet_heard`` path; every other lane keeps the
+pattern decision, exactly like the batch kernel) and the three
+reception-model decision predicates are copied from
 :meth:`repro.backends.numpy_kernel.NumpyBackend._first_discovery_batch`;
 only the *index computation* is incremental, and the walk maintains the
 invariant ``index == bisect_right(starts, lo) - 1`` at every evaluated
@@ -117,7 +119,6 @@ def first_discovery_incremental(
         or any(duration > hyper for _, duration in pattern)
     ):
         return None
-    threshold = cache.threshold
     point = model is ReceptionModel.POINT
     any_overlap = model is ReceptionModel.ANY_OVERLAP
     heard_exact = cache.packet_heard
@@ -138,6 +139,8 @@ def first_discovery_incremental(
     red = tx_phases % period
     lane_delta = red - rx_phases  # D_k: the per-lane residue constant
     rxp = rx_phases
+    boot_end = cache.boot_ends(rx_phases)
+    boot_max = int(boot_end.max())
     lanes = np.arange(n)
     red_min = int(red.min())
     red_max = int(red.max())
@@ -160,6 +163,7 @@ def first_discovery_incremental(
                 red = red[keep]
                 lane_delta = lane_delta[keep]
                 rxp = rxp[keep]
+                boot_end = boot_end[keep]
                 if lo is not None:
                     lo = lo[keep]
                     idx = idx[keep]
@@ -218,7 +222,7 @@ def first_discovery_incremental(
                 )
             else:  # CONTAINMENT: one segment spans the packet
                 hit = ends_ext[idx + 1] >= lo + duration
-            if t_min >= 0 and t_max < horizon and t_min >= threshold:
+            if t_min >= 0 and t_max < horizon and t_min >= boot_max:
                 heard = hit
             else:
                 t = red + c
@@ -228,12 +232,13 @@ def first_discovery_incremental(
                     heard = heard & valid
                 else:
                     valid = None
-                if t_min < threshold:
-                    fast = t >= threshold
-                    heard = heard & fast
-                    # Below the boot threshold translation invariance
-                    # breaks: exact scalar path, as the batch kernel.
-                    slow = ~fast if valid is None else valid & ~fast
+                if t_min < boot_max:
+                    # Before a lane's boot end only a pattern "not
+                    # heard" can be wrong: exact scalar path for those,
+                    # as the batch kernel.
+                    slow = ~hit & (t < boot_end)
+                    if valid is not None:
+                        slow &= valid
                     for j in np.flatnonzero(slow):
                         t_j = int(t[j])
                         if heard_exact(
@@ -247,6 +252,7 @@ def first_discovery_incremental(
                 red = red[keep]
                 lane_delta = lane_delta[keep]
                 rxp = rxp[keep]
+                boot_end = boot_end[keep]
                 lo = lo[keep]
                 idx = idx[keep]
                 if not lanes.size:

@@ -19,15 +19,26 @@ Bit-identity is by construction, not by approximation:
   ``bisect_right(starts, lo) - 1`` arithmetic as
   :meth:`repro.parallel.cache.ListeningCache.packet_heard` for all
   three reception models;
-* every query the pattern cannot answer -- candidates before the boot
-  threshold, packets longer than the hyperperiod -- drops to the exact
-  scalar path per element, and whole batches that miss the vectorization
-  preconditions (disabled pattern cache, non-integer schedules or
-  offsets, non-integer or oversized horizons) delegate to the
-  :class:`repro.backends.python_loop.PythonBackend` reference wholesale.
+* boot-region candidates are decided by the pattern too, and only the
+  lanes :meth:`repro.parallel.cache.ListeningCache.boot_ends` cannot
+  clear -- a pattern "not heard" before the lane's boot end, where the
+  receiver's pre-zero beacons may have blocked listening time that
+  never was blocked -- drop to the exact scalar path per element, as do
+  packets longer than the hyperperiod; whole batches that miss the
+  vectorization preconditions (disabled pattern cache, non-integer
+  schedules or offsets, non-integer or oversized horizons) delegate to
+  the :class:`repro.backends.python_loop.PythonBackend` reference
+  wholesale.
+
+:meth:`NumpyBackend.sweep_offsets_batch` reduces the two
+first-discovery vectors straight into the :class:`SweepReport`
+(:func:`summarize_discovery_vectors`): no per-offset outcome is built,
+worst-case ties go to the earliest offset via ``argmax``, and means
+divide exact Python-int sums (summed in int64 unless that could
+overflow).
 
 The equivalence zoo pins ``python`` ≡ ``numpy`` across all 13 protocol
-families and all three reception models.
+families and all three reception models, for outcomes and reports.
 """
 
 from __future__ import annotations
@@ -37,7 +48,12 @@ from typing import Sequence
 
 from ..core.sequences import NDProtocol
 from ..parallel.cache import get_listening_cache, ListeningCache
-from ..simulation.analytic import DiscoveryOutcome, ReceptionModel
+from ..simulation.analytic import (
+    DiscoveryOutcome,
+    ReceptionModel,
+    summarize_outcomes,
+    SweepReport,
+)
 from . import _np
 from .base import (
     BackendUnavailable,
@@ -48,12 +64,13 @@ from .base import (
 )
 from .incremental import arithmetic_stride, first_discovery_incremental
 
-__all__ = ["NumpyBackend"]
+__all__ = ["NumpyBackend", "summarize_discovery_vectors"]
 
 # int64 headroom: offsets/horizons beyond this could overflow the
 # residue arithmetic (t - rx_phase spans twice the magnitude), so such
 # batches take the arbitrary-precision python path instead.
 _INT_BOUND = 1 << 60
+_INT64_MAX = (1 << 63) - 1
 
 # Critical-offset enumeration uses an O(hyperperiod) boolean scatter
 # mask for dedup (no sort at all) up to this hyperperiod -- 64 MB of
@@ -87,6 +104,62 @@ def _direction_vectorizable(
     )
 
 
+def _reduce_latencies(values, offsets: list[int]):
+    """``(worst, worst_offset, mean, count)`` over the non-negative
+    entries of ``values``, as :func:`summarize_outcomes` folds them."""
+    found = values[values >= 0]
+    count = int(found.size)
+    if not count:
+        return None, None, None, 0
+    # argmax returns the first maximum: the earliest-tie rule.
+    k = int(_np.np.argmax(values))
+    worst = int(values[k])
+    if worst * count <= _INT64_MAX:
+        total = int(found.sum())
+    else:
+        total = sum(found.tolist())  # the int64 sum could overflow
+    return worst, offsets[k], total / count, count
+
+
+def summarize_discovery_vectors(
+    offsets: list[int], e_by_f, f_by_e
+) -> SweepReport:
+    """:func:`summarize_outcomes` over the outcomes two first-discovery
+    vectors describe, without building them.
+
+    ``e_by_f``/``f_by_e`` are int64 vectors aligned with ``offsets``
+    (``-1``: not discovered), or ``None`` for a direction that cannot
+    discover at all.  Equal field for field to the reference fold:
+    worst-case ties go to the earliest offset, and means divide exact
+    Python-int sums by their counts.
+    """
+    np = _np.np
+    n = len(offsets)
+    if not n:
+        return summarize_outcomes(())
+    missing = np.full(n, -1, dtype=np.int64)
+    e = missing if e_by_f is None else e_by_f
+    f = missing if f_by_e is None else f_by_e
+    both = (e >= 0) & (f >= 0)
+    # With one direction at -1, the max is the other one (or -1).
+    one_way = np.where(both, np.minimum(e, f), np.maximum(e, f))
+    two_way = np.where(both, np.maximum(e, f), -1)
+    worst_ow, offset_ow, mean_ow, count_ow = _reduce_latencies(
+        one_way, offsets
+    )
+    worst_tw, offset_tw, mean_tw, _ = _reduce_latencies(two_way, offsets)
+    return SweepReport(
+        offsets_evaluated=n,
+        failures=n - count_ow,
+        worst_one_way=worst_ow,
+        worst_two_way=worst_tw,
+        mean_one_way=mean_ow,
+        mean_two_way=mean_tw,
+        worst_offset_one_way=offset_ow,
+        worst_offset_two_way=offset_tw,
+    )
+
+
 class NumpyBackend(SweepBackend):
     """The vectorized kernel behind ``backend="numpy"``."""
 
@@ -110,12 +183,46 @@ class NumpyBackend(SweepBackend):
     def evaluate_offsets_batch(
         self, params: SweepParams, offsets: Sequence[int]
     ) -> list[DiscoveryOutcome]:
-        np = _np.np
-        if np is None:
-            raise BackendUnavailable("NumPy disappeared after registration")
         offsets = list(offsets)
         if not offsets:
             return []
+        vectors = self._discovery_vectors(params, offsets)
+        if vectors is None:
+            return get_backend("python").evaluate_offsets_batch(
+                params, offsets
+            )
+        missing = [-1] * len(offsets)
+        e_by_f, f_by_e = (
+            missing if vec is None else vec.tolist() for vec in vectors
+        )
+        return [
+            DiscoveryOutcome(
+                offset=offset,
+                e_discovered_by_f=a if a >= 0 else None,
+                f_discovered_by_e=b if b >= 0 else None,
+            )
+            for offset, a, b in zip(offsets, e_by_f, f_by_e)
+        ]
+
+    def sweep_offsets_batch(
+        self, params: SweepParams, offsets: Sequence[int]
+    ) -> SweepReport:
+        """The batch's :class:`SweepReport`, reduced straight from the
+        two first-discovery vectors: no per-offset outcome is built."""
+        offsets = list(offsets)
+        vectors = self._discovery_vectors(params, offsets) if offsets else None
+        if vectors is None:
+            return get_backend("python").sweep_offsets_batch(params, offsets)
+        return summarize_discovery_vectors(offsets, *vectors)
+
+    def _discovery_vectors(self, params: SweepParams, offsets: list[int]):
+        """``(e_by_f, f_by_e)``: per-offset first-discovery times as
+        int64 vectors (``-1``: none; ``None`` for a direction without
+        beacons or reception), or ``None`` when the batch misses the
+        vectorization preconditions."""
+        np = _np.np
+        if np is None:
+            raise BackendUnavailable("NumPy disappeared after registration")
         protocol_e, protocol_f = params.protocol_e, params.protocol_f
         cache_e = get_listening_cache(protocol_e, params.turnaround)
         cache_f = get_listening_cache(protocol_f, params.turnaround)
@@ -130,9 +237,7 @@ class NumpyBackend(SweepBackend):
             and _direction_vectorizable(protocol_f, protocol_e, cache_e)
         )
         if not vectorizable:
-            return get_backend("python").evaluate_offsets_batch(
-                params, offsets
-            )
+            return None
         offset_vec = np.asarray(offsets, dtype=np.int64)
         zero_vec = np.zeros(len(offsets), dtype=np.int64)
         # Arithmetic-progression batches (every uniform sweep chunk)
@@ -141,46 +246,29 @@ class NumpyBackend(SweepBackend):
         incremental = (
             self.use_incremental and arithmetic_stride(offset_vec) is not None
         )
-        e_by_f = None
-        if protocol_e.beacons is not None and protocol_f.reception is not None:
+        vectors = []
+        # E at phase 0 heard by F at the offset, then the reverse.
+        for transmitter, receiver, cache, tx_phases, rx_phases in (
+            (protocol_e, protocol_f, cache_f, zero_vec, offset_vec),
+            (protocol_f, protocol_e, cache_e, offset_vec, zero_vec),
+        ):
             vec = None
-            if incremental:
-                vec = first_discovery_incremental(
-                    protocol_e, cache_f, zero_vec, offset_vec,
-                    params.horizon, params.model,
-                )
-            if vec is None:
-                vec = self._first_discovery_batch(
-                    protocol_e, cache_f, zero_vec, offset_vec,
-                    params.horizon, params.model,
-                )
-            e_by_f = vec.tolist()
-        f_by_e = None
-        if protocol_f.beacons is not None and protocol_e.reception is not None:
-            vec = None
-            if incremental:
-                vec = first_discovery_incremental(
-                    protocol_f, cache_e, offset_vec, zero_vec,
-                    params.horizon, params.model,
-                )
-            if vec is None:
-                vec = self._first_discovery_batch(
-                    protocol_f, cache_e, offset_vec, zero_vec,
-                    params.horizon, params.model,
-                )
-            f_by_e = vec.tolist()
-        outcomes = []
-        for k, offset in enumerate(offsets):
-            a = e_by_f[k] if e_by_f is not None else -1
-            b = f_by_e[k] if f_by_e is not None else -1
-            outcomes.append(
-                DiscoveryOutcome(
-                    offset=offset,
-                    e_discovered_by_f=a if a >= 0 else None,
-                    f_discovered_by_e=b if b >= 0 else None,
-                )
-            )
-        return outcomes
+            if (
+                transmitter.beacons is not None
+                and receiver.reception is not None
+            ):
+                if incremental:
+                    vec = first_discovery_incremental(
+                        transmitter, cache, tx_phases, rx_phases,
+                        params.horizon, params.model,
+                    )
+                if vec is None:
+                    vec = self._first_discovery_batch(
+                        transmitter, cache, tx_phases, rx_phases,
+                        params.horizon, params.model,
+                    )
+            vectors.append(vec)
+        return tuple(vectors)
 
     def enumerate_critical_offsets(
         self,
@@ -309,12 +397,13 @@ class NumpyBackend(SweepBackend):
         starts, ends = cache.pattern_arrays()
         n_segments = int(starts.size)
         hyper = cache.hyper
-        threshold = cache.threshold
         point = model is ReceptionModel.POINT
         any_overlap = model is ReceptionModel.ANY_OVERLAP
 
         result = np.full(tx_phases.size, -2, dtype=np.int64)
         reduced = tx_phases % period
+        boot_end = cache.boot_ends(rx_phases)
+        boot_max = int(boot_end.max())
         pending = np.flatnonzero(result == -2)
         instance = -1
         while pending.size:
@@ -333,31 +422,34 @@ class NumpyBackend(SweepBackend):
                 if not valid.any():
                     continue
                 heard = np.zeros(pending.size, dtype=bool)
-                if duration <= hyper:
-                    fast = valid & (t >= threshold)
+                if duration > hyper:
+                    # Packets longer than the hyperperiod take the exact
+                    # scalar path, exactly as packet_heard would.
+                    slow = valid
                 else:
-                    fast = np.zeros(pending.size, dtype=bool)
-                if n_segments and fast.any():
-                    lo = (t[fast] - rx_phases[pending[fast]]) % hyper
-                    i = np.searchsorted(starts, lo, side="right") - 1
-                    safe = np.maximum(i, 0)
-                    covers_lo = (i >= 0) & (ends[safe] > lo)
-                    if point:
-                        ok = covers_lo
-                    elif any_overlap:
-                        has_next = i + 1 < n_segments
-                        nxt = np.minimum(i + 1, n_segments - 1)
-                        ok = covers_lo | (
-                            has_next & (starts[nxt] < lo + duration)
-                        )
-                    else:  # CONTAINMENT: one segment spans the packet
-                        ok = (i >= 0) & (ends[safe] >= lo + duration)
-                    heard[fast] = ok
-                # Below the boot threshold (or for packets longer than
-                # the hyperperiod) translation invariance breaks: take
-                # the exact scalar path, exactly as packet_heard would.
-                slow = valid & ~fast
-                if slow.any():
+                    if n_segments:
+                        lo = (t[valid] - rx_phases[pending[valid]]) % hyper
+                        i = np.searchsorted(starts, lo, side="right") - 1
+                        safe = np.maximum(i, 0)
+                        covers_lo = (i >= 0) & (ends[safe] > lo)
+                        if point:
+                            ok = covers_lo
+                        elif any_overlap:
+                            has_next = i + 1 < n_segments
+                            nxt = np.minimum(i + 1, n_segments - 1)
+                            ok = covers_lo | (
+                                has_next & (starts[nxt] < lo + duration)
+                            )
+                        else:  # CONTAINMENT: one segment spans the packet
+                            ok = (i >= 0) & (ends[safe] >= lo + duration)
+                        heard[valid] = ok
+                    # Before a lane's boot end only a pattern "not
+                    # heard" can be wrong (ListeningCache.boot_ends).
+                    if instance * period + tau < boot_max:
+                        slow = valid & ~heard & (t < boot_end[pending])
+                    else:
+                        slow = None
+                if slow is not None and slow.any():
                     packet_heard = cache.packet_heard
                     for j in np.flatnonzero(slow):
                         start_t = int(t[j])

@@ -45,7 +45,11 @@ import signal
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
-from ..simulation.analytic import DiscoveryOutcome
+from ..simulation.analytic import (
+    DiscoveryOutcome,
+    summarize_outcomes,
+    SweepReport,
+)
 from .base import (
     chunk_evenly,
     decode_outcomes,
@@ -289,6 +293,18 @@ class PooledBackend:
         return decode_outcomes(
             row for future in futures for row in future.result()
         )
+
+    def sweep_offsets_batch(
+        self, params: SweepParams, offsets: Sequence[int]
+    ) -> SweepReport:
+        """Shard one batch and summarize its outcomes in the parent,
+        equal to the inner kernel's report in-process."""
+        offsets = list(offsets)
+        if self.jobs <= 1 or len(offsets) < 2:
+            return get_backend(self.inner).sweep_offsets_batch(
+                params, offsets
+            )
+        return summarize_outcomes(self.evaluate_offsets_batch(params, offsets))
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,17 @@ unmerged, abutting windows kept distinct -- because the CONTAINMENT
 model's equality test distinguishes one spanning segment from two
 abutting ones.
 
+The vectorized kernels do not send every boot-region query down the
+exact path: :meth:`ListeningCache.boot_ends` screens them.  Near boot
+the exact listening set differs from the pattern only by the blocks of
+the receiver's own beacons scheduled before time 0, which never went
+on air, and each such block ends by its beacon's start plus the
+threshold.  So from the latest pre-zero beacon start plus the threshold
+on (a lane's *boot end*), the pattern decision is exact.  Before it,
+removing blocks only adds listening time, so a pattern "heard" is exact
+too, in all three reception models; only a pattern "not heard" before
+the boot end takes the exact path.
+
 One cache per receiver is shared across all chunks a worker process
 evaluates; the sweep kernels of :mod:`repro.backends` (including the
 reference ``CachedPairEvaluator`` hot loop) mirror
@@ -105,6 +116,20 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 def _all_int(*values) -> bool:
     return all(isinstance(v, int) for v in values)
+
+
+def _numpy(caller: str):
+    """The NumPy module, or ``BackendUnavailable`` naming ``caller``."""
+    from ..backends import _np
+
+    if _np.np is None:
+        from ..backends.base import BackendUnavailable
+
+        raise BackendUnavailable(
+            f"{caller} needs NumPy; install the [fast] extra or use the "
+            f"list-backed pattern directly"
+        )
+    return _np.np
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +282,7 @@ class ListeningCache:
         self._memo_point: dict[int, bool] = {}
         self._memo_span: dict[tuple, bool] = {}
         self._np_pattern = None
+        self._np_boot = None
         self.enabled = self._analyze(max_segments)
         if self.enabled:
             base = -(-self.threshold // self.hyper) * self.hyper
@@ -297,6 +323,7 @@ class ListeningCache:
         cache._memo_point = {}
         cache._memo_span = {}
         cache._np_pattern = None
+        cache._np_boot = None
         cache.enabled = True
         cache._use_memo = len(starts) >= _MEMO_MIN_SEGMENTS
         return cache
@@ -425,19 +452,48 @@ class ListeningCache:
         """
         arrays = self._np_pattern
         if arrays is None:
-            from ..backends import _np
-
-            np = _np.np
-            if np is None:
-                from ..backends.base import BackendUnavailable
-
-                raise BackendUnavailable(
-                    "pattern_arrays() needs NumPy; install the [fast] "
-                    "extra or use the list-backed pattern directly"
-                )
+            np = _numpy("pattern_arrays()")
             arrays = (
                 np.array(self._starts, dtype=np.int64),
                 np.array(self._ends, dtype=np.int64),
             )
             self._np_pattern = arrays
         return arrays
+
+    def boot_ends(self, rx_phases):
+        """Per lane, the instant from which the exact listening set
+        equals the periodic pattern (int64 array shaped like
+        ``rx_phases``).
+
+        Only blocks of the receiver's own beacons scheduled before time
+        0 separate the two, and each ends by its beacon's start plus
+        :attr:`threshold`.  The latest such start is one
+        ``searchsorted`` over the sorted beacon times: with
+        ``q = (-rx_phase) % period`` it is the largest time below ``q``,
+        minus ``q`` (or the last time minus ``q + period`` when none is
+        below ``q``).  A query starting before its lane's boot end needs
+        the exact :meth:`packet_heard` only when the pattern says "not
+        heard" (module docstring).  Requires NumPy, like
+        :meth:`pattern_arrays`.
+        """
+        np = _numpy("boot_ends()")
+        rx_phases = np.asarray(rx_phases, dtype=np.int64)
+        beacons = self.receiver.beacons
+        if beacons is None:
+            return np.zeros(rx_phases.shape, dtype=np.int64)
+        boot = self._np_boot
+        if boot is None:
+            # A schedule's beacon times are sorted and inside
+            # [0, period).
+            period = int(beacons.period)
+            times = np.array(
+                [int(b.time) for b in beacons.beacons], dtype=np.int64
+            )
+            # previous[i]: the latest beacon time below the i-th one,
+            # wrapping to the previous period for i = 0.
+            previous = np.concatenate(([times[-1] - period], times))
+            boot = self._np_boot = (period, times, previous)
+        period, times, previous = boot
+        q = (-rx_phases) % period
+        latest = previous[np.searchsorted(times, q, side="left")] - q
+        return latest + self.threshold

@@ -6,11 +6,15 @@ offset, one DES replay per spot-check offset, or one event-driven
 network run per grid point.  :class:`ParallelSweep` shards them across
 worker processes while preserving the serial path's results exactly:
 
-* workers return *per-offset outcomes*, and the final report is built
-  by the very same :func:`repro.simulation.analytic.summarize_outcomes`
-  the serial sweep uses, over the same offset order -- aggregation
-  rules (strict-``>`` tie-breaking, left-to-right mean summation) exist
-  in one place, so the parallel path cannot drift from them;
+* an offset sweep's report comes from one
+  :meth:`repro.backends.SweepBackend.sweep_offsets_batch` call.
+  In-process, the ``numpy`` kernel reduces its first-discovery vectors
+  straight into the :class:`SweepReport` and builds no per-offset
+  outcome; the ``python`` kernel and the pool fold per-offset outcomes
+  (the pool's come back from its workers in offset order) with
+  :func:`repro.simulation.analytic.summarize_outcomes`, the reference
+  every reduction is pinned equal to (earliest-offset ties, exact
+  integer sums for the means);
 * seeded runs derive each item's seed from its *global* index via
   :func:`repro.parallel.cache.derive_seed`, never from its submission
   slot, so scheduling is invisible to the RNG.
@@ -47,7 +51,6 @@ from ..simulation.analytic import (
     DiscoveryOutcome,
     mutual_discovery_times,
     ReceptionModel,
-    summarize_outcomes,
     SweepReport,
 )
 from .cache import derive_seed
@@ -232,11 +235,11 @@ class ParallelSweep:
     ) -> SweepReport:
         """Parallel :func:`repro.simulation.analytic.sweep_offsets`,
         bit-identical to the serial call."""
-        return summarize_outcomes(
-            self.evaluate_offsets(
-                protocol_e, protocol_f, offsets, horizon, model, turnaround
-            )
-        )
+        from ..backends import SweepParams
+
+        params = SweepParams(protocol_e, protocol_f, horizon, model, turnaround)
+        runner = self.pool() or self._resolve_backend()
+        return runner.sweep_offsets_batch(params, list(offsets))
 
     # ------------------------------------------------------------------
     def evaluate_offsets(

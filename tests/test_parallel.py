@@ -13,11 +13,13 @@ import pytest
 from repro.api import RunSpec, RuntimeProfile, Session
 from repro.core.optimal import synthesize_symmetric
 from repro.core.sequences import (
+    Beacon,
     BeaconSchedule,
     NDProtocol,
     ReceptionSchedule,
+    ReceptionWindow,
 )
-from repro.backends import CachedPairEvaluator
+from repro.backends import CachedPairEvaluator, have_numpy
 from repro.parallel import (
     derive_seed,
     ListeningCache,
@@ -43,6 +45,9 @@ from repro.simulation.node import Node
 from repro.workloads import dense_network, scenario_grid
 
 
+needs_numpy = pytest.mark.skipif(not have_numpy(), reason="needs NumPy")
+
+
 def random_protocol(rng: random.Random, role: str = "both") -> NDProtocol:
     """A random small-period protocol; ``role`` picks the sequences."""
     beacons = None
@@ -58,6 +63,39 @@ def random_protocol(rng: random.Random, role: str = "both") -> NDProtocol:
         start = rng.randint(0, period - duration)
         reception = ReceptionSchedule.single_window(duration, period, start)
     return NDProtocol(beacons=beacons, reception=reception)
+
+
+def _random_boot_receiver(
+    rng: random.Random, periods: list[int]
+) -> NDProtocol:
+    """A random integer receiver with irregular beacons and windows."""
+    beacon_period = rng.choice(periods)
+    times = sorted(rng.sample(range(0, beacon_period, 15), rng.randint(1, 4)))
+    beacons = BeaconSchedule(
+        [Beacon(time, rng.randint(1, 12)) for time in times], beacon_period
+    )
+    window_period = rng.choice(periods)
+    starts = sorted(rng.sample(range(0, window_period, 30), rng.randint(1, 2)))
+    windows = [
+        ReceptionWindow(start, rng.randint(1, 29)) for start in starts
+    ]
+    return NDProtocol(
+        beacons=beacons, reception=ReceptionSchedule(windows, window_period)
+    )
+
+
+def _latest_pre_zero_start(receiver: NDProtocol, rx_phase: int) -> int:
+    """Brute force: the latest own beacon start before time 0."""
+    period = receiver.beacons.period
+    instance = -rx_phase // period - 1
+    latest = None
+    while True:
+        base = rx_phase + instance * period
+        starts = [base + b.time for b in receiver.beacons.beacons]
+        if min(starts) >= 0:
+            return latest
+        latest = max(t for t in starts if t < 0)
+        instance += 1
 
 
 def random_pair(rng: random.Random) -> tuple[NDProtocol, NDProtocol]:
@@ -90,6 +128,77 @@ class TestListeningCache:
                 assert got == expected, (
                     receiver, phase, start, length, model, turnaround
                 )
+
+    @needs_numpy
+    def test_boot_screen_clears_only_exact_pattern_decisions(self):
+        """Soundness of ``ListeningCache.boot_ends``: before the boot
+        threshold, wherever the screen clears a lane (the pattern says
+        "heard", or the query starts at or past the lane's boot end),
+        the pattern decision equals the exact ``packet_heard`` in all
+        three reception models."""
+        rng = random.Random(1017)
+        periods = [60, 90, 120, 150, 180, 240, 300, 360]
+        cleared = 0
+        for _ in range(30):
+            receiver = _random_boot_receiver(rng, periods)
+            turnaround = rng.choice([0, 7, 150])
+            cache = ListeningCache(receiver, turnaround)
+            assert cache.enabled
+            threshold = cache.threshold
+            # A query a whole number of hyperperiods later, past the
+            # threshold, reads the pattern at the same residue.
+            shift = -(-threshold // cache.hyper) * cache.hyper
+            phases = [rng.randint(-2_000, 2_000) for _ in range(12)]
+            boot_ends = cache.boot_ends(phases).tolist()
+            for phase, boot_end in zip(phases, boot_ends):
+                assert boot_end == _latest_pre_zero_start(
+                    receiver, phase
+                ) + threshold
+                for _ in range(12):
+                    start = rng.randrange(threshold)
+                    length = rng.randint(1, 20)
+                    for model in ReceptionModel:
+                        pattern = packet_heard(
+                            receiver, phase, start + shift,
+                            start + shift + length, model, turnaround,
+                        )
+                        if not pattern and start < boot_end:
+                            continue  # flagged: the exact path decides
+                        cleared += 1
+                        exact = packet_heard(
+                            receiver, phase, start, start + length, model,
+                            turnaround,
+                        )
+                        assert pattern == exact, (
+                            receiver, turnaround, phase, start, length,
+                            model,
+                        )
+        assert cleared > 1_000
+
+    @needs_numpy
+    def test_boot_screen_bounds_exact_calls(self, monkeypatch):
+        """A numpy critical sweep of Disco 7x13 sends at most one
+        offset in ten to the exact scalar ``packet_heard``."""
+        from repro.protocols import Disco, Role
+        from repro.simulation import critical_offsets
+
+        proto = Disco(7, 13)
+        protocol_e, protocol_f = proto.device(Role.E), proto.device(Role.F)
+        offsets = critical_offsets(protocol_e, protocol_f)
+        horizon = 12 * protocol_e.hyperperiod()
+        calls = []
+        exact = ListeningCache.packet_heard
+
+        def counting(self, *args):
+            calls.append(args)
+            return exact(self, *args)
+
+        monkeypatch.setattr(ListeningCache, "packet_heard", counting)
+        report = ParallelSweep(jobs=1, backend="numpy").sweep_offsets(
+            protocol_e, protocol_f, offsets, horizon
+        )
+        assert report.offsets_evaluated == len(offsets) > 1_000
+        assert len(calls) <= len(offsets) / 10
 
     def test_non_integer_schedule_falls_back(self):
         receiver = NDProtocol(

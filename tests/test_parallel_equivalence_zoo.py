@@ -21,21 +21,31 @@ fidelity knobs of grid scenarios.  This file pins that invariant:
   bit-identical for every family under **all three** reception
   models, plus persistent-pool lifecycle units (lazy creation, reuse
   across sweeps, explicit shutdown, no leaked worker processes);
+* the report path: ``NumpyBackend.sweep_offsets_batch`` (both of its
+  engines) equals ``summarize_outcomes`` over the reference for every
+  family, model and turnaround {0, 150}, plus the reduction's corner
+  cases (empty and single-offset batches, unidirectional pairs,
+  all-undiscovered batches, earliest-offset ties) and ``jobs=2`` ==
+  ``jobs=1`` on report sweeps;
 * (PR 4) Session-facade equivalence: :class:`repro.api.Session` verbs
   pinned bit-identical to the plain in-process entry points across all
   13 families, plus a session lifecycle test showing zero leaked worker
   processes and shared-memory segments after ``__exit__``.
 """
 
+import math
 import os
+import random
 
 import pytest
 
 from repro.api import RunSpec, RuntimeProfile, Session
 from repro.backends import (
     available_backends,
+    CriticalSetTooLarge,
     get_pooled_backend,
     have_numpy,
+    NumpyBackend,
     PooledBackend,
     shutdown_pooled_backends,
     SweepParams,
@@ -71,8 +81,10 @@ from repro.protocols import (
     UConnect,
 )
 from repro.simulation import (
+    critical_offsets,
     evaluate_offsets,
     ReceptionModel,
+    summarize_outcomes,
     sweep_network_grid,
     sweep_offsets,
     verified_worst_case,
@@ -307,6 +319,173 @@ def test_large_pattern_regimes_bit_identical(gap, window_period, regime):
             protocol_e, protocol_f, offsets, horizon
         )
         assert got == serial, (regime, backend)
+
+
+# ----------------------------------------------------------------------
+# The report path: the numpy kernel reduces its discovery vectors into
+# the SweepReport without building per-offset outcomes.
+# ----------------------------------------------------------------------
+
+needs_numpy = pytest.mark.skipif(not have_numpy(), reason="needs NumPy")
+
+
+def _report_offset_sets(family, protocol_e, protocol_f, turnaround):
+    """Critical (thinned), uniform-stride and shuffled offset batches,
+    plus stride-1 offsets that line every boot end up with the first
+    beacons (the incremental engine's boot-screen edges)."""
+    offsets, _horizon = _workload(protocol_e, protocol_f)
+    try:
+        critical = critical_offsets(
+            protocol_e, protocol_f, omega=OMEGA, turnaround=turnaround
+        )
+    except CriticalSetTooLarge:
+        critical = []
+    critical = critical[:: max(1, len(critical) // 60)]
+    shuffled = list(offsets)
+    random.Random(family).shuffle(shuffled)
+    uniform = offsets[:40]  # the arithmetic progression part
+    return {
+        "critical": critical,
+        "uniform": uniform,
+        "shuffled": shuffled,
+        "boot": list(range(128)),
+    }
+
+
+def _reference_report(
+    protocol_e, protocol_f, offsets, horizon, model, turnaround
+):
+    return summarize_outcomes(
+        evaluate_offsets(
+            protocol_e, protocol_f, offsets, horizon, model, turnaround
+        )
+    )
+
+
+@needs_numpy
+@pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
+def test_family_report_path_matches_reference(family):
+    """``NumpyBackend.sweep_offsets_batch`` (batch and incremental
+    engines) equals ``summarize_outcomes`` over the exact reference for
+    every family, reception model and turnaround {0, 150}, on critical,
+    uniform-stride, shuffled and stride-1 boot-region offsets."""
+    protocol_e, protocol_f = ZOO[family]()
+    _offsets, horizon = _workload(protocol_e, protocol_f)
+    kernels = [NumpyBackend(use_incremental=flag) for flag in (True, False)]
+    for turnaround in (0, 150):
+        sets = _report_offset_sets(family, protocol_e, protocol_f, turnaround)
+        for model in MODELS:
+            params = SweepParams(
+                protocol_e, protocol_f, horizon, model, turnaround
+            )
+            for name, offsets in sets.items():
+                expected = _reference_report(
+                    protocol_e, protocol_f, offsets, horizon, model,
+                    turnaround,
+                )
+                for kernel in kernels:
+                    got = kernel.sweep_offsets_batch(params, offsets)
+                    assert got == expected, (
+                        family, turnaround, model, name,
+                        kernel.use_incremental,
+                    )
+
+
+@pytest.mark.parametrize(
+    "family", ["disco", "pi-adv-scan", "optimal-slotless"]
+)
+def test_report_path_pool_matches_in_process(family):
+    """``ParallelSweep(jobs=2).sweep_offsets`` (outcomes summarized in
+    the parent) equals ``jobs=1`` (the in-process reduction)."""
+    protocol_e, protocol_f = ZOO[family]()
+    _offsets, horizon = _workload(protocol_e, protocol_f)
+    offsets = _report_offset_sets(family, protocol_e, protocol_f, 0)[
+        "critical"
+    ]
+    for model in MODELS:
+        serial = ParallelSweep(jobs=1).sweep_offsets(
+            protocol_e, protocol_f, offsets, horizon, model
+        )
+        sharded = ParallelSweep(jobs=2).sweep_offsets(
+            protocol_e, protocol_f, offsets, horizon, model
+        )
+        assert sharded == serial, (family, model)
+
+
+@needs_numpy
+class TestReportPathEdgeCases:
+    """Batches whose report hinges on the reduction's corner rules."""
+
+    def _check(self, protocol_e, protocol_f, offsets, horizon, model=None):
+        model = model or ReceptionModel.POINT
+        expected = _reference_report(
+            protocol_e, protocol_f, offsets, horizon, model, 0
+        )
+        params = SweepParams(protocol_e, protocol_f, horizon, model)
+        for flag in (True, False):
+            kernel = NumpyBackend(use_incremental=flag)
+            assert kernel.sweep_offsets_batch(params, offsets) == expected
+        return expected
+
+    def test_empty_and_single_offset_batches(self):
+        protocol_e, protocol_f = ZOO["disco"]()
+        _offsets, horizon = _workload(protocol_e, protocol_f)
+        empty = self._check(protocol_e, protocol_f, [], horizon)
+        assert empty.offsets_evaluated == 0 and empty.worst_one_way is None
+        single = self._check(protocol_e, protocol_f, [317], horizon)
+        assert single.offsets_evaluated == 1
+        assert single.worst_offset_one_way in (317, None)
+
+    @pytest.mark.parametrize("model", MODELS, ids=[m.value for m in MODELS])
+    def test_unidirectional_pairs(self, model):
+        """One direction cannot discover at all: no two-way latency."""
+        advertiser, scanner = ZOO["pi-adv-scan"]()
+        beacon_only = NDProtocol(
+            beacons=BeaconSchedule.uniform(1, 300, 16), reception=None
+        )
+        for protocol_e, protocol_f in (
+            (advertiser, scanner),
+            (scanner, advertiser),
+            (beacon_only, scanner),
+        ):
+            offsets, horizon = _workload(protocol_e, protocol_f)
+            report = self._check(
+                protocol_e, protocol_f, offsets, horizon, model
+            )
+            assert report.worst_two_way is None
+            assert report.mean_two_way is None
+
+    @pytest.mark.parametrize("family", ["disco", "uconnect"])
+    def test_all_undiscovered_self_blocking_offsets(self, family):
+        """Offsets where self-blocking starves both directions: every
+        latency field is ``None`` and every offset is a failure."""
+        protocol_e, protocol_f = ZOO[family]()
+        _offsets, horizon = _workload(protocol_e, protocol_f)
+        candidates = critical_offsets(protocol_e, protocol_f, omega=OMEGA)
+        outcomes = evaluate_offsets(
+            protocol_e, protocol_f, candidates, horizon
+        )
+        starved = [o.offset for o in outcomes if o.one_way is None]
+        assert starved, family
+        report = self._check(protocol_e, protocol_f, starved, horizon)
+        assert report.failures == report.offsets_evaluated == len(starved)
+        assert report.worst_one_way is None and report.mean_one_way is None
+
+    def test_tied_worst_case_earliest_offset_wins(self):
+        """Offsets a joint hyperperiod apart tie exactly; the report
+        names whichever comes first in the batch."""
+        protocol_e, protocol_f = ZOO["searchlight"]()
+        offsets, horizon = _workload(protocol_e, protocol_f)
+        worst = sweep_offsets(protocol_e, protocol_f, offsets, horizon)
+        hyper = math.lcm(protocol_e.hyperperiod(), protocol_f.hyperperiod())
+        late = worst.worst_offset_two_way + hyper
+        for batch, first in (
+            ([late] + offsets, late),
+            (offsets + [late], worst.worst_offset_two_way),
+        ):
+            report = self._check(protocol_e, protocol_f, batch, horizon)
+            assert report.worst_two_way == worst.worst_two_way
+            assert report.worst_offset_two_way == first
 
 
 def test_grid_pool_matches_serial_with_fidelity_knobs():
