@@ -22,10 +22,10 @@ in-process default (numpy) kernel:
   labelled ``speedup_over_legacy_serial`` row.
 * **grid** -- a 12-scenario dense-network grid, in-process vs the
   persistent pool.
-* **kernels** -- a single-process shoot-out: python reference vs numpy
-  (incremental and batch formulations).  Bit-identity is a hard exit
-  gate; the numpy speedup is guarded by a coarse 3x perf floor that
-  ``--no-perf-floors`` turns into a recorded-only row.
+* **kernels** -- a single-process shoot-out: python reference vs
+  numpy.  Bit-identity is a hard exit gate; the numpy speedup is
+  guarded by a coarse 3x perf floor that ``--no-perf-floors`` turns
+  into a recorded-only row.
 * **enumeration** -- critical-offset enumeration on Disco 101x103,
   python reference vs numpy, bit-identity hard-gated.
 * **DES spot checks** -- a replay batch below the pool's
@@ -60,7 +60,6 @@ from repro.backends import (
     available_backends,
     default_backend_name,
     numpy_version,
-    NumpyBackend,
 )
 from repro.backends.pooled import shutdown_pooled_backends
 from repro.core.optimal import synthesize_symmetric
@@ -394,33 +393,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"kernel numpy : {numpy_s:.3f} s   {kernel_speedup:.2f}x over "
             f"python   bit-identical: {kernel_identical}"
-        )
-        # Incremental vs wholesale batch on the same strided sweep.  The
-        # fixed offsets are an arithmetic progression, so the default
-        # numpy timing above already took the incremental cross-offset
-        # path; forcing use_incremental=False times the batch kernel it
-        # has to beat (PR 8 acceptance row).  Bit-identity between the
-        # two formulations stays a hard exit gate.
-        batch_s, batch_report = best_of(
-            args.repeats,
-            lambda: ParallelSweep(
-                jobs=1, backend=NumpyBackend(use_incremental=False)
-            ).sweep_offsets(protocol, protocol, offsets, horizon),
-        )
-        batch_identical = batch_report == numpy_report == serial_report
-        identical = identical and batch_identical
-        incremental_speedup = (
-            batch_s / numpy_s if numpy_s > 0 else float("inf")
-        )
-        backend_timings["numpy_batch_seconds"] = batch_s
-        backend_timings["numpy_incremental_seconds"] = numpy_s
-        backend_timings["incremental_speedup_over_batch"] = (
-            incremental_speedup
-        )
-        print(
-            f"kernel incr  : {numpy_s:.3f} s incremental vs {batch_s:.3f} s "
-            f"batch   {incremental_speedup:.2f}x   "
-            f"bit-identical: {batch_identical}"
         )
     # Phase: critical-offset enumeration on a large-zoo pair (PR 5).
     # The python reference double loop vs the vectorized kernel;

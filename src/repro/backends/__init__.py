@@ -21,9 +21,11 @@ Backend-selection contract
   backend is pinned bit-identical against by the equivalence zoo.
 * ``"numpy"`` -- the vectorized kernel
   (:mod:`repro.backends.numpy_kernel`): int64 pattern arrays (the
-  shared-memory wire format), one batched ``np.searchsorted`` per
-  beacon candidate over all unresolved offsets.  Available only when
-  NumPy is importable; requesting it without NumPy raises
+  shared-memory wire format) and one compacted-lane loop -- one batched
+  ``np.searchsorted`` per beacon candidate over the offsets still
+  unresolved, whose per-lane state is dropped as they resolve.
+  ``NumpyBackend()`` takes no arguments.  Available only when NumPy is
+  importable; requesting it without NumPy raises
   :class:`BackendUnavailable`.  NumPy is an *optional extra*
   (``pip install repro-nd[fast]``), never a hard dependency --
   :mod:`repro.backends._np` is the one import-guard shim every
@@ -57,29 +59,6 @@ summarizes its workers' outcomes in the parent.
 :meth:`repro.parallel.ParallelSweep.sweep_offsets` is one call to it;
 ``evaluate_offsets_batch`` keeps returning per-offset outcomes for
 callers that need them.
-
-The incremental cross-offset fast path
---------------------------------------
-
-Sweep batches are almost always arithmetic progressions of offsets (the
-shape every uniform sweep and the grid scheduler emit), and successive
-beacon candidates shift every offset's decode position by the *same*
-delta.  :mod:`repro.backends.incremental` exploits this: compute the
-first evaluated candidate's decode positions once, then advance each
-``(residue, segment-index)`` pair by the shared stride delta,
-re-resolving only the windows whose segment index changed -- amortized
-O(changed windows) per offset instead of O(log pattern) per candidate.
-The ``numpy`` kernel uses it as an internal fast path, gated on these
-preconditions (any miss falls back to the plain
-batch kernel, never to approximation):
-
-* the offset batch is an arithmetic progression of at least
-  ``incremental.MIN_LANES`` offsets with non-zero stride;
-* the receiver's listening pattern is precomputed and non-empty;
-* every beacon duration fits within the pattern hyperperiod.
-
-``NumpyBackend(use_incremental=False)`` is the benching escape hatch
-that forces the plain batch formulation.
 
 The ``enumerate_critical_offsets`` operation (PR 5)
 ---------------------------------------------------

@@ -5,10 +5,24 @@ binary search over the receiver's precomputed listening pattern.  This
 backend runs the *same enumeration* -- beacon instances in
 doubly-infinite order, taus in schedule order, first hit wins -- but
 batches each candidate across **all still-undiscovered offsets at
-once**: one ``np.searchsorted`` over the int64 pattern arrays (already
-the shared-memory wire format) answers thousands of decode decisions
-per candidate.  The working set shrinks as offsets resolve, so total
-work matches the scalar loop while each step runs at C speed.
+once**, in one loop:
+
+* **Compacted lanes.**  Per-lane state -- the lane's index, its tx
+  phase residue ``red``, the residue constant ``delta = red - rx_phase``,
+  its rx phase and its boot end -- lives in one int64 array whose
+  columns are dropped as lanes resolve (after every candidate that
+  hears one) and as their instances reach the horizon, so each step
+  touches only live lanes.
+* **One search per candidate.**  Candidate ``c = instance * period +
+  tau`` decodes at ``lo = (c + delta) mod H``: one ``np.searchsorted``
+  over the int64 pattern arrays (already the shared-memory wire format)
+  answers every live lane.  Sentinel slots -- an end of ``-1`` before
+  the first segment, a start of ``2H + 1`` past the last -- make each
+  reception model's predicate a single gather with no bounds masks.
+* **Scalar skips.**  The live lanes' smallest and largest residue bound
+  every candidate's query times, so candidates no lane can use are
+  skipped, and the ``[0, horizon)`` mask and the boot screen run only
+  when some lane needs them.
 
 Bit-identity is by construction, not by approximation:
 
@@ -38,7 +52,9 @@ divide exact Python-int sums (summed in int64 unless that could
 overflow).
 
 The equivalence zoo pins ``python`` ≡ ``numpy`` across all 13 protocol
-families and all three reception models, for outcomes and reports.
+families and all three reception models, for outcomes and reports;
+``tests/test_sweep_kernel_property.py`` does the same on random
+schedules and offset batches.
 """
 
 from __future__ import annotations
@@ -62,7 +78,6 @@ from .base import (
     SweepBackend,
     SweepParams,
 )
-from .incremental import arithmetic_stride, first_discovery_incremental
 
 __all__ = ["NumpyBackend", "summarize_discovery_vectors"]
 
@@ -165,16 +180,12 @@ class NumpyBackend(SweepBackend):
 
     name = "numpy"
 
-    def __init__(self, use_incremental: bool = True) -> None:
+    def __init__(self) -> None:
         if _np.np is None:
             raise BackendUnavailable(
                 "NumPy is not importable; install the [fast] extra or "
                 "select backend='python'"
             )
-        # Escape hatch for benching the incremental strided-sweep engine
-        # (:mod:`repro.backends.incremental`) against the plain batch
-        # kernel; both are bit-identical to the reference.
-        self.use_incremental = use_incremental
 
     @classmethod
     def available(cls) -> bool:
@@ -240,12 +251,6 @@ class NumpyBackend(SweepBackend):
             return None
         offset_vec = np.asarray(offsets, dtype=np.int64)
         zero_vec = np.zeros(len(offsets), dtype=np.int64)
-        # Arithmetic-progression batches (every uniform sweep chunk)
-        # qualify for the incremental engine; it may still decline a
-        # direction (preconditions) and fall back to the batch kernel.
-        incremental = (
-            self.use_incremental and arithmetic_stride(offset_vec) is not None
-        )
         vectors = []
         # E at phase 0 heard by F at the offset, then the reverse.
         for transmitter, receiver, cache, tx_phases, rx_phases in (
@@ -257,16 +262,10 @@ class NumpyBackend(SweepBackend):
                 transmitter.beacons is not None
                 and receiver.reception is not None
             ):
-                if incremental:
-                    vec = first_discovery_incremental(
-                        transmitter, cache, tx_phases, rx_phases,
-                        params.horizon, params.model,
-                    )
-                if vec is None:
-                    vec = self._first_discovery_batch(
-                        transmitter, cache, tx_phases, rx_phases,
-                        params.horizon, params.model,
-                    )
+                vec = self._first_discovery_batch(
+                    transmitter, cache, tx_phases, rx_phases,
+                    params.horizon, params.model,
+                )
             vectors.append(vec)
         return tuple(vectors)
 
@@ -388,79 +387,102 @@ class NumpyBackend(SweepBackend):
 
         One iteration per beacon candidate ``(instance, tau)`` in the
         reference enumeration order, batched over the still-unresolved
-        offsets.
+        lanes, whose state is kept compacted (module docstring).
         """
         np = _np.np
         schedule = transmitter.beacons
         period = schedule.period
         pattern = [(int(b.time), int(b.duration)) for b in schedule.beacons]
         starts, ends = cache.pattern_arrays()
-        n_segments = int(starts.size)
         hyper = cache.hyper
         point = model is ReceptionModel.POINT
         any_overlap = model is ReceptionModel.ANY_OVERLAP
+        heard_exact = cache.packet_heard
 
-        result = np.full(tx_phases.size, -2, dtype=np.int64)
+        # Sentinel slots make each predicate one gather at the
+        # ``searchsorted`` slot ``k`` (segment ``k - 1`` covers the
+        # residue, segment ``k`` is the next one): ``ends_ext[0] = -1``
+        # answers "before the first segment", ``starts_ext[-1] = 2H+1``
+        # (above any residue and any ``lo + duration``) "past the last".
+        ends_ext = np.concatenate(([-1], ends))
+        starts_ext = np.concatenate((starts, [2 * hyper + 1]))
+
+        result = np.full(tx_phases.size, -1, dtype=np.int64)
+        # Per-lane state, one row each, compacted as lanes drop out:
+        # original lane, tx phase residue, residue constant, rx phase,
+        # boot end.
         reduced = tx_phases % period
-        boot_end = cache.boot_ends(rx_phases)
+        state = np.stack((
+            np.arange(tx_phases.size, dtype=np.int64),
+            reduced,
+            reduced - rx_phases,
+            rx_phases,
+            cache.boot_ends(rx_phases),
+        ))
+        lanes, red, delta, rxp, boot_end = state
         boot_max = int(boot_end.max())
-        pending = np.flatnonzero(result == -2)
+        red_min, red_max = int(red.min()), int(red.max())
         instance = -1
-        while pending.size:
-            base = reduced[pending] + instance * period
-            over = base >= horizon
-            if over.any():
+        while lanes.size:
+            ibase = instance * period
+            if ibase + red_max >= horizon:
                 # The reference returns None the moment an instance
                 # starts at or past the horizon.
-                result[pending[over]] = -1
-                pending = pending[~over]
-            for tau, duration in pattern:
-                if not pending.size:
+                state = state.compress(red < horizon - ibase, axis=1)
+                lanes, red, delta, rxp, boot_end = state
+                if not lanes.size:
                     break
-                t = reduced[pending] + instance * period + tau
-                valid = (t >= 0) & (t < horizon)
-                if not valid.any():
-                    continue
-                heard = np.zeros(pending.size, dtype=bool)
-                if duration > hyper:
-                    # Packets longer than the hyperperiod take the exact
-                    # scalar path, exactly as packet_heard would.
-                    slow = valid
+                red_min, red_max = int(red.min()), int(red.max())
+            for tau, duration in pattern:
+                c = ibase + tau
+                t_min = c + red_min
+                t_max = c + red_max
+                if t_max < 0 or t_min >= horizon:
+                    continue  # no lane's query lies in [0, horizon)
+                oversized = duration > hyper
+                if oversized:
+                    heard = np.zeros(lanes.size, dtype=bool)
                 else:
-                    if n_segments:
-                        lo = (t[valid] - rx_phases[pending[valid]]) % hyper
-                        i = np.searchsorted(starts, lo, side="right") - 1
-                        safe = np.maximum(i, 0)
-                        covers_lo = (i >= 0) & (ends[safe] > lo)
-                        if point:
-                            ok = covers_lo
-                        elif any_overlap:
-                            has_next = i + 1 < n_segments
-                            nxt = np.minimum(i + 1, n_segments - 1)
-                            ok = covers_lo | (
-                                has_next & (starts[nxt] < lo + duration)
-                            )
-                        else:  # CONTAINMENT: one segment spans the packet
-                            ok = (i >= 0) & (ends[safe] >= lo + duration)
-                        heard[valid] = ok
-                    # Before a lane's boot end only a pattern "not
-                    # heard" can be wrong (ListeningCache.boot_ends).
-                    if instance * period + tau < boot_max:
-                        slow = valid & ~heard & (t < boot_end[pending])
+                    lo = (c + delta) % hyper
+                    k = starts_ext.searchsorted(lo, side="right")
+                    if point:
+                        heard = ends_ext[k] > lo
+                    elif any_overlap:
+                        heard = (ends_ext[k] > lo) | (
+                            starts_ext[k] < lo + duration
+                        )
+                    else:  # CONTAINMENT: one segment spans the packet
+                        heard = ends_ext[k] >= lo + duration
+                partial = t_min < 0 or t_max >= horizon
+                if partial or oversized or t_min < boot_max:
+                    t = red + c
+                    valid = None
+                    if partial:
+                        valid = (t >= 0) & (t < horizon)
+                        heard &= valid
+                    if oversized:
+                        # Packets longer than the hyperperiod take the
+                        # exact scalar path, exactly as packet_heard
+                        # would.
+                        slow = np.ones(lanes.size, dtype=bool)
                     else:
-                        slow = None
-                if slow is not None and slow.any():
-                    packet_heard = cache.packet_heard
+                        # Before a lane's boot end only a pattern "not
+                        # heard" can be wrong (ListeningCache.boot_ends).
+                        slow = ~heard & (t < boot_end)
+                    if valid is not None:
+                        slow &= valid
                     for j in np.flatnonzero(slow):
-                        start_t = int(t[j])
-                        heard[j] = packet_heard(
-                            int(rx_phases[pending[j]]),
-                            start_t,
-                            start_t + duration,
-                            model,
+                        t_j = int(t[j])
+                        heard[j] = heard_exact(
+                            int(rxp[j]), t_j, t_j + duration, model
                         )
                 if heard.any():
-                    result[pending[heard]] = t[heard]
-                    pending = pending[~heard]
+                    hit = np.flatnonzero(heard)
+                    result[lanes[hit]] = red[hit] + c
+                    state = state.compress(~heard, axis=1)
+                    lanes, red, delta, rxp, boot_end = state
+                    if not lanes.size:
+                        break
+                    red_min, red_max = int(red.min()), int(red.max())
             instance += 1
         return result

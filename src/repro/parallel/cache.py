@@ -435,14 +435,14 @@ class ListeningCache:
     def pattern_arrays(self):
         """The pattern as ``(starts, ends)`` int64 NumPy arrays.
 
-        The one sanctioned path every array-consuming kernel (``numpy``
-        and its incremental strided engine) resolves patterns
-        through -- built once per cache object, on first use, and owned
-        by the cache so its lifetime *is* the invalidation contract:
-        caches are immutable after construction (fingerprint-keyed, see
-        the module docstring), so the arrays can never go stale while
-        the cache lives, and dropping the cache (registry LRU eviction,
-        :func:`invalidate_listening_caches`) drops them with it.
+        The one sanctioned path the array-consuming ``numpy`` kernel
+        resolves patterns through -- built once per cache object, on
+        first use, and owned by the cache so its lifetime *is* the
+        invalidation contract: caches are immutable after construction
+        (fingerprint-keyed, see the module docstring), so the arrays can
+        never go stale while the cache lives, and dropping the cache
+        (registry LRU eviction, :func:`invalidate_listening_caches`)
+        drops them with it.
 
         Always copies -- also out of the shared-memory memoryviews a
         :meth:`from_pattern` cache wraps -- because the arrays must

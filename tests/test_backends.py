@@ -3,8 +3,8 @@
 Registry semantics (names, auto-detection, unavailability errors), the
 NumPy import-guard shim (including a simulated NumPy-less environment,
 so every fallback path is exercised on machines that do have the
-extra), kernel fallback behaviour on non-vectorizable inputs, the
-incremental strided-sweep engine and its gates, the
+extra), kernel fallback behaviour on non-vectorizable inputs, numpy
+kernel parity with the reference on its corner paths, the
 ``ListeningCache.pattern_arrays()`` accessor, the cost-model fit
 helpers, and CLI threading of ``--backend``.
 """
@@ -29,7 +29,13 @@ from repro.backends import (
 )
 from repro.backends import _np
 from repro.core.optimal import synthesize_symmetric
-from repro.core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
+from repro.core.sequences import (
+    Beacon,
+    BeaconSchedule,
+    NDProtocol,
+    ReceptionSchedule,
+    ReceptionWindow,
+)
 from repro.parallel import ParallelSweep
 from repro.parallel.schedule import (
     cost_components,
@@ -175,10 +181,10 @@ class TestNumpyKernelFallbacks:
 
 
 @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
-class TestNumpyFormulationParity:
-    """Both formulations of the numpy kernel -- the incremental strided
-    engine and the plain batch kernel -- on the inputs where they must
-    hand over to another path, pinned against the reference."""
+class TestNumpyReferenceParity:
+    """``NumpyBackend()`` against the reference on the batches that
+    reach its corner paths: strided and scattered offsets, boot-region
+    queries, oversized beacons and non-vectorizable schedules."""
 
     def _check(self, protocol_e, protocol_f, offsets, horizon, **kwargs):
         serial = evaluate_offsets(
@@ -189,21 +195,49 @@ class TestNumpyFormulationParity:
             kwargs.get("model", ReceptionModel.POINT),
             kwargs.get("turnaround", 0),
         )
-        for use_incremental in (True, False):
-            backend = NumpyBackend(use_incremental=use_incremental)
-            got = backend.evaluate_offsets_batch(params, offsets)
-            assert got == serial, use_incremental
+        got = NumpyBackend().evaluate_offsets_batch(params, offsets)
+        assert got == serial
+
+    def test_strided_batch_under_every_model(self):
+        protocol, _, horizon = _small_pair()
+        offsets = list(range(-4_000, 40_000, 1_111))
+        for model in ReceptionModel:
+            self._check(protocol, protocol, offsets, horizon, model=model)
 
     def test_boot_threshold_split_with_turnaround(self):
-        """Below-threshold candidates run the exact scalar scan; the
-        vectorized loop starts at each lane's boot-safe instance."""
+        """Boot-region lanes the pattern cannot clear take the exact
+        scalar path; the rest keep the pattern decision."""
         protocol, offsets, horizon = _small_pair()
         self._check(protocol, protocol, offsets, horizon, turnaround=9)
+        offsets = list(range(0, 9_000, 13))
+        self._check(protocol, protocol, offsets, horizon, turnaround=7)
+
+    def test_boot_end_and_horizon_edges(self):
+        """Offsets over every rx phase residue of a short-period device,
+        so some lane's boot end and some lane's discovery fall on each
+        early instant, and every horizon over those instants."""
+        device = NDProtocol(
+            beacons=BeaconSchedule([Beacon(0, 4), Beacon(23, 4)], 50),
+            reception=ReceptionSchedule(
+                [ReceptionWindow(5, 12), ReceptionWindow(30, 15)], 100
+            ),
+        )
+        offsets = list(range(-100, 100))
+        for turnaround in (0, 3):
+            for model in ReceptionModel:
+                for horizon in range(1, 110):
+                    self._check(
+                        device, device, offsets, horizon,
+                        model=model, turnaround=turnaround,
+                    )
 
     def test_negative_and_scattered_offsets(self):
         protocol, _, horizon = _small_pair()
-        offsets = [-7919, -13, 0, 4, 991, 65537, 3, 3]
-        self._check(protocol, protocol, offsets, horizon)
+        for offsets in (
+            [-7919, -13, 0, 4, 991, 65537, 3, 3],
+            [0, 17, 4, 9_001, 23, 1 << 40, 55, 55, -3],
+        ):
+            self._check(protocol, protocol, offsets, horizon)
 
     def test_non_vectorizable_delegates_to_reference(self):
         adv = NDProtocol(
@@ -216,10 +250,9 @@ class TestNumpyFormulationParity:
         )
         self._check(adv, scan, list(range(0, 600, 7)), 4_000)
 
-    def test_oversized_duration_falls_back_to_batch_kernel(self):
-        """A beacon longer than the receiver's hyperperiod fails the
-        incremental engine's precondition; the direction must fall back
-        to the batch kernel and stay exact."""
+    def test_oversized_duration_takes_the_exact_path(self):
+        """A beacon longer than the receiver's hyperperiod is decided
+        by the exact scalar path and stays exact."""
         adv = NDProtocol(
             beacons=BeaconSchedule.uniform(1, 5_000, 700),
             reception=ReceptionSchedule.single_window(25, 600),
@@ -252,92 +285,6 @@ class TestNumpyFormulationParity:
                 protocol, protocol, omega=32, max_count=undersized
             )
         assert str(numpy_err.value) == str(ref_err.value)
-
-
-@pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
-class TestIncrementalEngine:
-    """The incremental strided-sweep formulation and its gates."""
-
-    def test_arithmetic_stride_detection(self):
-        import numpy as np
-
-        from repro.backends.incremental import arithmetic_stride, MIN_LANES
-
-        vec = lambda xs: np.asarray(xs, dtype=np.int64)
-        ap = [5 + 3 * i for i in range(MIN_LANES)]
-        assert arithmetic_stride(vec(ap)) == 3
-        negative = [100 - 7 * i for i in range(MIN_LANES)]
-        assert arithmetic_stride(vec(negative)) == -7
-        assert arithmetic_stride(vec(ap[:-1])) is None  # too short
-        assert arithmetic_stride(vec([2] * MIN_LANES)) is None  # zero
-        broken = list(ap)
-        broken[-1] += 1
-        assert arithmetic_stride(vec(broken)) is None  # not an AP
-
-    def test_escape_hatch_and_bit_identity(self):
-        """use_incremental=False forces the plain batch kernel; both
-        formulations are bit-identical to the reference on strided
-        batches under every model."""
-        protocol, _, horizon = _small_pair()
-        offsets = list(range(-4_000, 40_000, 1_111))
-        for model in ReceptionModel:
-            serial = evaluate_offsets(
-                protocol, protocol, offsets, horizon, model=model
-            )
-            params = SweepParams(protocol, protocol, horizon, model)
-            for use_incremental in (True, False):
-                backend = NumpyBackend(use_incremental=use_incremental)
-                assert backend.evaluate_offsets_batch(
-                    params, offsets
-                ) == serial, (model, use_incremental)
-
-    def test_non_progression_batches_take_the_batch_kernel(self):
-        """Scattered offsets miss the AP gate but stay exact."""
-        protocol, _, horizon = _small_pair()
-        offsets = [0, 17, 4, 9_001, 23, 1 << 40, 55, 55, -3]
-        serial = evaluate_offsets(protocol, protocol, offsets, horizon)
-        params = SweepParams(
-            protocol, protocol, horizon, ReceptionModel.POINT
-        )
-        assert NumpyBackend().evaluate_offsets_batch(
-            params, offsets
-        ) == serial
-
-    def test_engine_declines_oversized_durations(self):
-        """Durations beyond the receiver hyperperiod fail the engine's
-        precondition (returns None); the kernel output stays exact."""
-        import numpy as np
-
-        from repro.backends.incremental import first_discovery_incremental
-        from repro.parallel import get_listening_cache
-
-        adv = NDProtocol(
-            beacons=BeaconSchedule.uniform(1, 5_000, 700),
-            reception=None,
-        )
-        scan = NDProtocol(
-            beacons=None,
-            reception=ReceptionSchedule.single_window(25, 600),
-        )
-        cache = get_listening_cache(scan, 0)
-        offsets = np.arange(0, 16 * 37, 37, dtype=np.int64)
-        assert first_discovery_incremental(
-            adv, cache, np.zeros(16, dtype=np.int64), offsets,
-            20_000, ReceptionModel.POINT,
-        ) is None
-
-    def test_turnaround_and_boot_threshold(self):
-        protocol, _, horizon = _small_pair()
-        offsets = list(range(0, 9_000, 13))
-        serial = evaluate_offsets(
-            protocol, protocol, offsets, horizon, turnaround=7
-        )
-        params = SweepParams(
-            protocol, protocol, horizon, ReceptionModel.POINT, 7
-        )
-        assert NumpyBackend(use_incremental=True).evaluate_offsets_batch(
-            params, offsets
-        ) == serial
 
 
 @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")

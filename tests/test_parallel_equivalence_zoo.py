@@ -332,7 +332,7 @@ needs_numpy = pytest.mark.skipif(not have_numpy(), reason="needs NumPy")
 def _report_offset_sets(family, protocol_e, protocol_f, turnaround):
     """Critical (thinned), uniform-stride and shuffled offset batches,
     plus stride-1 offsets that line every boot end up with the first
-    beacons (the incremental engine's boot-screen edges)."""
+    beacons (the kernel's boot-screen edges)."""
     offsets, _horizon = _workload(protocol_e, protocol_f)
     try:
         critical = critical_offsets(
@@ -365,13 +365,13 @@ def _reference_report(
 @needs_numpy
 @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
 def test_family_report_path_matches_reference(family):
-    """``NumpyBackend.sweep_offsets_batch`` (batch and incremental
-    engines) equals ``summarize_outcomes`` over the exact reference for
-    every family, reception model and turnaround {0, 150}, on critical,
-    uniform-stride, shuffled and stride-1 boot-region offsets."""
+    """``NumpyBackend.sweep_offsets_batch`` equals ``summarize_outcomes``
+    over the exact reference for every family, reception model and
+    turnaround {0, 150}, on critical, uniform-stride, shuffled and
+    stride-1 boot-region offsets."""
     protocol_e, protocol_f = ZOO[family]()
     _offsets, horizon = _workload(protocol_e, protocol_f)
-    kernels = [NumpyBackend(use_incremental=flag) for flag in (True, False)]
+    kernel = NumpyBackend()
     for turnaround in (0, 150):
         sets = _report_offset_sets(family, protocol_e, protocol_f, turnaround)
         for model in MODELS:
@@ -383,12 +383,8 @@ def test_family_report_path_matches_reference(family):
                     protocol_e, protocol_f, offsets, horizon, model,
                     turnaround,
                 )
-                for kernel in kernels:
-                    got = kernel.sweep_offsets_batch(params, offsets)
-                    assert got == expected, (
-                        family, turnaround, model, name,
-                        kernel.use_incremental,
-                    )
+                got = kernel.sweep_offsets_batch(params, offsets)
+                assert got == expected, (family, turnaround, model, name)
 
 
 @pytest.mark.parametrize(
@@ -422,9 +418,7 @@ class TestReportPathEdgeCases:
             protocol_e, protocol_f, offsets, horizon, model, 0
         )
         params = SweepParams(protocol_e, protocol_f, horizon, model)
-        for flag in (True, False):
-            kernel = NumpyBackend(use_incremental=flag)
-            assert kernel.sweep_offsets_batch(params, offsets) == expected
+        assert NumpyBackend().sweep_offsets_batch(params, offsets) == expected
         return expected
 
     def test_empty_and_single_offset_batches(self):
