@@ -84,12 +84,13 @@ def _spot_check_replay(
     The replay (:func:`repro.simulation.runner.simulate_pair`) stops
     once every direction that can discover has discovered, which is all
     a :class:`DiscoveryOutcome` records.  The analytic side deliberately
-    uses the *uncached*
-    :func:`repro.simulation.analytic.mutual_discovery_times`, keeping
-    the spot check an independent cross-validation of both the DES and
-    the pattern-cache layers the sweep itself ran through.  The single
-    shared body is what makes the pooled and in-process spot-check
-    paths identical by construction.
+    uses the *uncached* reference
+    :func:`repro.simulation.analytic.mutual_discovery_times`: a spot
+    check compares the DES replay with that reference only, never with
+    the outcomes of the kernel and pattern-cache layers the sweep ran
+    through (the equivalence tests pin those to the same reference).
+    The single shared body is what makes the pooled and in-process
+    spot-check paths identical by construction.
     """
     from ..simulation.runner import simulate_pair
 

@@ -161,6 +161,89 @@ def listening_segments(
     )
 
 
+#: :func:`_point_tables` by ``(id(receiver), turnaround)``: the kernels'
+#: exact fallback asks once per candidate, and building the tables costs
+#: ``O(windows + beacons)``.  Each entry holds its receiver, so the id
+#: cannot be reused while cached; the memo is cleared when full.
+_POINT_TABLES: dict[tuple, tuple] = {}
+_POINT_TABLES_CAP = 64
+
+
+def _point_tables(receiver: NDProtocol, turnaround: int) -> tuple | None:
+    """The receiver's constants for :func:`_point_heard`, or ``None`` when
+    a schedule value or the turnaround is not an ``int``.
+
+    ``(period, window starts, window ends, own period, own beacon
+    times, own beacon ends)``; the own-beacon entries are ``None`` for a
+    receiver that never transmits.
+    """
+    key = (id(receiver), turnaround)
+    cached = _POINT_TABLES.get(key)
+    if cached is not None and cached[0] is receiver:
+        return cached[1]
+    reception = receiver.reception
+    starts = tuple(w.start for w in reception.windows)
+    ends = reception.window_ends
+    own = receiver.beacons
+    if own is None:
+        own_period = own_taus = own_ends = None
+        own_values: tuple = ()
+    else:
+        own_period = own.period
+        own_taus = tuple(b.time for b in own.beacons)
+        own_ends = tuple(b.time + b.duration for b in own.beacons)
+        own_values = (own_period, *own_taus, *own_ends)
+    tables = None
+    if all(
+        type(value) is int
+        for value in (
+            reception.period, turnaround, *starts, *ends, *own_values
+        )
+    ):
+        tables = reception.period, starts, ends, own_period, own_taus, own_ends
+    if len(_POINT_TABLES) >= _POINT_TABLES_CAP:
+        _POINT_TABLES.clear()
+    _POINT_TABLES[key] = (receiver, tables)
+    return tables
+
+
+def _point_heard(
+    tables: tuple, rx_phase: int, start: int, turnaround: int
+) -> bool:
+    """POINT decode on the integer grid, without segment lists.
+
+    Every window and own-TX block bound is then an integer, so the
+    listening set meets ``[start, start + 1)`` exactly when it contains
+    ``start``.  Windows lie inside ``[0, period]``, so only the instance
+    holding ``start`` can hold it, in its first window ending after
+    ``start``.  Own beacons are bisected the same way (their ends
+    increase too), from the first instance whose last block can still
+    reach past ``start``; each blocks ``[time - turnaround, end +
+    turnaround)`` when it was sent at a time >= 0.
+    """
+    period, starts, ends, own_period, own_taus, own_ends = tables
+    base = rx_phase + (start - rx_phase) // period * period
+    i = bisect_right(ends, start - base)
+    if i == len(ends) or base + starts[i] > start:
+        return False
+    if own_period is None:
+        return True
+    m = len(own_ends)
+    # Instances up to this one end their last block by ``start``.
+    instance = (start - rx_phase - turnaround - own_ends[-1]) // own_period + 1
+    while True:
+        base = rx_phase + instance * own_period
+        if base - turnaround > start:
+            return True
+        for j in range(bisect_right(own_ends, start - base - turnaround), m):
+            tx_start = base + own_taus[j]
+            if tx_start - turnaround > start:
+                break
+            if tx_start >= 0:
+                return False
+        instance += 1
+
+
 def packet_heard(
     receiver: NDProtocol,
     rx_phase: int,
@@ -171,16 +254,25 @@ def packet_heard(
 ) -> bool:
     """Decode decision for a packet occupying ``[start, end)``.
 
-    * POINT: the effective listening set contains the start instant.
+    * POINT: the effective listening set meets ``[start, start + 1)``
+      (on the integer grid: contains the start instant).
     * ANY_OVERLAP: the listening set meets any part of the packet.
     * CONTAINMENT: one contiguous listening segment spans the packet.
 
     This is the exact per-query reference computation; the
     :class:`repro.parallel.ListeningCache` layer answers the same
     question from a precomputed periodic pattern and falls back to this
-    function wherever translation invariance does not hold.
+    function wherever translation invariance does not hold.  On the
+    integer grid the POINT decision is a membership test that builds no
+    segment lists (:func:`_point_heard`); off it, the segments decide.
     """
     if model is ReceptionModel.POINT:
+        if receiver.reception is None:
+            return False
+        if type(start) is int and type(rx_phase) is int:
+            tables = _point_tables(receiver, turnaround)
+            if tables is not None:
+                return _point_heard(tables, rx_phase, start, turnaround)
         segments = listening_segments(
             receiver, rx_phase, start, start + 1, turnaround
         )
@@ -208,24 +300,43 @@ def first_discovery(
     pure alignments, per Definition 3.4); no event before time 0 exists
     on air.  The receiver's own transmissions preempt its windows
     (half-duplex), with ``turnaround`` guard time on both sides.
+
+    The candidates are enumerated as
+    :meth:`~repro.core.sequences.BeaconSchedule.iter_beacons_infinite`
+    does and :class:`repro.backends.python_loop.CachedPairEvaluator`
+    inlines it: ``reduced + instance * period`` plus each ``(tau,
+    duration)`` pair, with no ``Beacon`` object per candidate.  POINT
+    candidates on the integer grid go straight to the list-free decode,
+    its receiver constants built once per call.
     """
     if transmitter.beacons is None:
         raise ValueError("transmitter has no beacon schedule")
     if receiver.reception is None:
         raise ValueError("receiver has no reception schedule")
-    for beacon in transmitter.beacons.iter_beacons_infinite(
-        until=horizon, phase=tx_phase
-    ):
-        if packet_heard(
-            receiver,
-            rx_phase,
-            beacon.time,
-            beacon.time + beacon.duration,
-            model,
-            turnaround,
-        ):
-            return beacon.time
-    return None
+    tables = None
+    if model is ReceptionModel.POINT and type(rx_phase) is int:
+        tables = _point_tables(receiver, turnaround)
+    schedule = transmitter.beacons
+    period = schedule.period
+    pattern = [(b.time, b.duration) for b in schedule.beacons]
+    reduced = tx_phase % period
+    instance = -1
+    while True:
+        base = reduced + instance * period
+        if base >= horizon:
+            return None
+        for tau, duration in pattern:
+            time = base + tau
+            if 0 <= time < horizon:
+                if tables is not None and type(time) is int:
+                    if _point_heard(tables, rx_phase, time, turnaround):
+                        return time
+                elif packet_heard(
+                    receiver, rx_phase, time, time + duration, model,
+                    turnaround,
+                ):
+                    return time
+        instance += 1
 
 
 @dataclass(frozen=True)

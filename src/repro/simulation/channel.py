@@ -18,7 +18,6 @@ range (Definition 3.4 measures latency from range entry).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -27,15 +26,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 __all__ = ["Transmission", "Channel"]
 
 
-@dataclass
 class Transmission:
-    """An in-flight packet."""
+    """An in-flight packet.
 
-    sender: "Node"
-    start: int
-    end: int
-    collided_for: set[int] = field(default_factory=set)
-    """Receiver ids for which this packet is corrupted."""
+    ``collided_for`` holds the receiver ids for which the packet is
+    corrupted.  A plain ``__slots__`` class: one is built per packet.
+    """
+
+    __slots__ = ("sender", "start", "end", "collided_for")
+
+    def __init__(self, sender: "Node", start: int, end: int) -> None:
+        self.sender = sender
+        self.start = start
+        self.end = end
+        self.collided_for: set[int] = set()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"Transmission({self.sender!r}, {self.start}, {self.end}, "
+            f"collided_for={self.collided_for!r})"
+        )
 
 
 class Channel:
@@ -48,7 +58,9 @@ class Channel:
     ) -> None:
         self._nodes: list["Node"] = []
         self._active: list[Transmission] = []
-        self._in_range = in_range or (lambda a, b: True)
+        self._in_range = in_range
+        """``None``: everyone hears everyone, and the per-receiver range
+        checks below are skipped."""
         self.total_transmissions = 0
         self.total_collisions = 0
 
@@ -64,7 +76,7 @@ class Channel:
 
     def in_range(self, a: "Node", b: "Node") -> bool:
         """Whether ``a`` and ``b`` currently hear each other."""
-        return a is not b and self._in_range(a, b)
+        return a is not b and (self._in_range is None or self._in_range(a, b))
 
     # ------------------------------------------------------------------
     def begin_transmission(self, sender: "Node", start: int, end: int) -> Transmission:
@@ -74,18 +86,20 @@ class Channel:
         transmission: a receiver that is in range of both senders will
         decode neither packet.
         """
-        tx = Transmission(sender=sender, start=start, end=end)
+        tx = Transmission(sender, start, end)
         self.total_transmissions += 1
+        everyone = self._in_range is None
         for other in self._active:
             if other.end <= start:
                 continue
             # Overlap: corrupt both packets for every common receiver.
             collided = False
             for receiver in self._nodes:
-                if receiver is tx.sender or receiver is other.sender:
+                if receiver is sender or receiver is other.sender:
                     continue
-                if self.in_range(tx.sender, receiver) and self.in_range(
-                    other.sender, receiver
+                if everyone or (
+                    self.in_range(sender, receiver)
+                    and self.in_range(other.sender, receiver)
                 ):
                     tx.collided_for.add(id(receiver))
                     other.collided_for.add(id(receiver))
@@ -96,18 +110,22 @@ class Channel:
         # Notify listeners that a packet has started (they track overlap
         # with their own windows).
         for receiver in self._nodes:
-            if receiver is sender or not self.in_range(sender, receiver):
-                continue
-            receiver.on_packet_start(tx)
+            if receiver is not sender and (
+                everyone or self.in_range(sender, receiver)
+            ):
+                receiver.on_packet_start(tx)
         return tx
 
     def end_transmission(self, tx: Transmission) -> None:
         """Called by a node when its packet's last microsecond is done."""
         self._active.remove(tx)
+        sender = tx.sender
+        everyone = self._in_range is None
         for receiver in self._nodes:
-            if receiver is tx.sender or not self.in_range(tx.sender, receiver):
-                continue
-            receiver.on_packet_end(tx)
+            if receiver is not sender and (
+                everyone or self.in_range(sender, receiver)
+            ):
+                receiver.on_packet_end(tx)
 
     def active_transmissions(self) -> list[Transmission]:
         """Packets currently on the air."""

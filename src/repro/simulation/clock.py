@@ -14,7 +14,7 @@ with ``drift_ppm=0`` is bit-identical to :class:`IdealClock`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = ["IdealClock", "DriftingClock"]
@@ -48,14 +48,18 @@ class DriftingClock:
 
     phase: int = 0
     drift_ppm: int = 0
+    _rate: Fraction = field(init=False, repr=False, compare=False)
+    """``1 + drift_ppm / 10**6``, built once: every conversion uses it."""
 
-    def _rate(self) -> Fraction:
-        return 1 + Fraction(self.drift_ppm, 1_000_000)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_rate", 1 + Fraction(self.drift_ppm, 1_000_000)
+        )
 
     def to_global(self, local_time: int) -> int:
         """Map local to global time (rounded to the integer grid)."""
-        return self.phase + round(local_time * self._rate())
+        return self.phase + round(local_time * self._rate)
 
     def to_local(self, global_time: int) -> int:
         """Map global to local time (rounded to the integer grid)."""
-        return round((global_time - self.phase) / self._rate())
+        return round((global_time - self.phase) / self._rate)

@@ -7,9 +7,15 @@ fire in scheduling order).  Determinism matters here -- worst-case
 latency validation compares exact microsecond values across runs, so the
 engine forbids wall-clock or hash-order dependence anywhere.
 
-Heap entries are ``(time, sequence, event)`` tuples: the unique
-insertion sequence decides every tie, so ordering is a plain integer
-comparison and never reaches the :class:`Event` object.
+Heap entries are ``(time, sequence, callback, event)`` tuples: the
+unique insertion sequence decides every tie, so ordering is a plain
+integer comparison and never reaches the callback or the event.  Only
+:meth:`Simulator.schedule` pushes can be cancelled: it returns the
+:class:`Event` it stores in the last slot.  The simulator's own radio
+stack pushes through :meth:`Simulator._push` instead -- beacon starts,
+packet ends and deferred decodes, which nobody cancels -- and those
+entries carry ``None`` there, so the hot path allocates no
+:class:`Event`.
 
 The simulator knows nothing about radios; :mod:`repro.simulation.node`
 and :mod:`repro.simulation.channel` build the wireless semantics on top.
@@ -50,7 +56,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[tuple[int, int, Event]] = []
+        self._queue: list[
+            tuple[int, int, Callable[[], None], Event | None]
+        ] = []
         self._sequence = itertools.count()
         self._now = 0
         self._events_processed = 0
@@ -74,8 +82,17 @@ class Simulator:
             )
         sequence = next(self._sequence)
         event = Event(at, sequence, callback)
-        heapq.heappush(self._queue, (at, sequence, event))
+        heapq.heappush(self._queue, (at, sequence, callback, event))
         return event
+
+    def _push(self, at: int, callback: Callable[[], None]) -> None:
+        """Queue an uncancellable ``callback`` at ``at`` (>= now).
+
+        The radio stack's own pushes: no :class:`Event` is built and the
+        time is not checked, since every caller derives ``at`` from the
+        current time or a later one.
+        """
+        heapq.heappush(self._queue, (at, next(self._sequence), callback, None))
 
     def schedule_in(self, delay: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` ``delay`` us from now."""
@@ -103,12 +120,12 @@ class Simulator:
         pop = heapq.heappop
         self._stopped = False
         while queue and queue[0][0] <= end_time:
-            time, _, event = pop(queue)
-            if event.cancelled:
+            time, _, callback, event = pop(queue)
+            if event is not None and event.cancelled:
                 continue
             self._now = time
             self._events_processed += 1
-            event.callback()
+            callback()
             if self._stopped:
                 return
         self._now = max(self._now, end_time)
@@ -117,12 +134,12 @@ class Simulator:
         """Drain the queue completely (with a runaway guard)."""
         processed = 0
         while self._queue:
-            time, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
+            time, _, callback, event = heapq.heappop(self._queue)
+            if event is not None and event.cancelled:
                 continue
             self._now = time
             self._events_processed += 1
-            event.callback()
+            callback()
             processed += 1
             if processed > max_events:
                 raise RuntimeError(
@@ -132,6 +149,7 @@ class Simulator:
 
     def peek(self) -> int | None:
         """Timestamp of the next live event, or ``None`` if idle."""
-        while self._queue and self._queue[0][2].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0][0] if self._queue else None
+        queue = self._queue
+        while queue and queue[0][3] is not None and queue[0][3].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None

@@ -1,9 +1,15 @@
 """A device: half-duplex radio executing an ND protocol's schedules.
 
-Each node unrolls its *beacon* schedule onto the event calendar (one
-period at a time, so infinite schedules cost finite memory), mapping
-local schedule time through its clock model (phase offset plus optional
-ppm drift) and adding per-event advertising jitter (BLE's advDelay).
+Each node unrolls its *beacon* schedule onto the event calendar one
+beacon at a time, so infinite schedules cost finite memory: a
+``(instance, index)`` cursor names the next beacon, and that beacon's
+event transmits and then pushes the beacon after it -- one calendar
+event per beacon, with no per-period bookkeeping event.  Local schedule
+time ``instance * period + tau`` (always a product, never a running
+``+= period`` sum, which drifts on float periods) maps through the
+node's clock model (phase offset plus optional ppm drift), plus the
+accumulated advertising jitter (BLE's advDelay), drawn per beacon in
+schedule order.
 
 Reception needs no events: windows are deterministic given the clock, so
 when a packet ends the node decides the decode *analytically* -- window
@@ -14,7 +20,21 @@ packets the channel marked as collided.  This keeps the event-driven
 simulator bit-compatible with the closed-form pair computation in
 :mod:`repro.simulation.analytic`, which the validation tests rely on.
 The window lookup bisects the schedule's sorted window ends, so a
-decode costs ``O(log W)`` in the windows per period, not ``O(W)``.
+decode costs ``O(log W)`` in the windows per period, not ``O(W)``; the
+POINT decode builds no segment lists at all.
+
+Events at one timestamp fire in insertion order, and pushing each
+beacon only when its predecessor fires changes that order against a
+per-period unrolling.  No outcome depends on it:
+
+* a block that starts at the decision instant cannot meet the
+  half-open packet ``[s, e)`` it decides, so an own transmission
+  starting together with a decode may run before or after it;
+* a collision is marked on both packets, whichever starts second, and
+  ``other.end <= start`` excludes packets that only touch, so a packet
+  end and a packet start at one instant never collide in either order;
+* first decodes are kept per sender, so decodes of different senders
+  at one instant commute.
 
 Each first decode of a peer fires :attr:`Node.on_discovery`;
 :func:`repro.simulation.runner.simulate_pair` uses it to stop the run
@@ -25,6 +45,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from functools import partial
 from typing import Callable
 
 from ..core.sequences import NDProtocol
@@ -61,15 +82,31 @@ class Node:
         self.turnaround = turnaround
         self.advertising_jitter = advertising_jitter
         self.start_time = start_time
-        self._rng = random.Random(f"{seed}/{name}")
+        # Seeding a string-keyed Random is a sizeable share of a short
+        # replay; without jitter nothing draws from it.
+        self._rng = (
+            random.Random(f"{seed}/{name}") if advertising_jitter else None
+        )
         self._jitter_accum = 0
         """Cumulative advertising delay: BLE's advDelay postpones each
         advertising event relative to the *previous* one, so the random
         delays accumulate (this is what decorrelates the schedules and
         breaks rational Ta/Ts couplings)."""
-        self._own_tx_blocks: list[tuple[int, int]] = []
-        """Global intervals during which the radio cannot receive because
-        it transmits (including turnaround guards on both sides)."""
+        self._pattern: tuple = ()
+        self._period = 0
+        self._instance = 0
+        self._index = 0
+        """Beacon cursor: the pending beacon is ``_pattern[_index]`` (a
+        ``(tau, duration)`` pair) of schedule instance ``_instance``."""
+        self._pending = (0, 0)
+        """``(time, duration)`` of the pending beacon."""
+        self._own_tx_blocks: list[tuple[int, int, int]] = []
+        """``(lo, hi, reach)`` global intervals during which the radio
+        cannot receive because it transmits (including turnaround guards
+        on both sides), oldest first.  ``reach`` is the largest ``hi`` of
+        this block and every earlier one, so a newest-first scan stops at
+        the first block whose reach is at or before the queried instant."""
+        self._reach = float("-inf")
         self.discoveries: dict[str, int] = {}
         """peer name -> global time (packet start) of first decode."""
         self.packets_received = 0
@@ -88,7 +125,8 @@ class Node:
         the clock phase (Definition 3.4: devices have been running since
         before coming into range), so unrolling starts at the instance
         whose events first land at or after the current simulation time;
-        earlier instances never went on air.
+        earlier beacons never went on air (their jitter is still drawn,
+        keeping the draw sequence independent of the start time).
         """
         if self.protocol.beacons is not None:
             period = self.protocol.beacons.period
@@ -99,30 +137,47 @@ class Node:
                 # (gradual-join scenarios): its schedule begins at local
                 # time 0, with no pre-boot periodic extension.
                 first_instance = max(int(first_instance), 0)
-            self._schedule_beacon_instance(int(first_instance))
+            self._pattern = tuple(
+                (b.time, b.duration) for b in self.protocol.beacons.beacons
+            )
+            self._period = period
+            self._instance = int(first_instance)
+            self._index = -1
+            self._push_next_beacon(self.sim.now)
 
-    def _schedule_beacon_instance(self, instance: int) -> None:
-        schedule = self.protocol.beacons
-        assert schedule is not None
-        base_local = instance * schedule.period
-        for beacon in schedule.beacons:
-            if self.advertising_jitter:
-                self._jitter_accum += self._rng.randint(
-                    0, self.advertising_jitter
-                )
-            local = base_local + beacon.time + self._jitter_accum
+    def _push_next_beacon(self, now: int) -> None:
+        """Advance the cursor to the next beacon landing at or after
+        ``now`` and push its event."""
+        pattern = self._pattern
+        instance = self._instance
+        index = self._index
+        rng = self._rng
+        while True:
+            index += 1
+            if index == len(pattern):
+                instance += 1
+                index = 0
+            tau, duration = pattern[index]
+            local = instance * self._period + tau
+            if rng is not None:
+                self._jitter_accum += rng.randint(0, self.advertising_jitter)
+                local += self._jitter_accum
             when = self.start_time + self.clock.to_global(local)
-            if when >= self.sim.now:
-                self.sim.schedule(
-                    when, lambda d=beacon.duration: self._begin_tx(d)
-                )
-        next_start = self.start_time + self.clock.to_global(
-            (instance + 1) * schedule.period
-        )
-        self.sim.schedule(
-            max(next_start, self.sim.now),
-            lambda: self._schedule_beacon_instance(instance + 1),
-        )
+            if when >= now:
+                break
+        self._instance = instance
+        self._index = index
+        self._pending = (when, duration)
+        self.sim._push(when, self._fire_beacon)
+
+    def _fire_beacon(self) -> None:
+        """The pending beacon's event: transmit, then queue the next one.
+
+        The transmission goes through ``self._begin_tx``, so an
+        instance-level override (the trace recorder's) sees it."""
+        when, duration = self._pending
+        self._begin_tx(duration)
+        self._push_next_beacon(when)
 
     def schedule_response_tx(self, duration: int, at: int | None = None) -> None:
         """Schedule a one-off, out-of-schedule transmission.
@@ -142,12 +197,17 @@ class Node:
 
     def _begin_tx(self, duration: int) -> None:
         start = self.sim.now
-        block = (start - self.turnaround, start + duration + self.turnaround)
-        self._own_tx_blocks.append(block)
-        if len(self._own_tx_blocks) > 64:
-            del self._own_tx_blocks[:-32]
+        hi = start + duration + self.turnaround
+        if hi > self._reach:
+            self._reach = hi
+        blocks = self._own_tx_blocks
+        blocks.append((start - self.turnaround, hi, self._reach))
+        if len(blocks) > 64:
+            del blocks[:-32]
         tx = self.channel.begin_transmission(self, start, start + duration)
-        self.sim.schedule(start + duration, lambda: self.channel.end_transmission(tx))
+        self.sim._push(
+            start + duration, partial(self.channel.end_transmission, tx)
+        )
 
     # ------------------------------------------------------------------
     # Analytic reception
@@ -196,7 +256,7 @@ class Node:
         segments = self._window_segments(lo, hi)
         if not segments:
             return []
-        for block_lo, block_hi in self._own_tx_blocks:
+        for block_lo, block_hi, _ in self._own_tx_blocks:
             if block_hi <= lo or block_lo >= hi:
                 continue
             cut: list[tuple[int, int]] = []
@@ -214,8 +274,48 @@ class Node:
         return segments
 
     def is_listening_at(self, time: int) -> bool:
-        """Half-open membership test of the effective listening set."""
-        return any(lo <= time < hi for lo, hi in self._listening_segments(time, time + 1))
+        """Half-open membership test of the effective listening set.
+
+        Decided without segment lists: the own-TX blocks newest-first
+        (stopping at the first whose ``reach`` ends by ``time``), then a
+        bisected window walk with the ``to_global`` arithmetic of
+        :meth:`_window_segments`, stopping at the first window that
+        starts after ``time``.
+        """
+        start_time = self.start_time
+        if start_time > 0 and time < start_time:
+            return False  # booted devices hear nothing before joining
+        for block_lo, block_hi, reach in reversed(self._own_tx_blocks):
+            if reach <= time:
+                break
+            if block_lo <= time < block_hi:
+                return False
+        reception = self.protocol.reception
+        if reception is None:
+            return False
+        period = reception.period
+        windows = reception.windows
+        ends = reception.window_ends
+        n = len(windows)
+        to_global = self.clock.to_global
+        # Two ticks early, so ``to_global(local_lo) <= time - start_time``
+        # whatever ``to_local`` rounded: windows ending by ``local_lo``
+        # (every instance before ``local_lo``'s, and the ends the bisect
+        # skips) end by ``time`` globally too.
+        local_lo = self.clock.to_local(time - start_time) - 2
+        instance = local_lo // period
+        while True:
+            base = instance * period
+            if start_time + to_global(base) > time:
+                return False
+            i = bisect_right(ends, local_lo - base)
+            while i < n:
+                if start_time + to_global(base + windows[i].start) > time:
+                    break
+                if start_time + to_global(base + ends[i]) > time:
+                    return True
+                i += 1
+            instance += 1
 
     # ------------------------------------------------------------------
     # Channel callbacks
@@ -234,7 +334,9 @@ class Node:
         if self.protocol.reception is None:
             return
         if self.turnaround > 0:
-            self.sim.schedule_in(self.turnaround, lambda: self._decide(tx))
+            self.sim._push(
+                self.sim.now + self.turnaround, partial(self._decide, tx)
+            )
         else:
             self._decide(tx)
 

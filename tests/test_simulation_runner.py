@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.optimal import synthesize_symmetric, synthesize_unidirectional
 from repro.core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
+from repro.protocols import Disco, Role
 from repro.simulation import (
     mutual_discovery_times,
     ReceptionModel,
@@ -11,6 +12,7 @@ from repro.simulation import (
     simulate_pair,
     verified_worst_case,
 )
+from repro.simulation import runner
 from tests.test_parallel_equivalence_zoo import _workload, ZOO
 
 
@@ -157,6 +159,56 @@ class TestEarlyStop:
             assert _network_reference(
                 protocol_e, protocol_f, 5, horizon, ReceptionModel.POINT, 0
             ) == (None, None)
+
+
+class TestReplayEventCount:
+    """A replay's calendar holds radio events only: each processed event
+    is a transmission, a packet end, or -- with a turnaround guard -- a
+    deferred decode.  A per-period scheduling event would add to the
+    count without transmitting anything."""
+
+    @pytest.mark.parametrize("turnaround", [0, 150])
+    def test_disco_spot_batch(self, monkeypatch, turnaround):
+        sims, channels, decodes = [], [], []
+
+        class CountingSimulator(runner.Simulator):
+            def __init__(self):
+                super().__init__()
+                sims.append(self)
+
+        class CountingChannel(runner.Channel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.packet_ends = 0
+                channels.append(self)
+
+            def end_transmission(self, tx):
+                self.packet_ends += 1
+                super().end_transmission(tx)
+
+        class CountingNode(runner.Node):
+            def _decide(self, tx):
+                decodes.append(self.sim)
+                super()._decide(tx)
+
+        monkeypatch.setattr(runner, "Simulator", CountingSimulator)
+        monkeypatch.setattr(runner, "Channel", CountingChannel)
+        monkeypatch.setattr(runner, "Node", CountingNode)
+        disco = Disco(7, 13, slot_length=200, omega=16)
+        protocol_e, protocol_f = disco.device(Role.E), disco.device(Role.F)
+        result = verified_worst_case(
+            protocol_e, protocol_f, horizon=91 * 200 * 12, omega=16,
+            turnaround=turnaround,
+        )
+        assert result.des_agrees
+        assert len(sims) == len(channels) == 16
+        for sim, channel in zip(sims, channels):
+            deferred = sum(1 for owner in decodes if owner is sim)
+            expected = channel.total_transmissions + channel.packet_ends
+            if turnaround > 0:
+                expected += deferred
+            assert sim.events_processed == expected
+            assert channel.total_transmissions > 0
 
 
 class TestVerifiedWorstCase:
