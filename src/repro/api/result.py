@@ -13,16 +13,21 @@ The live objects a verb produced (a :class:`SweepReport`, a
 :attr:`RunResult.raw` for in-process consumers; ``raw`` is excluded
 from serialization and equality, so a deserialized result compares
 equal to the one that was saved.
+
+A :class:`RunResult` is immutable, its mappings and lists included
+(:func:`_freeze`), so one instance can be shared by every caller: the
+result store, coalesced service waiters and the wire encoder never copy
+it.  Treat ``raw`` as read-only too; it is shared the same way.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
+import operator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 __all__ = [
     "RunResult",
@@ -140,63 +145,152 @@ def rehydrate_raw(verb: str, payload: dict):
     return None
 
 
-@dataclass
+#: ``json.dumps(..., separators=(",", ":"))`` without building an
+#: encoder per call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _read_only(*args, **kwargs):
+    raise TypeError(
+        "a RunResult is read-only; copy its data, or derive a changed "
+        "result with dataclasses.replace"
+    )
+
+
+class _FrozenDict(dict):
+    """A read-only ``dict``: JSON encoders and ``==`` treat it as the
+    plain dict it is, and every mutator raises ``TypeError``."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _FrozenDict, (dict(self),)
+
+
+class _FrozenList(list):
+    """A read-only ``list`` (see :class:`_FrozenDict`)."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = clear = extend = insert = pop = remove = _read_only
+    reverse = sort = _read_only
+
+    def __reduce__(self):
+        return _FrozenList, (list(self),)
+
+
+def _freeze(value):
+    """A read-only copy of JSON-shaped ``value``: mappings and lists
+    become read-only dicts and lists, tuples stay tuples of frozen
+    items, and scalars pass through.  Frozen containers are returned as
+    they are: only :func:`_freeze` builds them, always deeply."""
+    kind = type(value)
+    if kind in _FINAL_TYPES:
+        return value
+    if kind is dict or isinstance(value, Mapping):
+        return _FrozenDict({key: _freeze(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return _FrozenList([_freeze(item) for item in value])
+    if kind is tuple:
+        return tuple(_freeze(item) for item in value)
+    return value
+
+
+_FINAL_TYPES = frozenset(
+    (str, int, float, bool, type(None), _FrozenDict, _FrozenList)
+)
+
+
+class _LazyRaw:
+    """The :attr:`RunResult.raw` slot.  A result built without a live
+    object (``raw=None``: parsed from disk or JSON) rebuilds one from its
+    payload with :func:`rehydrate_raw` on first access and keeps it."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the dataclass default
+        state = result.__dict__
+        if "_raw" not in state:
+            state["_raw"] = rehydrate_raw(result.verb, result.payload)
+        return state["_raw"]
+
+    def __set__(self, result, raw):
+        if raw is not None:
+            result.__dict__["_raw"] = raw
+
+
+@dataclass(frozen=True)
 class RunResult:
-    """One session verb's outcome plus its reproduction recipe."""
+    """One session verb's outcome plus its reproduction recipe.
+
+    Immutable: the JSON-shaped fields are frozen once, at construction
+    (``__post_init__``), so the store, the session and the service hand
+    one result to every caller instead of copying it.  Assigning an
+    attribute or editing a mapping raises ``TypeError``; derive a
+    variant with :func:`dataclasses.replace`, which is O(1) because
+    frozen fields are not copied again.
+    """
 
     verb: str
     """Which verb produced this: sweep / worst_case / grid / simulate."""
-    spec: dict
+    spec: Mapping
     """Declarative :class:`~repro.api.RunSpec` snapshot (live objects
     degrade to reprs -- see :meth:`RunSpec.describe`)."""
-    profile: dict
+    profile: Mapping
     """The :class:`~repro.api.RuntimeProfile` that ran it."""
     backend: str
     """The *resolved* kernel name (``"auto"`` pinned to what ran)."""
-    timings: dict = field(default_factory=dict)
+    timings: Mapping = field(default_factory=dict)
     """Wall-clock seconds per phase (``build``, ``run``, ``total``...)."""
-    payload: dict = field(default_factory=dict)
+    payload: Mapping = field(default_factory=dict)
     """The numbers, JSON-shaped (verb-specific layout)."""
     raw: Any = field(default=None, repr=False, compare=False)
-    """The live result object(s); not serialized."""
+    """The live result object(s); not serialized.  Rebuilt from
+    ``payload`` on first access when the result was parsed."""
     store_meta: Any = field(default=None, repr=False, compare=False)
     """Store provenance when a :class:`~repro.store.ResultStore` was in
     the loop: ``{"hit": bool, "fingerprint": ..., "lookup_seconds": ...}``.
     Not serialized (runtime provenance, not experiment identity)."""
+    _shared: dict = field(default_factory=dict, repr=False, compare=False)
+    """Derived data shared with every :func:`dataclasses.replace` view
+    of this result: the cached :meth:`compact_json`."""
+
+    def __post_init__(self) -> None:
+        for name in _FROZEN_FIELDS:
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     # ------------------------------------------------------------------
     def clone(self) -> "RunResult":
-        """A detached deep copy of the *serialized* identity.
+        """This result without its per-call ``store_meta``.
 
-        The compare fields (spec/profile/timings/payload snapshots) are
-        deep-copied so mutating the clone -- or the original -- cannot
-        leak through; the runtime-only fields ``raw`` and ``store_meta``
-        reset to ``None`` (they belong to one call site, not to the
-        result's identity).  This is the isolation primitive behind
-        :class:`~repro.store.ResultStore`'s copy semantics: the store
-        remembers clones and hands out clones, so no two callers ever
-        share a mutable result.
-        """
-        return RunResult(
-            verb=self.verb,
-            spec=copy.deepcopy(self.spec),
-            profile=copy.deepcopy(self.profile),
-            backend=self.backend,
-            timings=copy.deepcopy(self.timings),
-            payload=copy.deepcopy(self.payload),
-            raw=None,
-            store_meta=None,
-        )
+        O(1): the result is immutable, so there is nothing to detach."""
+        if self.store_meta is None:
+            return self
+        return dataclasses.replace(self, store_meta=None)
+
+    def compact_json(self) -> str:
+        """``json.dumps(self.to_dict(), separators=(",", ":"))``, encoded
+        once and shared with every view :func:`dataclasses.replace`
+        makes of this result that keeps its serialized fields (the
+        service splices it into response frames)."""
+        serialized = self.to_dict()
+        cached = self._shared.get("json")
+        if cached is not None and all(
+            map(operator.is_, cached[0], serialized.values())
+        ):
+            return cached[1]
+        text = _COMPACT.encode(serialized)
+        self._shared["json"] = (tuple(serialized.values()), text)
+        return text
 
     def to_dict(self) -> dict:
-        return {
-            f.name: getattr(self, f.name) for f in fields(self) if f.compare
-        }
+        return {name: getattr(self, name) for name in _SERIALIZED_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunResult":
-        known = {f.name for f in fields(cls) if f.compare}
-        unknown = set(data) - known
+        unknown = set(data).difference(_SERIALIZED_FIELDS)
         if unknown:
             raise ValueError(
                 f"unknown RunResult field(s): {sorted(unknown)}"
@@ -237,3 +331,12 @@ class RunResult:
         path = directory / name
         path.write_text(payload + "\n", encoding="utf-8")
         return path
+
+
+RunResult.raw = _LazyRaw()
+# Frozen dataclasses raise ``FrozenInstanceError`` (an AttributeError);
+# a result raises TypeError for every mutation, like its mappings.
+RunResult.__setattr__ = RunResult.__delattr__ = _read_only
+
+_SERIALIZED_FIELDS = tuple(f.name for f in fields(RunResult) if f.compare)
+_FROZEN_FIELDS = ("spec", "profile", "timings", "payload", "store_meta")

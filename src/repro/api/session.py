@@ -46,6 +46,7 @@ the uncached reference computation for every backend/jobs combination
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from pathlib import PurePath
@@ -136,17 +137,17 @@ class Session:
     def _through_store(self, verb: str, spec: RunSpec, compute) -> RunResult:
         """Read-through/write-back dispatch for one verb call.
 
-        A hit returns the stored result (with ``raw`` rehydrated by the
-        store) and records ``store_meta.lookup_seconds`` -- the stored
-        ``timings`` stay untouched, so they always describe the compute
-        that originally produced the numbers.
+        A hit returns the stored result and records
+        ``store_meta.lookup_seconds`` -- the stored ``timings`` stay
+        untouched, so they always describe the compute that originally
+        produced the numbers.
 
-        ``store_meta`` is strictly **per call**: the store's copy
-        semantics guarantee ``get`` hands back a private
-        :class:`RunResult` and ``put`` remembers a detached snapshot,
-        so attaching provenance here -- or any caller mutating the
-        result afterwards -- can never leak into another call's result
-        or the persisted entry.
+        ``store_meta`` is strictly **per call**: results are immutable
+        and shared (the store hands every caller its one snapshot and
+        remembers the computed result itself), so provenance rides on
+        an O(1) ``dataclasses.replace`` view that shares everything
+        else -- it can never reach another call's result or the
+        persisted entry.
         """
         store = self.store
         if store is None:
@@ -162,20 +163,18 @@ class Session:
         cached = store.get(fingerprint)
         lookup = time.perf_counter() - t0
         if cached is not None:
-            cached.store_meta = {
+            return dataclasses.replace(cached, store_meta={
                 "hit": True,
                 "fingerprint": fingerprint,
                 "lookup_seconds": lookup,
-            }
-            return cached
+            })
         result = compute(spec)
         store.put(fingerprint, result)
-        result.store_meta = {
+        return dataclasses.replace(result, store_meta={
             "hit": False,
             "fingerprint": fingerprint,
             "lookup_seconds": lookup,
-        }
-        return result
+        })
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -60,7 +60,8 @@ def _is_plain_data(value: Any) -> bool:
         return True
     if isinstance(value, (list, tuple)):
         return all(_is_plain_data(item) for item in value)
-    if isinstance(value, Mapping):
+    # The exact type first: the ``Mapping`` ABC check is slow.
+    if type(value) is dict or isinstance(value, Mapping):
         return all(
             isinstance(key, str) and _is_plain_data(item)
             for key, item in value.items()
@@ -70,9 +71,11 @@ def _is_plain_data(value: Any) -> bool:
 
 def _plain(value: Any) -> Any:
     """Normalize tuples to lists so the output is JSON-stable."""
+    if isinstance(value, _JSON_SCALARS):
+        return value
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
-    if isinstance(value, Mapping):
+    if type(value) is dict or isinstance(value, Mapping):
         return {key: _plain(item) for key, item in value.items()}
     return value
 

@@ -19,12 +19,14 @@ through:
   fingerprint is then over the literal form, still deterministic).
 
 Zoo descriptions canonicalize through ``inspect.signature`` of the
-named protocol class, so fingerprints track constructor *parameters*
-(including defaults), not import paths or call-site spelling.
+named protocol class (read once per class object), so fingerprints
+track constructor *parameters* (including defaults), not import paths
+or call-site spelling.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -122,6 +124,11 @@ def build_registered_pair(pair: Mapping) -> tuple:
 # ----------------------------------------------------------------------
 
 
+#: ``inspect.signature`` per factory *object* (it dominated the
+#: fingerprint's cost); a factory replaced under the same name is a new key.
+_signature = functools.lru_cache(maxsize=None)(inspect.signature)
+
+
 def _zoo_canonicalize(params: dict) -> dict:
     """Fill a zoo description's params from the constructor signature."""
     from .. import protocols as protocol_zoo
@@ -132,7 +139,7 @@ def _zoo_canonicalize(params: dict) -> dict:
     if factory is None:
         return dict(params)
     merged: dict[str, Any] = {}
-    for parameter in inspect.signature(factory).parameters.values():
+    for parameter in _signature(factory).parameters.values():
         if parameter.kind in (
             inspect.Parameter.VAR_POSITIONAL,
             inspect.Parameter.VAR_KEYWORD,

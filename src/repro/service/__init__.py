@@ -88,6 +88,15 @@ A **result envelope** is ``{"ok": true, "job": <snapshot>, "result":
 <RunResult.to_dict()>, "store_meta": {"hit", "fingerprint",
 "lookup_seconds"}}``.
 
+**Sharing contract.**  Results are immutable
+(:class:`~repro.api.RunResult`: every mutation raises ``TypeError``),
+so a store hit is ``fingerprint -> one shared snapshot -> bytes``:
+admission attaches the per-call ``store_meta`` with an O(1)
+``dataclasses.replace`` view of the store's snapshot, coalesced
+waiters share the computing job's result, and the ``result`` member of
+a response frame is the snapshot's compact JSON, encoded once and
+spliced in -- byte-identical to encoding ``to_dict()`` afresh.
+
 **Error envelopes.**  Every failure is ``{"ok": false, "error":
 {"type": <exception class name>, "message": <text>}}`` -- e.g.
 ``SpecError`` (invalid spec / unknown verb), ``ServiceOverload`` (the
@@ -103,7 +112,7 @@ store fingerprint of ``(verb, spec)`` (the
 :mod:`repro.store` contract: ``RuntimeProfile`` never enters the
 digest).  A stored fingerprint is answered from the store without
 executing; an in-flight fingerprint coalesces onto the existing job
-(one compute, results fan out to every waiter as private clones); only
+(one compute, whose immutable result every waiter shares); only
 a cold fingerprint enqueues a new computation, whose result is written
 back exactly once.  Across N concurrent submissions of one cold spec
 the compute therefore runs exactly once -- the single-flight property

@@ -2,8 +2,9 @@
 (:class:`RemoteClient`), one method surface.
 
 The in-process client wraps a live :class:`~repro.service.SweepService`
-and returns live :class:`~repro.api.RunResult` objects (private clones
--- the single-flight fan-out contract); the remote client speaks the
+and returns live :class:`~repro.api.RunResult` objects (one immutable
+result shared by every waiter -- the single-flight fan-out contract);
+the remote client speaks the
 JSON-lines protocol and returns the decoded envelopes, with error
 envelopes raised as :class:`RemoteError`.  Both submit campaigns as
 job batches: every expanded entry becomes one ``submit``, so a
@@ -35,7 +36,7 @@ class ServiceClient:
         self, verb: str, spec, *, priority: int = 0, wait: bool = True
     ) -> RunResult | Job:
         """Submit one run; with ``wait`` (default) return its
-        :class:`~repro.api.RunResult` clone, else the tracking
+        :class:`~repro.api.RunResult` (shared, immutable), else the tracking
         :class:`Job`."""
         job = self.service.submit(verb, spec, priority=priority)
         if not wait:

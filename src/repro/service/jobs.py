@@ -17,11 +17,10 @@ needs no locking of its own.
 from __future__ import annotations
 
 import asyncio
-import copy
 import time
 from typing import Any
 
-from ..api.result import rehydrate_raw, RunResult
+from ..api.result import RunResult
 from ..api.spec import RunSpec
 
 __all__ = [
@@ -167,18 +166,15 @@ class Job:
     # Completion
     # ------------------------------------------------------------------
     async def wait(self) -> RunResult:
-        """Await completion and return a **private clone** of the result
-        (raw rehydrated, ``store_meta`` copied), so no two waiters ever
-        share a mutable result -- the fan-out side of single-flight.
+        """Await completion and return the job's result -- the fan-out
+        side of single-flight.  Every waiter shares the one immutable
+        :class:`~repro.api.RunResult`: no waiter can change what another
+        sees, so nothing is copied.
 
         The shared future is shielded: cancelling one waiter must never
         cancel the computation every other waiter is parked on.
         """
-        result = await asyncio.shield(self.future)
-        clone = result.clone()
-        clone.raw = rehydrate_raw(clone.verb, clone.payload)
-        clone.store_meta = copy.deepcopy(result.store_meta)
-        return clone
+        return await asyncio.shield(self.future)
 
     def queued_seconds(self) -> float | None:
         """Admission-to-compute-start latency (monotonic clock; immune

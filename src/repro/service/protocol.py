@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+from ..api.result import RunResult
 from .jobs import ServiceError
 
 __all__ = [
@@ -35,9 +36,28 @@ class ProtocolError(ServiceError):
     """A malformed, over-long, or non-JSON-object frame."""
 
 
+#: ``json.dumps(..., separators=(",", ":"))`` without building an
+#: encoder per call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_frame(payload: dict) -> bytes:
-    """Compact JSON + newline terminator."""
-    return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
+    """Compact JSON + newline terminator.
+
+    A :class:`~repro.api.RunResult` under ``"result"`` is spliced in as
+    its cached :meth:`~repro.api.RunResult.compact_json`: the bytes equal
+    encoding the frame with ``result.to_dict()`` in its place, but a
+    stored result is encoded once, not on every hit.
+    """
+    result = payload.get("result")
+    if not isinstance(result, RunResult):
+        return _COMPACT.encode(payload).encode() + b"\n"
+    members = ",".join(
+        _COMPACT.encode(key) + ":"
+        + (result.compact_json() if value is result else _COMPACT.encode(value))
+        for key, value in payload.items()
+    )
+    return ("{" + members + "}\n").encode()
 
 
 def ok_envelope(**fields) -> dict:

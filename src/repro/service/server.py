@@ -30,9 +30,10 @@ __all__ = ["SweepServer"]
 
 
 def _result_envelope(job, result) -> dict:
+    # ``encode_frame`` splices the result's cached compact encoding.
     return ok_envelope(
         job=job.snapshot(),
-        result=result.to_dict(),
+        result=result,
         store_meta=result.store_meta,
     )
 

@@ -47,6 +47,7 @@ harmless -- last-writer-wins under a content-addressed key.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import threading
 import time
@@ -291,11 +292,11 @@ class SweepService:
             t0 = time.perf_counter()
             cached = self.store.get(fingerprint)
             if cached is not None:
-                cached.store_meta = {
+                cached = dataclasses.replace(cached, store_meta={
                     "hit": True,
                     "fingerprint": fingerprint,
                     "lookup_seconds": time.perf_counter() - t0,
-                }
+                })
                 self._stats["hits"] += 1
                 return self._hit_job(verb, spec, fingerprint, cached)
         if self._queue.qsize() >= self.queue_limit:
@@ -616,33 +617,26 @@ class SweepService:
         Seeds derive from that same global index
         (:func:`repro.parallel.derive_seed`, the `map_scenarios`
         contract), so a resumed grid is bit-identical to an
-        uninterrupted one.
+        uninterrupted one.  The store read-through and write-back are
+        the session's.
         """
+        return session._through_store(
+            "grid", job.spec, lambda spec: self._run_grid(job, session)
+        )
+
+    def _run_grid(self, job: Job, session: Session) -> RunResult:
         t0 = time.perf_counter()
-        store, fingerprint = session.store, job.fingerprint
-        lookup = 0.0
-        if store is not None and fingerprint is not None:
-            t = time.perf_counter()
-            cached = store.get(fingerprint)
-            lookup = time.perf_counter() - t
-            if cached is not None:
-                cached.store_meta = {
-                    "hit": True,
-                    "fingerprint": fingerprint,
-                    "lookup_seconds": lookup,
-                }
-                return cached
-        if job.spec.grid is None:
+        spec = job.spec
+        if spec.grid is None:
             raise ValueError("RunSpec.grid is required for grid")
-        scenarios = build_grid(job.spec.grid)
-        backend = session.backend  # resolves the engine exactly once
-        pool = session._engine().pool()
+        scenarios = build_grid(spec.grid)
+        pool = session._engine().pool()  # resolves the backend once
         t1 = time.perf_counter()
         config = {
-            "base_seed": job.spec.seed,
-            "reception_model": job.spec.reception_model(),
-            "turnaround": job.spec.turnaround,
-            "advertising_jitter": job.spec.advertising_jitter,
+            "base_seed": spec.seed,
+            "reception_model": spec.reception_model(),
+            "turnaround": spec.turnaround,
+            "advertising_jitter": spec.advertising_jitter,
         }
         results = []
         for index, scenario in enumerate(scenarios):
@@ -671,23 +665,13 @@ class SweepService:
             "scenarios": [scenario.name for scenario in scenarios],
             "results": [network_result_payload(result) for result in results],
         }
-        run = RunResult(
-            verb="grid",
-            spec=job.spec.describe(),
-            profile=session.profile.describe(),
-            backend=backend.name,
-            timings={"build": t1 - t0, "run": t2 - t1, "total": t2 - t0},
+        return session._result(
+            "grid",
+            spec,
             payload=payload,
             raw=results,
+            timings={"build": t1 - t0, "run": t2 - t1, "total": t2 - t0},
         )
-        if store is not None and fingerprint is not None:
-            store.put(fingerprint, run)
-            run.store_meta = {
-                "hit": False,
-                "fingerprint": fingerprint,
-                "lookup_seconds": lookup,
-            }
-        return run
 
     def _emit_threadsafe(self, job: Job, kind: str, data: dict) -> None:
         loop = self._loop

@@ -46,6 +46,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from functools import partial
+from operator import itemgetter
 from typing import Callable
 
 from ..core.sequences import NDProtocol
@@ -55,6 +56,9 @@ from .clock import DriftingClock, IdealClock
 from .engine import Simulator
 
 __all__ = ["Node"]
+
+#: Own-TX blocks a node holds before its first trim (see ``_trim_blocks``).
+_MIN_TRIM = 64
 
 
 class Node:
@@ -107,6 +111,10 @@ class Node:
         this block and every earlier one, so a newest-first scan stops at
         the first block whose reach is at or before the queried instant."""
         self._reach = float("-inf")
+        self._trim_at = _MIN_TRIM
+        """Block count at which :meth:`_trim_blocks` next runs."""
+        self._deferred: list[int] = []
+        """Starts of ended packets whose decode waits out the turnaround."""
         self.discoveries: dict[str, int] = {}
         """peer name -> global time (packet start) of first decode."""
         self.packets_received = 0
@@ -202,12 +210,31 @@ class Node:
             self._reach = hi
         blocks = self._own_tx_blocks
         blocks.append((start - self.turnaround, hi, self._reach))
-        if len(blocks) > 64:
-            del blocks[:-32]
+        if len(blocks) > self._trim_at:
+            self._trim_blocks(start)
         tx = self.channel.begin_transmission(self, start, start + duration)
         self.sim._push(
             start + duration, partial(self.channel.end_transmission, tx)
         )
+
+    def _trim_blocks(self, now: int) -> None:
+        """Drop the own-TX blocks no decode can consult any more.
+
+        A decode of the packet ``[s, e)`` reads only blocks that end
+        after ``s``, and every packet still undecided here -- on the air,
+        or ended and waiting out the turnaround -- started at or after
+        the oldest such start (later packets start at ``now`` or later).
+        Blocks whose ``reach`` ends by then form a prefix of the list.
+        The next trim waits until the list has doubled, so a long packet
+        holding many blocks alive costs amortized O(1) per transmission.
+        """
+        oldest = min(self._deferred, default=now)
+        for tx in self.channel.active_transmissions():
+            if tx.sender is not self and tx.start < oldest:
+                oldest = tx.start
+        blocks = self._own_tx_blocks
+        del blocks[:bisect_right(blocks, oldest, key=itemgetter(2))]
+        self._trim_at = max(_MIN_TRIM, 2 * len(blocks))
 
     # ------------------------------------------------------------------
     # Analytic reception
@@ -334,11 +361,17 @@ class Node:
         if self.protocol.reception is None:
             return
         if self.turnaround > 0:
+            self._deferred.append(tx.start)
             self.sim._push(
-                self.sim.now + self.turnaround, partial(self._decide, tx)
+                self.sim.now + self.turnaround,
+                partial(self._decide_deferred, tx),
             )
         else:
             self._decide(tx)
+
+    def _decide_deferred(self, tx: Transmission) -> None:
+        self._deferred.remove(tx.start)
+        self._decide(tx)
 
     def _decide(self, tx: Transmission) -> None:
         """Evaluate the decode once all relevant own-TX blocks are known."""

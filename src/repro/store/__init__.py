@@ -41,21 +41,23 @@ or mismatched entry loads as a *miss* and is quarantined, never raised.
 Reads refresh the entry's mtime, so :meth:`ResultStore.gc`'s TTL/LRU
 eviction tracks last use.
 
-Concurrency and copy semantics
-------------------------------
+Concurrency and sharing semantics
+---------------------------------
 One :class:`ResultStore` instance may be shared by concurrent sessions
 -- threads in one process (the parallel
 :class:`~repro.campaign.CampaignRunner`'s worker sessions) and
 unrelated processes over one root directory:
 
-* ``get`` returns a **private copy on every call**: memory-LRU hits
-  clone the stored snapshot (``raw`` rehydrated from the cloned
-  payload), disk hits are freshly parsed.  Mutating a returned result
-  -- its ``payload``, the per-call ``store_meta`` the session attaches
-  -- never reaches another caller, the LRU, or the on-disk entry.
-* ``put`` remembers a **detached snapshot**, never the caller's live
-  :class:`~repro.api.RunResult`; the caller keeps exclusive ownership
-  of what it passed in.
+* Results are **immutable** (:class:`~repro.api.RunResult` freezes its
+  mappings and lists once, when it is computed or parsed), so the store
+  shares them instead of copying: ``get`` returns the LRU's own
+  snapshot on a memory hit, and a disk hit parses the entry once and
+  remembers that snapshot.  Every mutation attempt raises
+  ``TypeError``, so no caller can reach another caller, the LRU or the
+  on-disk entry through a result it was handed.
+* ``put`` remembers the caller's result itself (minus any per-call
+  ``store_meta``); per-call provenance rides on a
+  ``dataclasses.replace`` view, which shares the frozen data in O(1).
 * The in-process LRU and the ``stats`` counters are lock-protected, so
   mixed get/put traffic from many threads cannot tear them and the LRU
   stays bounded.

@@ -13,7 +13,7 @@ import time
 from collections import OrderedDict
 from pathlib import Path
 
-from ..api.result import RunResult, rehydrate_raw
+from ..api.result import RunResult
 from .fingerprint import FINGERPRINT_FORMAT, run_fingerprint
 
 __all__ = ["ResultStore", "DEFAULT_STORE_ROOT"]
@@ -37,13 +37,13 @@ class ResultStore:
       reads ``touch`` their entry so recency tracks use, not creation.
     * **Corruption tolerance** -- an unreadable or mismatched entry is
       moved to ``quarantine/`` and reported as a miss, never raised.
-    * **Copy semantics** -- :meth:`get` returns a *private*
-      :class:`RunResult` on every call (memory hits are detached deep
-      copies, never the LRU's own object) and :meth:`put` remembers a
-      detached snapshot, never the caller's live result.  Mutating a
-      returned result -- its ``payload``, its ``store_meta`` -- can
-      therefore never contaminate another caller or the persisted
-      entry.
+    * **Sharing semantics** -- results are immutable, so :meth:`get`
+      returns one shared snapshot per entry (memory hits hand out the
+      LRU's own object, a disk hit parses and freezes the entry once)
+      and :meth:`put` remembers the caller's result itself.  No call
+      copies a result, and no caller can contaminate another caller or
+      the persisted entry: every mutation attempt raises
+      ``TypeError``.
     * **Thread safety** -- one store instance may be shared across
       threads (the parallel :class:`~repro.campaign.CampaignRunner`
       does exactly that): the in-process LRU and the ``stats`` counters
@@ -85,23 +85,17 @@ class ResultStore:
     def get(self, fingerprint: str) -> RunResult | None:
         """The stored result for ``fingerprint``, or ``None`` on miss.
 
-        Every hit returns a **private copy**: memory hits clone the
-        LRU's detached snapshot (and rehydrate ``raw`` from the cloned
-        payload), disk hits are freshly parsed.  Callers may freely
-        mutate the returned result -- attach ``store_meta``, edit the
-        payload -- without contaminating other callers or the store.
+        A hit is the **shared immutable snapshot**: memory hits return
+        the LRU's own object, disk hits parse (and freeze) the entry
+        once and remember it.  Nothing is copied per call; callers
+        attach per-call provenance with ``dataclasses.replace``.
         """
         with self._lock:
             cached = self._memory.get(fingerprint)
             if cached is not None:
                 self._memory.move_to_end(fingerprint)
                 self.stats["hits"] += 1
-        if cached is not None:
-            # Clone outside the lock: snapshots in the LRU are never
-            # mutated after insertion, so the deep copy needs no guard.
-            result = cached.clone()
-            result.raw = rehydrate_raw(result.verb, result.payload)
-            return result
+                return cached
         path = self._object_path(fingerprint)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
@@ -110,11 +104,7 @@ class ResultStore:
             if payload.get("fingerprint") != fingerprint:
                 raise ValueError("entry fingerprint does not match its path")
             result = RunResult.from_dict(payload["result"])
-        except FileNotFoundError:
-            with self._lock:
-                self.stats["misses"] += 1
-            return None
-        except OSError:
+        except OSError:  # FileNotFoundError included: a plain miss
             with self._lock:
                 self.stats["misses"] += 1
             return None
@@ -123,27 +113,25 @@ class ResultStore:
             with self._lock:
                 self.stats["misses"] += 1
             return None
-        result.raw = rehydrate_raw(result.verb, result.payload)
         try:
             os.utime(path)  # recency for the on-disk LRU
         except OSError:
             pass
         with self._lock:
-            self._remember(fingerprint, result.clone())
+            self._remember(fingerprint, result)
             self.stats["hits"] += 1
         return result
 
     def put(self, fingerprint: str, result: RunResult) -> Path:
         """Persist ``result`` under ``fingerprint`` atomically.
 
-        The in-process LRU remembers a **detached snapshot**, so the
-        caller keeps exclusive ownership of ``result`` -- mutating it
-        afterwards (the session attaches ``store_meta``, consumers may
-        edit payloads in place) never reaches the store.  Concurrent
-        ``put`` under one fingerprint is last-writer-wins: both the
-        ``os.replace`` and the LRU insert are atomic, and a
-        content-addressed key means both writers carry the same
-        numbers, so either order leaves a consistent entry.
+        The in-process LRU remembers ``result`` itself -- it is
+        immutable, so sharing it with the caller is safe -- minus any
+        per-call ``store_meta``.  Concurrent ``put`` under one
+        fingerprint is last-writer-wins: both the ``os.replace`` and the
+        LRU insert are atomic, and a content-addressed key means both
+        writers carry the same numbers, so either order leaves a
+        consistent entry.
         """
         path = self._object_path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -310,10 +298,8 @@ class ResultStore:
     # Internals
     # ------------------------------------------------------------------
     def _remember(self, fingerprint: str, result: RunResult) -> None:
-        """Insert a *detached* snapshot into the LRU (caller holds
-        ``_lock`` and has already cloned; snapshots are never mutated
-        after insertion, which is what makes lock-free reads of a
-        popped snapshot safe)."""
+        """Insert an immutable snapshot into the LRU (caller holds
+        ``_lock``)."""
         if self.memory_entries <= 0:
             return
         self._memory[fingerprint] = result

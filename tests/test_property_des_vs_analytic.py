@@ -8,6 +8,7 @@ divergence in the per-direction discovery times is a bug in one of the
 engines.  This is the strongest internal-consistency check in the suite.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +88,40 @@ def test_des_matches_analytic_on_random_schedules(
         f"F->E mismatch: analytic={analytic.f_discovered_by_e} "
         f"des={des.f_discovered_by_e}"
     )
+
+
+@pytest.mark.parametrize("turnaround", [0, 3])
+@pytest.mark.parametrize("model", list(ReceptionModel))
+@pytest.mark.parametrize("window", [4, 4990])
+def test_long_packet_over_a_dense_own_beacon_train(window, model, turnaround):
+    """One 2000 us packet spans 100 of the receiver's own beacons.
+
+    The DES keeps every own-TX block a pending decode can still read, so
+    the block covering the packet's first microseconds survives the 99
+    transmissions after it.  POINT and ANY_OVERLAP would hear the packet
+    if that block were dropped; CONTAINMENT is checked too, though no
+    dropped block can flip it (the newest blocks inside the packet span
+    survive any trim, and one of them already blocks the packet).
+    """
+    period = 5_000
+    sender = NDProtocol(
+        beacons=BeaconSchedule([Beacon(0, 2_000)], period), reception=None
+    )
+    train = [Beacon(20 * i, 4) for i in range(100)]
+    receiver = NDProtocol(
+        beacons=BeaconSchedule(train, period),
+        reception=ReceptionSchedule([ReceptionWindow(0, window)], period),
+    )
+    # Offsets 722 and 1441 trim the receiver's blocks while a decode
+    # waits out the turnaround.
+    for offset in [*range(0, period, 70), 722, 1441]:
+        analytic = mutual_discovery_times(
+            sender, receiver, offset, 15_000, model, turnaround
+        )
+        des = simulate_pair(
+            sender, receiver, offset, 15_000, model, turnaround
+        )
+        assert des == analytic, f"offset {offset}"
 
 
 @given(

@@ -81,11 +81,31 @@ class TestSingleFlight:
         assert service._stats["computed"] == 1
         assert store.stats["writes"] == 1
         assert job.source == "computed"
-        # All waiters see bit-identical results, as private clones.
+        # All waiters see bit-identical results: one shared immutable
+        # result, which no waiter can change under another.
         serialized = [json.dumps(r.to_dict(), sort_keys=True) for r in results]
         assert len(set(serialized)) == 1
-        assert len({id(r) for r in results}) == len(results)
-        assert len({id(r.payload) for r in results}) == len(results)
+        path = store._object_path(job.fingerprint)
+        on_disk = path.read_bytes()
+        first = results[0]
+        for attempt in (
+            lambda: first.payload.__setitem__("worst_one_way", -1),
+            lambda: first.payload["eta"].append(0.5),
+            lambda: first.timings.__setitem__("total", 999.0),
+            lambda: first.store_meta.__setitem__("hit", True),
+            lambda: setattr(first, "store_meta", None),
+            lambda: setattr(first, "payload", {}),
+        ):
+            with pytest.raises(TypeError):
+                attempt()
+        assert [
+            json.dumps(r.to_dict(), sort_keys=True) for r in results
+        ] == serialized
+        assert all(r.store_meta["hit"] is False for r in results)
+        assert json.dumps(
+            store.get(job.fingerprint).to_dict(), sort_keys=True
+        ) == serialized[0]
+        assert path.read_bytes() == on_disk
 
     def test_served_result_equals_direct_session_compute(self, tmp_path):
         async def main():
@@ -471,6 +491,83 @@ class TestWireProtocol:
             await service.stop()
 
         run(main())
+
+    def test_hit_frames_equal_encoding_the_parsed_entry(self, tmp_path):
+        # A hit's response bytes must not depend on where the snapshot
+        # came from: for every verb, memory-LRU hits and disk hits after
+        # eviction both encode exactly like the freshly parsed entry.
+        from repro.api import RunResult
+        from repro.service.protocol import (
+            encode_frame,
+            MAX_FRAME_BYTES,
+            ok_envelope,
+        )
+
+        specs = {
+            "sweep": SWEEP_SPEC,
+            "worst_case": {
+                "pair": {"kind": "symmetric", "eta": 0.01},
+                "horizon_multiple": 1,
+                "des_spot_checks": 2,
+            },
+            "grid": GRID_SPEC,
+            "simulate": {
+                "scenario": {
+                    "factory": "dense_network",
+                    "params": {"n_devices": 3, "eta": 0.02},
+                },
+            },
+        }
+
+        async def main():
+            warm, _ = await make_service(tmp_path)
+            await warm.start()
+            for verb, spec in specs.items():
+                await warm.submit(verb, spec).wait()
+            await warm.stop()
+
+            # One LRU slot: each verb's first hit reads disk (evicting
+            # the previous verb), its second hit is served from memory.
+            store = ResultStore(tmp_path / "store", memory_entries=1)
+            service = SweepService(RuntimeProfile(), store=store, workers=1)
+            await service.start()
+            server = await SweepServer(service, port=0).start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port, limit=MAX_FRAME_BYTES
+            )
+            checked = []
+            for _ in range(2):  # the second pass reads evicted entries
+                for verb, spec in specs.items():
+                    fp = store.fingerprint(verb, RunSpec.from_dict(spec))
+                    for source in ("disk", "memory"):
+                        assert (fp in store._memory) == (source == "memory")
+                        writer.write(encode_frame(
+                            {"op": "submit", "verb": verb, "spec": spec}
+                        ))
+                        await writer.drain()
+                        frame = await reader.readuntil(b"\n")
+                        response = json.loads(frame)
+                        assert response["job"]["source"] == "hit"
+                        entry = json.loads(
+                            store._object_path(fp).read_text(encoding="utf-8")
+                        )
+                        parsed = RunResult.from_dict(entry["result"])
+                        assert frame == encode_frame(ok_envelope(
+                            job=response["job"],
+                            result=parsed.to_dict(),
+                            store_meta=response["store_meta"],
+                        ))
+                        checked.append((verb, source))
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+            await service.stop()
+            assert service._stats["computed"] == 0
+            return checked
+
+        checked = run(main())
+        assert len(checked) == 16
+        assert {verb for verb, _ in checked} == set(specs)
 
     def test_error_envelopes(self, tmp_path):
         async def main():

@@ -106,6 +106,166 @@ class TestFingerprint:
 
 
 # ----------------------------------------------------------------------
+# Pinned fingerprints: the digests are the store's on-disk addresses, so
+# any change to canonicalization or to the fingerprint's speed-ups must
+# leave every one of them byte-identical (FINGERPRINT_FORMAT 1).
+# ----------------------------------------------------------------------
+
+#: One description per registered pair kind, with its digest as a sweep.
+PINNED_KINDS = {
+    "symmetric": (
+        {"kind": "symmetric", "eta": 0.05},
+        "7f3662f23c21a0d2179f36d71abad2641452fd8cfbcfaa96ffa0829e83a0c88c",
+    ),
+    "symmetric-split": (
+        {"kind": "symmetric-split", "eta": 0.02, "omega": 16},
+        "0b18c893eb04fd26bcdb8cc79795c9c885e48ee06eae6762322c3913baa5c65f",
+    ),
+    "asymmetric": (
+        {"kind": "asymmetric", "eta_e": 0.2, "eta_f": 0.1},
+        "cc3824a97f3021c3e29b20c3a87e7a175a4edd23b55c210f43db302d6b081df0",
+    ),
+    "unidirectional": (
+        {"kind": "unidirectional", "window": 100, "k": 4},
+        "805030ef4527b94b1cc027e1a98eb068ac58bd6ba6256c4e7c29e3dec7dc01b5",
+    ),
+    "zoo": (
+        {"kind": "zoo", "protocol": "Disco",
+         "params": {"prime1": 3, "prime2": 5}},
+        "2d660c9300f3d74c436bde0a549ee5bb7bdf984aeedca938a0053e1934da8ee0",
+    ),
+}
+
+#: Each zoo family: (required params, every default spelled out, digest).
+PINNED_ZOO = {
+    "Disco": (
+        {"prime1": 3, "prime2": 5},
+        {"slot_length": 10000, "omega": 32, "alpha": 1.0},
+        "2d660c9300f3d74c436bde0a549ee5bb7bdf984aeedca938a0053e1934da8ee0",
+    ),
+    "UConnect": (
+        {"prime": 5},
+        {"slot_length": 10000, "omega": 32, "alpha": 1.0},
+        "05bff7f419fcd7088552b58ee58cbaa81ec113f01843664c49ee29369a369070",
+    ),
+    "Searchlight": (
+        {"period_slots": 4},
+        {"slot_length": 10000, "omega": 32, "alpha": 1.0, "striped": True},
+        "454c5ec595f1fba473f2d1b73100e375a4150436e5d8aae489c1d3de920f2656",
+    ),
+    "Diffcodes": (
+        {"q": 2},
+        {"slot_length": 10000, "omega": 32, "alpha": 1.0,
+         "two_beacons": False},
+        "a1becc5086f796e5810c41ff11039c601f55b42c780fe3ecf9fac41213f88c30",
+    ),
+    "GridQuorum": (
+        {"grid": 3},
+        {"row": 0, "column": 0, "slot_length": 10000, "omega": 32,
+         "alpha": 1.0},
+        "c404b67133e287b0b197d9fae698fbc3ccfe42d369dd4f5db93824a7851aa43a",
+    ),
+    "Nihao": (
+        {"n": 3},
+        {"slot_length": 10000, "omega": 32, "alpha": 1.0},
+        "b6048cff27dedfe3054e4ba378f86ca2f8996e43490e6837829c87df5d7ebdb6",
+    ),
+    "Birthday": (
+        {},
+        {"p_tx": 0.05, "p_rx": 0.05, "slot_length": 10000, "omega": 32,
+         "alpha": 1.0, "horizon_slots": 4096, "seed": 0},
+        "344b2614ef44938ffb5696be012606fd219072d9396d27c445ab351cdf8d9f80",
+    ),
+    "PeriodicInterval": (
+        {"adv_interval": 160, "scan_interval": 600, "scan_window": 100},
+        {"omega": 32, "bidirectional": False, "advertising_jitter": 0,
+         "alpha": 1.0},
+        "d76a503efac4f8ab5a91fd9c0dab91f7830a711d58b8bc63fba745d8cf041f15",
+    ),
+    "OptimalSlotless": (
+        {"eta": 0.1},
+        {"omega": 32, "alpha": 1.0, "window": None},
+        "5b34c9e57798428c9ad0c7841fca4dabdff0e5523182834221371ab6129a54f5",
+    ),
+    "OptimalAsymmetric": (
+        {"eta_e": 0.2, "eta_f": 0.1},
+        {"omega": 32, "alpha": 1.0},
+        "65470becfa007cf85e63ca98381f5d3e643dad7218aa1d7feede4c6941ebb3bd",
+    ),
+    "CorrelatedOneWay": (
+        {"k": 4, "window": 64},
+        {"omega": 32, "alpha": 1.0},
+        "15ae2a293b7bbe5e9950c2bf59cd74ac24dd935b6fa5afec5e0bf9dc69abea9d",
+    ),
+}
+
+
+class TestFingerprintPins:
+    def test_every_pair_kind_is_registered_and_pinned(self):
+        from repro.protocols import pair_kinds
+
+        assert sorted(PINNED_KINDS) == pair_kinds()
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_KINDS))
+    def test_pair_kind_digest(self, kind):
+        pair, digest = PINNED_KINDS[kind]
+        assert run_fingerprint("sweep", RunSpec(pair=pair)) == digest
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ZOO))
+    def test_zoo_family_digest_with_and_without_defaults(self, name):
+        required, defaults, digest = PINNED_ZOO[name]
+        for params in (required, {**required, **defaults}):
+            spec = RunSpec(
+                pair={"kind": "zoo", "protocol": name, "params": params}
+            )
+            assert run_fingerprint("sweep", spec) == digest
+
+    def test_budgeted_worst_case_digest(self):
+        spec = RunSpec.from_dict({
+            "pair": {"kind": "zoo", "protocol": "Disco",
+                     "params": {"prime1": 7, "prime2": 13}},
+            "fidelity": "auto",
+            "budget_ms": 100,
+        })
+        assert run_fingerprint("worst_case", spec) == (
+            "d6d6a4a62f76642556d598489d9abe2eb683cbf5955590d02be1813427b5e1cc"
+        )
+
+    def test_grid_digest(self):
+        spec = RunSpec.from_dict({
+            "grid": {
+                "factory": "dense_network",
+                "axes": {"n_devices": [3, 4], "eta": [0.02, 0.03]},
+            },
+            "seed": 7,
+        })
+        assert run_fingerprint("grid", spec) == (
+            "8950b47134c8ddc812fb59fefc937f999ec1972bf726446cd117fbab1897a3aa"
+        )
+
+    def test_replaced_factory_brings_its_own_defaults(self, monkeypatch):
+        # The signature cache is keyed by the factory object, not its
+        # name: a factory swapped in under the same name is read afresh.
+        import repro.protocols as protocol_zoo
+        from repro.protocols import canonical_pair
+
+        pair = {"kind": "zoo", "protocol": "Disco",
+                "params": {"prime1": 3, "prime2": 5}}
+        before = canonical_pair(pair)
+        assert before["params"]["slot_length"] == 10000
+
+        def Disco(prime1, prime2, slot_length=5000, guard=2):
+            raise AssertionError("canonicalization must not build")
+
+        monkeypatch.setattr(protocol_zoo, "Disco", Disco)
+        assert canonical_pair(pair)["params"] == {
+            "prime1": 3, "prime2": 5, "slot_length": 5000, "guard": 2,
+        }
+        monkeypatch.undo()
+        assert canonical_pair(pair) == before
+
+
+# ----------------------------------------------------------------------
 # ResultStore
 # ----------------------------------------------------------------------
 
@@ -274,16 +434,34 @@ class TestResultStore:
 
 
 # ----------------------------------------------------------------------
-# Copy semantics and thread safety
+# Sharing semantics (immutable results) and thread safety
 # ----------------------------------------------------------------------
 
 
-class TestStoreCopySemantics:
-    def test_memory_hits_are_defensive_copies(self, tmp_path):
+def _mutation_attempts(result):
+    """Every way a caller could try to edit a stored result."""
+    return [
+        lambda: result.payload.__setitem__("worst_one_way", -777),
+        lambda: result.payload.update(failures=5),
+        lambda: result.payload.pop("failures"),
+        lambda: result.timings.__setitem__("total", 999.0),
+        lambda: result.spec["pair"].__setitem__("eta", 0.5),
+        lambda: result.spec.__delitem__("pair"),
+        lambda: setattr(
+            result, "store_meta", {"hit": True, "fingerprint": "contaminated"}
+        ),
+        lambda: setattr(result, "payload", {"worst_one_way": -777}),
+        lambda: delattr(result, "timings"),
+    ]
+
+
+class TestStoreImmutability:
+    def test_memory_hits_are_immutable(self, tmp_path):
         # The PR-motivating aliasing bug: two memory-LRU hits used to
         # share one live RunResult, so mutating the first (payload edits,
         # the session's per-call store_meta) bled into the second and --
-        # via a later rewrite -- could reach disk.
+        # via a later rewrite -- could reach disk.  Hits now share one
+        # immutable snapshot: every edit raises instead of leaking.
         store = ResultStore(tmp_path / "store")
         fp = store.fingerprint("sweep", SPEC)
         path = store.put(fp, _result())
@@ -291,41 +469,84 @@ class TestStoreCopySemantics:
 
         first = store.get(fp)
         second = store.get(fp)
-        assert first is not second
-        assert first.payload is not second.payload
-
-        first.payload["worst_one_way"] = -777
-        first.timings["total"] = 999.0
-        first.store_meta = {"hit": True, "fingerprint": "contaminated"}
+        for attempt in _mutation_attempts(first):
+            with pytest.raises(TypeError):
+                attempt()
 
         assert second.payload["worst_one_way"] == 123
+        assert second.payload["failures"] == 0
         assert second.timings["total"] == 0.0
+        assert second.spec["pair"] == {"kind": "symmetric", "eta": 0.01}
         assert second.store_meta is None
         assert store.get(fp).payload["worst_one_way"] == 123
         assert path.read_bytes() == on_disk
 
-    def test_put_remembers_detached_snapshot(self, tmp_path):
+    def test_disk_hits_are_immutable(self, tmp_path):
+        store = ResultStore(tmp_path / "store", memory_entries=0)
+        fp = store.fingerprint("sweep", SPEC)
+        path = store.put(fp, _result({
+            "worst_one_way": 123, "failures": 0, "tiers": [{"ran": True}],
+        }))
+        on_disk = path.read_bytes()
+
+        first = store.get(fp)
+        for attempt in _mutation_attempts(first) + [
+            lambda: first.payload["tiers"].append({"ran": False}),
+            lambda: first.payload["tiers"][0].__setitem__("ran", False),
+        ]:
+            with pytest.raises(TypeError):
+                attempt()
+
+        second = store.get(fp)
+        assert second.payload == {
+            "worst_one_way": 123, "failures": 0, "tiers": [{"ran": True}],
+        }
+        assert second.store_meta is None
+        assert path.read_bytes() == on_disk
+
+    def test_put_result_is_immutable(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         fp = store.fingerprint("sweep", SPEC)
-        live = _result()
+        live = dataclasses.replace(_result(), store_meta={"hit": False})
         store.put(fp, live)
-        live.payload["worst_one_way"] = -1  # caller keeps ownership
-        live.store_meta = {"hit": False}
+        for attempt in _mutation_attempts(live):
+            with pytest.raises(TypeError):
+                attempt()
         assert store.get(fp).payload["worst_one_way"] == 123
+        # The caller's per-call provenance never enters the store.
         assert store.get(fp).store_meta is None
 
-    def test_memory_hit_rehydrates_raw_per_call(self, tmp_path):
+    def test_store_meta_rides_on_a_view(self, tmp_path):
+        # Per-call provenance is a dataclasses.replace view: it shares
+        # the snapshot's frozen data and leaves the snapshot untouched.
+        store = ResultStore(tmp_path / "store")
+        fp = store.fingerprint("sweep", SPEC)
+        store.put(fp, _result())
+        snapshot = store.get(fp)
+        view = dataclasses.replace(snapshot, store_meta={"hit": True})
+        assert view.payload is snapshot.payload
+        assert view == snapshot
+        assert snapshot.store_meta is None
+        with pytest.raises(TypeError):
+            view.store_meta["hit"] = False
+        assert store.get(fp).store_meta is None
+
+    def test_memory_hit_raw_is_rebuilt_once_and_frozen(self, tmp_path):
         from repro.simulation import SweepReport
 
         store = ResultStore(tmp_path / "store")
         fp = store.fingerprint("sweep", SPEC)
         with Session(store=store) as session:
-            session.sweep(SPEC)
+            computed = session.sweep(SPEC)
         a = store.get(fp)
         b = store.get(fp)
         assert isinstance(a.raw, SweepReport)
-        assert isinstance(b.raw, SweepReport)
-        assert a.raw is not b.raw
+        assert a.raw == computed.raw
+        # One shared snapshot, so one shared raw -- itself frozen.
+        assert b.raw is a.raw
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.raw.worst_one_way = -1
+        assert store.get(fp).raw.worst_one_way == computed.raw.worst_one_way
 
     def test_concurrent_mixed_get_put_stays_consistent(self, tmp_path):
         # Two threads hammer overlapping fingerprints with mixed
@@ -351,7 +572,12 @@ class TestStoreCopySemantics:
                         got = store.get(fp)
                         assert got is not None
                         assert got.payload == payloads[fp]
-                        got.payload["worst_one_way"] = -1  # must not leak
+                        try:
+                            got.payload["worst_one_way"] = -1
+                        except TypeError:
+                            pass  # immutable: nothing can leak
+                        else:
+                            raise AssertionError("a payload took an edit")
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
