@@ -23,12 +23,27 @@ once**, in one loop:
   every candidate's query times, so candidates no lane can use are
   skipped, and the ``[0, horizon)`` mask and the boot screen run only
   when some lane needs them.
+* **Dead-lane retirement.**  The *steady instance* is the first whose
+  candidates all lie at or past ``max(boot_max, 0)`` (``boot_max``: the
+  batch's latest boot end).  From it on every decode is the pattern's,
+  and a lane's residues ``(c + delta) mod H`` repeat every
+  ``cycle = H // gcd(period, H)`` instances, so lanes still unresolved
+  ``cycle`` instances after it never resolve: the loop ends there and
+  they stay ``-1``.
 
 Bit-identity is by construction, not by approximation:
 
 * candidate order, the ``0 <= t < horizon`` window, and the
   ``base >= horizon`` termination test replicate the reference loop
   exactly, so ties resolve to the identical beacon;
+* retirement drops only lanes whose every later candidate repeats a
+  pattern decode that already said "not heard", so it changes no
+  result, and a lane's result does not depend on the batch it came
+  in.  The ``0`` in the steady floor matters: a pool chunk whose boot
+  ends are all negative would otherwise count candidates masked off
+  by ``t < 0`` as evaluated.  Retirement is this kernel's alone: the
+  python reference kernel and :mod:`repro.simulation.analytic` run
+  every lane to the horizon;
 * the vectorized decode predicate is the same
   ``bisect_right(starts, lo) - 1`` arithmetic as
   :meth:`repro.parallel.cache.ListeningCache.packet_heard` for all
@@ -237,13 +252,14 @@ class NumpyBackend(SweepBackend):
         protocol_e, protocol_f = params.protocol_e, params.protocol_f
         cache_e = get_listening_cache(protocol_e, params.turnaround)
         cache_f = get_listening_cache(protocol_f, params.turnaround)
+        # One C-level pass for the offsets' types, then their bounds:
+        # bools, numpy ints and floats all fail the type test.
         vectorizable = (
             type(params.horizon) is int
             and params.horizon < _INT_BOUND
-            and all(
-                type(o) is int and -_INT_BOUND < o < _INT_BOUND
-                for o in offsets
-            )
+            and set(map(type, offsets)) <= {int}
+            and -_INT_BOUND < min(offsets, default=0)
+            and max(offsets, default=0) < _INT_BOUND
             and _direction_vectorizable(protocol_e, protocol_f, cache_f)
             and _direction_vectorizable(protocol_f, protocol_e, cache_e)
         )
@@ -422,9 +438,22 @@ class NumpyBackend(SweepBackend):
         lanes, red, delta, rxp, boot_end = state
         boot_max = int(boot_end.max())
         red_min, red_max = int(red.min()), int(red.max())
+        # Dead-lane retirement (module docstring): from the steady
+        # instance on, a lane's residues repeat every ``cycle``
+        # instances.  The floor includes 0 because candidates before
+        # time 0 are masked off, not evaluated.
+        steady_floor = max(boot_max, 0)
+        tau_min = pattern[0][0]  # beacon times are sorted
+        cycle = hyper // math.gcd(period, hyper)
+        retire_at = None
         instance = -1
         while lanes.size:
             ibase = instance * period
+            if retire_at is None:
+                if ibase + tau_min + red_min >= steady_floor:
+                    retire_at = instance + cycle
+            elif instance == retire_at:
+                break  # every live lane is deadlocked: it stays -1
             if ibase + red_max >= horizon:
                 # The reference returns None the moment an instance
                 # starts at or past the horizon.

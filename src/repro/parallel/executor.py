@@ -83,9 +83,15 @@ def _spot_check_replay(
 
     The replay (:func:`repro.simulation.runner.simulate_pair`) stops
     once every direction that can discover has discovered, which is all
-    a :class:`DiscoveryOutcome` records.  The analytic side deliberately
-    uses the *uncached* reference
-    :func:`repro.simulation.analytic.mutual_discovery_times`: a spot
+    a :class:`DiscoveryOutcome` records, and, for integer schedules
+    (spot checks have ideal clocks and no jitter), at the periodicity
+    point one joint hyperperiod past the boot transient, where a
+    still-undiscovered direction is deadlocked.  The analytic side gets
+    no such stop: it deliberately uses the *uncached* reference
+    :func:`repro.simulation.analytic.mutual_discovery_times`, which runs
+    to the horizon, so a wrong stop shows as ``des_agrees == False``
+    rather than hiding.  Float schedules (``float-period-pi``) replay to
+    the horizon too.  A spot
     check compares the DES replay with that reference only, never with
     the outcomes of the kernel and pattern-cache layers the sweep ran
     through (the equivalence tests pin those to the same reference).

@@ -3,9 +3,10 @@
 Three levels of fidelity:
 
 * :func:`simulate_pair` -- event-driven run of two nodes until both
-  first discoveries are decided (supports drift, jitter, turnaround;
-  collisions cannot occur with only one transmitter audible per
-  receiver pair unless both transmit, which the channel handles).
+  first discoveries are decided, or provably never will be (supports
+  drift, jitter, turnaround; collisions cannot occur with only one
+  transmitter audible per receiver pair unless both transmit, which
+  the channel handles).
 * :func:`simulate_network` -- ``S`` devices discovering each other
   simultaneously on one collision-prone channel (the Appendix-B
   scenario).
@@ -94,6 +95,43 @@ def _make_pair(
     return node_e, node_f
 
 
+def _periodic_stop(
+    protocol_e: NDProtocol,
+    protocol_f: NDProtocol,
+    offset: int,
+    turnaround: int,
+) -> int | None:
+    """The instant by which an ideal-clock, jitter-free pair replay has
+    made every first decode it ever will, or ``None`` when the pair's
+    schedules are not all integers (then nothing is periodic on the
+    integer grid).
+
+    Packets starting before 0 never went on air, and neither did the
+    receiver's pre-zero beacons, whose blocks end before
+    ``D + turnaround`` (``D``: the longest beacon of either device).
+    From then on every decode repeats with the joint hyperperiod
+    ``H_j``, so a first decode is of a packet starting before
+    ``D + turnaround + H_j`` and is decided by
+    ``2 * (D + turnaround) + H_j``.
+    """
+    values = [offset, turnaround]
+    longest = 0
+    for protocol in (protocol_e, protocol_f):
+        if protocol.beacons is not None:
+            values.append(protocol.beacons.period)
+            for beacon in protocol.beacons.beacons:
+                values += (beacon.time, beacon.duration)
+                longest = max(longest, beacon.duration)
+        if protocol.reception is not None:
+            values.append(protocol.reception.period)
+            for window in protocol.reception.windows:
+                values += (window.start, window.duration)
+    if set(map(type, values)) != {int}:
+        return None
+    hyper = math.lcm(protocol_e.hyperperiod(), protocol_f.hyperperiod())
+    return 2 * (longest + turnaround) + hyper
+
+
 def simulate_pair(
     protocol_e: NDProtocol,
     protocol_f: NDProtocol,
@@ -117,6 +155,16 @@ def simulate_pair(
     receiver listens and its sender beacons) has discovered: first
     decodes are set once, so later events cannot change the outcome.
     A pair with no such direction is not simulated at all.
+
+    With ideal clocks, no advertising jitter and integer schedules,
+    offset and turnaround, the run also stops at the periodicity point
+    (:func:`_periodic_stop`): one joint hyperperiod past the boot
+    transient plus the time to decide the packets started within it.
+    A direction undecided by then never discovers, so a deadlocked
+    replay costs about one joint hyperperiod of beacons instead of the
+    whole horizon.  The stopped run is a prefix of the full run, so the
+    outcome is the same.  Drifting, jittered and float-schedule pairs
+    run to the horizon.
     """
     e_to_f = protocol_e.beacons is not None and protocol_f.reception is not None
     f_to_e = protocol_f.beacons is not None and protocol_e.reception is not None
@@ -151,7 +199,12 @@ def simulate_pair(
     node_e.activate()
     node_f.activate()
     # Slack covers decode decisions deferred past the last packet end.
-    sim.run_until(horizon + turnaround + 1)
+    end = horizon + turnaround + 1
+    if not (drift_ppm_e or drift_ppm_f or advertising_jitter):
+        stop = _periodic_stop(protocol_e, protocol_f, offset, turnaround)
+        if stop is not None and stop < end:
+            end = stop
+    sim.run_until(end)
     return DiscoveryOutcome(
         offset=offset,
         e_discovered_by_f=node_f.discoveries.get("E"),

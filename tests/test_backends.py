@@ -164,6 +164,33 @@ class TestNumpyKernelFallbacks:
         )
         self._check(adv, scan, list(range(0, 600, 7)), 4_000)
 
+    @pytest.mark.parametrize(
+        "odd",
+        ["bool", "numpy-int", "float", "low", "high"],
+    )
+    def test_one_odd_offset_sends_the_batch_to_the_reference(self, odd):
+        """A bool, a numpy int, a float, or an int at the headroom bound
+        anywhere in the batch fails the vectorization precondition."""
+        from repro.backends.numpy_kernel import _INT_BOUND
+
+        value = {
+            "bool": True,
+            "numpy-int": _np.np.int64(3),
+            "float": 2.0,
+            "low": -_INT_BOUND,
+            "high": _INT_BOUND,
+        }[odd]
+        protocol, offsets, horizon = _small_pair()
+        params = SweepParams(
+            protocol, protocol, horizon, ReceptionModel.POINT, 0
+        )
+        kernel = NumpyBackend()
+        batch = [*offsets[:4], value, *offsets[4:8]]
+        assert kernel._discovery_vectors(params, batch) is None
+        edges = [*offsets[:4], 1 - _INT_BOUND, _INT_BOUND - 1]
+        assert kernel._discovery_vectors(params, edges) is not None
+        self._check(protocol, protocol, batch, horizon)
+
     def test_empty_offsets(self):
         protocol, _, horizon = _small_pair()
         assert ParallelSweep(jobs=1, backend="numpy").evaluate_offsets(

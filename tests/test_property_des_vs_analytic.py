@@ -62,6 +62,33 @@ def protocols(draw):
     )
 
 
+@st.composite
+def commensurate_pairs(draw):
+    """Two :func:`protocols` whose every period is stretched to 1, 2 or
+    3 times the longest one, so the joint hyperperiod is at most six of
+    it: runs over several joint hyperperiods stay short."""
+    pair = (draw(protocols()), draw(protocols()))
+    base = max(
+        schedule.period
+        for protocol in pair
+        for schedule in (protocol.beacons, protocol.reception)
+        if schedule is not None
+    )
+    factors = st.sampled_from([1, 2, 3])
+    return tuple(
+        NDProtocol(
+            beacons=None if protocol.beacons is None else BeaconSchedule(
+                protocol.beacons.beacons, base * draw(factors)
+            ),
+            reception=None if protocol.reception is None
+            else ReceptionSchedule(
+                protocol.reception.windows, base * draw(factors)
+            ),
+        )
+        for protocol in pair
+    )
+
+
 @given(
     protocol_e=protocols(),
     protocol_f=protocols(),

@@ -1,10 +1,12 @@
 """Tests of the event-driven node/runner stack."""
 
+import math
+
 import pytest
 
 from repro.core.optimal import synthesize_symmetric, synthesize_unidirectional
 from repro.core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
-from repro.protocols import Disco, Role
+from repro.protocols import Disco, OptimalAsymmetric, Role
 from repro.simulation import (
     mutual_discovery_times,
     ReceptionModel,
@@ -121,7 +123,8 @@ class TestEarlyStop:
 
     @pytest.mark.parametrize("family", ["disco", "uconnect"])
     def test_self_blocking_deadlocks_never_discover(self, family):
-        """Offsets that never discover run to the horizon and agree."""
+        """Offsets that never discover stop at the periodicity point and
+        agree with the network run to the horizon."""
         protocol_e, protocol_f = ZOO[family]()
         offsets, horizon = _workload(protocol_e, protocol_f)
         undiscovered = 0
@@ -209,6 +212,38 @@ class TestReplayEventCount:
                 expected += deferred
             assert sim.events_processed == expected
             assert channel.total_transmissions > 0
+
+    @pytest.mark.parametrize("turnaround", [0, 150])
+    def test_deadlocked_replay_stops_after_one_hyperperiod(
+        self, monkeypatch, turnaround
+    ):
+        """Each device of ``OptimalAsymmetric(0.3, 0.15, 16)`` beacons
+        over its own only window, so neither ever hears the other.  A
+        replay over three joint hyperperiods transmits only the beacons
+        of one joint hyperperiod plus the boot transient."""
+        channels = []
+
+        class CountingChannel(runner.Channel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                channels.append(self)
+
+        monkeypatch.setattr(runner, "Channel", CountingChannel)
+        pair = OptimalAsymmetric(0.3, 0.15, 16)
+        protocol_e, protocol_f = pair.device(Role.E), pair.device(Role.F)
+        hyper = math.lcm(protocol_e.hyperperiod(), protocol_f.hyperperiod())
+        span = hyper + 2 * (16 + turnaround)
+        budget = sum(
+            len(p.beacons.beacons) * (span // p.beacons.period + 1)
+            for p in (protocol_e, protocol_f)
+        )
+        for offset in (0, 17, 500, -700, 2 * hyper + 3):
+            outcome = simulate_pair(
+                protocol_e, protocol_f, offset, 3 * hyper,
+                turnaround=turnaround,
+            )
+            assert outcome.one_way is None
+            assert channels[-1].total_transmissions <= budget
 
 
 class TestVerifiedWorstCase:

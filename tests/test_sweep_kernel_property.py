@@ -19,8 +19,17 @@ beacon start, where a discovery can land exactly on the horizon), under
 all three reception models and turnaround {0, 5, 50}.
 ``evaluate_offsets_batch`` must equal ``analytic.evaluate_offsets``
 outcome for outcome, and ``sweep_offsets_batch`` must equal
-``summarize_outcomes`` over them.  Skipped without NumPy or hypothesis.
+``summarize_outcomes`` over them.
+
+A second property pins dead-lane retirement: on commensurate pairs
+(joint hyperperiod at most six periods) with horizons of 4-8 joint
+hyperperiods, so every lane passes several residue cycles, and with
+offsets around zero and negative, so a chunk's boot ends can all be
+negative, the batch split into 2-5 chunks must give the whole batch's
+outcomes and the reference's.  Skipped without NumPy or hypothesis.
 """
+
+import math
 
 import pytest
 
@@ -34,7 +43,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from tests.test_property_des_vs_analytic import protocols  # noqa: E402
+from tests.test_property_des_vs_analytic import (  # noqa: E402
+    commensurate_pairs,
+    protocols,
+)
 
 
 @st.composite
@@ -131,6 +143,50 @@ def test_numpy_kernel_matches_reference(batches, data, model, turnaround):
     params = SweepParams(protocol_e, protocol_f, horizon, model, turnaround)
     kernel = NumpyBackend()
     assert kernel.evaluate_offsets_batch(params, offsets) == expected
+    assert kernel.sweep_offsets_batch(params, offsets) == summarize_outcomes(
+        expected
+    )
+
+
+@st.composite
+def retirement_cases(draw):
+    protocol_e, protocol_f = draw(commensurate_pairs())
+    hyper = math.lcm(protocol_e.hyperperiod(), protocol_f.hyperperiod())
+    offsets = draw(st.one_of(
+        boot_batches(),
+        st.lists(st.integers(-2 * hyper, hyper), min_size=2, max_size=30),
+    ))
+    horizon = draw(st.integers(4, 8)) * hyper + draw(st.integers(0, hyper))
+    cuts = sorted(draw(st.lists(
+        st.integers(0, len(offsets)), min_size=1, max_size=4
+    )))
+    bounds = [0, *cuts, len(offsets)]
+    chunks = [offsets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return protocol_e, protocol_f, offsets, horizon, chunks
+
+
+@given(
+    case=retirement_cases(),
+    model=st.sampled_from(ReceptionModel),
+    turnaround=st.sampled_from([0, 5, 50]),
+)
+@settings(max_examples=200, deadline=None)
+def test_retirement_is_independent_of_batch_composition(
+    case, model, turnaround
+):
+    protocol_e, protocol_f, offsets, horizon, chunks = case
+    expected = evaluate_offsets(
+        protocol_e, protocol_f, offsets, horizon, model, turnaround
+    )
+    params = SweepParams(protocol_e, protocol_f, horizon, model, turnaround)
+    kernel = NumpyBackend()
+    assert kernel.evaluate_offsets_batch(params, offsets) == expected
+    chunked = [
+        outcome
+        for chunk in chunks
+        for outcome in kernel.evaluate_offsets_batch(params, chunk)
+    ]
+    assert chunked == expected
     assert kernel.sweep_offsets_batch(params, offsets) == summarize_outcomes(
         expected
     )
