@@ -380,11 +380,11 @@ class Session:
         long spot-check batches shard over the persistent pool.
 
         Exact by default.  With ``spec.budget_ms`` set (and
-        ``spec.fidelity`` ``"auto"``/``"bounded"``), the adaptive
-        fidelity ladder answers within the budget instead: analytic
-        bound first, the exact enumeration only when its priced sweep
-        fits, a nested low-discrepancy dense tier over what remains,
-        DES spot-checks allocated by disagreement.  The verdict
+        ``spec.fidelity`` ``"auto"``/``"bounded"``), the same tier
+        ladder answers within the budget instead: analytic bound first,
+        the exact enumeration only when its priced sweep fits, a nested
+        low-discrepancy dense tier over what remains, then one batch of
+        DES spot checks sized to the leftover budget.  The verdict
         (``fidelity``, ``bound_interval``) and per-tier provenance ride
         in both ``raw`` and ``payload["provenance"]``.
         """
@@ -415,7 +415,6 @@ class Session:
             des_spot_checks=spec.des_spot_checks,
             fallback_samples=spec.fallback_samples,
             sweeper=engine,
-            fidelity=spec.fidelity,
             budget_ms=spec.budget_ms,
             analytic_upper=base,
         )

@@ -374,11 +374,15 @@ class RunSpec(_SerializableConfig):
     offsets: list | None = None
     """Explicit phase offsets; ``None`` derives them via ``sampling``."""
     sampling: str = "uniform"
-    """Offset derivation when ``offsets`` is None: ``"uniform"`` takes
-    ``samples`` evenly spaced offsets over the pair hyperperiod,
-    ``"critical"`` enumerates the exact critical-offset set."""
+    """Offset derivation when ``offsets`` is None: ``"uniform"`` strides
+    over the pair hyperperiod ``H`` in steps of ``H // samples``,
+    ``"critical"`` enumerates the exact critical-offset set (falling
+    back to the uniform stride when the set exceeds ``max_critical``)."""
     samples: int = 2048
-    """Uniform-sampling resolution for ``sampling="uniform"``."""
+    """Uniform-sampling resolution: the stride ``H // samples`` yields
+    between ``samples`` and ``2 * samples - 1`` offsets (every one of
+    the ``H`` offsets when ``H`` is shorter than ``samples``), not
+    exactly ``samples``."""
     horizon: int | None = None
     """Simulation/sweep horizon in microseconds; ``None`` derives it
     from the pair's natural latency scale times ``horizon_multiple``."""
@@ -397,14 +401,18 @@ class RunSpec(_SerializableConfig):
     fidelity: str = "exact"
     """Worst-case engine fidelity policy (the adaptive ladder):
 
-    * ``"exact"`` (default) -- the full exact ladder: critical-offset
-      enumeration, complete sweep, uniform DES spot checks.  Refuses a
-      ``budget_ms`` (an exact answer cannot promise a latency budget).
+    * ``"exact"`` (default) -- the unbudgeted ladder: critical-offset
+      enumeration and complete sweep (a stride sample capped at
+      ``fallback_samples`` offsets, with a ``"bounded"`` verdict, when
+      the set exceeds ``max_critical``), then ``des_spot_checks`` DES
+      replays: the sweep's worst offsets plus a seeded sample of the
+      rest.  Refuses a ``budget_ms`` (an exact answer cannot promise a
+      latency budget).
     * ``"bounded"`` -- best bound within ``budget_ms`` (required): the
-      planner prices each tier with the fitted scheduler cost weights
-      and never *plans* work beyond the budget; the result carries a
-      ``bound_interval`` and is marked exact only when the exact tier
-      fit the budget.
+      planner prices each tier with the checked-in reference cost
+      weights and never *plans* work beyond the budget; the result
+      carries a ``bound_interval`` and is marked exact only when the
+      exact tier fit the budget.
     * ``"auto"`` -- exact when no ``budget_ms`` is given, budgeted
       (identical to ``"bounded"``) when one is.
     """

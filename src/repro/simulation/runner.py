@@ -429,10 +429,11 @@ def simulate_pair_mutual_assistance(
 class PairWorstCase:
     """Worst-case discovery of a protocol pair with DES cross-check.
 
-    Since PR 10 every instance carries a provenance block describing
-    *how* the verdict was produced (which ladder tiers ran, whether the
-    sampled fallback degraded exactness, the budget the planner worked
-    against) next to the result itself.  The provenance contract:
+    Every instance carries a provenance block describing *how* the
+    engine's one tier ladder (analytic, critical, dense, des; see
+    :func:`_verified_worst_case_impl`) produced the verdict: which tiers
+    ran, whether a sampled sweep degraded exactness, the budget the
+    planner worked against.  The provenance contract:
 
     * ``fidelity`` -- the **verdict**, not the request: ``"exact"``
       only when the critical-offset tier swept the complete breakpoint
@@ -443,9 +444,10 @@ class PairWorstCase:
       ``hi`` the cheapest sound upper bound (``lo`` again when exact;
       else the analytic prediction capped by the horizon).
     * ``tiers`` -- one record per ladder tier in execution order
-      (``analytic`` / ``critical`` / ``dense`` / ``des``), each with
-      ``ran`` and, for budgeted queries, the planner's ``estimated_ms``
-      price -- estimates, never wall-clock, so equal runs compare equal.
+      (``critical`` / ``dense`` / ``des``, led by ``analytic`` for
+      budgeted queries; ``dense`` only when it ran), each with ``ran``
+      and, for budgeted queries, the planner's ``estimated_ms`` price --
+      estimates, never wall-clock, so equal runs compare equal.
     * ``fallback_used`` -- the sampled (dense) tier replaced the exact
       enumeration, whether by guard overflow or by budget.
     """
@@ -499,15 +501,14 @@ def _select_spot_check_offsets(
     return sorted(chosen)
 
 
-def _des_mismatches(checks) -> list[int]:
-    """Offsets where the event-driven replay contradicts the analytic
-    outcome (either discovery direction)."""
-    return [
-        analytic_outcome.offset
+def _des_agrees(checks) -> bool:
+    """Does every event-driven replay reproduce its analytic outcome
+    (both discovery directions)?"""
+    return all(
+        analytic_outcome.e_discovered_by_f == des_outcome.e_discovered_by_f
+        and analytic_outcome.f_discovered_by_e == des_outcome.f_discovered_by_e
         for analytic_outcome, des_outcome in checks
-        if analytic_outcome.e_discovered_by_f != des_outcome.e_discovered_by_f
-        or analytic_outcome.f_discovered_by_e != des_outcome.f_discovered_by_e
-    ]
+    )
 
 
 def _one_way_upper(horizon: int, analytic_upper, lo) -> int:
@@ -533,142 +534,43 @@ def _verified_worst_case_impl(
     des_spot_checks: int = 16,
     fallback_samples: int = 4096,
     sweeper=None,
-    fidelity: str = "exact",
     budget_ms: float | None = None,
     analytic_upper=None,
 ) -> PairWorstCase:
-    """The worst-case verification engine behind
-    :meth:`repro.api.Session.worst_case` and :func:`verified_worst_case`.
+    """The worst-case engine behind :meth:`repro.api.Session.worst_case`
+    and :func:`verified_worst_case`: one ladder of tiers, run in order.
 
-    Two paths, selected by ``budget_ms``:
+    1. **analytic** (budgeted only) -- the predicted worst-case latency,
+       capped by the horizon, seeds the upper bound.
+    2. **critical** -- the exact critical-offset enumeration and full
+       sweep: an exact verdict.  Only
+       :class:`~repro.backends.base.CriticalSetTooLarge` skips it for
+       size (any other ``ValueError`` out of a kernel is a bug and
+       propagates).
+    3. **dense** -- a sampled sweep in place of a skipped critical
+       tier; its maximum is the lower bound.
+    4. **des** -- one batch of DES spot checks: the sweep's worst
+       offsets plus a seeded sample of the rest.  It alone decides
+       ``des_agrees``.
 
-    * **Unbudgeted** (``budget_ms=None``, the default and the only
-      pre-PR-10 behaviour): critical-offset enumeration for exactness,
-      falling back to a uniform sweep capped at ``fallback_samples``
-      offsets only when the enumeration trips its guard
-      (:class:`~repro.backends.base.CriticalSetTooLarge` -- any other
-      ``ValueError`` out of a kernel is a genuine bug and propagates),
-      then DES spot checks on the most informative offsets.
-    * **Budgeted** (``fidelity`` ``"bounded"``/``"auto"`` with a
-      budget): the adaptive ladder in :func:`_budgeted_worst_case`.
-
-    ``sweeper`` is the session's configured
-    :class:`repro.parallel.ParallelSweep`; its resolved kernel runs
-    *both* halves of the setup -- the critical enumeration
-    (`critical_offsets(backend=...)`, vectorized under the numpy kernel
-    since PR 5) and the offset sweep itself.  The report and the verdict
-    are bit-identical for every runtime profile (enumeration, planning
-    and spot-check selection are deterministic, each replay is an
-    independent computation, and every kernel is pinned against the
-    exact reference).
-    """
-    if sweeper is None:
-        from ..parallel import ParallelSweep
-
-        sweeper = ParallelSweep(jobs=1)
-    if budget_ms is not None and fidelity in ("bounded", "auto"):
-        return _budgeted_worst_case(
-            protocol_e, protocol_f, horizon, omega, reception_model,
-            turnaround, max_critical, des_spot_checks, sweeper,
-            float(budget_ms), analytic_upper,
-        )
-    exact = True
-    fallback_used = False
-    try:
-        offsets = critical_offsets(
-            protocol_e,
-            protocol_f,
-            omega=omega,
-            max_count=max_critical,
-            backend=sweeper._resolve_backend(),
-            turnaround=turnaround,
-        )
-        tier_records = [
-            {"tier": "critical", "ran": True, "offsets": len(offsets)},
-        ]
-    except CriticalSetTooLarge:
-        exact = False
-        fallback_used = True
-        hyper = math.lcm(protocol_e.hyperperiod(), protocol_f.hyperperiod())
-        step = max(1, hyper // fallback_samples)
-        # range(0, hyper, step) yields ceil(hyper / step) offsets, which
-        # overshoots whenever fallback_samples does not divide hyper --
-        # cap the sample at exactly what the spec asked for.
-        offsets = list(range(0, hyper, step))[:fallback_samples]
-        tier_records = [
-            {"tier": "critical", "ran": False,
-             "reason": "critical-set-too-large"},
-            {"tier": "dense", "ran": True, "offsets": len(offsets),
-             "requested": fallback_samples},
-        ]
-    report = sweeper.sweep_offsets(
-        protocol_e, protocol_f, offsets, horizon, reception_model, turnaround
-    )
-
-    # DES cross-check on the most informative offsets: the worst ones
-    # plus a deterministic duplicate-free sample of the rest.
-    check_offsets = _select_spot_check_offsets(
-        offsets,
-        (report.worst_offset_one_way, report.worst_offset_two_way),
-        des_spot_checks,
-    )
-    checks = sweeper.spot_check_pairs(
-        protocol_e, protocol_f, check_offsets, horizon,
-        reception_model, turnaround,
-    )
-    agrees = not _des_mismatches(checks)
-    tier_records.append(
-        {"tier": "des", "ran": bool(check_offsets),
-         "checks": len(check_offsets)},
-    )
-    lo = report.worst_one_way
-    hi = lo if exact else _one_way_upper(horizon, analytic_upper, lo)
-    return PairWorstCase(
-        analytic=report,
-        des_agrees=agrees,
-        offsets_checked=len(offsets),
-        fidelity="exact" if exact else "bounded",
-        bound_interval=(lo, hi),
-        tiers=tuple(tier_records),
-        fallback_used=fallback_used,
-        budget_ms=None,
-    )
-
-
-def _budgeted_worst_case(
-    protocol_e: NDProtocol,
-    protocol_f: NDProtocol,
-    horizon: int,
-    omega: int | None,
-    reception_model: ReceptionModel,
-    turnaround: int,
-    max_critical: int,
-    des_spot_checks: int,
-    sweeper,
-    budget_ms: float,
-    analytic_upper,
-) -> PairWorstCase:
-    """The adaptive fidelity ladder for one budgeted worst-case query.
-
-    Tiers run cheapest-first, each priced by
-    :class:`repro.simulation.ladder.LadderPlanner` before it runs:
-
-    1. **analytic** -- free: the predicted worst-case latency (capped by
-       the horizon) seeds the upper bound.
-    2. **critical** -- the exact enumeration, run only when its implied
-       full sweep fits the remaining budget; when it does, the verdict
-       is exact and the interval collapses.  The tier is pre-priced from
-       :func:`~repro.simulation.ladder.estimate_critical_count` so a
-       hopelessly over-budget query never pays the enumeration itself.
-    3. **dense** -- otherwise, a prefix-nested low-discrepancy sample
-       sized to the budget left after a small DES reserve; its sweep
-       maximum is the lower bound.
-    4. **des** -- one batch of spot checks from the leftover budget:
-       half the allocation, always covering the worst offsets.  Its
-       replays alone decide ``des_agrees``.
-
-    All prices are planner estimates -- never measured wall-clock -- so
+    Unbudgeted, the critical tier always runs, the dense tier is a
+    stride sample capped at ``fallback_samples`` offsets, and the des
+    tier replays ``des_spot_checks`` offsets.  With ``budget_ms``,
+    :class:`~repro.simulation.ladder.LadderPlanner` prices each tier
+    before it runs: the critical tier runs only when its sweep fits
+    (pre-priced by
+    :func:`~repro.simulation.ladder.estimate_critical_count`, so an
+    over-budget query never pays the enumeration), the dense tier is a
+    prefix-nested low-discrepancy sample sized to what is left after a
+    small DES reserve, and the des tier replays half the allocation the
+    leftover affords.  Prices are estimates, never wall-clock, so
     identical queries produce identical provenance.
+
+    ``sweeper`` (the session's :class:`repro.parallel.ParallelSweep`)
+    runs the enumeration and the sweep on its resolved kernel.  The
+    verdict is bit-identical for every runtime profile: enumeration,
+    planning and spot-check selection are deterministic, and every
+    kernel is pinned against the exact reference.
     """
     from .ladder import (
         estimate_critical_count,
@@ -676,32 +578,35 @@ def _budgeted_worst_case(
         low_discrepancy_offsets,
     )
 
-    planner = LadderPlanner(protocol_e, protocol_f, horizon)
-    remaining = float(budget_ms)
+    if sweeper is None:
+        from ..parallel import ParallelSweep
+
+        sweeper = ParallelSweep(jobs=1)
     hyper = math.lcm(protocol_e.hyperperiod(), protocol_f.hyperperiod())
-    upper0 = _one_way_upper(horizon, analytic_upper, None)
-    tier_records = [
-        {"tier": "analytic", "ran": True, "upper_bound": upper0,
-         "estimated_ms": 0.0},
-    ]
-    offsets = None
-    exact = False
-    fallback_used = False
-    # Pre-price the exact tier from the analytic count estimate: when
-    # even the estimated sweep dwarfs the budget, skip the enumeration
-    # itself -- on large pairs it costs more than the whole budget.
-    guess = estimate_critical_count(protocol_e, protocol_f, hyper)
-    guess_ms = planner.sweep_ms(guess)
-    candidate = None
-    if guess_ms > remaining:
+    planner = None
+    tier_records = []
+    if budget_ms is not None:
+        budget_ms = remaining = float(budget_ms)
+        planner = LadderPlanner(protocol_e, protocol_f, horizon)
         tier_records.append(
-            {"tier": "critical", "ran": False,
-             "estimated_offsets": guess, "estimated_ms": guess_ms,
-             "reason": "over-budget"},
+            {"tier": "analytic", "ran": True,
+             "upper_bound": _one_way_upper(horizon, analytic_upper, None),
+             "estimated_ms": 0.0},
         )
-    else:
+
+    critical = {"tier": "critical", "ran": False}
+    offsets = None
+    if planner is not None:
+        guess = estimate_critical_count(protocol_e, protocol_f, hyper)
+        guess_ms = planner.sweep_ms(guess)
+        if guess_ms > remaining:
+            critical.update(
+                estimated_offsets=guess, estimated_ms=guess_ms,
+                reason="over-budget",
+            )
+    if "reason" not in critical:
         try:
-            candidate = critical_offsets(
+            offsets = critical_offsets(
                 protocol_e,
                 protocol_f,
                 omega=omega,
@@ -710,63 +615,64 @@ def _budgeted_worst_case(
                 turnaround=turnaround,
             )
         except CriticalSetTooLarge:
-            tier_records.append(
-                {"tier": "critical", "ran": False,
-                 "reason": "critical-set-too-large"},
-            )
-    if candidate is not None:
-        estimate = planner.sweep_ms(len(candidate))
-        if estimate <= remaining:
-            offsets = candidate
-            exact = True
-            remaining -= estimate
-            tier_records.append(
-                {"tier": "critical", "ran": True,
-                 "offsets": len(candidate), "estimated_ms": estimate},
-            )
+            critical["reason"] = "critical-set-too-large"
+    if offsets is not None:
+        critical.update(ran=True, offsets=len(offsets))
+        if planner is not None:
+            estimate = planner.sweep_ms(len(offsets))
+            critical["estimated_ms"] = estimate
+            if estimate > remaining:
+                critical.update(ran=False, reason="over-budget")
+                offsets = None
+            else:
+                remaining -= estimate
+    tier_records.append(critical)
+
+    exact = offsets is not None
+    if not exact:
+        if planner is None:
+            # range(0, hyper, step) yields ceil(hyper / step) offsets,
+            # which overshoots whenever fallback_samples does not divide
+            # hyper -- cap the sample at exactly what the spec asked for.
+            step = max(1, hyper // fallback_samples)
+            offsets = list(range(0, hyper, step))[:fallback_samples]
+            dense = {"requested": fallback_samples}
         else:
-            tier_records.append(
-                {"tier": "critical", "ran": False,
-                 "offsets": len(candidate), "estimated_ms": estimate,
-                 "reason": "over-budget"},
-            )
-    if offsets is None:
-        fallback_used = True
-        size = planner.dense_tier_size(remaining, des_spot_checks, hyper)
-        offsets = low_discrepancy_offsets(hyper, size)
-        estimate = planner.sweep_ms(len(offsets))
-        remaining -= estimate
+            size = planner.dense_tier_size(remaining, des_spot_checks, hyper)
+            offsets = low_discrepancy_offsets(hyper, size)
+            dense = {"estimated_ms": planner.sweep_ms(len(offsets))}
+            remaining -= dense["estimated_ms"]
         tier_records.append(
-            {"tier": "dense", "ran": True, "offsets": len(offsets),
-             "estimated_ms": estimate},
+            {"tier": "dense", "ran": True, "offsets": len(offsets), **dense},
         )
     report = sweeper.sweep_offsets(
         protocol_e, protocol_f, offsets, horizon, reception_model, turnaround
     )
 
-    # DES spot checks sized to the leftover budget, never the other way
-    # round (with the planner's price margin, since replay prices are
-    # optimistic on long-hyperperiod pairs): one batch of half the
-    # allocation, always covering the worst offsets.
-    allocation = planner.spot_check_allocation(remaining, des_spot_checks)
-    checked: list[int] = []
-    agrees = True
-    if allocation > 0:
-        checked = _select_spot_check_offsets(
-            offsets,
-            (report.worst_offset_one_way, report.worst_offset_two_way),
-            max(1, allocation // 2),
-        )
-        checks = sweeper.spot_check_pairs(
+    # Spot checks are sized to the leftover budget, never the other way
+    # round; nothing affordable skips the tier, worst offsets included.
+    count = des_spot_checks
+    if planner is not None:
+        allocation = planner.spot_check_allocation(remaining, des_spot_checks)
+        count = max(1, allocation // 2) if allocation > 0 else None
+    checked = [] if count is None else _select_spot_check_offsets(
+        offsets,
+        (report.worst_offset_one_way, report.worst_offset_two_way),
+        count,
+    )
+    agrees = not checked or _des_agrees(
+        sweeper.spot_check_pairs(
             protocol_e, protocol_f, checked, horizon,
             reception_model, turnaround,
         )
-        agrees = not _des_mismatches(checks)
-    tier_records.append(
-        {"tier": "des", "ran": bool(checked), "checks": len(checked),
-         "allocation": allocation,
-         "estimated_ms": planner.checks_ms(len(checked))},
     )
+    des = {"tier": "des", "ran": bool(checked), "checks": len(checked)}
+    if planner is not None:
+        des.update(
+            allocation=allocation, estimated_ms=planner.checks_ms(len(checked))
+        )
+    tier_records.append(des)
+
     lo = report.worst_one_way
     hi = lo if exact else _one_way_upper(horizon, analytic_upper, lo)
     return PairWorstCase(
@@ -776,7 +682,7 @@ def _budgeted_worst_case(
         fidelity="exact" if exact else "bounded",
         bound_interval=(lo, hi),
         tiers=tuple(tier_records),
-        fallback_used=fallback_used,
+        fallback_used=not exact,
         budget_ms=budget_ms,
     )
 

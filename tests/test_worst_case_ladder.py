@@ -2,9 +2,9 @@
 
 Four contract groups:
 
-* **Ladder equivalence** -- ``fidelity="exact"`` (the default) is
-  bit-identical to the pre-ladder engine composition across the full
-  13-family protocol zoo, for every registered kernel.
+* **Ladder equivalence** -- an unbudgeted query (``fidelity="exact"``,
+  the default) is bit-identical to the pre-ladder engine composition
+  across the full 13-family protocol zoo, for every registered kernel.
 * **Budgets** -- a larger ``budget_ms`` never widens the reported bound
   interval (the dense tier's offsets are prefix-nested), tier selection
   is a pure function of the spec (the cost model is a constant), and the
@@ -206,7 +206,7 @@ def test_budget_monotonicity():
     outcomes = [
         _verified_worst_case_impl(
             protocol_e, protocol_f, horizon, omega=OMEGA,
-            des_spot_checks=SPOT_CHECKS, fidelity="auto", budget_ms=budget,
+            des_spot_checks=SPOT_CHECKS, budget_ms=budget,
         )
         for budget in budgets
     ]
@@ -241,8 +241,7 @@ def test_bounded_lower_bound_never_exceeds_exact():
     for budget in (0.5, 2.0, 10.0):
         outcome = _verified_worst_case_impl(
             protocol_e, protocol_f, horizon, omega=OMEGA,
-            des_spot_checks=SPOT_CHECKS, fidelity="bounded",
-            budget_ms=budget,
+            des_spot_checks=SPOT_CHECKS, budget_ms=budget,
         )
         lo, hi = outcome.bound_interval
         if lo is not None:
@@ -259,7 +258,7 @@ def test_tier_selection_deterministic():
     def run():
         return _verified_worst_case_impl(
             protocol_e, protocol_f, horizon, omega=OMEGA,
-            des_spot_checks=SPOT_CHECKS, fidelity="auto", budget_ms=50.0,
+            des_spot_checks=SPOT_CHECKS, budget_ms=50.0,
         )
 
     first, second = run(), run()
@@ -289,8 +288,7 @@ def test_over_budget_critical_tier_is_priced_and_skipped():
     price = planner.sweep_ms(n_critical)
     outcome = _verified_worst_case_impl(
         protocol_e, protocol_f, horizon, omega=OMEGA,
-        des_spot_checks=SPOT_CHECKS, fidelity="bounded",
-        budget_ms=price / 4,
+        des_spot_checks=SPOT_CHECKS, budget_ms=price / 4,
     )
     assert outcome.fidelity == "bounded"
     critical = next(t for t in outcome.tiers if t["tier"] == "critical")
@@ -324,7 +322,6 @@ def test_des_mismatch_runs_one_batch_and_counts_its_replays(budget_ms):
     outcome = _verified_worst_case_impl(
         protocol_e, protocol_f, horizon, omega=OMEGA,
         des_spot_checks=SPOT_CHECKS, sweeper=ContradictingSweeper(jobs=1),
-        fidelity="exact" if budget_ms is None else "bounded",
         budget_ms=budget_ms,
     )
     assert outcome.des_agrees is False
@@ -414,8 +411,7 @@ def test_plain_value_error_from_kernel_propagates(monkeypatch):
     with pytest.raises(ValueError, match="kernel bug"):
         _verified_worst_case_impl(
             protocol_e, protocol_f, 30_000, omega=OMEGA,
-            des_spot_checks=SPOT_CHECKS, fidelity="bounded",
-            budget_ms=10_000.0,
+            des_spot_checks=SPOT_CHECKS, budget_ms=10_000.0,
         )
 
 
