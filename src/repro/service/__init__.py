@@ -110,8 +110,10 @@ and the service -- keep serving.
 **At-most-once execution per fingerprint.**  Admission computes the
 store fingerprint of ``(verb, spec)`` (the
 :mod:`repro.store` contract: ``RuntimeProfile`` never enters the
-digest).  A stored fingerprint is answered from the store without
-executing; an in-flight fingerprint coalesces onto the existing job
+digest) once per distinct spec text per daemon; repeats reuse it from
+the service's identity memo.  A stored fingerprint is answered from
+the store without executing; an in-flight fingerprint coalesces onto
+the existing job
 (one compute, whose immutable result every waiter shares); only
 a cold fingerprint enqueues a new computation, whose result is written
 back exactly once.  Across N concurrent submissions of one cold spec

@@ -88,6 +88,8 @@ class Job:
     ) -> None:
         self.id = job_id
         self.verb = verb
+        #: Shared with every job of the same identity through the
+        #: service's identity memo: read-only.
         self.spec = spec
         self.fingerprint = fingerprint
         self.priority = priority

@@ -13,9 +13,9 @@ separate parties, so one failing component degrades instead of
 killing the service):
 
 * **Admission** (:meth:`SweepService.submit`) runs on the event loop:
-  fingerprint, store lookup, single-flight dedup, bounded-queue
-  back-pressure (:class:`ServiceOverload` when full -- retries of
-  already-admitted jobs bypass the bound).
+  identity (parsed spec and fingerprint), store lookup, single-flight
+  dedup, bounded-queue back-pressure (:class:`ServiceOverload` when
+  full -- retries of already-admitted jobs bypass the bound).
 * **Dispatch**: a priority queue (higher ``priority`` first, FIFO
   within a level) feeds ``workers`` asyncio worker tasks.
 * **Compute**: each worker runs jobs through a thread-local
@@ -42,6 +42,38 @@ killing the service):
 A cancelled ``run_in_executor`` thread keeps running to completion
 (stdlib executor semantics); a timed-out attempt's late store write is
 harmless -- last-writer-wins under a content-addressed key.
+
+Identity memo
+-------------
+Hot specs are asked for again and again, so admission derives each
+spec's identity once per daemon, not once per request.  The memo maps
+``(verb, compact JSON of the spec mapping)`` to the parsed
+:class:`~repro.api.RunSpec` and its fingerprint; a repeat submission
+skips both ``RunSpec.from_dict`` and :meth:`ResultStore.fingerprint
+<repro.store.ResultStore.fingerprint>`.
+
+* **Sound:** the fingerprint is a pure function of ``(verb, spec)``
+  under fixed code (the store's fingerprint contract), and a memo
+  entry is parsed from its own key text, so it is a pure function of
+  the key.  Mappings that spell the same JSON text therefore share one
+  identity: requests arriving over the wire *are* that text, and an
+  in-process tuple hashes as the list JSON makes of it.
+* **Key order kept:** the key text is not key-sorted, because key
+  order can carry meaning the fingerprint does not see (a grid's axis
+  order is its scenario order).  A permuted spelling derives its own
+  entry, parsed in its own order.
+* **Only successes:** a spec that raises :class:`~repro.api.SpecError`
+  is re-parsed, and raises again, on every submission.  A
+  :class:`~repro.api.RunSpec` argument, a mapping that does not encode
+  as JSON (live objects) and a storeless service take the unmemoized
+  path.
+* **Bounded:** at most :data:`IDENTITY_MEMO` entries,
+  least-recently-used evicted first.
+* **Shared:** every job of one identity carries the memo's own
+  ``RunSpec``.  That is safe because nothing in ``repro`` assigns a
+  ``RunSpec`` field, or edits one in place, after construction; treat
+  ``Job.spec`` as read-only.  Parsing from the key text also means the
+  memo shares no object with any caller's mapping.
 """
 
 from __future__ import annotations
@@ -49,8 +81,10 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import itertools
+import json
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import PurePath
@@ -83,6 +117,12 @@ RETRYABLE = (BrokenProcessPool, EOFError, OSError, TimeoutError)
 
 #: How many finished jobs stay addressable for status/result lookups.
 JOB_HISTORY = 1024
+
+#: Identity memo bound (module docs), fixed by entry size: an entry is
+#: the spec's JSON text (about 120 bytes for a pair spec) plus its
+#: parsed ``RunSpec``, about 2 KiB together under ``tracemalloc``, so a
+#: full memo holds about 2 MiB, a few percent of a daemon's memory.
+IDENTITY_MEMO = 1024
 
 #: Budget-derived attempt deadline: wall-clock slack over the spec's
 #: ``budget_ms`` (planner prices are estimates, not guarantees) plus a
@@ -151,6 +191,11 @@ class SweepService:
         self._inflight: dict[str, Job] = {}
         #: id -> Job for every job still addressable (bounded history).
         self._jobs: dict[str, Job] = {}
+        #: (verb, spec JSON) -> (RunSpec, fingerprint), LRU-ordered and
+        #: bounded by IDENTITY_MEMO: the identity memo (module docs).
+        self._identities: OrderedDict[
+            tuple[str, str], tuple[RunSpec, str]
+        ] = OrderedDict()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._pool: ThreadPoolExecutor | None = None
         self._worker_tasks: dict[int, asyncio.Task] = {}
@@ -178,6 +223,8 @@ class SweepService:
             "retries": 0,
             "timeouts": 0,
             "requeued": 0,
+            "identity_derived": 0,
+            "identity_reused": 0,
         }
 
     # ------------------------------------------------------------------
@@ -263,6 +310,13 @@ class SweepService:
         * **Miss**: a new queued job, registered in the single-flight
           map so later identical submissions coalesce onto it.
 
+        A mapping ``spec`` is looked up in the identity memo by its
+        compact JSON text first; a repeat spelling reuses the parsed
+        spec and fingerprint instead of deriving them again (module
+        docs: only successes are memoized, at most
+        :data:`IDENTITY_MEMO` entries, and jobs share the memo's
+        ``RunSpec``).
+
         Raises :class:`ServiceOverload` when the bounded queue is full
         and :class:`~repro.api.SpecError` for unknown verbs / invalid
         specs.  Must be called on the event-loop thread (every service
@@ -274,15 +328,8 @@ class SweepService:
             raise SpecError(
                 f"unknown service verb {verb!r}; one of {list(VERBS)}"
             )
-        if not isinstance(spec, RunSpec):
-            spec = RunSpec.from_dict(spec)
+        spec, fingerprint = self._identity(verb, spec)
         self._stats["submitted"] += 1
-        fingerprint = None
-        if self.store is not None:
-            try:
-                fingerprint = self.store.fingerprint(verb, spec)
-            except SpecError:
-                fingerprint = None  # live objects: no identity, no dedup
         if fingerprint is not None:
             inflight = self._inflight.get(fingerprint)
             if inflight is not None:
@@ -313,6 +360,40 @@ class SweepService:
         job.emit("submitted", {"fingerprint": fingerprint})
         self._enqueue(job)
         return job
+
+    def _identity(self, verb: str, spec) -> tuple[RunSpec, str | None]:
+        """``(RunSpec, fingerprint)`` for one submission, through the
+        identity memo; the fingerprint is ``None`` without a store or
+        for specs holding live objects (no identity, no dedup)."""
+        key = None
+        if self.store is not None and not isinstance(spec, RunSpec):
+            try:
+                key = (verb, json.dumps(spec, separators=(",", ":")))
+            except (TypeError, ValueError):
+                pass  # not JSON: live objects take the unmemoized path
+            else:
+                memoized = self._identities.get(key)
+                if memoized is not None:
+                    self._identities.move_to_end(key)
+                    with self._counter_lock:
+                        self._stats["identity_reused"] += 1
+                    return memoized
+                spec = json.loads(key[1])  # private copy: memo is f(key)
+        if not isinstance(spec, RunSpec):
+            spec = RunSpec.from_dict(spec)
+        if self.store is None:
+            return spec, None
+        try:
+            fingerprint = self.store.fingerprint(verb, spec)
+        except SpecError:
+            return spec, None  # live objects: no identity, no dedup
+        with self._counter_lock:
+            self._stats["identity_derived"] += 1
+        if key is not None:
+            self._identities[key] = (spec, fingerprint)
+            if len(self._identities) > IDENTITY_MEMO:
+                self._identities.popitem(last=False)
+        return spec, fingerprint
 
     def _hit_job(self, verb, spec, fingerprint, result: RunResult) -> Job:
         job = Job(f"job-{next(self._job_ids):06d}", verb, spec, fingerprint)
@@ -352,7 +433,11 @@ class SweepService:
     def stats(self) -> dict:
         """Service counters plus the shared store's
         :meth:`~repro.store.ResultStore.stats_payload` (the ``stats``
-        wire verb's payload)."""
+        wire verb's payload).
+
+        ``identity_derived`` counts fingerprints admission derived and
+        ``identity_reused`` the submissions the identity memo answered
+        instead; a storeless service moves neither."""
         with self._counter_lock:
             counters = dict(self._stats)
         payload = {

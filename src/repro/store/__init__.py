@@ -26,6 +26,13 @@ description replaced by its schema-canonical form
   in, not by import path or call-site spelling.
 * Specs holding live objects raise :class:`~repro.api.SpecError`; the
   session treats such specs as unstorable and computes directly.
+* Under fixed code the fingerprint is a pure function of the verb and
+  the spec's JSON text, so callers may memoize it keyed by that text
+  (the service's identity memo does).  Memoize successes only: an
+  error must be raised again on every call.  A memo that also hands
+  out the parsed spec keys on the text as spelled, not key-sorted: the
+  fingerprint sorts keys, yet a grid's axis order is its scenario
+  order.
 
 On-disk layout (default root ``results/store/``)
 ------------------------------------------------

@@ -169,6 +169,194 @@ class TestSingleFlight:
 
 
 # ----------------------------------------------------------------------
+# Identity memo: each spec's identity is derived once per daemon
+# ----------------------------------------------------------------------
+
+
+def permuted(mapping):
+    """The same mapping with every level's keys in reverse order."""
+    return {
+        key: permuted(value) if isinstance(value, dict) else value
+        for key, value in reversed(list(mapping.items()))
+    }
+
+
+@pytest.fixture
+def fingerprint_calls(monkeypatch):
+    """Every ``ResultStore.fingerprint`` derivation, counted on the class
+    (the attribute the repository benchmark's trace wraps)."""
+    calls = []
+    derive = ResultStore.fingerprint
+
+    def counting(verb, spec):
+        calls.append(verb)
+        return derive(verb, spec)
+
+    monkeypatch.setattr(ResultStore, "fingerprint", staticmethod(counting))
+    return calls
+
+
+class TestIdentityMemo:
+    def test_repeat_submissions_derive_the_fingerprint_once_per_spelling(
+        self, tmp_path, fingerprint_calls
+    ):
+        with Session(RuntimeProfile(), store=tmp_path / "store") as session:
+            stored = session.sweep(RunSpec.from_dict(SWEEP_SPEC))
+        fingerprint = stored.store_meta["fingerprint"]
+        del fingerprint_calls[:]
+
+        async def main():
+            service, _ = await make_service(tmp_path)
+            jobs = [service.submit("sweep", SWEEP_SPEC) for _ in range(5)]
+            assert fingerprint_calls == ["sweep"]
+            # A key-permuted spelling is its own entry, derived once.
+            jobs += [
+                service.submit("sweep", permuted(SWEEP_SPEC))
+                for _ in range(3)
+            ]
+            await service.stop()
+            return service, jobs
+
+        service, jobs = run(main())
+        assert fingerprint_calls == ["sweep", "sweep"]
+        assert all(job.source == "hit" for job in jobs)
+        assert {job.fingerprint for job in jobs} == {fingerprint}
+        assert len({id(job.spec) for job in jobs}) == 2  # the memo's own
+        counters = service.stats()["service"]
+        assert counters["identity_derived"] == 2
+        assert counters["identity_reused"] == 6
+        # The verb is part of the key: one more identity, not a reuse.
+        assert service._identity("worst_case", SWEEP_SPEC)[1] != fingerprint
+        assert fingerprint_calls == ["sweep", "sweep", "worst_case"]
+
+    def test_memo_keeps_each_spellings_key_order(self, tmp_path):
+        # A grid's axis order is its scenario order, which the
+        # fingerprint does not see: a permuted spelling must not be
+        # handed the first spelling's parsed spec.
+        async def main():
+            service, _ = await make_service(tmp_path)
+            spellings = [GRID_SPEC, permuted(GRID_SPEC)]
+            identities = [service._identity("grid", s) for s in spellings]
+            await service.stop()
+            return spellings, identities
+
+        spellings, identities = run(main())
+        for spelling, (spec, _) in zip(spellings, identities):
+            assert list(spec.grid["axes"]) == list(spelling["grid"]["axes"])
+        assert list(identities[0][0].grid["axes"]) != list(
+            identities[1][0].grid["axes"]
+        )
+
+    def test_malformed_spec_raises_every_time_and_is_never_memoized(
+        self, tmp_path, fingerprint_calls
+    ):
+        bad = dict(SWEEP_SPEC, samples=0)
+
+        async def main():
+            service, _ = await make_service(tmp_path)
+            for _ in range(3):
+                with pytest.raises(SpecError, match="samples"):
+                    service.submit("sweep", bad)
+            await service.stop()
+            return service
+
+        service = run(main())
+        assert not service._identities
+        assert fingerprint_calls == []
+        counters = service.stats()["service"]
+        assert counters["submitted"] == 0
+        assert counters["identity_derived"] == counters["identity_reused"] == 0
+
+    def test_live_object_spec_takes_the_no_identity_path(
+        self, tmp_path, fingerprint_calls
+    ):
+        from repro.api import build_pair
+
+        device_e, device_f, _ = build_pair({"kind": "symmetric", "eta": 0.05})
+        live = dict(SWEEP_SPEC, pair=[device_e, device_f])
+
+        async def main():
+            service, _ = await make_service(tmp_path)
+            jobs = [service.submit("sweep", live) for _ in range(2)]
+            await service.stop()
+            return service, jobs
+
+        service, jobs = run(main())
+        assert [job.fingerprint for job in jobs] == [None, None]
+        assert jobs[0] is not jobs[1]  # no identity, no dedup
+        assert not service._identities
+        assert len(fingerprint_calls) == 2  # tried, raised, not memoized
+        counters = service.stats()["service"]
+        assert counters["identity_derived"] == counters["identity_reused"] == 0
+
+    def test_memo_is_bounded_and_evicts_least_recently_used_first(
+        self, tmp_path, monkeypatch, fingerprint_calls
+    ):
+        monkeypatch.setattr(service_module, "IDENTITY_MEMO", 3)
+        etas = {name: sweep_spec(eta) for name, eta in
+                zip("abcd", (0.01, 0.02, 0.03, 0.04))}
+
+        async def main():
+            service, _ = await make_service(tmp_path)
+            sizes = []
+            for name in "abca":  # the repeat makes "a" most recent
+                service.submit("sweep", etas[name])
+                sizes.append(len(service._identities))
+            service.submit("sweep", etas["d"])  # evicts "b", not "a"
+            sizes.append(len(service._identities))
+            resident = [json.loads(text) for _, text in service._identities]
+            derived = len(fingerprint_calls)
+            service.submit("sweep", etas["a"])
+            assert len(fingerprint_calls) == derived  # still memoized
+            service.submit("sweep", etas["b"])
+            assert len(fingerprint_calls) == derived + 1  # evicted
+            assert len(service._identities) == 3
+            await service.stop()
+            return sizes, resident
+
+        sizes, resident = run(main())
+        assert sizes == [1, 2, 3, 3, 3]
+        assert resident == [etas["c"], etas["a"], etas["d"]]
+
+    def test_memo_shares_no_object_with_the_callers_mapping(self, tmp_path):
+        async def main():
+            service, _ = await make_service(tmp_path)
+            spec = sweep_spec(0.02)
+            first = service.submit("sweep", spec)
+            spec["pair"]["eta"] = 0.05  # the caller edits its own mapping
+            again = service.submit("sweep", sweep_spec(0.02))
+            await service.stop()
+            return first, again
+
+        first, again = run(main())
+        assert again is first
+        assert again.spec.pair == {"kind": "symmetric", "eta": 0.02}
+
+    def test_memoized_identities_are_the_pinned_addresses(self, tmp_path):
+        from tests.test_store import PINNED_KINDS
+
+        async def main():
+            service, _ = await make_service(tmp_path)
+            fingerprints = {}
+            for kind, (pair, _) in PINNED_KINDS.items():
+                spellings = [{"pair": pair}, permuted({"pair": pair})] * 2
+                fingerprints[kind] = [
+                    service.submit("sweep", spec).fingerprint
+                    for spec in spellings
+                ]
+            await service.stop()
+            return service, fingerprints
+
+        service, fingerprints = run(main())
+        assert fingerprints == {
+            kind: [digest] * 4 for kind, (_, digest) in PINNED_KINDS.items()
+        }
+        counters = service.stats()["service"]
+        assert counters["identity_derived"] == 2 * len(PINNED_KINDS)
+        assert counters["identity_reused"] == 2 * len(PINNED_KINDS)
+
+
+# ----------------------------------------------------------------------
 # Dispatch: priority, bounded admission, verbs
 # ----------------------------------------------------------------------
 
