@@ -407,7 +407,10 @@ def main(argv: list[str] | None = None) -> int:
             protocol, protocol, spot_offsets, horizon
         ),
     )
-    spot_identical = spot_serial == spot_parallel
+    # One DES outcome per offset, in offset order, on both paths.
+    spot_identical = spot_serial == spot_parallel and [
+        outcome.offset for outcome in spot_serial
+    ] == list(spot_offsets)
     identical = identical and spot_identical
     shutdown_pooled_backends()
     print(

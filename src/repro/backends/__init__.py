@@ -42,23 +42,31 @@ vectorize a batch (non-integer schedules, disabled pattern caches,
 oversized values) silently delegate to the ``python`` reference rather
 than approximate.
 
-The ``sweep_offsets_batch`` report contract
--------------------------------------------
+The ``sweep_outcomes_batch`` contract
+------------------------------------
 
-:meth:`SweepBackend.sweep_offsets_batch(params, offsets)
-<SweepBackend.sweep_offsets_batch>` returns the batch's
-:class:`~repro.simulation.analytic.SweepReport`, equal field for field
-to ``summarize_outcomes(evaluate_offsets_batch(params, offsets))``:
-worst-case ties go to the earliest offset in batch order, means are
-exact integer sums divided by their counts, and an empty batch gives
-the empty report.  The base class provides exactly that composition as
-the default (the reference; the ``python`` kernel keeps it).  The
-``numpy`` kernel overrides it to reduce its first-discovery vectors
-without building per-offset outcomes, and the persistent pool
+:meth:`SweepBackend.sweep_outcomes_batch(params, offsets)
+<SweepBackend.sweep_outcomes_batch>` is the one sweep primitive: it
+returns the batch's :class:`~repro.simulation.analytic.SweepReport`
+together with the per-offset outcomes the report reduces.
+
+* **Report.**  Equal field for field to
+  ``summarize_outcomes(evaluate_offsets_batch(params, offsets))``:
+  worst-case ties go to the earliest offset in batch order, means are
+  exact integer sums divided by their counts, and an empty batch gives
+  the empty report.
+* **Outcomes.**  A sequence aligned with ``offsets`` whose items equal
+  ``evaluate_offsets_batch``'s.  It may build each outcome only when
+  it is read: the ``numpy`` kernel keeps its two first-discovery
+  vectors behind :class:`~repro.backends.numpy_kernel.DiscoveryVectors`
+  and reduces the report from them without per-offset outcomes.
+
+The base class provides exactly that composition as the default (the
+reference; the ``python`` kernel keeps it), and the persistent pool
 summarizes its workers' outcomes in the parent.
-:meth:`repro.parallel.ParallelSweep.sweep_offsets` is one call to it;
-``evaluate_offsets_batch`` keeps returning per-offset outcomes for
-callers that need them.
+:meth:`repro.parallel.ParallelSweep.sweep_offsets` is one call to the
+primitive; the worst-case engine reads its DES spot-checked offsets
+from the outcomes, so its replays check the numbers it reports.
 
 The ``enumerate_critical_offsets`` operation (PR 5)
 ---------------------------------------------------

@@ -104,18 +104,24 @@ class SweepBackend(ABC):
     ) -> "list[DiscoveryOutcome]":
         """Evaluate both-direction discovery at every offset, in order."""
 
-    def sweep_offsets_batch(
+    def sweep_outcomes_batch(
         self, params: SweepParams, offsets: Sequence[int]
-    ) -> "SweepReport":
-        """The batch's :class:`SweepReport`, equal field for field to
+    ) -> "tuple[SweepReport, Sequence[DiscoveryOutcome]]":
+        """The batch's :class:`SweepReport` and the per-offset outcomes
+        it reduces, both from one evaluation.
+
+        The report is equal field for field to
         ``summarize_outcomes(evaluate_offsets_batch(params, offsets))``
         -- which this default is, and the reference every override is
-        pinned against.  Kernels that can reduce without building
-        per-offset outcomes override it.
+        pinned against.  The outcomes are a sequence aligned with
+        ``offsets`` whose items equal ``evaluate_offsets_batch``'s;
+        kernels that can reduce without building per-offset outcomes
+        override this and build each one only when it is read.
         """
         from ..simulation.analytic import summarize_outcomes
 
-        return summarize_outcomes(self.evaluate_offsets_batch(params, offsets))
+        outcomes = self.evaluate_offsets_batch(params, offsets)
+        return summarize_outcomes(outcomes), outcomes
 
     def enumerate_critical_offsets(
         self,

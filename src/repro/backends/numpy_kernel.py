@@ -59,12 +59,14 @@ Bit-identity is by construction, not by approximation:
   the :class:`repro.backends.python_loop.PythonBackend` reference
   wholesale.
 
-:meth:`NumpyBackend.sweep_offsets_batch` reduces the two
-first-discovery vectors straight into the :class:`SweepReport`
-(:func:`summarize_discovery_vectors`): no per-offset outcome is built,
+The two first-discovery vectors are the kernel's one answer.
+:meth:`NumpyBackend.sweep_outcomes_batch` reduces them straight into
+the :class:`SweepReport` (:func:`summarize_discovery_vectors`):
 worst-case ties go to the earliest offset via ``argmax``, and means
 divide exact Python-int sums (summed in int64 unless that could
-overflow).
+overflow).  Its outcomes are the same vectors behind
+:class:`DiscoveryVectors`, which builds an outcome only when one is
+read; :meth:`NumpyBackend.evaluate_offsets_batch` reads them all.
 
 The equivalence zoo pins ``python`` ≡ ``numpy`` across all 13 protocol
 families and all three reception models, for outcomes and reports;
@@ -75,6 +77,7 @@ schedules and offset batches.
 from __future__ import annotations
 
 import math
+from collections import abc
 from typing import Sequence
 
 from ..core.sequences import NDProtocol
@@ -94,7 +97,11 @@ from .base import (
     SweepParams,
 )
 
-__all__ = ["NumpyBackend", "summarize_discovery_vectors"]
+__all__ = [
+    "DiscoveryVectors",
+    "NumpyBackend",
+    "summarize_discovery_vectors",
+]
 
 # int64 headroom: offsets/horizons beyond this could overflow the
 # residue arithmetic (t - rx_phase spans twice the magnitude), so such
@@ -190,6 +197,54 @@ def summarize_discovery_vectors(
     )
 
 
+def _discovery_time(vector, index: int) -> int | None:
+    """One first-discovery time of a vector (``None``: not discovered,
+    or a direction that cannot discover)."""
+    if vector is None:
+        return None
+    time = int(vector[index])
+    return time if time >= 0 else None
+
+
+class DiscoveryVectors(abc.Sequence):
+    """The per-offset outcomes two first-discovery vectors hold, as a
+    sequence aligned with ``offsets`` (vectors as
+    :func:`summarize_discovery_vectors` takes them).
+
+    Reading one index builds one :class:`DiscoveryOutcome`, so a caller
+    that looks up a few offsets of a large batch pays for those alone;
+    iterating converts each vector once.
+    """
+
+    def __init__(self, offsets: list[int], e_by_f, f_by_e) -> None:
+        self.offsets = offsets
+        self.e_by_f = e_by_f
+        self.f_by_e = f_by_e
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, index: int) -> DiscoveryOutcome:
+        return DiscoveryOutcome(
+            offset=self.offsets[index],
+            e_discovered_by_f=_discovery_time(self.e_by_f, index),
+            f_discovered_by_e=_discovery_time(self.f_by_e, index),
+        )
+
+    def __iter__(self):
+        missing = [-1] * len(self.offsets)
+        e_by_f, f_by_e = (
+            missing if vec is None else vec.tolist()
+            for vec in (self.e_by_f, self.f_by_e)
+        )
+        for offset, a, b in zip(self.offsets, e_by_f, f_by_e):
+            yield DiscoveryOutcome(
+                offset=offset,
+                e_discovered_by_f=a if a >= 0 else None,
+                f_discovered_by_e=b if b >= 0 else None,
+            )
+
+
 class NumpyBackend(SweepBackend):
     """The vectorized kernel behind ``backend="numpy"``."""
 
@@ -217,29 +272,22 @@ class NumpyBackend(SweepBackend):
             return get_backend("python").evaluate_offsets_batch(
                 params, offsets
             )
-        missing = [-1] * len(offsets)
-        e_by_f, f_by_e = (
-            missing if vec is None else vec.tolist() for vec in vectors
-        )
-        return [
-            DiscoveryOutcome(
-                offset=offset,
-                e_discovered_by_f=a if a >= 0 else None,
-                f_discovered_by_e=b if b >= 0 else None,
-            )
-            for offset, a, b in zip(offsets, e_by_f, f_by_e)
-        ]
+        return list(DiscoveryVectors(offsets, *vectors))
 
-    def sweep_offsets_batch(
+    def sweep_outcomes_batch(
         self, params: SweepParams, offsets: Sequence[int]
-    ) -> SweepReport:
+    ) -> tuple[SweepReport, Sequence[DiscoveryOutcome]]:
         """The batch's :class:`SweepReport`, reduced straight from the
-        two first-discovery vectors: no per-offset outcome is built."""
+        two first-discovery vectors, and the outcomes they hold
+        (:class:`DiscoveryVectors`: one is built only when read)."""
         offsets = list(offsets)
         vectors = self._discovery_vectors(params, offsets) if offsets else None
         if vectors is None:
-            return get_backend("python").sweep_offsets_batch(params, offsets)
-        return summarize_discovery_vectors(offsets, *vectors)
+            return get_backend("python").sweep_outcomes_batch(params, offsets)
+        return (
+            summarize_discovery_vectors(offsets, *vectors),
+            DiscoveryVectors(offsets, *vectors),
+        )
 
     def _discovery_vectors(self, params: SweepParams, offsets: list[int]):
         """``(e_by_f, f_by_e)``: per-offset first-discovery times as

@@ -294,17 +294,18 @@ class PooledBackend:
             row for future in futures for row in future.result()
         )
 
-    def sweep_offsets_batch(
+    def sweep_outcomes_batch(
         self, params: SweepParams, offsets: Sequence[int]
-    ) -> SweepReport:
-        """Shard one batch and summarize its outcomes in the parent,
-        equal to the inner kernel's report in-process."""
+    ) -> tuple[SweepReport, Sequence[DiscoveryOutcome]]:
+        """Shard one batch and summarize its outcomes in the parent:
+        the report and outcomes of the inner kernel in-process."""
         offsets = list(offsets)
         if self.jobs <= 1 or len(offsets) < 2:
-            return get_backend(self.inner).sweep_offsets_batch(
+            return get_backend(self.inner).sweep_outcomes_batch(
                 params, offsets
             )
-        return summarize_outcomes(self.evaluate_offsets_batch(params, offsets))
+        outcomes = self.evaluate_offsets_batch(params, offsets)
+        return summarize_outcomes(outcomes), outcomes
 
 
 # ----------------------------------------------------------------------

@@ -6,15 +6,19 @@ offset, one DES replay per spot-check offset, or one event-driven
 network run per grid point.  :class:`ParallelSweep` shards them across
 worker processes while preserving the serial path's results exactly:
 
-* an offset sweep's report comes from one
-  :meth:`repro.backends.SweepBackend.sweep_offsets_batch` call.
+* an offset sweep's report and its per-offset outcomes come from one
+  :meth:`repro.backends.SweepBackend.sweep_outcomes_batch` call.
   In-process, the ``numpy`` kernel reduces its first-discovery vectors
-  straight into the :class:`SweepReport` and builds no per-offset
-  outcome; the ``python`` kernel and the pool fold per-offset outcomes
-  (the pool's come back from its workers in offset order) with
-  :func:`repro.simulation.analytic.summarize_outcomes`, the reference
-  every reduction is pinned equal to (earliest-offset ties, exact
-  integer sums for the means);
+  straight into the :class:`SweepReport` and builds an outcome only
+  when one is read; the ``python`` kernel and the pool fold per-offset
+  outcomes (the pool's come back from its workers in offset order)
+  with :func:`repro.simulation.analytic.summarize_outcomes`, the
+  reference every reduction is pinned equal to (earliest-offset ties,
+  exact integer sums for the means);
+* a DES spot check is a replay and nothing else: the worst-case
+  engine compares it with the sweep's own outcome at that offset, so
+  the check covers the answer the engine reports.  The event-driven
+  simulator shares no code with the kernels or the pattern cache;
 * seeded runs derive each item's seed from its *global* index via
   :func:`repro.parallel.cache.derive_seed`, never from its submission
   slot, so scheduling is invisible to the RNG.
@@ -43,13 +47,13 @@ under both fork and spawn start methods.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 # Bound at module level so instrumentation can count pool boots here.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 
 from ..core.sequences import NDProtocol
 from ..simulation.analytic import (
     DiscoveryOutcome,
-    mutual_discovery_times,
     ReceptionModel,
     SweepReport,
 )
@@ -78,35 +82,27 @@ def _spot_check_replay(
     horizon: int,
     model: ReceptionModel,
     turnaround: int,
-) -> tuple[DiscoveryOutcome, DiscoveryOutcome]:
-    """One spot check: exact analytic outcome plus a DES replay.
+    stop: int | None,
+) -> DiscoveryOutcome:
+    """One spot check: a DES replay
+    (:func:`repro.simulation.runner.simulate_pair`) and nothing else.
 
-    The replay (:func:`repro.simulation.runner.simulate_pair`) stops
-    once every direction that can discover has discovered, which is all
-    a :class:`DiscoveryOutcome` records, and, for integer schedules
-    (spot checks have ideal clocks and no jitter), at the periodicity
-    point one joint hyperperiod past the boot transient, where a
-    still-undiscovered direction is deadlocked.  The analytic side gets
-    no such stop: it deliberately uses the *uncached* reference
-    :func:`repro.simulation.analytic.mutual_discovery_times`, which runs
-    to the horizon, so a wrong stop shows as ``des_agrees == False``
-    rather than hiding.  Float schedules (``float-period-pi``) replay to
-    the horizon too.  A spot
-    check compares the DES replay with that reference only, never with
-    the outcomes of the kernel and pattern-cache layers the sweep ran
-    through (the equivalence tests pin those to the same reference).
-    The single shared body is what makes the pooled and in-process
-    spot-check paths identical by construction.
+    The replay stops once every direction that can discover has
+    discovered, which is all a :class:`DiscoveryOutcome` records, and,
+    for integer schedules (spot checks have ideal clocks and no
+    jitter), at ``stop``: the pair's periodicity point one joint
+    hyperperiod past the boot transient
+    (:func:`repro.simulation.runner._periodic_stop`, computed once per
+    batch), where a still-undiscovered direction is deadlocked.  Float
+    schedules (``float-period-pi``) have no ``stop`` and replay to the
+    horizon.  The single shared body is what makes the pooled and
+    in-process spot-check paths identical by construction.
     """
-    from ..simulation.runner import simulate_pair
+    from ..simulation.runner import _replay_pair
 
-    analytic = mutual_discovery_times(
-        protocol_e, protocol_f, offset, horizon, model, turnaround
+    return _replay_pair(
+        protocol_e, protocol_f, offset, horizon, model, turnaround, stop
     )
-    des = simulate_pair(
-        protocol_e, protocol_f, offset, horizon, model, turnaround
-    )
-    return analytic, des
 
 
 def _network_one_cfg(config: dict, item: tuple[int, object]):
@@ -239,14 +235,24 @@ class ParallelSweep:
         horizon: int,
         model: ReceptionModel = ReceptionModel.POINT,
         turnaround: int = 0,
-    ) -> SweepReport:
+        *,
+        with_outcomes: bool = False,
+    ) -> SweepReport | tuple[SweepReport, Sequence[DiscoveryOutcome]]:
         """Parallel :func:`repro.simulation.analytic.sweep_offsets`,
-        bit-identical to the serial call."""
+        bit-identical to the serial call.
+
+        Returns the :class:`SweepReport`, or with ``with_outcomes`` the
+        pair ``(report, outcomes)``: the per-offset outcomes the report
+        reduces, a sequence aligned with ``offsets`` (the worst-case
+        engine reads its spot-checked offsets from it).  Either way the
+        batch is evaluated once.
+        """
         from ..backends import SweepParams
 
         params = SweepParams(protocol_e, protocol_f, horizon, model, turnaround)
         runner = self.pool() or self._resolve_backend()
-        return runner.sweep_offsets_batch(params, list(offsets))
+        report, outcomes = runner.sweep_outcomes_batch(params, list(offsets))
+        return (report, outcomes) if with_outcomes else report
 
     # ------------------------------------------------------------------
     def evaluate_offsets(
@@ -277,10 +283,21 @@ class ParallelSweep:
         horizon: int,
         model: ReceptionModel = ReceptionModel.POINT,
         turnaround: int = 0,
-    ) -> list[tuple[DiscoveryOutcome, DiscoveryOutcome]]:
-        """Per-offset ``(analytic, DES)`` outcome pairs, in input order.
+    ) -> list[DiscoveryOutcome]:
+        """One DES replay outcome per offset, in input order.
 
-        The DES replays dominate ``verified_worst_case`` once sweeps are
+        The worst-case engine compares these with the outcomes its own
+        sweep reported at the same offsets, so ``des_agrees`` says the
+        event-driven simulator reproduces the numbers the verdict is
+        made of.  The DES shares no code with the kernels or the
+        pattern cache: a wrong kernel answer shows as a mismatch.  A
+        wrong DES stop shows too: the replay's periodic stop and the
+        numpy kernel's dead-lane retirement are independent mechanisms
+        (the python kernel has no early stop at all), and
+        ``tests/test_des_periodic_stop_property.py`` pins the stopped
+        replay against a full-horizon one.
+
+        The replays dominate ``verified_worst_case`` once sweeps are
         fast; each offset is an independent simulation, so they shard
         one-per-submission like the work-stealing grid path.  Both the
         serial and the pooled path run identical computations per
@@ -293,7 +310,10 @@ class ParallelSweep:
         Long-horizon validations -- where the replays actually
         dominate -- clear the floor and shard.
         """
+        from ..simulation.runner import _periodic_stop
+
         offsets = list(offsets)
+        stop = _periodic_stop(protocol_e, protocol_f, turnaround)
         pool = self.pool()
         if (
             pool is None
@@ -304,7 +324,8 @@ class ParallelSweep:
         ):
             return [
                 _spot_check_replay(
-                    protocol_e, protocol_f, offset, horizon, model, turnaround
+                    protocol_e, protocol_f, offset, horizon, model,
+                    turnaround, stop,
                 )
                 for offset in offsets
             ]
@@ -312,6 +333,7 @@ class ParallelSweep:
             pool.submit(
                 _spot_check_replay,
                 protocol_e, protocol_f, offset, horizon, model, turnaround,
+                stop,
             )
             for offset in offsets
         ]

@@ -44,7 +44,7 @@ once the pair's outcome is decided.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import partial
 from operator import itemgetter
 from typing import Callable
@@ -139,18 +139,33 @@ class Node:
         if self.protocol.beacons is not None:
             period = self.protocol.beacons.period
             local_now = self.clock.to_local(self.sim.now - self.start_time)
+            pattern = tuple(
+                (b.time, b.duration) for b in self.protocol.beacons.beacons
+            )
             first_instance = (local_now - period) // period - 1
+            index = -1
             if self.start_time > 0:
                 # A positive start_time means the device *boots* then
                 # (gradual-join scenarios): its schedule begins at local
                 # time 0, with no pre-boot periodic extension.
                 first_instance = max(int(first_instance), 0)
-            self._pattern = tuple(
-                (b.time, b.duration) for b in self.protocol.beacons.beacons
-            )
+            elif (
+                self._rng is None
+                and type(self.clock) is IdealClock
+                and type(local_now) is int
+                and type(period) is int
+            ):
+                # No jitter to draw and no rounding: start the skip just
+                # before the first beacon at or after now.  Beacon times
+                # are sorted and below the period, so that beacon is the
+                # first at or after the residue, else the next
+                # instance's first.
+                first_instance, residue = divmod(local_now, period)
+                index = bisect_left(pattern, (residue,)) - 1
+            self._pattern = pattern
             self._period = period
             self._instance = int(first_instance)
-            self._index = -1
+            self._index = index
             self._push_next_beacon(self.sim.now)
 
     def _push_next_beacon(self, now: int) -> None:

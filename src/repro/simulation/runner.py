@@ -11,8 +11,8 @@ Three levels of fidelity:
   simultaneously on one collision-prone channel (the Appendix-B
   scenario).
 * The exact analytic sweep lives in :mod:`repro.simulation.analytic`;
-  :func:`verified_worst_case` cross-checks DES against analytic results
-  on critical offsets.
+  :func:`verified_worst_case` replays spot-checked critical offsets in
+  the DES and compares them with the sweep's own outcomes.
 """
 
 from __future__ import annotations
@@ -98,13 +98,12 @@ def _make_pair(
 def _periodic_stop(
     protocol_e: NDProtocol,
     protocol_f: NDProtocol,
-    offset: int,
     turnaround: int,
 ) -> int | None:
-    """The instant by which an ideal-clock, jitter-free pair replay has
-    made every first decode it ever will, or ``None`` when the pair's
-    schedules are not all integers (then nothing is periodic on the
-    integer grid).
+    """The instant by which an ideal-clock, jitter-free pair replay at an
+    integer offset has made every first decode it ever will, or ``None``
+    when the pair's schedules are not all integers (then nothing is
+    periodic on the integer grid).
 
     Packets starting before 0 never went on air, and neither did the
     receiver's pre-zero beacons, whose blocks end before
@@ -112,9 +111,10 @@ def _periodic_stop(
     From then on every decode repeats with the joint hyperperiod
     ``H_j``, so a first decode is of a packet starting before
     ``D + turnaround + H_j`` and is decided by
-    ``2 * (D + turnaround) + H_j``.
+    ``2 * (D + turnaround) + H_j``.  The instant does not depend on the
+    offset, so a batch of replays of one pair computes it once.
     """
-    values = [offset, turnaround]
+    values = [turnaround]
     longest = 0
     for protocol in (protocol_e, protocol_f):
         if protocol.beacons is not None:
@@ -166,6 +166,41 @@ def simulate_pair(
     outcome is the same.  Drifting, jittered and float-schedule pairs
     run to the horizon.
     """
+    stop = None
+    if not (drift_ppm_e or drift_ppm_f or advertising_jitter):
+        stop = _periodic_stop(protocol_e, protocol_f, turnaround)
+    return _replay_pair(
+        protocol_e,
+        protocol_f,
+        offset,
+        horizon,
+        reception_model,
+        turnaround,
+        stop,
+        drift_ppm_e,
+        drift_ppm_f,
+        advertising_jitter,
+        seed,
+    )
+
+
+def _replay_pair(
+    protocol_e: NDProtocol,
+    protocol_f: NDProtocol,
+    offset: int,
+    horizon: int,
+    reception_model: ReceptionModel,
+    turnaround: int,
+    stop: int | None,
+    drift_ppm_e: int = 0,
+    drift_ppm_f: int = 0,
+    advertising_jitter: int = 0,
+    seed: int = 0,
+) -> DiscoveryOutcome:
+    """The replay behind :func:`simulate_pair`, ending at the periodic
+    ``stop`` (:func:`_periodic_stop` of the pair, or ``None``) when the
+    offset is an integer.  ``stop`` must be ``None`` for drifting or
+    jittered replays."""
     e_to_f = protocol_e.beacons is not None and protocol_f.reception is not None
     f_to_e = protocol_f.beacons is not None and protocol_e.reception is not None
     pending = e_to_f + f_to_e
@@ -200,10 +235,8 @@ def simulate_pair(
     node_f.activate()
     # Slack covers decode decisions deferred past the last packet end.
     end = horizon + turnaround + 1
-    if not (drift_ppm_e or drift_ppm_f or advertising_jitter):
-        stop = _periodic_stop(protocol_e, protocol_f, offset, turnaround)
-        if stop is not None and stop < end:
-            end = stop
+    if stop is not None and type(offset) is int and stop < end:
+        end = stop
     sim.run_until(end)
     return DiscoveryOutcome(
         offset=offset,
@@ -454,7 +487,10 @@ class PairWorstCase:
 
     analytic: SweepReport
     des_agrees: bool
-    """Did the event-driven simulator reproduce the analytic worst case?"""
+    """Did the event-driven simulator reproduce the numbers reported?
+    Every DES replay of the des tier must equal the sweep's own outcome
+    (both directions) at its offset: the outcomes ``analytic`` was
+    reduced from, worst offsets included."""
     offsets_checked: int
     fidelity: str = "exact"
     """Verdict: ``"exact"`` or ``"bounded"`` (see class docstring)."""
@@ -473,13 +509,16 @@ def _select_spot_check_offsets(
     required,
     count: int,
     rng_seed: int = 1234,
-) -> list[int]:
+) -> tuple[list[int], list[int | None]]:
     """Deterministic, duplicate-free DES spot-check offset selection.
 
     Always includes every offset in ``required`` (the sweep's worst
     offsets), then fills up to ``min(count, unique offsets)`` with a
     seeded :meth:`random.Random.sample` over the remaining *unique*
-    offsets in first-occurrence order.
+    offsets in first-occurrence order.  Returns the chosen offsets,
+    sorted, and each one's first position in the sequence ``offsets``
+    (``None`` for a required offset it does not hold), so the caller
+    reads the sweep's outcome at each without another pass.
 
     Replaces a rejection loop that drew until the set was full: with
     duplicate-heavy offset lists its target ``min(count, len(offsets))``
@@ -488,27 +527,31 @@ def _select_spot_check_offsets(
     accident of the input.  Sampling without replacement from the
     deduplicated pool is exact, draw-count-stable and cannot stall.
     """
-    unique = list(dict.fromkeys(offsets))
+    n = len(offsets)
+    # Walking the offsets backwards leaves each one's first position.
+    first = dict(zip(reversed(offsets), range(n - 1, -1, -1)))
+    unique = offsets if len(first) == n else list(dict.fromkeys(offsets))
     chosen = dict.fromkeys(offset for offset in required if offset is not None)
-    target = min(count, len(unique))
-    remaining = [offset for offset in unique if offset not in chosen]
-    need = target - len(chosen)
+    need = min(count, len(unique)) - len(chosen)
     if need > 0:
-        rng = random.Random(rng_seed)
-        chosen.update(
-            dict.fromkeys(rng.sample(remaining, min(need, len(remaining))))
+        # The pool is ``unique`` less the chosen offsets.  Sampling its
+        # positions draws what sampling its values would (``sample``
+        # reads only the population's length), and each drawn position
+        # steps over the chosen offsets' slots in ``unique``.
+        slot = first if unique is offsets else dict(
+            zip(unique, range(len(unique)))
         )
-    return sorted(chosen)
-
-
-def _des_agrees(checks) -> bool:
-    """Does every event-driven replay reproduce its analytic outcome
-    (both discovery directions)?"""
-    return all(
-        analytic_outcome.e_discovered_by_f == des_outcome.e_discovered_by_f
-        and analytic_outcome.f_discovered_by_e == des_outcome.f_discovered_by_e
-        for analytic_outcome, des_outcome in checks
-    )
+        taken = sorted(slot[offset] for offset in chosen if offset in slot)
+        size = len(unique) - len(taken)
+        rng = random.Random(rng_seed)
+        for index in rng.sample(range(size), min(need, size)):
+            for skipped in taken:
+                if skipped > index:
+                    break
+                index += 1
+            chosen[unique[index]] = None
+    checked = sorted(chosen)
+    return checked, [first.get(offset) for offset in checked]
 
 
 def _one_way_upper(horizon: int, analytic_upper, lo) -> int:
@@ -550,8 +593,11 @@ def _verified_worst_case_impl(
     3. **dense** -- a sampled sweep in place of a skipped critical
        tier; its maximum is the lower bound.
     4. **des** -- one batch of DES spot checks: the sweep's worst
-       offsets plus a seeded sample of the rest.  It alone decides
-       ``des_agrees``.
+       offsets plus a seeded sample of the rest.  Each replay is
+       compared with the sweep's outcome at that offset, read from the
+       per-offset outcomes the report was reduced from (the selection
+       hands back each offset's position), so it alone decides
+       ``des_agrees`` and pays for the replays only.
 
     Unbudgeted, the critical tier always runs, the dense tier is a
     stride sample capped at ``fallback_samples`` offsets, and the des
@@ -645,8 +691,9 @@ def _verified_worst_case_impl(
         tier_records.append(
             {"tier": "dense", "ran": True, "offsets": len(offsets), **dense},
         )
-    report = sweeper.sweep_offsets(
-        protocol_e, protocol_f, offsets, horizon, reception_model, turnaround
+    report, outcomes = sweeper.sweep_offsets(
+        protocol_e, protocol_f, offsets, horizon, reception_model, turnaround,
+        with_outcomes=True,
     )
 
     # Spot checks are sized to the leftover budget, never the other way
@@ -655,17 +702,18 @@ def _verified_worst_case_impl(
     if planner is not None:
         allocation = planner.spot_check_allocation(remaining, des_spot_checks)
         count = max(1, allocation // 2) if allocation > 0 else None
-    checked = [] if count is None else _select_spot_check_offsets(
-        offsets,
-        (report.worst_offset_one_way, report.worst_offset_two_way),
-        count,
-    )
-    agrees = not checked or _des_agrees(
-        sweeper.spot_check_pairs(
-            protocol_e, protocol_f, checked, horizon,
-            reception_model, turnaround,
+    checked, positions = ([], []) if count is None else (
+        _select_spot_check_offsets(
+            offsets,
+            (report.worst_offset_one_way, report.worst_offset_two_way),
+            count,
         )
     )
+    # The DES must reproduce the sweep's own outcome at every checked
+    # offset: the numbers the report was reduced from.
+    agrees = not checked or sweeper.spot_check_pairs(
+        protocol_e, protocol_f, checked, horizon, reception_model, turnaround,
+    ) == [outcomes[position] for position in positions]
     des = {"tier": "des", "ran": bool(checked), "checks": len(checked)}
     if planner is not None:
         des.update(

@@ -378,13 +378,15 @@ class TestSpotCheckSelection:
     def select(self, offsets, required=(), count=16):
         from repro.simulation.runner import _select_spot_check_offsets
 
-        return _select_spot_check_offsets(offsets, required, count)
+        return _select_spot_check_offsets(offsets, required, count)[0]
 
     def test_duplicate_heavy_offsets_terminate(self):
         # 30 copies of one value plus one other: the old loop's target
         # of min(16, 31) = 16 unique offsets was unreachable.
+        from repro.simulation.runner import _select_spot_check_offsets
+
         offsets = [7] * 30 + [9]
-        assert self.select(offsets) == [7, 9]
+        assert _select_spot_check_offsets(offsets, (), 16) == ([7, 9], [0, 30])
 
     def test_selection_is_deterministic_and_duplicate_free(self):
         offsets = [offset % 40 for offset in range(0, 400, 7)]
@@ -438,7 +440,10 @@ class TestSpotCheckSelection:
             protocol, protocol, offsets, horizon
         )
         assert pooled == serial
-        assert [analytic.offset for analytic, _ in pooled] == offsets
+        assert pooled == [
+            mutual_discovery_times(protocol, protocol, offset, horizon)
+            for offset in offsets
+        ]
 
     def test_short_spot_check_batch_stays_in_process(self):
         """Below the estimated-event floor a ``jobs > 1`` batch replays

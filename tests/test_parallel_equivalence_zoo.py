@@ -21,8 +21,8 @@ fidelity knobs of grid scenarios.  This file pins that invariant:
   bit-identical for every family under **all three** reception
   models, plus persistent-pool lifecycle units (lazy creation, reuse
   across sweeps, explicit shutdown, no leaked worker processes);
-* the report path: ``NumpyBackend.sweep_offsets_batch`` (both of its
-  engines) equals ``summarize_outcomes`` over the reference for every
+* the report path: ``NumpyBackend.sweep_outcomes_batch``'s report (both
+  of its engines) equals ``summarize_outcomes`` over the reference for every
   family, model and turnaround {0, 150}, plus the reduction's corner
   cases (empty and single-offset batches, unidirectional pairs,
   all-undiscovered batches, earliest-offset ties) and ``jobs=2`` ==
@@ -83,6 +83,7 @@ from repro.protocols import (
 from repro.simulation import (
     critical_offsets,
     evaluate_offsets,
+    mutual_discovery_times,
     ReceptionModel,
     summarize_outcomes,
     sweep_network_grid,
@@ -365,7 +366,8 @@ def _reference_report(
 @needs_numpy
 @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
 def test_family_report_path_matches_reference(family):
-    """``NumpyBackend.sweep_offsets_batch`` equals ``summarize_outcomes``
+    """``NumpyBackend.sweep_outcomes_batch``'s report equals
+    ``summarize_outcomes``
     over the exact reference for every family, reception model and
     turnaround {0, 150}, on critical, uniform-stride, shuffled and
     stride-1 boot-region offsets."""
@@ -383,7 +385,7 @@ def test_family_report_path_matches_reference(family):
                     protocol_e, protocol_f, offsets, horizon, model,
                     turnaround,
                 )
-                got = kernel.sweep_offsets_batch(params, offsets)
+                got, _ = kernel.sweep_outcomes_batch(params, offsets)
                 assert got == expected, (family, turnaround, model, name)
 
 
@@ -418,7 +420,8 @@ class TestReportPathEdgeCases:
             protocol_e, protocol_f, offsets, horizon, model, 0
         )
         params = SweepParams(protocol_e, protocol_f, horizon, model)
-        assert NumpyBackend().sweep_offsets_batch(params, offsets) == expected
+        report, _ = NumpyBackend().sweep_outcomes_batch(params, offsets)
+        assert report == expected
         return expected
 
     def test_empty_and_single_offset_batches(self):
@@ -739,12 +742,17 @@ class TestPersistentPoolLifecycle:
         assert pooled == serial
         protocol_e, protocol_f = ZOO["disco"]()
         offsets, horizon = _workload(protocol_e, protocol_f)
-        reference = ParallelSweep(jobs=1).spot_check_pairs(
+        serial_checks = ParallelSweep(jobs=1).spot_check_pairs(
             protocol_e, protocol_f, offsets[:4], horizon
         )
         assert executor.spot_check_pairs(
             protocol_e, protocol_f, offsets[:4], horizon
-        ) == reference
+        ) == serial_checks
+        # One DES outcome per offset, in order, equal to the reference.
+        assert serial_checks == [
+            mutual_discovery_times(protocol_e, protocol_f, offset, horizon)
+            for offset in offsets[:4]
+        ]
 
 
 # ----------------------------------------------------------------------

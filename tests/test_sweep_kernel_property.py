@@ -18,8 +18,8 @@ with horizons that mostly end mid-instance (some on or just past a
 beacon start, where a discovery can land exactly on the horizon), under
 all three reception models and turnaround {0, 5, 50}.
 ``evaluate_offsets_batch`` must equal ``analytic.evaluate_offsets``
-outcome for outcome, and ``sweep_offsets_batch`` must equal
-``summarize_outcomes`` over them.
+outcome for outcome, and ``sweep_outcomes_batch`` must return
+``summarize_outcomes`` over them and the same outcomes.
 
 A second property pins dead-lane retirement: on commensurate pairs
 (joint hyperperiod at most six periods) with horizons of 4-8 joint
@@ -143,9 +143,10 @@ def test_numpy_kernel_matches_reference(batches, data, model, turnaround):
     params = SweepParams(protocol_e, protocol_f, horizon, model, turnaround)
     kernel = NumpyBackend()
     assert kernel.evaluate_offsets_batch(params, offsets) == expected
-    assert kernel.sweep_offsets_batch(params, offsets) == summarize_outcomes(
-        expected
-    )
+    report, outcomes = kernel.sweep_outcomes_batch(params, offsets)
+    assert report == summarize_outcomes(expected)
+    assert list(outcomes) == expected
+    assert [outcomes[i] for i in range(len(outcomes))] == expected
 
 
 @st.composite
@@ -187,6 +188,6 @@ def test_retirement_is_independent_of_batch_composition(
         for outcome in kernel.evaluate_offsets_batch(params, chunk)
     ]
     assert chunked == expected
-    assert kernel.sweep_offsets_batch(params, offsets) == summarize_outcomes(
-        expected
-    )
+    report, outcomes = kernel.sweep_outcomes_batch(params, offsets)
+    assert report == summarize_outcomes(expected)
+    assert list(outcomes) == expected

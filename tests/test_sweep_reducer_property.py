@@ -1,6 +1,6 @@
 """Property test: the numpy kernel's vector reducer equals the reference fold.
 
-``NumpyBackend.sweep_offsets_batch`` never builds per-offset outcomes:
+``NumpyBackend.sweep_outcomes_batch`` builds no per-offset outcome:
 it reduces the two first-discovery vectors straight into a
 :class:`SweepReport` (:func:`repro.backends.numpy_kernel.summarize_discovery_vectors`).
 This file pins that reduction to

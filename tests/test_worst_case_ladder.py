@@ -31,7 +31,11 @@ from repro.api.result import rehydrate_raw
 from repro.backends import available_backends, CriticalSetTooLarge
 from repro.parallel import ParallelSweep
 from repro.protocols import Disco, Nihao, Role
-from repro.simulation import critical_offsets, ReceptionModel
+from repro.simulation import (
+    critical_offsets,
+    mutual_discovery_times,
+    ReceptionModel,
+)
 from repro.simulation.ladder import (
     estimate_critical_count,
     LadderPlanner,
@@ -94,7 +98,7 @@ def _legacy_engine(
     report = sweeper.sweep_offsets(
         protocol_e, protocol_f, offsets, horizon, ReceptionModel.POINT, 0
     )
-    check_offsets = _select_spot_check_offsets(
+    check_offsets, _ = _select_spot_check_offsets(
         offsets,
         (report.worst_offset_one_way, report.worst_offset_two_way),
         des_spot_checks,
@@ -103,10 +107,12 @@ def _legacy_engine(
         protocol_e, protocol_f, check_offsets, horizon,
         ReceptionModel.POINT, 0,
     )
+    # The old engine scored each replay against the uncached reference.
     agrees = all(
-        a.e_discovered_by_f == d.e_discovered_by_f
-        and a.f_discovered_by_e == d.f_discovered_by_e
-        for a, d in checks
+        d == mutual_discovery_times(
+            protocol_e, protocol_f, d.offset, horizon, ReceptionModel.POINT, 0
+        )
+        for d in checks
     )
     return report, agrees, len(offsets), fell_back
 
@@ -313,8 +319,8 @@ def test_des_mismatch_runs_one_batch_and_counts_its_replays(budget_ms):
         def spot_check_pairs(self, protocol_e, protocol_f, offsets, *args):
             batches.append(list(offsets))
             return [
-                (analytic, dataclasses.replace(des, e_discovered_by_f=-1))
-                for analytic, des in super().spot_check_pairs(
+                dataclasses.replace(des, e_discovered_by_f=-1)
+                for des in super().spot_check_pairs(
                     protocol_e, protocol_f, offsets, *args
                 )
             ]
