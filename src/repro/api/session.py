@@ -27,8 +27,8 @@ The session *owns* what it creates and releases it deterministically on
 * **The persistent pool** -- a ``jobs > 1`` session retains the
   shared pool for its ``(kernel, jobs, mp_context)``
   (:meth:`PooledBackend.retain`): nested sessions sharing one profile
-  share one pool, and the pool -- with its shared-memory pattern
-  arena -- shuts down exactly when the last session holding it exits.
+  share one pool, and the pool shuts down exactly when the last
+  session holding it exits.
 
 A session installs **no** process-wide state: the listening-cache
 registry keeps its fixed LRU cap, and the worst-case ladder prices its

@@ -85,8 +85,7 @@ def _plain(value: Any) -> Any:
 #: under a configuration it did not ask for.
 _REMOVED_FIELDS = {
     "schedule": "grids always use longest-first work stealing",
-    "shared_memory": "the persistent pool always ships patterns through "
-                     "its shared-memory arena",
+    "shared_memory": "pool workers build their own listening patterns",
     "chunks_per_job": "offset batches always split into 4 chunks per job",
 }
 

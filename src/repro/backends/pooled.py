@@ -21,19 +21,13 @@ whenever ``RuntimeProfile.jobs > 1``:
   terminates the workers deterministically; an ``atexit`` hook is the
   backstop so no interpreter exit ever leaks processes.
 
-Sweep work ships as ``(inner_name, params, offsets, arena_handles)``
-chunks through a module-level function -- everything pickles under
-fork and spawn, and no per-sweep initializer exists (or is needed: the
-worker registries memoize across tasks).  The pool pins a shared-memory
-**pattern arena** (:class:`repro.parallel.shm.PatternArena`): the
-parent publishes each pair's listening patterns (resolved through the
-keyed cache registry, so a warm zoo costs one dict probe) into
-pool-lifetime segments, and every chunk carries the covering segment
-handles so workers map the patterns zero-copy instead of rebuilding
-them.  The arena is released in :meth:`PooledBackend.close` (reached
-from ``Session.__exit__`` via the retain/release protocol, or from
-:func:`shutdown_pooled_backends`), never leaking segments past the
-owning pool.
+Sweep work ships as ``(inner_name, params, offsets)`` chunks through a
+module-level function -- everything pickles under fork and spawn, and
+no per-sweep initializer exists (or is needed: the worker registries
+memoize across tasks).  Each worker resolves a pair's listening
+patterns through its own keyed registry, exactly as an in-process
+sweep does (a spawn-start worker builds them on its first chunk, in
+one linear pass over each pattern).
 """
 
 from __future__ import annotations
@@ -98,31 +92,15 @@ def _pool_worker_init() -> None:
 
 
 def _pooled_chunk(
-    inner_name: str,
-    params: SweepParams,
-    offsets: list[int],
-    arena_handles: tuple,
+    inner_name: str, params: SweepParams, offsets: list[int]
 ) -> list[tuple]:
     """Worker entry point: evaluate one chunk through the inner kernel.
 
-    ``arena_handles`` are the pool arena's segment handles covering this
-    pair's patterns; the (idempotent, per-fingerprint-once) attach maps
-    them zero-copy into the worker's keyed registry before the kernel
-    resolves its caches, so even a spawn-start worker's first chunk
-    skips pattern construction.  Outcomes travel back in the shared
-    tuple wire format (:func:`repro.backends.base.encode_outcomes`,
-    cheaper to pickle than dataclasses); the parent rebuilds
-    :class:`DiscoveryOutcome` field-for-field.
+    Outcomes travel back in the shared tuple wire format
+    (:func:`repro.backends.base.encode_outcomes`, cheaper to pickle than
+    dataclasses); the parent rebuilds :class:`DiscoveryOutcome`
+    field-for-field.
     """
-    from ..parallel.shm import attach_pattern_arena
-
-    attach_pattern_arena(
-        arena_handles,
-        [
-            (params.protocol_e, params.turnaround),
-            (params.protocol_f, params.turnaround),
-        ],
-    )
     return encode_outcomes(
         get_backend(inner_name).evaluate_offsets_batch(params, offsets)
     )
@@ -143,7 +121,6 @@ class PooledBackend:
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.mp_context = mp_context or _default_mp_context()
         self._executor: ProcessPoolExecutor | None = None
-        self._arena = None
         self._session_refs = 0
         self._retain_generation = 0
 
@@ -174,48 +151,13 @@ class PooledBackend:
         """
         return self.executor().submit(fn, *args, **kwargs)
 
-    @property
-    def arena(self):
-        """The pool's :class:`repro.parallel.shm.PatternArena` (or
-        ``None`` before the first sharded sweep)."""
-        return self._arena
-
-    def _arena_handles(self, params: SweepParams) -> tuple:
-        """Parent-side arena upkeep for one sweep batch.
-
-        Resolves both receivers' listening caches through the keyed
-        registry (warm zoos hit; cold pairs build once, in the parent,
-        instead of once per worker), publishes any pattern the arena
-        does not hold yet into a new pool-lifetime segment, and returns
-        the handles covering this pair for the chunk submissions.
-        """
-        from ..parallel.cache import get_listening_cache, protocol_fingerprint
-        from ..parallel.shm import PatternArena
-
-        if self._arena is None:
-            self._arena = PatternArena()
-        caches = {
-            protocol_fingerprint(receiver, params.turnaround):
-                get_listening_cache(receiver, params.turnaround)
-            for receiver in (params.protocol_e, params.protocol_f)
-        }
-        self._arena.ensure(caches)
-        return self._arena.handles_for(caches)
-
     def close(self, wait: bool = True) -> None:
-        """Shut the worker pool down and release its pattern arena
-        (idempotent); the next batch that needs one lazily creates a
-        fresh pool (and arena)."""
+        """Shut the worker pool down (idempotent); the next batch that
+        needs one lazily creates a fresh pool."""
         executor, self._executor = self._executor, None
-        arena, self._arena = self._arena, None
         _LIVE_POOLS.discard(self)
         if executor is not None:
             executor.shutdown(wait=wait)
-        if arena is not None:
-            # After the workers: their mappings outlive the unlink
-            # safely (POSIX), but unlinking only once no new chunk can
-            # be submitted keeps the ordering obviously correct.
-            arena.close()
 
     #: ``shutdown`` is the conventional executor spelling.
     shutdown = close
@@ -278,14 +220,9 @@ class PooledBackend:
                 params, offsets
             )
         chunks = chunk_evenly(offsets, self.jobs * _CHUNKS_PER_JOB)
-        # Boot (or reuse) the executor before publishing into the
-        # arena: only a booted pool is tracked by _LIVE_POOLS, so a
-        # failed boot must not strand freshly published shm segments
-        # beyond shutdown_pooled_backends()'s reach.
         pool = self.executor()
-        handles = self._arena_handles(params)
         futures = [
-            pool.submit(_pooled_chunk, self.inner, params, chunk, handles)
+            pool.submit(_pooled_chunk, self.inner, params, chunk)
             for chunk in chunks
         ]
         # Futures are consumed in submission order, so flattening

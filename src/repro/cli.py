@@ -30,9 +30,9 @@ runtime flags instead of per-subcommand plumbing:
   persistent worker pool.
 
 Results are bit-identical for every profile: ``--jobs``/``--backend``
-only change how fast the answer arrives.  Session-owned resources (the
-persistent worker pool and its shared-memory pattern arena) are shut
-down deterministically when the command's session exits.
+only change how fast the answer arrives.  The session-owned persistent
+worker pool is shut down deterministically when the command's session
+exits.
 """
 
 from __future__ import annotations

@@ -22,9 +22,6 @@ faster.
   :mod:`repro.backends`).
 * :func:`get_listening_cache` -- the process-wide keyed registry
   (protocol fingerprint -> pattern) behind every kernel.
-* :mod:`repro.parallel.shm` -- the persistent pool's shared-memory
-  pattern arena, so workers map the parent's int64 pattern arrays
-  instead of copying.
 * :func:`derive_seed` -- chunking- and scheduling-invariant per-item
   seeding.
 * :func:`fit_cost_weights` -- fit the event-rate cost model's
@@ -44,8 +41,8 @@ fingerprint.  :func:`invalidate_listening_caches` exists to reclaim
 memory (or force cold rebuilds in benchmarks), never for correctness;
 the registry additionally self-bounds via LRU eviction at a fixed cap.
 Forked workers inherit the parent registry (safe: entries are
-immutable); spawned workers start empty and are seeded through the
-pool's pattern arena.
+immutable); spawned workers start empty and build each pattern on
+first use.
 
 Process-runtime contract
 ------------------------
@@ -65,16 +62,10 @@ everything in-process.
 
 Persistent workers hold no per-sweep initializer state: work arrives
 fully parameterized and patterns resolve through each worker's own
-keyed registry, which stays warm across sweeps.  The pool pins a
-pool-lifetime shared-memory **pattern arena**
-(:class:`repro.parallel.shm.PatternArena`): the parent publishes each
-pair's registry patterns into append-only int64 segments and every
-sweep chunk carries the covering handles, so even spawn-start workers
-map their patterns zero-copy instead of paying one cold rebuild per
-protocol.  Arena segments are unlinked exactly when the owning pool
-closes; worker mappings are released by an ``atexit`` hook, and POSIX
-keeps mapped memory valid past the unlink, so no ordering hazard
-exists between parent teardown and in-flight chunks.
+keyed registry, which stays warm across sweeps.  The parent builds no
+pattern for a pooled sweep: a pattern is one linear pass over two
+hyperperiods of windows and own-beacon blocks, cheap enough for every
+worker to build its own.
 """
 
 from .cache import (
@@ -87,7 +78,6 @@ from .cache import (
 )
 from .executor import ParallelSweep
 from .schedule import estimate_scenario_cost, fit_cost_weights, plan_longest_first
-from .shm import PatternArena, PatternHandle
 
 __all__ = [
     "derive_seed",
@@ -98,8 +88,6 @@ __all__ = [
     "ListeningCache",
     "listening_cache_stats",
     "ParallelSweep",
-    "PatternArena",
-    "PatternHandle",
     "plan_longest_first",
     "protocol_fingerprint",
 ]

@@ -49,10 +49,10 @@ reference ``CachedPairEvaluator`` hot loop) mirror
 Process-wide keyed registry (PR 2)
 ----------------------------------
 
-Building a pattern costs two hyperperiods of exact segment arithmetic,
-and sweep drivers used to rebuild it for every
-``verified_worst_case``/``sweep_offsets`` call even when the protocol
-zoo never changed.  :func:`get_listening_cache` therefore memoizes
+Building a pattern is one linear pass over two hyperperiods of
+windows and own-beacon blocks, and sweep drivers used to rebuild it for
+every ``verified_worst_case``/``sweep_offsets`` call even when the
+protocol zoo never changed.  :func:`get_listening_cache` therefore memoizes
 caches process-wide, keyed by :func:`protocol_fingerprint` -- a SHA-256
 digest of the *schedule contents* (beacon times/durations/period,
 window starts/durations/period, the turnaround guard and the pattern
@@ -71,11 +71,10 @@ size limit).  The invalidation contract:
   benchmarks.  The registry also self-bounds (LRU eviction past
   ``_REGISTRY_CAP`` entries), so pathological zoos degrade to PR-1
   per-sweep rebuilds instead of growing without bound.
-* **Fork-safety.**  Worker processes forked mid-session inherit the
-  parent's registry; entries are immutable after construction, so the
-  copies stay correct.  Spawned workers start empty and are seeded via
-  :mod:`repro.parallel.shm` shared-memory segments instead (see
-  :func:`register_listening_cache`, the hook the attach path uses).
+* **Fork and spawn.**  Worker processes forked mid-session inherit
+  the parent's registry; entries are immutable after construction, so
+  the copies stay correct.  Spawned workers start empty and build each
+  pattern on first use, like any cold process.
 """
 
 from __future__ import annotations
@@ -96,7 +95,6 @@ __all__ = [
     "derive_seed",
     "protocol_fingerprint",
     "get_listening_cache",
-    "register_listening_cache",
     "invalidate_listening_caches",
     "listening_cache_stats",
 ]
@@ -208,29 +206,17 @@ def get_listening_cache(
             _REGISTRY[fingerprint] = cache  # re-insert: LRU recency order
             return cache
         _STATS["misses"] += 1
-    # Build outside the lock: derivation can take seconds, and a losing
-    # racer merely registers an equivalent pattern over the winner's.
+    # Build outside the lock so other threads' lookups never wait on
+    # it; a losing racer merely registers an equivalent pattern over
+    # the winner's.
     cache = ListeningCache(receiver, turnaround, max_segments)
-    register_listening_cache(fingerprint, cache)
-    return cache
-
-
-def register_listening_cache(
-    fingerprint: str, cache: "ListeningCache"
-) -> None:
-    """Install a pre-built cache under ``fingerprint`` (evicting LRU
-    entries past the registry cap).
-
-    The shared-memory attach path uses this to seed worker registries
-    with segment-backed patterns; it also replaces any fork-inherited
-    private copy so explicitly-requested shared memory actually wins.
-    """
     with _REGISTRY_LOCK:
         _REGISTRY.pop(fingerprint, None)
         _REGISTRY[fingerprint] = cache
         while len(_REGISTRY) > _REGISTRY_CAP:
             _REGISTRY.pop(next(iter(_REGISTRY)))
             _STATS["evictions"] += 1
+    return cache
 
 
 def invalidate_listening_caches(fingerprint: str | None = None) -> int:
@@ -292,41 +278,6 @@ class ListeningCache:
             self._starts = [a - base for a, _ in segments]
             self._ends = [b - base for _, b in segments]
         self._use_memo = len(self._starts) >= _MEMO_MIN_SEGMENTS
-
-    @classmethod
-    def from_pattern(
-        cls,
-        receiver: NDProtocol,
-        turnaround: int,
-        hyper: int,
-        threshold: int,
-        starts,
-        ends,
-    ) -> "ListeningCache":
-        """An enabled cache over an externally owned pattern.
-
-        ``starts``/``ends`` may be any int sequence supporting indexing,
-        ``len`` and :func:`bisect.bisect_right` -- in particular the
-        ``int64`` memoryviews :mod:`repro.parallel.shm` carves out of a
-        shared-memory segment, so workers map the pattern instead of
-        copying it.  The caller guarantees the values equal what
-        ``__init__`` would have computed; decisions are then
-        bit-identical by construction.
-        """
-        cache = cls.__new__(cls)
-        cache.receiver = receiver
-        cache.turnaround = turnaround
-        cache.hyper = hyper
-        cache.threshold = threshold
-        cache._starts = starts
-        cache._ends = ends
-        cache._memo_point = {}
-        cache._memo_span = {}
-        cache._np_pattern = None
-        cache._np_boot = None
-        cache.enabled = True
-        cache._use_memo = len(starts) >= _MEMO_MIN_SEGMENTS
-        return cache
 
     def _analyze(self, max_segments: int) -> bool:
         """Integer-grid + size preconditions for the precomputed path."""
@@ -444,9 +395,6 @@ class ListeningCache:
         (registry LRU eviction, :func:`invalidate_listening_caches`)
         drops them with it.
 
-        Always copies -- also out of the shared-memory memoryviews a
-        :meth:`from_pattern` cache wraps -- because the arrays must
-        outlive any zero-copy segment view a worker releases at exit.
         Requires NumPy; raises ``BackendUnavailable`` without it (only
         vectorizing kernels, which already guard on NumPy, call this).
         """

@@ -140,12 +140,18 @@ def _steal_merge(scenarios: list, submit) -> list:
     return results
 
 
-def _estimated_spot_events(protocols, horizon, n_offsets: int) -> float:
+def _estimated_spot_events(
+    protocols, horizon, n_offsets: int, stop: int | None
+) -> float:
     """Estimated simulated events for a DES spot-check batch.
 
     The unit-weight event count: the ``_SPOT_POOL_MIN_EVENTS`` floor
-    is an absolute event-count threshold.
+    is an absolute event-count threshold.  Each replay runs to the
+    horizon or, when the pair has one, to its periodic ``stop``,
+    whichever comes first.
     """
+    if stop is not None:
+        horizon = min(horizon, stop)
     return n_offsets * default_simulation_cost(protocols, horizon)
 
 
@@ -319,7 +325,7 @@ class ParallelSweep:
             pool is None
             or len(offsets) < 2
             or _estimated_spot_events(
-                [protocol_e, protocol_f], horizon, len(offsets)
+                [protocol_e, protocol_f], horizon, len(offsets), stop
             ) < _SPOT_POOL_MIN_EVENTS
         ):
             return [

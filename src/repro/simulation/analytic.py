@@ -94,8 +94,7 @@ def _subtract_own_tx(
     phase: int,
     lo: int,
     hi: int,
-    guard_before: int = 0,
-    guard_after: int = 0,
+    turnaround: int = 0,
 ) -> list[tuple[int, int]]:
     """Remove the intervals during which the half-duplex radio transmits
     (with RX->TX / TX->RX turnaround guards) from the listening segments.
@@ -104,38 +103,49 @@ def _subtract_own_tx(
     may still be heard in the un-blocked remainder of a window.  Only
     beacons actually transmitted (send time >= 0) block; the schedule's
     periodic extension into negative time never went on air.
+
+    One merge of the sorted segments with the own-TX blocks, which come
+    out of the instance loop sorted by start.  Each segment yields its
+    pieces outside the union of the blocks meeting it, unmerged with
+    its neighbours (the CONTAINMENT model tells abutting windows apart).
     """
     if own_beacons is None or not segments:
         return segments
     period = own_beacons.period
-    # A block reaches guard_after past its beacon's end, so beacons up to
-    # one period plus the guard before ``lo`` can still cover [lo, hi).
-    first_instance = (lo - phase - guard_after - period) // period - 1
-    instance = first_instance
-    while segments:
+    # A block reaches the turnaround past its beacon's end, so beacons up
+    # to one period plus the turnaround before ``lo`` can still cover
+    # [lo, hi).
+    instance = (lo - phase - turnaround - period) // period - 1
+    blocks = []
+    while True:
         base = phase + instance * period
-        if base - guard_before >= hi:
+        if base - turnaround >= hi:
             break
         for b in own_beacons.beacons:
             tx_start = base + b.time
-            if tx_start < 0:
-                continue  # never transmitted: devices start at time 0
-            block_lo = tx_start - guard_before
-            block_hi = base + b.end + guard_after
-            if block_hi <= lo or block_lo >= hi:
-                continue
-            cut: list[tuple[int, int]] = []
-            for seg_lo, seg_hi in segments:
-                if block_hi <= seg_lo or block_lo >= seg_hi:
-                    cut.append((seg_lo, seg_hi))
-                    continue
-                if seg_lo < block_lo:
-                    cut.append((seg_lo, block_lo))
-                if block_hi < seg_hi:
-                    cut.append((block_hi, seg_hi))
-            segments = cut
+            if tx_start >= 0:  # devices start at time 0
+                block_hi = base + b.end + turnaround
+                blocks.append((tx_start - turnaround, block_hi))
         instance += 1
-    return segments
+    cut: list[tuple[int, int]] = []
+    n = len(blocks)
+    first = 0
+    for seg_lo, seg_hi in segments:
+        # Blocks ending by ``seg_lo`` miss this and every later segment.
+        while first < n and blocks[first][1] <= seg_lo:
+            first += 1
+        cursor = seg_lo
+        k = first
+        while k < n and blocks[k][0] < seg_hi:
+            block_lo, block_hi = blocks[k]
+            if cursor < block_lo:
+                cut.append((cursor, block_lo))
+            if cursor < block_hi:
+                cursor = block_hi
+            k += 1
+        if cursor < seg_hi:
+            cut.append((cursor, seg_hi))
+    return cut
 
 
 def listening_segments(
@@ -151,13 +161,7 @@ def listening_segments(
         return []
     segments = _window_segments(receiver.reception, rx_phase, lo, hi)
     return _subtract_own_tx(
-        segments,
-        receiver.beacons,
-        rx_phase,
-        lo,
-        hi,
-        guard_before=turnaround,
-        guard_after=turnaround,
+        segments, receiver.beacons, rx_phase, lo, hi, turnaround
     )
 
 

@@ -230,11 +230,10 @@ class TestSessionLeaksNothing:
             assert not leaked, f"shared-memory segments leaked: {leaked}"
 
 
-class TestPooledPatternArena:
-    """ the pool-lifetime shared-memory pattern arena is
-    created with the pool, grows only for new patterns, and never
-    outlives the pool -- not on ``Session.__exit__`` and not on a force
-    ``shutdown_pooled_backends()`` mid-session."""
+class TestPoolRestart:
+    """A force ``shutdown_pooled_backends()`` mid-session leaves the
+    session usable, and a spawn-start pool answers like the serial
+    path."""
 
     def setup_method(self):
         shutdown_pooled_backends()
@@ -242,92 +241,34 @@ class TestPooledPatternArena:
     def teardown_method(self):
         shutdown_pooled_backends()
 
-    @staticmethod
-    def _shm_listing():
-        shm_dir = "/dev/shm"
-        if not os.path.isdir(shm_dir):
-            return None
-        return set(os.listdir(shm_dir))
-
-    def test_arena_reuse_across_sweeps_and_zero_leaks(self):
-        before_shm = self._shm_listing()
-        profile = RuntimeProfile(jobs=2)
-        with Session(profile) as session:
-            session.sweep(_sweep_spec())
-            backend = _pool(session)
-            arena = backend.arena
-            assert arena is not None
-            assert arena.segments >= 1
-            first_fingerprints = arena.fingerprints
-            assert first_fingerprints
-            segments_after_first = arena.segments
-            # Same grid again: every pattern is already published, so
-            # the warm path adds nothing -- the arena is reused, not
-            # rebuilt (the cold rebuild the arena exists to remove).
-            session.sweep(_sweep_spec())
-            assert backend.arena is arena
-            assert arena.segments == segments_after_first
-            assert arena.fingerprints == first_fingerprints
-            # A second grid over a *different* pair appends exactly one
-            # new segment with the new patterns; old segments stay.
-            session.sweep(
-                RunSpec(
-                    pair={"kind": "symmetric", "eta": 0.08},
-                    samples=24, horizon_multiple=2,
-                )
-            )
-            assert arena.segments == segments_after_first + 1
-            assert arena.fingerprints > first_fingerprints
-            pids = _worker_pids(backend)
-        # Session exit released the pool's last retain reference: the
-        # arena is gone with the workers and /dev/shm holds nothing new.
-        assert backend.arena is None
-        _assert_processes_exit(pids)
-        after_shm = self._shm_listing()
-        if before_shm is not None:
-            assert not (after_shm - before_shm), "arena segments leaked"
-
-    def test_force_shutdown_mid_session_releases_arena(self):
-        before_shm = self._shm_listing()
+    def test_force_shutdown_mid_session_reboots_pool(self):
         profile = RuntimeProfile(jobs=2)
         with Session(profile) as session:
             expected = session.sweep(_sweep_spec()).raw
             backend = _pool(session)
-            first_arena = backend.arena
-            assert first_arena is not None
+            assert backend.started
             assert shutdown_pooled_backends() == 1
-            # The force shutdown reclaimed the arena with the pool...
-            assert backend.arena is None
-            mid_shm = self._shm_listing()
-            if before_shm is not None:
-                assert not (mid_shm - before_shm)
-            # ...and the session stays usable: the next sweep lazily
-            # boots a fresh pool with a fresh arena, results identical.
+            assert not backend.started
+            # The next sweep lazily boots a fresh pool, results identical.
             again = session.sweep(_sweep_spec())
             assert again.raw == expected
-            assert backend.arena is not None
-            assert backend.arena is not first_arena
+            assert backend.started
         # The force shutdown voided the session's retain token, so (by
         # the PR-4 stale-token contract) the re-booted pool now belongs
         # to the force-shutdown path, not the session exit.
         assert shutdown_pooled_backends() == 1
-        assert backend.arena is None
-        after_shm = self._shm_listing()
-        if before_shm is not None:
-            assert not (after_shm - before_shm)
+        assert not backend.started
 
-    def test_arena_results_identical_under_spawn(self):
-        """Spawn-start workers are exactly who the arena serves (no
-        fork inheritance to fall back on): results must match the
-        serial reference bit-for-bit and the arena must be in play."""
+    def test_spawn_results_equal_serial(self):
+        """Spawn-start workers inherit no registry: they build every
+        pattern themselves and must match the serial path bit-for-bit."""
         spec = _sweep_spec()
         with Session(RuntimeProfile(backend="python", jobs=1)) as session:
             expected = session.sweep(spec).raw
         profile = RuntimeProfile(jobs=2, mp_context="spawn")
         with Session(profile) as session:
             got = session.sweep(spec)
-            assert _pool(session).arena is not None
-            assert _pool(session).arena.segments >= 1
+            assert _pool(session).started
         assert got.raw == expected
 
 

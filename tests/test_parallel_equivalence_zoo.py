@@ -11,12 +11,13 @@ fidelity knobs of grid scenarios.  This file pins that invariant:
   the four classic slotted protocols, quorum, Nihao, Birthday, the two
   PI/BLE shapes, the three paper-optimal constructions, and a
   float-period PI pair exercising the uncached fallback);
-* dedicated cases for the residue-memo and zero-copy shared-memory
-  regimes, which small zoo schedules never reach;
+* dedicated cases for the residue-memo regime and a pattern of more
+  than 4096 segments, which small zoo schedules never reach, and the
+  pinned digest of a large pattern (5 beacons per 1112 against 5
+  windows per 1090);
 * grid equivalence between the serial path and the work-stealing pool
   with drift and advertising jitter enabled;
-* unit tests of the keyed cache registry (hit/miss/LRU/invalidation)
-  and the pattern-arena segment lifecycle;
+* unit tests of the keyed cache registry (hit/miss/LRU/invalidation);
 * backend equivalence: ``python`` == ``numpy`` == ``jobs=2`` pinned
   bit-identical for every family under **all three** reception
   models, plus persistent-pool lifecycle units (lazy creation, reuse
@@ -33,6 +34,7 @@ fidelity knobs of grid scenarios.  This file pins that invariant:
   processes and shared-memory segments after ``__exit__``.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -50,22 +52,22 @@ from repro.backends import (
     shutdown_pooled_backends,
     SweepParams,
 )
-from repro.core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
+from repro.core.sequences import (
+    Beacon,
+    BeaconSchedule,
+    NDProtocol,
+    ReceptionSchedule,
+    ReceptionWindow,
+)
 from repro.parallel import (
     get_listening_cache,
     invalidate_listening_caches,
     ListeningCache,
     listening_cache_stats,
     ParallelSweep,
-    PatternArena,
     protocol_fingerprint,
 )
 from repro.parallel.cache import _MEMO_MIN_SEGMENTS, _REGISTRY
-from repro.parallel.shm import (
-    _ARENA_REGISTERED,
-    attach_pattern_arena,
-    ZERO_COPY_MIN_SEGMENTS,
-)
 from repro.protocols import (
     Birthday,
     CorrelatedOneWay,
@@ -90,7 +92,6 @@ from repro.simulation import (
     sweep_offsets,
     verified_worst_case,
 )
-from repro.simulation.analytic import packet_heard
 from repro.workloads import (
     dense_network,
     drifting_pair,
@@ -292,12 +293,13 @@ def _dense_pattern_pair(gap, window_period, window=64):
     "gap,window_period,regime",
     [
         (255, 256, "residue-memo"),  # >= _MEMO_MIN_SEGMENTS segments
-        (2049, 2048, "zero-copy"),  # >= ZERO_COPY_MIN_SEGMENTS segments
+        (2049, 2048, "large-pattern"),  # >= 4096 segments
     ],
 )
 def test_large_pattern_regimes_bit_identical(gap, window_period, regime):
-    """The memo and zero-copy branches (unreachable with small zoo
-    schedules) also reproduce the serial path exactly."""
+    """The memo branch and a pattern of more than 4096 segments
+    (unreachable with small zoo schedules) also reproduce the serial
+    path exactly, in-process and through ``jobs=2`` workers."""
     protocol_e, protocol_f = _dense_pattern_pair(gap, window_period)
     cache = ListeningCache(protocol_e)
     assert cache.enabled
@@ -305,7 +307,7 @@ def test_large_pattern_regimes_bit_identical(gap, window_period, regime):
         assert cache.pattern_segments >= _MEMO_MIN_SEGMENTS
         assert cache._use_memo
     else:
-        assert cache.pattern_segments >= ZERO_COPY_MIN_SEGMENTS
+        assert cache.pattern_segments >= 4096
     hyper = protocol_e.hyperperiod()
     offsets = list(range(0, hyper, max(1, hyper // 48)))
     horizon = 6 * window_period
@@ -320,6 +322,40 @@ def test_large_pattern_regimes_bit_identical(gap, window_period, regime):
             protocol_e, protocol_f, offsets, horizon
         )
         assert got == serial, (regime, backend)
+
+
+#: Five 32-long beacons per 1112 against five 150-long windows per 1090:
+#: hyperperiod 606,040, and every window meets an own beacon or its
+#: guard somewhere in it.
+_FIVE_BY_FIVE = NDProtocol(
+    beacons=BeaconSchedule(
+        [Beacon(time, 32) for time in (0, 222, 444, 666, 888)], 1112
+    ),
+    reception=ReceptionSchedule(
+        [ReceptionWindow(start, 150) for start in (0, 218, 436, 654, 872)],
+        1090,
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "turnaround,segments,digest",
+    [
+        (0, 8460, "632a00f25332cdafc1b76c3073f50b93"
+                  "b5a26c09da35bb919eba5d62161e36e1"),
+        (50, 5960, "a0191b0526c57393fd375d32cb1ec614"
+                   "c8a15303f7a08483a2199a8eaf81a728"),
+    ],
+)
+def test_large_pattern_pinned(turnaround, segments, digest):
+    """The 5x5 receiver's pattern, pinned by the SHA-256 of its
+    ``(starts, ends)`` lists as built by the per-beacon subtraction the
+    linear merge replaced."""
+    cache = ListeningCache(_FIVE_BY_FIVE, turnaround)
+    assert cache.enabled and cache.hyper == 606_040
+    assert cache.pattern_segments == segments
+    pattern = repr((cache._starts, cache._ends)).encode()
+    assert hashlib.sha256(pattern).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------
@@ -567,68 +603,6 @@ class TestKeyedCacheRegistry:
         # The oldest fingerprints were evicted, the newest retained.
         assert protocol_fingerprint(protocols[0], 0) not in _REGISTRY
         assert protocol_fingerprint(protocols[-1], 0) in _REGISTRY
-
-
-class TestPatternArenaLifecycle:
-    @pytest.fixture(autouse=True)
-    def _fresh_worker_side(self):
-        """Attach state is per-process; start and end each test clean."""
-        _ARENA_REGISTERED.clear()
-        yield
-        _ARENA_REGISTERED.clear()
-
-    def test_publish_attach_roundtrip_decisions(self):
-        protocol, _ = ZOO["searchlight"]()
-        fingerprint = protocol_fingerprint(protocol)
-        cache = ListeningCache(protocol)
-        assert cache.enabled
-        with PatternArena() as arena:
-            assert arena.ensure({fingerprint: cache}) == 1
-            (handle,) = arena.handles_for([fingerprint])
-            assert handle.total_words == 2 * cache.pattern_segments
-            invalidate_listening_caches()
-            assert attach_pattern_arena((handle,), [(protocol, 0)]) == 1
-            attached = _REGISTRY[fingerprint]
-            assert attached is not cache and attached.enabled
-            for start in (0, 99, 1234, 55555):
-                for model in ReceptionModel:
-                    assert attached.packet_heard(
-                        7, start, start + OMEGA, model
-                    ) == packet_heard(protocol, 7, start, start + OMEGA, model, 0)
-            # Idempotent per fingerprint: a second chunk attaches nothing.
-            assert attach_pattern_arena((handle,), [(protocol, 0)]) == 0
-
-    def test_arena_unlinks_on_exit(self):
-        from multiprocessing import shared_memory
-
-        protocol, _ = ZOO["disco"]()
-        fingerprint = protocol_fingerprint(protocol)
-        with PatternArena() as arena:
-            arena.ensure({fingerprint: ListeningCache(protocol)})
-            (handle,) = arena.handles_for([fingerprint])
-            name = handle.shm_name
-            probe = shared_memory.SharedMemory(name=name)
-            probe.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        arena.close()  # idempotent after exit
-
-    def test_disabled_patterns_publish_nothing(self):
-        adv, scan = _float_pi_pair()
-        cache = ListeningCache(scan)
-        assert not cache.enabled
-        with PatternArena() as arena:
-            assert arena.ensure({protocol_fingerprint(scan): cache}) == 0
-            assert arena.segments == 0
-
-    def test_attach_ignores_unknown_fingerprints(self):
-        protocol, _ = ZOO["disco"]()
-        other, _ = ZOO["nihao"]()
-        fingerprint = protocol_fingerprint(protocol)
-        with PatternArena() as arena:
-            arena.ensure({fingerprint: ListeningCache(protocol)})
-            handles = arena.handles_for([fingerprint])
-            assert attach_pattern_arena(handles, [(other, 0)]) == 0
 
 
 def _worker_pids(backend, count=8):

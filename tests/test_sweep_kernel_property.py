@@ -5,8 +5,8 @@ families.  This file drives :class:`repro.backends.NumpyBackend` over
 random integer schedules (the strategies of
 ``tests/test_property_des_vs_analytic.py``: up to four beacons, up to
 three reception windows, absent directions; a device that both sends
-and listens gets its two periods stretched to ``P`` and a small
-multiple of ``P``, so its listening pattern stays quick to build) and
+and listens keeps its own two periods, co-prime ones included, whose
+hyperperiods near 10**6 give patterns of thousands of segments) and
 random offset batches:
 
 * strided batches (positive or negative stride, negative starts);
@@ -34,7 +34,6 @@ import math
 import pytest
 
 from repro.backends import have_numpy, NumpyBackend, SweepParams
-from repro.core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
 from repro.simulation import ReceptionModel
 from repro.simulation.analytic import evaluate_offsets, summarize_outcomes
 
@@ -47,27 +46,6 @@ from tests.test_property_des_vs_analytic import (  # noqa: E402
     commensurate_pairs,
     protocols,
 )
-
-
-@st.composite
-def kernel_protocols(draw):
-    protocol = draw(protocols())
-    beacons, reception = protocol.beacons, protocol.reception
-    if beacons is None or reception is None:
-        return protocol
-    # Co-prime periods give hyperperiods near 10**6, whose patterns take
-    # seconds to build; a common period keeps the schedules' shapes.
-    period = max(beacons.period, reception.period)
-    stretch = draw(st.sampled_from([1, 2, 3]))
-    beacon_factor, reception_factor = draw(
-        st.sampled_from([(1, stretch), (stretch, 1)])
-    )
-    return NDProtocol(
-        beacons=BeaconSchedule(beacons.beacons, period * beacon_factor),
-        reception=ReceptionSchedule(
-            reception.windows, period * reception_factor
-        ),
-    )
 
 
 @st.composite
@@ -115,8 +93,8 @@ def horizons(draw, protocol_e, protocol_f, offsets):
 
 @st.composite
 def sweep_cases(draw, batches):
-    protocol_e = draw(kernel_protocols())
-    protocol_f = draw(kernel_protocols())
+    protocol_e = draw(protocols())
+    protocol_f = draw(protocols())
     offsets = draw(batches)
     horizon = draw(horizons(protocol_e, protocol_f, offsets))
     return protocol_e, protocol_f, offsets, horizon

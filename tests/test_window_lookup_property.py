@@ -15,6 +15,13 @@ receiver's own transmission blocks directly -- so they are compared
 with the linear scan of the windows minus the own-TX blocks, with
 turnaround guards of 0, 5 and 50 and query instants snapped onto window
 and block edges.
+
+``analytic.listening_segments`` -- the segment lists the
+``ListeningCache`` patterns and the ANY_OVERLAP/CONTAINMENT decodes are
+built from -- merges the sorted windows with the own-TX blocks in one
+pass; it is compared list for list with the linear scan minus every
+block, over ranges of up to 20 reception periods and with a guard wide
+enough for neighbouring blocks to overlap.
 """
 
 from hypothesis import example, given, settings
@@ -29,6 +36,7 @@ from repro.core.sequences import (
 )
 from repro.simulation.analytic import (
     _window_segments,
+    listening_segments,
     packet_heard,
     ReceptionModel,
 )
@@ -455,3 +463,49 @@ def test_analytic_point_decode_matches_linear_scan(
     assert packet_heard(
         receiver, rx_phase, start, start + 1, ReceptionModel.POINT, turnaround
     ) == bool(segments)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    receiver=receivers(),
+    rx_phase=st.integers(-50_000, 50_000),
+    position=st.one_of(
+        positions,
+        st.integers(-200_000, 2_000_000).map(lambda tenths: tenths / 10),
+    ),
+    instances=st.integers(0, 20),
+    extra=st.integers(0, 500),
+    turnaround=st.sampled_from([0, 5, 50, 300]),
+)
+@example(
+    receiver=_BLOCK_END, rx_phase=0, position=0, instances=2, extra=0,
+    turnaround=0,
+)
+@example(
+    receiver=_BLOCK_END, rx_phase=0, position=-150, instances=1, extra=70,
+    turnaround=5,
+)
+@example(
+    receiver=_STRADDLE, rx_phase=0, position=0, instances=3, extra=0,
+    turnaround=0,
+)
+@example(
+    receiver=_STRADDLE, rx_phase=-250, position=30, instances=2, extra=7,
+    turnaround=50,
+)
+def test_listening_segments_match_linear_scan(
+    receiver, rx_phase, position, instances, extra, turnaround
+):
+    """Same segments in the same order: unmerged, abutting windows kept
+    distinct, cut by the union of the blocks meeting each one."""
+    reception, beacons = receiver.reception, receiver.beacons
+    lo = position
+    hi = lo + instances * reception.period + extra
+    expected = linear_analytic_segments(reception, rx_phase, lo, hi)
+    if beacons is not None:
+        expected = subtract_blocks(
+            expected, linear_own_blocks(beacons, rx_phase, lo, hi, turnaround)
+        )
+    assert listening_segments(receiver, rx_phase, lo, hi, turnaround) == (
+        expected
+    )
