@@ -21,7 +21,8 @@ fidelity knobs of grid scenarios.  This file pins that invariant:
 * backend equivalence: ``python`` == ``numpy`` == ``jobs=2`` pinned
   bit-identical for every family under **all three** reception
   models, plus persistent-pool lifecycle units (lazy creation, reuse
-  across sweeps, explicit shutdown, no leaked worker processes);
+  across sweeps, explicit shutdown, no leaked worker processes,
+  patterns built by the workers rather than the parent);
 * the report path: ``NumpyBackend.sweep_outcomes_batch``'s report (both
   of its engines) equals ``summarize_outcomes`` over the reference for every
   family, model and turnaround {0, 150}, plus the reduction's corner
@@ -684,6 +685,28 @@ class TestPersistentPoolLifecycle:
         assert backend.evaluate_offsets_batch(params, offsets) == serial
         assert backend.started
         backend.close()
+
+    def test_workers_build_their_own_patterns(self):
+        """A pool sweep builds no listening pattern in the parent: each
+        worker resolves the patterns through its own keyed registry,
+        as an in-process sweep does, and answers like the serial path."""
+        params, offsets = self._params()
+        fingerprints = {
+            protocol_fingerprint(protocol, params.turnaround)
+            for protocol in (params.protocol_e, params.protocol_f)
+        }
+        invalidate_listening_caches()
+        backend = PooledBackend(jobs=2)
+        try:
+            pooled = backend.evaluate_offsets_batch(params, offsets)
+            assert backend.started
+            assert not fingerprints & set(_REGISTRY)
+            assert listening_cache_stats()["size"] == 0
+        finally:
+            backend.close()
+        assert pooled == evaluate_offsets(
+            params.protocol_e, params.protocol_f, offsets, params.horizon
+        )
 
     def test_shared_instances_keyed_by_shape(self):
         a = get_pooled_backend(jobs=2)
