@@ -1,27 +1,28 @@
 """Pluggable sweep-kernel backends behind one ``SweepBackend`` interface.
 
 Every bound-validation experiment reduces to the same hot loop --
-evaluate first-discovery latency at many phase offsets against a
-precomputed listening pattern.  This package inverts the dependency
-structure of PR 1-2: instead of callers reaching into cache/evaluator
-internals, kernels implement
+evaluate first-discovery latency at many phase offsets.  This package
+inverts the dependency structure of PR 1-2: instead of callers
+reaching into cache/evaluator internals, kernels implement
 :meth:`SweepBackend.evaluate_offsets_batch(params, offsets)` and
 register by name, and every layer above
 (:class:`repro.parallel.ParallelSweep`, :class:`repro.api.Session`,
 the CLI's ``--backend`` flag) selects one without knowing how it
-computes.  ``analytic.evaluate_offsets`` stays the uncached reference
-computation and selects no kernel.
+computes.  There are two evaluators: the uncached reference
+``analytic.evaluate_offsets``, which the ``python`` kernel wraps, and
+the ``numpy`` kernel pinned against it.
 
 Backend-selection contract
 --------------------------
 
-* ``"python"`` -- the exact pure-python reference loop
-  (:mod:`repro.backends.python_loop`), extracted verbatim from the PR-2
-  hot path.  Always available; the correctness anchor every other
-  backend is pinned bit-identical against by the equivalence zoo.
+* ``"python"`` -- the analytic reference itself
+  (:mod:`repro.backends.python_loop`): every batch is
+  :func:`repro.simulation.analytic.evaluate_offsets`, with no pattern
+  cache.  Always available; the correctness anchor every other backend
+  is pinned bit-identical against by the equivalence zoo.
 * ``"numpy"`` -- the vectorized kernel
-  (:mod:`repro.backends.numpy_kernel`): int64 pattern arrays (the
-  shared-memory wire format) and one compacted-lane loop -- one batched
+  (:mod:`repro.backends.numpy_kernel`): the receiver's listening
+  pattern as int64 arrays and one compacted-lane loop -- one batched
   ``np.searchsorted`` per beacon candidate over the offsets still
   unresolved, whose per-lane state is dropped as they resolve.
   ``NumpyBackend()`` takes no arguments.  Available only when NumPy is
@@ -148,7 +149,7 @@ from .pooled import (
     PooledBackend,
     shutdown_pooled_backends,
 )
-from .python_loop import CachedPairEvaluator, PythonBackend
+from .python_loop import PythonBackend
 
 register_backend("python", PythonBackend)
 register_backend("numpy", NumpyBackend)
@@ -156,7 +157,6 @@ register_backend("numpy", NumpyBackend)
 __all__ = [
     "available_backends",
     "BackendUnavailable",
-    "CachedPairEvaluator",
     "CriticalSetTooLarge",
     "default_backend_name",
     "get_backend",

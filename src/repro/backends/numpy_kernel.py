@@ -1,11 +1,12 @@
 """NumPy-vectorized sweep kernel: batched ``searchsorted`` discovery.
 
-The pure-python reference resolves one beacon candidate at a time with a
-binary search over the receiver's precomputed listening pattern.  This
-backend runs the *same enumeration* -- beacon instances in
+The reference, :func:`repro.simulation.analytic.first_discovery`,
+decides one beacon candidate at a time from the receiver's schedules.
+This backend runs the *same enumeration* -- beacon instances in
 doubly-infinite order, taus in schedule order, first hit wins -- but
-batches each candidate across **all still-undiscovered offsets at
-once**, in one loop:
+decides each candidate from the receiver's precomputed listening
+pattern (:class:`repro.parallel.cache.ListeningCache`), batched across
+**all still-undiscovered offsets at once**, in one loop:
 
 * **Compacted lanes.**  Per-lane state -- the lane's index, its tx
   phase residue ``red``, the residue constant ``delta = red - rx_phase``,
@@ -15,10 +16,10 @@ once**, in one loop:
   touches only live lanes.
 * **One search per candidate.**  Candidate ``c = instance * period +
   tau`` decodes at ``lo = (c + delta) mod H``: one ``np.searchsorted``
-  over the int64 pattern arrays (already the shared-memory wire format)
-  answers every live lane.  Sentinel slots -- an end of ``-1`` before
-  the first segment, a start of ``2H + 1`` past the last -- make each
-  reception model's predicate a single gather with no bounds masks.
+  over the int64 pattern arrays answers every live lane.  Sentinel
+  slots -- an end of ``-1`` before the first segment, a start of
+  ``2H + 1`` past the last -- make each reception model's predicate a
+  single gather with no bounds masks.
 * **Scalar skips.**  The live lanes' smallest and largest residue bound
   every candidate's query times, so candidates no lane can use are
   skipped, and the ``[0, horizon)`` mask and the boot screen run only
@@ -42,22 +43,20 @@ Bit-identity is by construction, not by approximation:
   in.  The ``0`` in the steady floor matters: a pool chunk whose boot
   ends are all negative would otherwise count candidates masked off
   by ``t < 0`` as evaluated.  Retirement is this kernel's alone: the
-  python reference kernel and :mod:`repro.simulation.analytic` run
-  every lane to the horizon;
-* the vectorized decode predicate is the same
-  ``bisect_right(starts, lo) - 1`` arithmetic as
-  :meth:`repro.parallel.cache.ListeningCache.packet_heard` for all
-  three reception models;
+  reference runs every lane to the horizon;
+* past the boot threshold the pattern *is* the listening set, shifted
+  by the phase, so reading it at the residue decides each reception
+  model exactly as the reference's segment test does;
 * boot-region candidates are decided by the pattern too, and only the
   lanes :meth:`repro.parallel.cache.ListeningCache.boot_ends` cannot
   clear -- a pattern "not heard" before the lane's boot end, where the
   receiver's pre-zero beacons may have blocked listening time that
-  never was blocked -- drop to the exact scalar path per element, as do
+  never was blocked -- drop to the exact scalar
+  :func:`repro.simulation.analytic.packet_heard` per element, as do
   packets longer than the hyperperiod; whole batches that miss the
   vectorization preconditions (disabled pattern cache, non-integer
   schedules or offsets, non-integer or oversized horizons) delegate to
-  the :class:`repro.backends.python_loop.PythonBackend` reference
-  wholesale.
+  the ``python`` backend, the reference, wholesale.
 
 The two first-discovery vectors are the kernel's one answer.
 :meth:`NumpyBackend.sweep_outcomes_batch` reduces them straight into
@@ -68,10 +67,11 @@ overflow).  Its outcomes are the same vectors behind
 :class:`DiscoveryVectors`, which builds an outcome only when one is
 read; :meth:`NumpyBackend.evaluate_offsets_batch` reads them all.
 
-The equivalence zoo pins ``python`` ≡ ``numpy`` across all 13 protocol
-families and all three reception models, for outcomes and reports;
-``tests/test_sweep_kernel_property.py`` does the same on random
-schedules and offset batches.
+The equivalence zoo pins this kernel to
+:func:`repro.simulation.analytic.evaluate_offsets` across all 13
+protocol families and all three reception models, for outcomes and
+reports; ``tests/test_sweep_kernel_property.py`` does the same on
+random schedules and offset batches.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ from ..core.sequences import NDProtocol
 from ..parallel.cache import get_listening_cache, ListeningCache
 from ..simulation.analytic import (
     DiscoveryOutcome,
+    packet_heard,
     ReceptionModel,
     summarize_outcomes,
     SweepReport,
@@ -461,7 +462,7 @@ class NumpyBackend(SweepBackend):
         hyper = cache.hyper
         point = model is ReceptionModel.POINT
         any_overlap = model is ReceptionModel.ANY_OVERLAP
-        heard_exact = cache.packet_heard
+        receiver, turnaround = cache.receiver, cache.turnaround
 
         # Sentinel slots make each predicate one gather at the
         # ``searchsorted`` slot ``k`` (segment ``k - 1`` covers the
@@ -539,8 +540,8 @@ class NumpyBackend(SweepBackend):
                         heard &= valid
                     if oversized:
                         # Packets longer than the hyperperiod take the
-                        # exact scalar path, exactly as packet_heard
-                        # would.
+                        # exact scalar path: the pattern holds only two
+                        # hyperperiods.
                         slow = np.ones(lanes.size, dtype=bool)
                     else:
                         # Before a lane's boot end only a pattern "not
@@ -550,8 +551,9 @@ class NumpyBackend(SweepBackend):
                         slow &= valid
                     for j in np.flatnonzero(slow):
                         t_j = int(t[j])
-                        heard[j] = heard_exact(
-                            int(rxp[j]), t_j, t_j + duration, model
+                        heard[j] = packet_heard(
+                            receiver, int(rxp[j]), t_j, t_j + duration,
+                            model, turnaround,
                         )
                 if heard.any():
                     hit = np.flatnonzero(heard)

@@ -24,10 +24,10 @@ whenever ``RuntimeProfile.jobs > 1``:
 Sweep work ships as ``(inner_name, params, offsets)`` chunks through a
 module-level function -- everything pickles under fork and spawn, and
 no per-sweep initializer exists (or is needed: the worker registries
-memoize across tasks).  Each worker resolves a pair's listening
-patterns through its own keyed registry, exactly as an in-process
-sweep does (a spawn-start worker builds them on its first chunk, in
-one linear pass over each pattern).
+memoize across tasks).  A worker running the ``numpy`` kernel
+resolves a pair's listening patterns through its own keyed registry,
+exactly as an in-process sweep does (a spawn-start worker builds them
+on its first chunk, in one linear pass over each pattern).
 """
 
 from __future__ import annotations

@@ -1,28 +1,28 @@
-"""The exact pure-python sweep kernel -- the reference implementation.
+"""The ``python`` backend: the analytic reference behind the kernel API.
 
-:class:`CachedPairEvaluator` is the offset-evaluation hot loop grown
-over PR 1-2 (pattern-cache lookups, inlined POINT fast path), extracted
-verbatim out of ``repro.parallel.cache``: it mirrors
-:func:`repro.simulation.analytic.mutual_discovery_times` exactly and is
-the reference every other backend is pinned bit-identical against.
-:class:`PythonBackend` wraps it behind the :class:`SweepBackend`
-interface; it has no dependencies beyond the standard library and runs
-everywhere, which is why auto-detection falls back to it.
+:class:`PythonBackend` answers every batch through
+:func:`repro.simulation.analytic.evaluate_offsets`, the uncached
+per-offset computation of the paper's discovery latency, so the
+``python`` kernel *is* the reference every other backend is pinned
+bit-identical against, not a copy of it.  It has no dependencies
+beyond the standard library and runs everywhere, which is why
+auto-detection falls back to it.
+
+The module also holds the exact critical-offset enumeration
+(:func:`enumerate_critical_offsets_reference`) and the breakpoint-list
+helpers both kernels build their enumeration inputs from.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import Sequence
 
 from ..core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
-from ..parallel.cache import get_listening_cache, ListeningCache
-from ..simulation.analytic import DiscoveryOutcome, ReceptionModel
+from ..simulation.analytic import DiscoveryOutcome, evaluate_offsets
 from .base import CriticalSetTooLarge, SweepBackend, SweepParams
 
 __all__ = [
-    "CachedPairEvaluator",
     "critical_window_bounds",
     "direction_breakpoint_inputs",
     "enumerate_critical_offsets_reference",
@@ -197,120 +197,19 @@ def enumerate_critical_offsets_reference(
     return sorted(offsets)
 
 
-class CachedPairEvaluator:
-    """Drop-in replacement for per-offset pair evaluation.
-
-    ``evaluate(offset)`` returns exactly what
-    :func:`repro.simulation.analytic.mutual_discovery_times` returns for
-    the same arguments; the two directions share one
-    :class:`repro.parallel.cache.ListeningCache` per receiver across all
-    offsets evaluated by this instance, resolved through the
-    process-wide keyed registry so successive evaluators over the same
-    zoo reuse the patterns too.
-    """
-
-    def __init__(
-        self,
-        protocol_e: NDProtocol,
-        protocol_f: NDProtocol,
-        horizon: int,
-        model: ReceptionModel = ReceptionModel.POINT,
-        turnaround: int = 0,
-    ) -> None:
-        self.protocol_e = protocol_e
-        self.protocol_f = protocol_f
-        self.horizon = horizon
-        self.model = model
-        self.cache_e = get_listening_cache(protocol_e, turnaround)
-        self.cache_f = get_listening_cache(protocol_f, turnaround)
-
-    def _first_discovery(
-        self,
-        transmitter: NDProtocol,
-        cache: ListeningCache,
-        tx_phase: int,
-        rx_phase: int,
-    ) -> int | None:
-        # Inlined ``BeaconSchedule.iter_beacons_infinite``: same
-        # doubly-infinite enumeration and identical arithmetic --
-        # ``reduced + instance * period`` multiplication, never a
-        # running ``+= period`` sum, which would drift off the exact
-        # enumeration for non-integer periods -- minus one
-        # Beacon-object construction per candidate on this hot path.
-        schedule = transmitter.beacons
-        period = schedule.period
-        pattern = [(b.time, b.duration) for b in schedule.beacons]
-        horizon = self.horizon
-        model = self.model
-        heard = cache.packet_heard
-        # The dominant query shape -- POINT model, precomputed small
-        # pattern, integer grid -- additionally skips the packet_heard
-        # call: the same preconditions packet_heard checks are tested
-        # inline and the same bisect runs here, so the decision is the
-        # identical computation minus one function call per candidate.
-        inline = (
-            cache.enabled
-            and not cache._use_memo
-            and model is ReceptionModel.POINT
-            and type(rx_phase) is int
-        )
-        if inline:
-            hyper = cache.hyper
-            threshold = cache.threshold
-            starts = cache._starts
-            ends = cache._ends
-        reduced = tx_phase % period
-        instance = -1
-        while True:
-            base = reduced + instance * period
-            if base >= horizon:
-                return None
-            for tau, duration in pattern:
-                time = base + tau
-                if 0 <= time < horizon:
-                    if inline and type(time) is int and time >= threshold:
-                        end = time + duration
-                        if type(end) is int and end - time <= hyper:
-                            lo = (time - rx_phase) % hyper
-                            i = bisect_right(starts, lo) - 1
-                            if i >= 0 and ends[i] > lo:
-                                return time
-                            continue
-                    if heard(rx_phase, time, time + duration, model):
-                        return time
-            instance += 1
-
-    def evaluate(self, offset: int) -> DiscoveryOutcome:
-        """Both-direction discovery at one phase offset (E at 0, F at
-        ``offset``), exactly as the uncached analytic computation."""
-        e_by_f = None
-        f_by_e = None
-        if (
-            self.protocol_e.beacons is not None
-            and self.protocol_f.reception is not None
-        ):
-            e_by_f = self._first_discovery(
-                self.protocol_e, self.cache_f, tx_phase=0, rx_phase=offset
-            )
-        if (
-            self.protocol_f.beacons is not None
-            and self.protocol_e.reception is not None
-        ):
-            f_by_e = self._first_discovery(
-                self.protocol_f, self.cache_e, tx_phase=offset, rx_phase=0
-            )
-        return DiscoveryOutcome(
-            offset=offset, e_discovered_by_f=e_by_f, f_discovered_by_e=f_by_e
-        )
-
-
 class PythonBackend(SweepBackend):
     """The reference kernel behind ``backend="python"``.
 
-    Evaluates offsets one at a time through
-    :class:`CachedPairEvaluator`; listening patterns resolve through the
-    process-wide keyed registry, so repeated batches over the same pair
-    pay pattern construction once.
+    Each batch is :func:`repro.simulation.analytic.evaluate_offsets`
+    over its offsets: no listening pattern and no registry lookup.  On
+    the POINT model, the paper's, the reference decodes on the integer
+    grid without segment lists, about as fast as a pattern lookup in
+    pure python.  On ANY_OVERLAP and CONTAINMENT it builds a segment list
+    per candidate beacon, which is slower than a pattern lookup: over the 14
+    bench families at turnaround 0, at most 1,500 critical offsets each
+    (2 vCPU), 1.4-2.6x per family on ANY_OVERLAP and 1.6-5.2x on
+    CONTAINMENT (3.7 s against 1.1 s in total).  No benchmark workload
+    sweeps those models on this kernel; select ``numpy`` for speed.
     """
 
     name = "python"
@@ -318,11 +217,11 @@ class PythonBackend(SweepBackend):
     def evaluate_offsets_batch(
         self, params: SweepParams, offsets: Sequence[int]
     ) -> list[DiscoveryOutcome]:
-        evaluator = CachedPairEvaluator(
+        return evaluate_offsets(
             params.protocol_e,
             params.protocol_f,
+            offsets,
             params.horizon,
             params.model,
             params.turnaround,
         )
-        return [evaluator.evaluate(offset) for offset in offsets]

@@ -16,12 +16,11 @@ faster.
   pluggable :mod:`repro.backends` selection
   (``backend="auto"|"python"|"numpy"``): this package owns process
   orchestration, the backends package owns the math.
-* :class:`ListeningCache` -- the memoized listening-set pattern,
-  bit-identical to the exact computation by construction (the
-  ``CachedPairEvaluator`` hot loop on top of it lives in
-  :mod:`repro.backends`).
+* :class:`ListeningCache` -- a receiver's precomputed periodic
+  listening pattern, the input the ``numpy`` kernel decodes against
+  (the ``python`` kernel is the uncached reference and reads none).
 * :func:`get_listening_cache` -- the process-wide keyed registry
-  (protocol fingerprint -> pattern) behind every kernel.
+  (protocol fingerprint -> pattern) behind it.
 * :func:`derive_seed` -- chunking- and scheduling-invariant per-item
   seeding.
 * :func:`fit_cost_weights` -- fit the event-rate cost model's

@@ -1,10 +1,9 @@
-"""Memoized listening-set evaluation for offset sweeps.
+"""Precomputed listening patterns for the vectorized sweep kernel.
 
-Every offset evaluated by :func:`repro.simulation.analytic.sweep_offsets`
-re-derives the receiver's effective listening set (reception windows
-minus own-transmission blocking) segment-by-segment for each candidate
-beacon.  That work repeats heavily across a sweep: away from time zero
-the listening set is *periodic* with the receiver's schedule hyperperiod
+Deciding whether a receiver decodes a packet needs the receiver's
+effective listening set: its reception windows minus its own
+transmissions (plus turnaround guards).  Away from time zero that set
+is *periodic* with the receiver's schedule hyperperiod
 ``H = lcm(T_C, T_B)`` and shifts rigidly with the phase, so a decode
 decision depends only on the phase residue
 ``(packet_start - rx_phase) mod H`` (plus packet length and reception
@@ -14,24 +13,21 @@ all end before ``max_beacon_duration + turnaround``.
 
 :class:`ListeningCache` therefore precomputes the periodic pattern once
 -- two hyperperiods of exact listening segments, so any query interval
-of length up to ``H`` falls inside the linear list -- and answers each
-decode query with a binary search instead of rebuilding segments:
-
-* queries with ``start >= max_beacon_duration + turnaround`` are past
-  the boot boundary and answered from the precomputed pattern;
-* earlier queries, non-integer schedules, and degenerate shapes (packet
-  longer than the hyperperiod, pattern too large to precompute) take the
-  uncached exact path;
-
-so the cache is *bit-identical* to the direct computation by
-construction.  The pattern stores segments exactly as
+of length up to ``H`` falls inside the linear list.  The ``numpy``
+kernel reads it as int64 arrays (:meth:`ListeningCache.pattern_arrays`)
+and decides every lane with one ``searchsorted`` per beacon candidate;
+queries it cannot decide from the pattern go to the exact
+:func:`repro.simulation.analytic.packet_heard`.  The cache is enabled
+only on integer schedules whose pattern fits ``max_segments``; a
+disabled cache sends the whole batch to the ``python`` reference.
+The pattern stores segments exactly as
 :func:`repro.simulation.analytic.listening_segments` returns them --
 unmerged, abutting windows kept distinct -- because the CONTAINMENT
 model's equality test distinguishes one spanning segment from two
 abutting ones.
 
-The vectorized kernels do not send every boot-region query down the
-exact path: :meth:`ListeningCache.boot_ends` screens them.  Near boot
+Not every boot-region query goes down the exact path:
+:meth:`ListeningCache.boot_ends` screens them.  Near boot
 the exact listening set differs from the pattern only by the blocks of
 the receiver's own beacons scheduled before time 0, which never went
 on air, and each such block ends by its beacon's start plus the
@@ -42,9 +38,8 @@ too, in all three reception models; only a pattern "not heard" before
 the boot end takes the exact path.
 
 One cache per receiver is shared across all chunks a worker process
-evaluates; the sweep kernels of :mod:`repro.backends` (including the
-reference ``CachedPairEvaluator`` hot loop) mirror
-:func:`repro.simulation.analytic.mutual_discovery_times` on top of it.
+evaluates.  The ``python`` backend reads no pattern: it is the
+uncached reference the pattern-driven kernel is pinned against.
 
 Process-wide keyed registry (PR 2)
 ----------------------------------
@@ -81,14 +76,9 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from bisect import bisect_right
 
 from ..core.sequences import NDProtocol
-from ..simulation.analytic import (
-    listening_segments,
-    packet_heard,
-    ReceptionModel,
-)
+from ..simulation.analytic import listening_segments
 
 __all__ = [
     "ListeningCache",
@@ -135,11 +125,6 @@ def _numpy(caller: str):
 # ----------------------------------------------------------------------
 
 _DEFAULT_MAX_SEGMENTS = 1 << 22
-_MEMO_CAP = 1 << 18
-# Patterns below this size answer queries by direct bisect: on short
-# segment lists the binary search is as cheap as a dict probe, so the
-# residue memo would only pay insertion overhead.
-_MEMO_MIN_SEGMENTS = 256
 _REGISTRY: dict[str, "ListeningCache"] = {}
 # LRU bound on registered caches.
 _REGISTRY_CAP = 64
@@ -245,12 +230,13 @@ def listening_cache_stats() -> dict:
 class ListeningCache:
     """Precomputed periodic listening pattern for one receiver protocol.
 
-    Answers the same question as
-    :func:`repro.simulation.analytic.packet_heard` -- "is a packet
-    occupying ``[start, end)`` decoded by ``receiver`` at phase
-    ``rx_phase``?" -- in ``O(log segments)`` where the pattern is
-    translation-invariant, falling back to the exact per-query
-    computation everywhere else.
+    A packet occupying ``[start, end)``, starting at or past
+    :attr:`threshold` and no longer than :attr:`hyper`, is decoded at
+    phase ``rx_phase`` exactly when the pattern, read at the residue
+    ``(start - rx_phase) mod hyper``, says so -- the question
+    :func:`repro.simulation.analytic.packet_heard` answers from scratch.
+    :attr:`enabled` is false where no pattern is built (non-integer
+    schedules, patterns over ``max_segments``).
     """
 
     def __init__(
@@ -265,8 +251,6 @@ class ListeningCache:
         self.threshold = 0
         self._starts: list[int] = []
         self._ends: list[int] = []
-        self._memo_point: dict[int, bool] = {}
-        self._memo_span: dict[tuple, bool] = {}
         self._np_pattern = None
         self._np_boot = None
         self.enabled = self._analyze(max_segments)
@@ -277,7 +261,6 @@ class ListeningCache:
             )
             self._starts = [a - base for a, _ in segments]
             self._ends = [b - base for _, b in segments]
-        self._use_memo = len(self._starts) >= _MEMO_MIN_SEGMENTS
 
     def _analyze(self, max_segments: int) -> bool:
         """Integer-grid + size preconditions for the precomputed path."""
@@ -313,70 +296,6 @@ class ListeningCache:
         self.hyper = hyper
         self.threshold = threshold
         return True
-
-    def packet_heard(
-        self, rx_phase: int, start: int, end: int, model: ReceptionModel
-    ) -> bool:
-        """Decode decision, bit-identical to the uncached computation.
-
-        Past the boot threshold the decision is a pure function of the
-        phase residue ``(start - rx_phase) mod H`` (plus duration and
-        model), so each distinct residue is resolved against the pattern
-        once and memoized -- sweeps revisit the same residues constantly
-        (beacon grids and offset grids are both periodic), and a dict
-        hit is several times cheaper than even the binary search.  The
-        memo is capped so adversarial hyperperiods degrade to plain
-        bisect instead of unbounded memory.
-        """
-        duration = end - start
-        if (
-            not self.enabled
-            or start < self.threshold
-            or duration > self.hyper
-            or type(start) is not int
-            or type(end) is not int
-            or type(rx_phase) is not int
-        ):
-            return packet_heard(
-                self.receiver, rx_phase, start, end, model, self.turnaround
-            )
-        lo = (start - rx_phase) % self.hyper
-        use_memo = self._use_memo
-        if model is ReceptionModel.POINT:
-            # POINT ignores the packet length: key on the residue alone.
-            if use_memo:
-                memo = self._memo_point
-                cached = memo.get(lo)
-                if cached is None:
-                    i = bisect_right(self._starts, lo) - 1
-                    cached = i >= 0 and self._ends[i] > lo
-                    if len(memo) < _MEMO_CAP:
-                        memo[lo] = cached
-                return cached
-            i = bisect_right(self._starts, lo) - 1
-            return i >= 0 and self._ends[i] > lo
-        if use_memo:
-            key = (lo, duration, model is ReceptionModel.ANY_OVERLAP)
-            memo = self._memo_span
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-        hi = lo + duration
-        starts, ends = self._starts, self._ends
-        i = bisect_right(starts, lo) - 1
-        covers_lo = i >= 0 and ends[i] > lo
-        if model is ReceptionModel.ANY_OVERLAP:
-            result = covers_lo or (
-                i + 1 < len(starts) and starts[i + 1] < hi
-            )
-        else:
-            # CONTAINMENT: one pattern segment spans the whole packet
-            # (two abutting segments do not count, matching the exact
-            # equality test in ``packet_heard``).
-            result = i >= 0 and ends[i] >= hi
-        if use_memo and len(memo) < _MEMO_CAP:
-            memo[key] = result
-        return result
 
     @property
     def pattern_segments(self) -> int:
@@ -420,8 +339,8 @@ class ListeningCache:
         ``q = (-rx_phase) % period`` it is the largest time below ``q``,
         minus ``q`` (or the last time minus ``q + period`` when none is
         below ``q``).  A query starting before its lane's boot end needs
-        the exact :meth:`packet_heard` only when the pattern says "not
-        heard" (module docstring).  Requires NumPy, like
+        the exact ``analytic.packet_heard`` only when the pattern says
+        "not heard" (module docstring).  Requires NumPy, like
         :meth:`pattern_arrays`.
         """
         np = _numpy("boot_ends()")

@@ -263,12 +263,13 @@ def packet_heard(
     * ANY_OVERLAP: the listening set meets any part of the packet.
     * CONTAINMENT: one contiguous listening segment spans the packet.
 
-    This is the exact per-query reference computation; the
-    :class:`repro.parallel.ListeningCache` layer answers the same
-    question from a precomputed periodic pattern and falls back to this
-    function wherever translation invariance does not hold.  On the
-    integer grid the POINT decision is a membership test that builds no
-    segment lists (:func:`_point_heard`); off it, the segments decide.
+    This is the exact per-query reference computation.  The ``numpy``
+    kernel answers the same question from a
+    :class:`repro.parallel.ListeningCache` pattern and calls this
+    function for the queries the pattern cannot decide (near boot,
+    packets longer than the hyperperiod).  On the integer grid the
+    POINT decision is a membership test that builds no segment lists
+    (:func:`_point_heard`); off it, the segments decide.
     """
     if model is ReceptionModel.POINT:
         if receiver.reception is None:
@@ -307,11 +308,14 @@ def first_discovery(
 
     The candidates are enumerated as
     :meth:`~repro.core.sequences.BeaconSchedule.iter_beacons_infinite`
-    does and :class:`repro.backends.python_loop.CachedPairEvaluator`
-    inlines it: ``reduced + instance * period`` plus each ``(tau,
-    duration)`` pair, with no ``Beacon`` object per candidate.  POINT
-    candidates on the integer grid go straight to the list-free decode,
-    its receiver constants built once per call.
+    does, inlined: ``reduced + instance * period`` plus each ``(tau,
+    duration)`` pair, with no ``Beacon`` object per candidate.  The
+    multiplication, never a running ``+= period`` sum, keeps
+    non-integer periods on the exact enumeration.  POINT candidates on
+    the integer grid go straight to the list-free decode, its receiver
+    constants built once per call.  This is the reference behind the
+    ``python`` backend; the ``numpy`` kernel replays the same
+    enumeration, batched over offsets.
     """
     if transmitter.beacons is None:
         raise ValueError("transmitter has no beacon schedule")

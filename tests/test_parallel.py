@@ -7,6 +7,7 @@ pairs, reception models and turnaround guards.
 """
 
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.core.sequences import (
     ReceptionSchedule,
     ReceptionWindow,
 )
-from repro.backends import CachedPairEvaluator, have_numpy
+from repro.backends import have_numpy, PythonBackend, SweepParams
 from repro.parallel import (
     derive_seed,
     ListeningCache,
@@ -105,29 +106,49 @@ def random_pair(rng: random.Random) -> tuple[NDProtocol, NDProtocol]:
     return random_protocol(rng, "both"), random_protocol(rng, "both")
 
 
+def _pattern_heard(cache, rx_phase, start, end, model):
+    """The decode decision read off the cache's pattern at the phase
+    residue: one ``bisect_right`` over the segment starts."""
+    lo = (start - rx_phase) % cache.hyper
+    starts, ends = cache._starts, cache._ends
+    i = bisect_right(starts, lo) - 1
+    covers_lo = i >= 0 and ends[i] > lo
+    if model is ReceptionModel.POINT:
+        return covers_lo
+    hi = lo + (end - start)
+    if model is ReceptionModel.ANY_OVERLAP:
+        return covers_lo or (i + 1 < len(starts) and starts[i + 1] < hi)
+    # CONTAINMENT: one segment spans the packet, abutting ones do not.
+    return i >= 0 and ends[i] >= hi
+
+
 class TestListeningCache:
     def test_decisions_bit_identical_random_protocols(self):
-        """Property test: cached decode decisions equal the direct
-        computation for random receivers, times, models and guards --
-        including below-threshold times where the boot cutoff breaks
-        periodicity."""
+        """Property test: past the boot threshold, the pattern read at
+        the phase residue decides every reception model exactly as
+        ``analytic.packet_heard`` does, for random receivers, times and
+        guards."""
         rng = random.Random(42)
         for _ in range(40):
             receiver = random_protocol(rng, "both")
             turnaround = rng.choice([0, 0, 1, 7])
             cache = ListeningCache(receiver, turnaround)
+            assert cache.enabled
             for _ in range(60):
-                start = rng.randint(0, 5_000)
+                start = rng.randint(cache.threshold, 5_000)
                 length = rng.randint(1, 20)
                 phase = rng.randint(0, 2_000)
-                model = rng.choice(list(ReceptionModel))
-                expected = packet_heard(
-                    receiver, phase, start, start + length, model, turnaround
-                )
-                got = cache.packet_heard(phase, start, start + length, model)
-                assert got == expected, (
-                    receiver, phase, start, length, model, turnaround
-                )
+                for model in ReceptionModel:
+                    expected = packet_heard(
+                        receiver, phase, start, start + length, model,
+                        turnaround,
+                    )
+                    got = _pattern_heard(
+                        cache, phase, start, start + length, model
+                    )
+                    assert got == expected, (
+                        receiver, phase, start, length, model, turnaround
+                    )
 
     @needs_numpy
     def test_boot_screen_clears_only_exact_pattern_decisions(self):
@@ -177,8 +198,10 @@ class TestListeningCache:
 
     @needs_numpy
     def test_boot_screen_bounds_exact_calls(self, monkeypatch):
-        """A numpy critical sweep of Disco 7x13 sends at most one
-        offset in ten to the exact scalar ``packet_heard``."""
+        """A numpy critical sweep of Disco 7x13 sends some queries, and
+        at most one per ten offsets, to the exact scalar
+        ``analytic.packet_heard``."""
+        from repro.backends import numpy_kernel
         from repro.protocols import Disco, Role
         from repro.simulation import critical_offsets
 
@@ -187,51 +210,83 @@ class TestListeningCache:
         offsets = critical_offsets(protocol_e, protocol_f)
         horizon = 12 * protocol_e.hyperperiod()
         calls = []
-        exact = ListeningCache.packet_heard
 
-        def counting(self, *args):
+        def counting(*args):
             calls.append(args)
-            return exact(self, *args)
+            return packet_heard(*args)
 
-        monkeypatch.setattr(ListeningCache, "packet_heard", counting)
+        monkeypatch.setattr(numpy_kernel, "packet_heard", counting)
         report = ParallelSweep(jobs=1, backend="numpy").sweep_offsets(
             protocol_e, protocol_f, offsets, horizon
         )
         assert report.offsets_evaluated == len(offsets) > 1_000
-        assert len(calls) <= len(offsets) / 10
+        assert 0 < len(calls) <= len(offsets) / 10
 
     def test_non_integer_schedule_falls_back(self):
+        """A non-integer reception schedule gets no pattern, and the
+        numpy kernel decides its packets exactly as the per-offset
+        reference does, under every reception model."""
         receiver = NDProtocol(
             beacons=None,
             reception=ReceptionSchedule.single_window(25.5, 100.0),
         )
-        cache = ListeningCache(receiver)
-        assert not cache.enabled
-        for start in (0, 10, 30, 99, 130):
-            assert cache.packet_heard(
-                0, start, start + 1, ReceptionModel.POINT
-            ) == packet_heard(
-                receiver, 0, start, start + 1, ReceptionModel.POINT, 0
+        transmitter = NDProtocol(
+            beacons=BeaconSchedule.uniform(1, 37, 1), reception=None
+        )
+        assert not ListeningCache(receiver).enabled
+        if not have_numpy():
+            return
+        offsets = [0, 10, 30, 99, 130]
+        horizon = 2_000
+        kernel = ParallelSweep(jobs=1, backend="numpy")
+        for model in ReceptionModel:
+            got = kernel.evaluate_offsets(
+                transmitter, receiver, offsets, horizon, model
             )
+            assert got == [
+                mutual_discovery_times(
+                    transmitter, receiver, offset, horizon, model
+                )
+                for offset in offsets
+            ], model
 
+    @needs_numpy
     def test_evaluator_matches_mutual_discovery_times(self):
+        """The numpy kernel, pattern path and exact fallback alike,
+        equals ``mutual_discovery_times`` offset by offset on random
+        pairs, models and guards."""
         rng = random.Random(7)
+        kernel = ParallelSweep(jobs=1, backend="numpy")
         for _ in range(12):
             protocol_e, protocol_f = random_pair(rng)
             turnaround = rng.choice([0, 0, 5])
             model = rng.choice(list(ReceptionModel))
             horizon = 30_000
-            evaluator = CachedPairEvaluator(
-                protocol_e, protocol_f, horizon, model, turnaround
+            offsets = [rng.randint(0, 10_000) for _ in range(25)]
+            got = kernel.evaluate_offsets(
+                protocol_e, protocol_f, offsets, horizon, model, turnaround
             )
-            for _ in range(25):
-                offset = rng.randint(0, 10_000)
-                assert evaluator.evaluate(offset) == mutual_discovery_times(
+            for offset, outcome in zip(offsets, got, strict=True):
+                assert outcome == mutual_discovery_times(
                     protocol_e, protocol_f, offset, horizon, model, turnaround
                 )
 
 
 class TestBatchEntryPoints:
+    def test_python_kernel_batch_is_the_reference_list(self):
+        """The ``python`` kernel's batch is a list (callers take its
+        ``len()``) equal to ``evaluate_offsets`` over the same offsets."""
+        rng = random.Random(5)
+        protocol_e, protocol_f = random_pair(rng)
+        offsets = [rng.randint(0, 10_000) for _ in range(40)]
+        for model in ReceptionModel:
+            params = SweepParams(protocol_e, protocol_f, 25_000, model, 7)
+            batch = PythonBackend().evaluate_offsets_batch(params, offsets)
+            assert type(batch) is list
+            assert batch == evaluate_offsets(
+                protocol_e, protocol_f, offsets, 25_000, model, 7
+            )
+
     def test_sweep_is_summarize_of_evaluate(self):
         rng = random.Random(3)
         protocol_e, protocol_f = random_pair(rng)
@@ -305,11 +360,6 @@ class TestParallelSweep:
             adv, scan, offsets, horizon
         )
         assert parallel == serial
-        evaluator = CachedPairEvaluator(adv, scan, horizon)
-        for offset in offsets[::37]:
-            assert evaluator.evaluate(offset) == mutual_discovery_times(
-                adv, scan, offset, horizon
-            )
 
     def test_jobs_one_is_serial_path(self):
         protocol, design = synthesize_symmetric(32, 0.05)

@@ -11,18 +11,18 @@ fidelity knobs of grid scenarios.  This file pins that invariant:
   the four classic slotted protocols, quorum, Nihao, Birthday, the two
   PI/BLE shapes, the three paper-optimal constructions, and a
   float-period PI pair exercising the uncached fallback);
-* dedicated cases for the residue-memo regime and a pattern of more
-  than 4096 segments, which small zoo schedules never reach, and the
-  pinned digest of a large pattern (5 beacons per 1112 against 5
-  windows per 1090);
+* dedicated cases for patterns of more than 256 and 4096 segments,
+  which small zoo schedules never reach, and the pinned digest of a
+  large pattern (5 beacons per 1112 against 5 windows per 1090);
 * grid equivalence between the serial path and the work-stealing pool
   with drift and advertising jitter enabled;
 * unit tests of the keyed cache registry (hit/miss/LRU/invalidation);
-* backend equivalence: ``python`` == ``numpy`` == ``jobs=2`` pinned
-  bit-identical for every family under **all three** reception
-  models, plus persistent-pool lifecycle units (lazy creation, reuse
-  across sweeps, explicit shutdown, no leaked worker processes,
-  patterns built by the workers rather than the parent);
+* backend equivalence: ``numpy`` and ``jobs=2`` pinned bit-identical
+  to the reference ``evaluate_offsets`` (which the ``python`` kernel
+  is) for every family under **all three** reception models, plus
+  persistent-pool lifecycle units (lazy creation, reuse across sweeps,
+  explicit shutdown, no leaked worker processes, patterns built by the
+  workers rather than the parent);
 * the report path: ``NumpyBackend.sweep_outcomes_batch``'s report (both
   of its engines) equals ``summarize_outcomes`` over the reference for every
   family, model and turnaround {0, 150}, plus the reduction's corner
@@ -68,7 +68,7 @@ from repro.parallel import (
     ParallelSweep,
     protocol_fingerprint,
 )
-from repro.parallel.cache import _MEMO_MIN_SEGMENTS, _REGISTRY
+from repro.parallel.cache import _REGISTRY
 from repro.protocols import (
     Birthday,
     CorrelatedOneWay,
@@ -215,8 +215,17 @@ def test_family_all_paths_bit_identical(family):
 
 
 # Every kernel that can run here is pinned automatically -- a new
-# backend joins the zoo by registering, with no test edits.
-BACKENDS = available_backends()
+# backend joins the zoo by registering, with no test edits.  The
+# ``python`` kernel is ``evaluate_offsets`` itself, so comparing it with
+# the reference would compare a function with itself.
+KERNELS = [name for name in available_backends() if name != "python"]
+
+
+def _engines():
+    """The non-reference kernels in-process, and the ``jobs=2`` pool."""
+    engines = {name: ParallelSweep(jobs=1, backend=name) for name in KERNELS}
+    engines["jobs=2"] = ParallelSweep(jobs=2)
+    return engines
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -227,12 +236,12 @@ def _shutdown_pools_after_module():
     shutdown_pooled_backends()
 
 
-@pytest.mark.parametrize("backend", BACKENDS + ["jobs=2"])
+@pytest.mark.parametrize("backend", KERNELS + ["jobs=2"])
 @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
 def test_family_backends_bit_identical_all_models(family, backend):
-    """python == numpy == ``jobs=2`` (the persistent pool), pinned
-    against the exact uncached reference, for every family under all
-    three reception models -- full per-offset outcome lists, not just
+    """numpy and ``jobs=2`` (the persistent pool), pinned against the
+    exact uncached reference, for every family under all three
+    reception models -- full per-offset outcome lists, not just
     aggregates."""
     protocol_e, protocol_f = ZOO[family]()
     offsets, horizon = _workload(protocol_e, protocol_f)
@@ -252,10 +261,12 @@ def test_family_backends_bit_identical_all_models(family, backend):
             assert got == serial, (family, backend, model)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", available_backends())
 def test_backend_threads_through_parallel_sweep(backend):
     """The ParallelSweep backend knob is bit-identical on the sharded
-    multi-worker path too (workers run the selected kernel)."""
+    multi-worker path too (workers run the selected kernel).  For
+    ``python`` this pins the pool's sharding and merge order, since
+    each worker runs the reference itself."""
     protocol_e, protocol_f = ZOO["disco"]()
     offsets, horizon = _workload(protocol_e, protocol_f)
     serial = evaluate_offsets(protocol_e, protocol_f, offsets, horizon)
@@ -266,19 +277,63 @@ def test_backend_threads_through_parallel_sweep(backend):
 
 
 def test_turnaround_guard_reaches_every_backend():
-    """A non-zero turnaround changes decisions; all kernels must agree
-    with the reference under it (below-threshold boot queries included)."""
+    """A non-zero turnaround changes decisions; every kernel and the
+    pool must agree with the reference under it (below-threshold boot
+    queries included)."""
     protocol_e, protocol_f = ZOO["searchlight"]()
     offsets, horizon = _workload(protocol_e, protocol_f)
     for model in MODELS:
         serial = evaluate_offsets(
             protocol_e, protocol_f, offsets, horizon, model, turnaround=7
         )
-        for backend in available_backends():
-            got = ParallelSweep(jobs=1, backend=backend).evaluate_offsets(
+        for name, engine in _engines().items():
+            got = engine.evaluate_offsets(
                 protocol_e, protocol_f, offsets, horizon, model, turnaround=7
             )
-            assert got == serial, (backend, model)
+            assert got == serial, (name, model)
+
+
+def _pattern_lookups():
+    stats = listening_cache_stats()
+    return stats["hits"] + stats["misses"]
+
+
+@pytest.mark.parametrize("turnaround", [0, 7])
+@pytest.mark.parametrize("model", MODELS, ids=[m.value for m in MODELS])
+@pytest.mark.parametrize("family", ["disco", "float-period-pi"])
+def test_python_kernel_is_the_reference(family, model, turnaround):
+    """The ``python`` kernel answers through ``evaluate_offsets`` and
+    resolves no listening pattern: a sweep and a ``worst_case`` on it
+    leave the registry's lookup count unchanged, and their outcomes and
+    payloads equal the reference's and the numpy session's."""
+    protocol_e, protocol_f = ZOO[family]()
+    offsets, horizon = _workload(protocol_e, protocol_f)
+    sweep = RunSpec(
+        pair=(protocol_e, protocol_f), offsets=list(offsets),
+        horizon=horizon, model=model.value, turnaround=turnaround,
+    )
+    worst = RunSpec(
+        pair=(protocol_e, protocol_f), horizon=horizon, omega=OMEGA,
+        des_spot_checks=4, model=model.value, turnaround=turnaround,
+    )
+
+    before = _pattern_lookups()
+    outcomes = ParallelSweep(jobs=1, backend="python").evaluate_offsets(
+        protocol_e, protocol_f, offsets, horizon, model, turnaround
+    )
+    with Session(RuntimeProfile(backend="python")) as session:
+        results = [session.sweep(sweep), session.worst_case(worst)]
+    assert _pattern_lookups() == before
+
+    assert outcomes == evaluate_offsets(
+        protocol_e, protocol_f, offsets, horizon, model, turnaround
+    )
+    assert results[0].raw == summarize_outcomes(outcomes)
+    if have_numpy():
+        with Session(RuntimeProfile(backend="numpy")) as session:
+            fast = [session.sweep(sweep), session.worst_case(worst)]
+        for got, expected in zip(results, fast):
+            assert got.payload == expected.payload, (got.verb, family)
 
 
 def _dense_pattern_pair(gap, window_period, window=64):
@@ -293,36 +348,27 @@ def _dense_pattern_pair(gap, window_period, window=64):
 @pytest.mark.parametrize(
     "gap,window_period,regime",
     [
-        (255, 256, "residue-memo"),  # >= _MEMO_MIN_SEGMENTS segments
+        (255, 256, "mid-pattern"),  # >= 256 segments
         (2049, 2048, "large-pattern"),  # >= 4096 segments
     ],
 )
 def test_large_pattern_regimes_bit_identical(gap, window_period, regime):
-    """The memo branch and a pattern of more than 4096 segments
-    (unreachable with small zoo schedules) also reproduce the serial
-    path exactly, in-process and through ``jobs=2`` workers."""
+    """Patterns of more than 256 and 4096 segments (unreachable with
+    small zoo schedules) also reproduce the serial path exactly,
+    in-process and through ``jobs=2`` workers."""
     protocol_e, protocol_f = _dense_pattern_pair(gap, window_period)
     cache = ListeningCache(protocol_e)
     assert cache.enabled
-    if regime == "residue-memo":
-        assert cache.pattern_segments >= _MEMO_MIN_SEGMENTS
-        assert cache._use_memo
-    else:
-        assert cache.pattern_segments >= 4096
+    min_segments = {"mid-pattern": 256, "large-pattern": 4096}[regime]
+    assert cache.pattern_segments >= min_segments
     hyper = protocol_e.hyperperiod()
     offsets = list(range(0, hyper, max(1, hyper // 48)))
     horizon = 6 * window_period
 
     serial = evaluate_offsets(protocol_e, protocol_f, offsets, horizon)
-    got = ParallelSweep(jobs=2).evaluate_offsets(
-        protocol_e, protocol_f, offsets, horizon
-    )
-    assert got == serial, regime
-    for backend in available_backends():
-        got = ParallelSweep(jobs=1, backend=backend).evaluate_offsets(
-            protocol_e, protocol_f, offsets, horizon
-        )
-        assert got == serial, (regime, backend)
+    for name, engine in _engines().items():
+        got = engine.evaluate_offsets(protocol_e, protocol_f, offsets, horizon)
+        assert got == serial, (regime, name)
 
 
 #: Five 32-long beacons per 1112 against five 150-long windows per 1090:
@@ -564,6 +610,9 @@ class TestKeyedCacheRegistry:
             beacons=None, reception=ReceptionSchedule.single_window(25.0, 100.0)
         )
         assert protocol_fingerprint(int_proto) != protocol_fingerprint(float_proto)
+        # Only the integer grid gets a pattern.
+        assert ListeningCache(int_proto).enabled
+        assert not ListeningCache(float_proto).enabled
 
     def test_hits_share_one_cache_object(self):
         protocol, _ = ZOO["disco"]()

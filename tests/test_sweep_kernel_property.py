@@ -1,7 +1,7 @@
 """Property test: the numpy sweep kernel equals the reference on random schedules.
 
-The equivalence zoo pins ``python`` == ``numpy`` on 13 fixed protocol
-families.  This file drives :class:`repro.backends.NumpyBackend` over
+The equivalence zoo pins ``numpy`` to ``analytic.evaluate_offsets`` on
+13 fixed protocol families.  This file drives :class:`repro.backends.NumpyBackend` over
 random integer schedules (the strategies of
 ``tests/test_property_des_vs_analytic.py``: up to four beacons, up to
 three reception windows, absent directions; a device that both sends
