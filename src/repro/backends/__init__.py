@@ -21,10 +21,10 @@ Backend-selection contract
   cache.  Always available; the correctness anchor every other backend
   is pinned bit-identical against by the equivalence zoo.
 * ``"numpy"`` -- the vectorized kernel
-  (:mod:`repro.backends.numpy_kernel`): the receiver's listening
-  pattern as int64 arrays and one compacted-lane loop -- one batched
-  ``np.searchsorted`` per beacon candidate over the offsets still
-  unresolved, whose per-lane state is dropped as they resolve.
+  (:mod:`repro.backends.numpy_kernel`): coverage painting -- each
+  block of beacon candidates paints its heard set onto the offsets
+  still unresolved, sorted by pattern residue, which drop as they
+  resolve.
   ``NumpyBackend()`` takes no arguments.  Available only when NumPy is
   importable; requesting it without NumPy raises
   :class:`BackendUnavailable`.  NumPy is an *optional extra*

@@ -1,77 +1,52 @@
-"""NumPy-vectorized sweep kernel: batched ``searchsorted`` discovery.
+"""NumPy-vectorized sweep kernel: coverage painting.
 
-The reference, :func:`repro.simulation.analytic.first_discovery`,
-decides one beacon candidate at a time from the receiver's schedules.
-This backend runs the *same enumeration* -- beacon instances in
-doubly-infinite order, taus in schedule order, first hit wins -- but
-decides each candidate from the receiver's precomputed listening
-pattern (:class:`repro.parallel.cache.ListeningCache`), batched across
-**all still-undiscovered offsets at once**, in one loop:
+The reference, :func:`repro.simulation.analytic.first_discovery`, tries
+beacon candidates ``c = instance * period + tau`` (instances from -1,
+taus in order) one at a time; a lane -- one (tx phase, rx phase) pair
+-- queries ``c`` at ``t = c + red`` (``red``: the tx phase mod the
+period), and its first heard query with ``0 <= t < horizon`` wins.
+This kernel gets the same answer from coverage, as the paper does
+(Section 4.1, the ``Omega_i`` of Eq. 3): a lane's result is its
+earliest candidate whose coverage holds it.
 
-* **Compacted lanes.**  Per-lane state -- the lane's index, its tx
-  phase residue ``red``, the residue constant ``delta = red - rx_phase``,
-  its rx phase and its boot end -- lives in one int64 array whose
-  columns are dropped as lanes resolve (after every candidate that
-  hears one) and as their instances reach the horizon, so each step
-  touches only live lanes.
-* **One search per candidate.**  Candidate ``c = instance * period +
-  tau`` decodes at ``lo = (c + delta) mod H``: one ``np.searchsorted``
-  over the int64 pattern arrays answers every live lane.  Sentinel
-  slots -- an end of ``-1`` before the first segment, a start of
-  ``2H + 1`` past the last -- make each reception model's predicate a
-  single gather with no bounds masks.
-* **Scalar skips.**  The live lanes' smallest and largest residue bound
-  every candidate's query times, so candidates no lane can use are
-  skipped, and the ``[0, horizon)`` mask and the boot screen run only
-  when some lane needs them.
-* **Dead-lane retirement.**  The *steady instance* is the first whose
-  candidates all lie at or past ``max(boot_max, 0)`` (``boot_max``: the
-  batch's latest boot end).  From it on every decode is the pattern's,
-  and a lane's residues ``(c + delta) mod H`` repeat every
-  ``cycle = H // gcd(period, H)`` instances, so lanes still unresolved
-  ``cycle`` instances after it never resolve: the loop ends there and
-  they stay ``-1``.
+* **Key and heard sets.**  Past boot the listening set is the periodic
+  pattern shifted by the rx phase (:mod:`repro.parallel.cache`), so
+  ``c`` reaches a lane iff its *key* ``(red - rx_phase) mod H`` lies in
+  ``(S_d - c) mod H``.  The heard set ``S_d``
+  (:meth:`~repro.parallel.cache.ListeningCache.heard_intervals`) holds
+  the residues decoding a packet of duration ``d``: per segment
+  ``[s, e)``, POINT ``[s, e)``, ANY_OVERLAP ``[s - d + 1, e)``,
+  CONTAINMENT ``[s, e - d + 1)``, clipped to ``[0, H)``.
+* **Painting.**  Lanes are sorted by key once.  In a block of
+  candidates each shifted interval is one run of sorted keys (two
+  ``searchsorted`` calls); runs expand into (lane, candidate) pairs,
+  pairs with ``t`` outside ``[0, horizon)`` drop, and ``np.minimum.at``
+  keeps each lane's earliest candidate; covered lanes then leave.  When
+  fewer lanes than intervals are left, each key is searched in the
+  heard set instead, so work follows the smaller side.  Blocks double
+  from :data:`_FIRST_BLOCK` candidates up to :data:`_BLOCK_PAIRS`;
+  scratch holds that many pairs, or one candidate's at most.
+* **Retirement bound.**  From the *steady instance* -- the first whose
+  every query lies at or past ``max(boot_max, 0)``, ``boot_max`` being
+  the batch's latest boot end -- decodes are the pattern's, and a
+  lane's residues repeat every ``cycle = H // gcd(period, H)``
+  instances.  So candidates end ``cycle`` instances after it, or at
+  the first instance starting at or past the horizon for every lane; a
+  lane uncovered by then stays ``-1``.
+* **Boot pairs.**  Before a lane's boot end
+  (:meth:`~repro.parallel.cache.ListeningCache.boot_ends`) a pattern
+  "heard" is exact but a "not heard" may not be.  The first block holds
+  every candidate queried before some boot end; each such pair before
+  the lane's pattern hit goes, in candidate order, to the exact scalar
+  :func:`repro.simulation.analytic.packet_heard`.
+* **Delegation.**  A disabled pattern cache, non-integer schedules or
+  offsets, non-integer or oversized horizons, or a beacon longer than
+  ``H`` send the batch to the ``python`` backend, the reference.
 
-Bit-identity is by construction, not by approximation:
-
-* candidate order, the ``0 <= t < horizon`` window, and the
-  ``base >= horizon`` termination test replicate the reference loop
-  exactly, so ties resolve to the identical beacon;
-* retirement drops only lanes whose every later candidate repeats a
-  pattern decode that already said "not heard", so it changes no
-  result, and a lane's result does not depend on the batch it came
-  in.  The ``0`` in the steady floor matters: a pool chunk whose boot
-  ends are all negative would otherwise count candidates masked off
-  by ``t < 0`` as evaluated.  Retirement is this kernel's alone: the
-  reference runs every lane to the horizon;
-* past the boot threshold the pattern *is* the listening set, shifted
-  by the phase, so reading it at the residue decides each reception
-  model exactly as the reference's segment test does;
-* boot-region candidates are decided by the pattern too, and only the
-  lanes :meth:`repro.parallel.cache.ListeningCache.boot_ends` cannot
-  clear -- a pattern "not heard" before the lane's boot end, where the
-  receiver's pre-zero beacons may have blocked listening time that
-  never was blocked -- drop to the exact scalar
-  :func:`repro.simulation.analytic.packet_heard` per element, as do
-  packets longer than the hyperperiod; whole batches that miss the
-  vectorization preconditions (disabled pattern cache, non-integer
-  schedules or offsets, non-integer or oversized horizons) delegate to
-  the ``python`` backend, the reference, wholesale.
-
-The two first-discovery vectors are the kernel's one answer.
-:meth:`NumpyBackend.sweep_outcomes_batch` reduces them straight into
-the :class:`SweepReport` (:func:`summarize_discovery_vectors`):
-worst-case ties go to the earliest offset via ``argmax``, and means
-divide exact Python-int sums (summed in int64 unless that could
-overflow).  Its outcomes are the same vectors behind
-:class:`DiscoveryVectors`, which builds an outcome only when one is
-read; :meth:`NumpyBackend.evaluate_offsets_batch` reads them all.
-
-The equivalence zoo pins this kernel to
-:func:`repro.simulation.analytic.evaluate_offsets` across all 13
-protocol families and all three reception models, for outcomes and
-reports; ``tests/test_sweep_kernel_property.py`` does the same on
-random schedules and offset batches.
+The two first-discovery vectors are the kernel's one answer: reduced
+straight into a :class:`SweepReport` (:func:`summarize_discovery_vectors`)
+or read lazily (:class:`DiscoveryVectors`).  The equivalence zoo and
+the property tests pin it to the reference under all three models.
 """
 
 from __future__ import annotations
@@ -117,6 +92,10 @@ _INT64_MAX = (1 << 63) - 1
 # memory.
 _BITMAP_MAX_HYPER = 1 << 26
 
+# Painting scratch bounds (module docstring).
+_FIRST_BLOCK = 16
+_BLOCK_PAIRS = 1 << 17
+
 
 def _direction_vectorizable(
     transmitter: NDProtocol, receiver: NDProtocol, rx_cache: ListeningCache
@@ -124,10 +103,9 @@ def _direction_vectorizable(
     """Can this direction run through the int64 kernel?
 
     Trivial directions (no beacons / no reception) vectorize vacuously;
-    otherwise the receiver's pattern must be precomputed (which already
-    guarantees an integer receiver grid) and the transmitter's schedule
-    must be integers too, or residues would need float arithmetic the
-    reference performs exactly.
+    otherwise the receiver's pattern must be precomputed (an integer
+    grid) and the transmitter's schedule integer, with no beacon longer
+    than the pattern's hyperperiod.
     """
     if transmitter.beacons is None or receiver.reception is None:
         return True
@@ -137,7 +115,9 @@ def _direction_vectorizable(
     if type(schedule.period) is not int or schedule.period >= _INT_BOUND:
         return False
     return all(
-        type(b.time) is int and type(b.duration) is int
+        type(b.time) is int
+        and type(b.duration) is int
+        and b.duration <= rx_cache.hyper
         for b in schedule.beacons
     )
 
@@ -343,27 +323,16 @@ class NumpyBackend(SweepBackend):
         """Vectorized critical-offset enumeration, bit-identical to the
         pure-python reference.
 
-        The reference is a double loop over ``beacon_times x
-        window_bounds`` with modular arithmetic per cell.  Here the two
-        boundary lists are still built by the exact (linear) reference
-        code -- the shared
-        :func:`repro.backends.python_loop.direction_breakpoint_inputs`
-        (beacon times, deduplicated window bounds, and the turnaround
-        guard edges when ``params.turnaround > 0``) -- so
-        every input instant is the identical integer, and only the
-        quadratic part is batched: one broadcast subtraction of window
-        bounds against beacon times mod the hyperperiod per direction,
-        with the ``+-1`` one-sided-limit neighbours generated
-        vectorized.  Dedup is a boolean scatter mask over the
-        hyperperiod where that fits in memory (no sort at all --
-        ``np.flatnonzero`` reads the sorted set straight back out) and
-        sort-based ``np.unique``/``np.union1d`` beyond it.  The
-        ``max_count`` guards fire at the same points with the same
-        messages as the reference (pre-enumeration product guard per
-        direction, cumulative set guard after each direction), and the
-        returned list is the same sorted python ints.  Hyperperiods at
-        or beyond the int64 headroom delegate to the reference
-        wholesale.
+        The boundary lists come from the exact reference code
+        (:func:`repro.backends.python_loop.direction_breakpoint_inputs`),
+        so every input instant is the identical integer; only the
+        quadratic ``beacon_times x window_bounds`` part is batched, one
+        broadcast subtraction mod the hyperperiod per direction plus the
+        ``+-1`` neighbours.  Dedup is a boolean scatter mask over the
+        hyperperiod where that fits in memory and ``np.unique`` beyond
+        it.  The ``max_count`` guards fire at the same points with the
+        same messages as the reference, and hyperperiods at or beyond
+        the int64 headroom delegate to it wholesale.
         """
         np = _np.np
         if np is None:  # pragma: no cover - registration guards this
@@ -448,120 +417,143 @@ class NumpyBackend(SweepBackend):
         horizon: int,
         model: ReceptionModel,
     ):
-        """First-discovery times for every phase pair (``-1``: none).
-
-        One iteration per beacon candidate ``(instance, tau)`` in the
-        reference enumeration order, batched over the still-unresolved
-        lanes, whose state is kept compacted (module docstring).
-        """
+        """First-discovery times for every phase pair (``-1``: none),
+        painted block by block (module docstring)."""
         np = _np.np
         schedule = transmitter.beacons
-        period = schedule.period
-        pattern = [(int(b.time), int(b.duration)) for b in schedule.beacons]
-        starts, ends = cache.pattern_arrays()
-        hyper = cache.hyper
-        point = model is ReceptionModel.POINT
-        any_overlap = model is ReceptionModel.ANY_OVERLAP
-        receiver, turnaround = cache.receiver, cache.turnaround
-
-        # Sentinel slots make each predicate one gather at the
-        # ``searchsorted`` slot ``k`` (segment ``k - 1`` covers the
-        # residue, segment ``k`` is the next one): ``ends_ext[0] = -1``
-        # answers "before the first segment", ``starts_ext[-1] = 2H+1``
-        # (above any residue and any ``lo + duration``) "past the last".
-        ends_ext = np.concatenate(([-1], ends))
-        starts_ext = np.concatenate((starts, [2 * hyper + 1]))
+        period, hyper = schedule.period, cache.hyper
+        taus = np.array([b.time for b in schedule.beacons], dtype=np.int64)
+        durations = [b.duration for b in schedule.beacons]
+        n_beacons = len(durations)
+        # One heard set per distinct duration.
+        lengths = sorted(set(durations))
+        heard_sets = [cache.heard_intervals(model, d) for d in lengths]
+        set_of_beacon = np.searchsorted(lengths, durations)
 
         result = np.full(tx_phases.size, -1, dtype=np.int64)
-        # Per-lane state, one row each, compacted as lanes drop out:
-        # original lane, tx phase residue, residue constant, rx phase,
-        # boot end.
-        reduced = tx_phases % period
-        state = np.stack((
-            np.arange(tx_phases.size, dtype=np.int64),
-            reduced,
-            reduced - rx_phases,
-            rx_phases,
-            cache.boot_ends(rx_phases),
-        ))
-        lanes, red, delta, rxp, boot_end = state
-        boot_max = int(boot_end.max())
+        red = tx_phases % period
+        boot_end = cache.boot_ends(rx_phases)
         red_min, red_max = int(red.min()), int(red.max())
-        # Dead-lane retirement (module docstring): from the steady
-        # instance on, a lane's residues repeat every ``cycle``
-        # instances.  The floor includes 0 because candidates before
-        # time 0 are masked off, not evaluated.
-        steady_floor = max(boot_max, 0)
-        tau_min = pattern[0][0]  # beacon times are sorted
-        cycle = hyper // math.gcd(period, hyper)
-        retire_at = None
-        instance = -1
-        while lanes.size:
-            ibase = instance * period
-            if retire_at is None:
-                if ibase + tau_min + red_min >= steady_floor:
-                    retire_at = instance + cycle
-            elif instance == retire_at:
-                break  # every live lane is deadlocked: it stays -1
-            if ibase + red_max >= horizon:
-                # The reference returns None the moment an instance
-                # starts at or past the horizon.
-                state = state.compress(red < horizon - ibase, axis=1)
-                lanes, red, delta, rxp, boot_end = state
-                if not lanes.size:
-                    break
-                red_min, red_max = int(red.min()), int(red.max())
-            for tau, duration in pattern:
-                c = ibase + tau
-                t_min = c + red_min
-                t_max = c + red_max
-                if t_max < 0 or t_min >= horizon:
-                    continue  # no lane's query lies in [0, horizon)
-                oversized = duration > hyper
-                if oversized:
-                    heard = np.zeros(lanes.size, dtype=bool)
-                else:
-                    lo = (c + delta) % hyper
-                    k = starts_ext.searchsorted(lo, side="right")
-                    if point:
-                        heard = ends_ext[k] > lo
-                    elif any_overlap:
-                        heard = (ends_ext[k] > lo) | (
-                            starts_ext[k] < lo + duration
-                        )
-                    else:  # CONTAINMENT: one segment spans the packet
-                        heard = ends_ext[k] >= lo + duration
-                partial = t_min < 0 or t_max >= horizon
-                if partial or oversized or t_min < boot_max:
-                    t = red + c
-                    valid = None
-                    if partial:
-                        valid = (t >= 0) & (t < horizon)
-                        heard &= valid
-                    if oversized:
-                        # Packets longer than the hyperperiod take the
-                        # exact scalar path: the pattern holds only two
-                        # hyperperiods.
-                        slow = np.ones(lanes.size, dtype=bool)
-                    else:
-                        # Before a lane's boot end only a pattern "not
-                        # heard" can be wrong (ListeningCache.boot_ends).
-                        slow = ~heard & (t < boot_end)
-                    if valid is not None:
-                        slow &= valid
-                    for j in np.flatnonzero(slow):
-                        t_j = int(t[j])
-                        heard[j] = packet_heard(
-                            receiver, int(rxp[j]), t_j, t_j + duration,
-                            model, turnaround,
-                        )
-                if heard.any():
-                    hit = np.flatnonzero(heard)
-                    result[lanes[hit]] = red[hit] + c
-                    state = state.compress(~heard, axis=1)
-                    lanes, red, delta, rxp, boot_end = state
-                    if not lanes.size:
-                        break
-                    red_min, red_max = int(red.min()), int(red.max())
-            instance += 1
+        boot_max = int(boot_end.max())
+        # Candidate j is beacon j % n_beacons of instance
+        # j // n_beacons - 1; they end at the retirement bound.
+        steady = max(-1, -((red_min + taus[0] - max(boot_max, 0)) // period))
+        stop = min(
+            steady + hyper // math.gcd(period, hyper),
+            -((red_min - horizon) // period),
+        )
+        n_candidates = (int(stop) + 1) * n_beacons
+        # Boot candidates: ``c < boot_max - red_min``, from instance -1.
+        reach = max(boot_max - red_min + period, 0)
+        n_boot = min(n_candidates, reach // period * n_beacons
+                     + int(taus.searchsorted(reach % period)))
+
+        keys = (red - rx_phases) % hyper
+        lanes = np.argsort(keys, kind="stable")
+        keys, red = keys[lanes], red[lanes]
+        block = max(n_boot, _FIRST_BLOCK)
+        j = 0
+        while lanes.size and j < n_candidates:
+            index = np.arange(j, min(n_candidates, j + block), dtype=np.int64)
+            cands = (index // n_beacons - 1) * period + taus[index % n_beacons]
+            # Only a block reaching below time 0 or up to the horizon
+            # tests each pair's ``0 <= t < horizon``.
+            window = None
+            if cands[0] + red_min < 0 or cands[-1] + red_max >= horizon:
+                window = horizon
+            best = np.full(lanes.size, _INT64_MAX, dtype=np.int64)
+            group = set_of_beacon[index % n_beacons]
+            for g, (lo, length) in enumerate(heard_sets):
+                mine = cands[group == g] if len(heard_sets) > 1 else cands
+                _paint(best, keys, red, mine, lo, length, hyper, window)
+            if j == 0 and n_boot:  # the first block holds them all
+                _boot_checks(
+                    best, cands[:n_boot], durations, red, rx_phases[lanes],
+                    boot_end[lanes], horizon, cache, model,
+                )
+            hit = best < _INT64_MAX
+            result[lanes[hit]] = best[hit] + red[hit]
+            miss = ~hit
+            lanes, keys, red = lanes[miss], keys[miss], red[miss]
+            j += index.size
+            block = min(2 * block, max(block, _BLOCK_PAIRS))
         return result
+
+
+def _paint(best, keys, red, cands, lo, length, hyper: int, horizon):
+    """Lower ``best[i]`` to the earliest of ``cands`` whose heard set
+    ``(lo, length)`` covers lane ``i``'s key (``keys`` sorted).
+
+    With fewer intervals than lanes, each shifted interval ``(lo - c)
+    mod hyper`` is one run of the sorted keys doubled by ``+ hyper``;
+    with fewer lanes, each shifted key is searched in the heard set.
+    Candidates go :data:`_BLOCK_PAIRS` (lane or interval, candidate)
+    pairs at a time.  With ``horizon`` set, pairs with ``c + red``
+    outside ``[0, horizon)`` drop.
+    """
+    np = _np.np
+    n = best.size
+    keys2, hi = np.concatenate((keys, keys + hyper)), lo + length
+    step = max(1, _BLOCK_PAIRS // max(n, lo.size))
+    for at in range(0, cands.size if lo.size else 0, step):
+        part = cands[at:at + step, None]
+        if n < lo.size:
+            shifted = (part + keys) % hyper
+            k = lo.searchsorted(shifted, "right") - 1
+            heard = (k >= 0) & (shifted < hi[k])
+            if horizon is not None:
+                heard &= (part + red >= 0) & (part + red < horizon)
+            first = part[heard.argmax(axis=0), 0]
+            np.minimum(best, np.where(heard.any(axis=0), first,
+                                      _INT64_MAX), out=best)
+            continue
+        shifted = (lo - part) % hyper
+        first = keys2.searchsorted(shifted).ravel()
+        count = keys2.searchsorted(shifted + length).ravel() - first
+        ranges = np.flatnonzero(count)
+        pos = _run_positions(first[ranges], count[ranges])
+        pos[pos >= n] -= n
+        c = np.repeat(part[ranges // lo.size, 0], count[ranges])
+        if horizon is not None:
+            ok = (c + red[pos] >= 0) & (c + red[pos] < horizon)
+            pos, c = pos[ok], c[ok]
+        np.minimum.at(best, pos, c)
+
+
+def _boot_checks(
+    best, cands, durations, red, rxp, boot_end, horizon, cache, model
+):
+    """The exact decode of each boot candidate, in candidate order, for
+    every lane that queries it before its boot end, the horizon and its
+    earliest hit so far: only there may the pattern's "not heard" be
+    wrong (module docstring).  ``cands`` start at instance -1, so the
+    ``k``-th has duration ``durations[k % len(durations)]``."""
+    np = _np.np
+    # Lane i queries the candidates in [-red, min(boot_end, horizon) - red).
+    first = cands.searchsorted(-red)
+    last = cands.searchsorted(np.minimum(boot_end, horizon) - red)
+    count = np.maximum(last - first, 0)
+    lanes = np.repeat(np.arange(red.size), count)
+    ks = _run_positions(first, count)
+    need = cands[ks] < best[lanes]
+    lanes, ks = lanes[need], ks[need]
+    for k, i, start, phase in zip(
+        ks.tolist(), lanes.tolist(), (cands[ks] + red[lanes]).tolist(),
+        rxp[lanes].tolist(),
+    ):
+        # A lane's pairs come in candidate order, so after its first
+        # exact hit the rest fail the test.
+        if cands[k] < best[i] and packet_heard(
+            cache.receiver, phase, start,
+            start + durations[k % len(durations)], model, cache.turnaround,
+        ):
+            best[i] = cands[k]
+
+
+def _run_positions(first, count):
+    """``first[r], ..., first[r] + count[r] - 1`` for every run ``r``."""
+    np = _np.np
+    done = np.cumsum(count)
+    positions = np.repeat(first - (done - count), count)
+    positions += np.arange(positions.size)
+    return positions

@@ -1,75 +1,56 @@
 """Precomputed listening patterns for the vectorized sweep kernel.
 
-Deciding whether a receiver decodes a packet needs the receiver's
-effective listening set: its reception windows minus its own
-transmissions (plus turnaround guards).  Away from time zero that set
-is *periodic* with the receiver's schedule hyperperiod
-``H = lcm(T_C, T_B)`` and shifts rigidly with the phase, so a decode
-decision depends only on the phase residue
-``(packet_start - rx_phase) mod H`` (plus packet length and reception
-model).  Translation invariance only breaks near time zero, where
-beacons scheduled before boot never went on air: blocks of those beacons
-all end before ``max_beacon_duration + turnaround``.
+Deciding whether a receiver decodes a packet needs its effective
+listening set: its reception windows minus its own transmissions (plus
+turnaround guards).  Away from time zero that set is *periodic* with
+the receiver's hyperperiod ``H = lcm(T_C, T_B)`` and shifts rigidly
+with the phase, so a decode depends only on the residue
+``(packet_start - rx_phase) mod H``, the packet length and the
+reception model.  Only near time zero does this break: beacons
+scheduled before boot never went on air.
 
-:class:`ListeningCache` therefore precomputes the periodic pattern once
--- two hyperperiods of exact listening segments, so any query interval
-of length up to ``H`` falls inside the linear list.  The ``numpy``
-kernel reads it as int64 arrays (:meth:`ListeningCache.pattern_arrays`)
-and decides every lane with one ``searchsorted`` per beacon candidate;
-queries it cannot decide from the pattern go to the exact
-:func:`repro.simulation.analytic.packet_heard`.  The cache is enabled
-only on integer schedules whose pattern fits ``max_segments``; a
-disabled cache sends the whole batch to the ``python`` reference.
-The pattern stores segments exactly as
+:class:`ListeningCache` precomputes the pattern once: two hyperperiods
+of exact listening segments, so any packet of length up to ``H`` falls
+inside it.  Segments are stored as
 :func:`repro.simulation.analytic.listening_segments` returns them --
-unmerged, abutting windows kept distinct -- because the CONTAINMENT
-model's equality test distinguishes one spanning segment from two
-abutting ones.
+abutting windows kept distinct -- because CONTAINMENT tells one
+spanning segment from two abutting ones.  The ``numpy`` kernel reads
+the pattern as *heard sets* (:meth:`ListeningCache.heard_intervals`:
+the residues at which a packet of one duration is decoded) and paints
+each beacon candidate's coverage from them.  The cache is enabled only
+on integer schedules whose pattern fits ``max_segments``; a disabled
+cache sends the whole batch to the ``python`` reference, which reads
+no pattern.
 
-Not every boot-region query goes down the exact path:
-:meth:`ListeningCache.boot_ends` screens them.  Near boot
-the exact listening set differs from the pattern only by the blocks of
-the receiver's own beacons scheduled before time 0, which never went
-on air, and each such block ends by its beacon's start plus the
-threshold.  So from the latest pre-zero beacon start plus the threshold
-on (a lane's *boot end*), the pattern decision is exact.  Before it,
-removing blocks only adds listening time, so a pattern "heard" is exact
-too, in all three reception models; only a pattern "not heard" before
-the boot end takes the exact path.
+Near boot, the exact listening set differs from the pattern only by
+the blocks of the receiver's own pre-zero beacons, each ending by its
+beacon's start plus :attr:`ListeningCache.threshold`.  So from a lane's
+*boot end* (:meth:`ListeningCache.boot_ends`) on, the pattern is exact.
+Before it, removing blocks only adds listening time, so a pattern
+"heard" is exact too, in all three reception models; only a pattern
+"not heard" before the boot end needs the exact
+:func:`repro.simulation.analytic.packet_heard`.
 
-One cache per receiver is shared across all chunks a worker process
-evaluates.  The ``python`` backend reads no pattern: it is the
-uncached reference the pattern-driven kernel is pinned against.
+Process-wide keyed registry
+---------------------------
 
-Process-wide keyed registry (PR 2)
-----------------------------------
-
-Building a pattern is one linear pass over two hyperperiods of
-windows and own-beacon blocks, and sweep drivers used to rebuild it for
-every ``verified_worst_case``/``sweep_offsets`` call even when the
-protocol zoo never changed.  :func:`get_listening_cache` therefore memoizes
-caches process-wide, keyed by :func:`protocol_fingerprint` -- a SHA-256
-digest of the *schedule contents* (beacon times/durations/period,
-window starts/durations/period, the turnaround guard and the pattern
-size limit).  The invalidation contract:
+:func:`get_listening_cache` memoizes caches process-wide, keyed by
+:func:`protocol_fingerprint` -- a SHA-256 digest of the *schedule
+contents* (beacon times/durations/period, window starts/durations/
+period, the turnaround guard and the pattern size limit):
 
 * **Keys cannot go stale.**  :class:`repro.core.sequences.NDProtocol`
-  and both schedule classes are immutable (frozen dataclasses over
-  tuples), so a fingerprint permanently identifies the exact listening
-  behaviour it was computed from.  Two protocol objects with equal
-  schedules share one cache; mutating a protocol is impossible without
-  constructing a new object, which gets a new fingerprint.
+  and both schedule classes are immutable, so a fingerprint
+  permanently identifies the listening behaviour it was computed from;
+  equal schedules share one cache.
 * **Explicit invalidation exists for memory, not correctness.**
   :func:`invalidate_listening_caches` drops one fingerprint or the
-  whole registry -- use it to reclaim memory after sweeping
-  large-hyperperiod protocols, or to force a cold rebuild in
-  benchmarks.  The registry also self-bounds (LRU eviction past
-  ``_REGISTRY_CAP`` entries), so pathological zoos degrade to PR-1
-  per-sweep rebuilds instead of growing without bound.
-* **Fork and spawn.**  Worker processes forked mid-session inherit
-  the parent's registry; entries are immutable after construction, so
-  the copies stay correct.  Spawned workers start empty and build each
-  pattern on first use, like any cold process.
+  whole registry (to reclaim memory, or force a cold rebuild in
+  benchmarks).  The registry also self-bounds by LRU eviction past
+  ``_REGISTRY_CAP`` entries.
+* **Fork and spawn.**  Forked workers inherit the parent's registry;
+  entries are immutable after construction, so the copies stay
+  correct.  Spawned workers build each pattern on first use.
 """
 
 from __future__ import annotations
@@ -78,7 +59,7 @@ import hashlib
 import threading
 
 from ..core.sequences import NDProtocol
-from ..simulation.analytic import listening_segments
+from ..simulation.analytic import listening_segments, ReceptionModel
 
 __all__ = [
     "ListeningCache",
@@ -125,6 +106,8 @@ def _numpy(caller: str):
 # ----------------------------------------------------------------------
 
 _DEFAULT_MAX_SEGMENTS = 1 << 22
+# Heard sets a cache memoizes; threads that race on one recompute it.
+_HEARD_CAP = 16
 _REGISTRY: dict[str, "ListeningCache"] = {}
 # LRU bound on registered caches.
 _REGISTRY_CAP = 64
@@ -233,10 +216,9 @@ class ListeningCache:
     A packet occupying ``[start, end)``, starting at or past
     :attr:`threshold` and no longer than :attr:`hyper`, is decoded at
     phase ``rx_phase`` exactly when the pattern, read at the residue
-    ``(start - rx_phase) mod hyper``, says so -- the question
-    :func:`repro.simulation.analytic.packet_heard` answers from scratch.
-    :attr:`enabled` is false where no pattern is built (non-integer
-    schedules, patterns over ``max_segments``).
+    ``(start - rx_phase) mod hyper``, says so.  :attr:`enabled` is false
+    where no pattern is built (non-integer schedules, patterns over
+    ``max_segments``).
     """
 
     def __init__(
@@ -253,6 +235,7 @@ class ListeningCache:
         self._ends: list[int] = []
         self._np_pattern = None
         self._np_boot = None
+        self._np_heard: dict = {}
         self.enabled = self._analyze(max_segments)
         if self.enabled:
             base = -(-self.threshold // self.hyper) * self.hyper
@@ -305,17 +288,10 @@ class ListeningCache:
     def pattern_arrays(self):
         """The pattern as ``(starts, ends)`` int64 NumPy arrays.
 
-        The one sanctioned path the array-consuming ``numpy`` kernel
-        resolves patterns through -- built once per cache object, on
-        first use, and owned by the cache so its lifetime *is* the
-        invalidation contract: caches are immutable after construction
-        (fingerprint-keyed, see the module docstring), so the arrays can
-        never go stale while the cache lives, and dropping the cache
-        (registry LRU eviction, :func:`invalidate_listening_caches`)
-        drops them with it.
-
-        Requires NumPy; raises ``BackendUnavailable`` without it (only
-        vectorizing kernels, which already guard on NumPy, call this).
+        Built once, on first use, and owned by the cache: caches are
+        immutable, so the arrays never go stale while it lives, and
+        dropping it drops them.  Requires NumPy; raises
+        ``BackendUnavailable`` without it.
         """
         arrays = self._np_pattern
         if arrays is None:
@@ -327,6 +303,42 @@ class ListeningCache:
             self._np_pattern = arrays
         return arrays
 
+    def heard_intervals(self, model: ReceptionModel, duration: int):
+        """The residues in ``[0, hyper)`` at which the pattern decodes a
+        packet of ``duration`` (no longer than :attr:`hyper`), as
+        sorted, disjoint intervals: int64 arrays ``(lo, length)``.
+
+        A segment ``[s, e)`` hears POINT at ``[s, e)``, ANY_OVERLAP at
+        ``[s - duration + 1, e)`` and CONTAINMENT at ``[s, e -
+        duration + 1)``; pieces merge.  Memoized per model and
+        duration, like :meth:`pattern_arrays`.
+        """
+        if model is ReceptionModel.POINT:
+            duration = 1  # POINT reads the start instant alone
+        if (heard := self._np_heard.get((model, duration))) is not None:
+            return heard
+        np = _numpy("heard_intervals()")
+        starts, ends = self.pattern_arrays()
+        if model is ReceptionModel.ANY_OVERLAP:
+            starts = starts - (duration - 1)
+        elif model is ReceptionModel.CONTAINMENT:
+            ends = ends - (duration - 1)
+        lo = np.clip(starts, 0, self.hyper)
+        hi = np.clip(ends, 0, self.hyper)
+        keep = lo < hi
+        lo, hi = lo[keep], hi[keep]
+        if lo.size:
+            # Both columns are sorted, as the segments are, so a piece
+            # starts a new interval exactly when it begins past the end
+            # of the one before it.
+            fresh = np.flatnonzero(lo[1:] > hi[:-1]) + 1
+            lo, hi = lo[np.insert(fresh, 0, 0)], hi[np.append(fresh - 1, -1)]
+        heard = lo, hi - lo
+        if len(self._np_heard) >= _HEARD_CAP:
+            self._np_heard.clear()
+        self._np_heard[model, duration] = heard
+        return heard
+
     def boot_ends(self, rx_phases):
         """Per lane, the instant from which the exact listening set
         equals the periodic pattern (int64 array shaped like
@@ -334,14 +346,10 @@ class ListeningCache:
 
         Only blocks of the receiver's own beacons scheduled before time
         0 separate the two, and each ends by its beacon's start plus
-        :attr:`threshold`.  The latest such start is one
-        ``searchsorted`` over the sorted beacon times: with
-        ``q = (-rx_phase) % period`` it is the largest time below ``q``,
-        minus ``q`` (or the last time minus ``q + period`` when none is
-        below ``q``).  A query starting before its lane's boot end needs
-        the exact ``analytic.packet_heard`` only when the pattern says
-        "not heard" (module docstring).  Requires NumPy, like
-        :meth:`pattern_arrays`.
+        :attr:`threshold`.  With ``q = (-rx_phase) % period``, the latest
+        such start is the largest beacon time below ``q``, minus ``q``
+        (or the last time minus ``q + period`` when none is below
+        ``q``).  Requires NumPy, like :meth:`pattern_arrays`.
         """
         np = _numpy("boot_ends()")
         rx_phases = np.asarray(rx_phases, dtype=np.int64)

@@ -36,7 +36,7 @@ from repro.core.sequences import (
     ReceptionSchedule,
     ReceptionWindow,
 )
-from repro.parallel import ParallelSweep
+from repro.parallel import get_listening_cache, ParallelSweep
 from repro.parallel.schedule import (
     cost_components,
     default_simulation_cost,
@@ -224,6 +224,7 @@ class TestNumpyReferenceParity:
         )
         got = NumpyBackend().evaluate_offsets_batch(params, offsets)
         assert got == serial
+        return got
 
     def test_strided_batch_under_every_model(self):
         protocol, _, horizon = _small_pair()
@@ -290,6 +291,213 @@ class TestNumpyReferenceParity:
         )
         assert adv.beacons.beacons[0].duration > scan.reception.period
         self._check(adv, scan, list(range(0, 600, 11)), 20_000)
+
+    def test_beacon_longer_than_receiver_hyperperiod_delegates(self):
+        """A beacon longer than the receiver's hyperperiod (here
+        lcm(150, 350) = 1050) sends the batch to the reference."""
+        adv = NDProtocol(
+            beacons=BeaconSchedule.uniform(1, 5_000, 1_100),
+            reception=ReceptionSchedule.single_window(25, 600),
+        )
+        scan = NDProtocol(
+            beacons=BeaconSchedule.uniform(1, 150, 3),
+            reception=ReceptionSchedule.single_window(40, 350),
+        )
+        assert adv.beacons.beacons[0].duration > scan.hyperperiod()
+        offsets = list(range(0, 600, 11))
+        for model in ReceptionModel:
+            params = SweepParams(adv, scan, 20_000, model)
+            assert NumpyBackend()._discovery_vectors(params, offsets) is None
+            self._check(adv, scan, offsets, 20_000, model=model)
+
+    # The painter's own edge cases: each beacon candidate covers the
+    # lanes whose key ``(red - rx_phase) mod H`` lies in its shifted
+    # heard set (``repro.backends.numpy_kernel``).
+
+    def test_transmitter_period_longer_than_receiver_hyperperiod(self):
+        """Offsets 17, 117, 217 and 317 give the F->E lanes one key
+        (17 mod 100) but four tx residues ``red`` mod 370, and so four
+        different discovery times."""
+        scan = NDProtocol(
+            beacons=None, reception=ReceptionSchedule.single_window(30, 100)
+        )
+        adv = NDProtocol(
+            beacons=BeaconSchedule([Beacon(0, 5), Beacon(200, 5)], 370),
+            reception=None,
+        )
+        offsets = [*range(17, 370, 100), 3, 59, 99, 371, -230]
+        for model in ReceptionModel:
+            got = self._check(scan, adv, offsets, 5_000, model=model)
+            times = {outcome.f_discovered_by_e for outcome in got[:4]}
+            assert len(times) == 4 and None not in times
+
+    def test_heard_sets_that_wrap_past_the_hyperperiod(self):
+        """Windows at both ends of the period abut across it, so heard
+        residues run up to ``H`` and on from 0, and every shifted set
+        wraps; CONTAINMENT still tells the two abutting windows apart."""
+        device = NDProtocol(
+            beacons=BeaconSchedule([Beacon(40, 3)], 100),
+            reception=ReceptionSchedule(
+                [ReceptionWindow(0, 10), ReceptionWindow(88, 12)], 100
+            ),
+        )
+        other = NDProtocol(
+            beacons=BeaconSchedule([Beacon(0, 6), Beacon(19, 15)], 37),
+            reception=ReceptionSchedule.single_window(9, 37),
+        )
+        offsets = list(range(-150, 150, 7))
+        for turnaround in (0, 2):
+            for model in ReceptionModel:
+                self._check(
+                    device, other, offsets, 3_000,
+                    model=model, turnaround=turnaround,
+                )
+                self._check(
+                    other, device, offsets, 3_000,
+                    model=model, turnaround=turnaround,
+                )
+
+    def test_containment_packet_longer_than_every_segment(self):
+        """A 20-unit packet fits in no 10-unit window: the heard set is
+        empty, and nothing is ever discovered, boot region included."""
+        scan = NDProtocol(
+            beacons=BeaconSchedule([Beacon(50, 2)], 100),
+            reception=ReceptionSchedule(
+                [ReceptionWindow(0, 10), ReceptionWindow(30, 10)], 100
+            ),
+        )
+        adv = NDProtocol(
+            beacons=BeaconSchedule([Beacon(0, 20)], 130), reception=None
+        )
+        got = self._check(
+            adv, scan, list(range(-100, 300, 3)), 4_000,
+            model=ReceptionModel.CONTAINMENT,
+        )
+        assert all(outcome.e_discovered_by_f is None for outcome in got)
+
+    def test_any_overlap_heard_set_reaching_below_zero(self):
+        """A window starting at 0 hears ANY_OVERLAP packets from
+        ``0 - d + 1``: the part below 0 is the previous hyperperiod's,
+        read from the pattern's second copy of that window."""
+        scan = NDProtocol(
+            beacons=None,
+            reception=ReceptionSchedule(
+                [ReceptionWindow(0, 5), ReceptionWindow(60, 5)], 120
+            ),
+        )
+        adv = NDProtocol(
+            beacons=BeaconSchedule([Beacon(0, 25)], 97), reception=None
+        )
+        got = self._check(
+            adv, scan, list(range(-130, 130)), 3_000,
+            model=ReceptionModel.ANY_OVERLAP,
+        )
+        assert all(outcome.e_discovered_by_f is not None for outcome in got)
+
+    def test_exact_boot_hit_before_a_later_pattern_hit(self, monkeypatch):
+        """The scanner's beacon at -3 never went on air, so at rx phase 0
+        it listens at t = 1, where its pattern (blocked by that beacon
+        one period later) says "not heard".  The exact fallback hears
+        E's beacon there, before the residue drift of E's period brings
+        a pattern hit at t = 203."""
+        from repro.backends import numpy_kernel
+        from repro.simulation.analytic import packet_heard
+
+        scan = NDProtocol(
+            beacons=BeaconSchedule([Beacon(97, 6)], 100),
+            reception=ReceptionSchedule.single_window(50, 100),
+        )
+        adv = NDProtocol(
+            beacons=BeaconSchedule([Beacon(1, 1)], 101), reception=None
+        )
+        heard = []
+
+        def recording(*args):
+            heard.append(packet_heard(*args))
+            return heard[-1]
+
+        monkeypatch.setattr(numpy_kernel, "packet_heard", recording)
+        offsets = list(range(-5, 6))
+        for turnaround in (0, 2):
+            got = self._check(
+                adv, scan, offsets, 1_000, turnaround=turnaround
+            )
+            assert got[offsets.index(0)].e_discovered_by_f == 1
+            assert True in heard
+            heard.clear()
+        # The pattern misses residues 1 (t = 1) and 2 (t = 102) and hears
+        # residue 3 (t = 203).
+        lo, length = get_listening_cache(scan).heard_intervals(
+            ReceptionModel.POINT, 1
+        )
+        residues = {r for a, n in zip(lo, length) for r in range(a, a + n)}
+        assert 1 not in residues and 2 not in residues and 3 in residues
+
+    def test_horizon_ending_inside_a_block(self):
+        """Sparse windows keep lanes unresolved over many doubling
+        blocks; horizons across them cut blocks anywhere."""
+        scan = NDProtocol(
+            beacons=BeaconSchedule([Beacon(500, 4)], 1_009),
+            reception=ReceptionSchedule.single_window(3, 1_009),
+        )
+        adv = NDProtocol(
+            beacons=BeaconSchedule([Beacon(0, 2), Beacon(11, 2)], 37),
+            reception=None,
+        )
+        offsets = list(range(0, 1_009, 13))
+        for horizon in range(100, 12_000, 613):
+            for model in ReceptionModel:
+                got = self._check(adv, scan, offsets, horizon, model=model)
+        assert {outcome.e_discovered_by_f is None for outcome in got} == {
+            True, False
+        }
+
+    def test_few_lanes_search_keys_many_lanes_paint_runs(self):
+        """A receiver with 40 heard intervals per hyperperiod: 5 lanes
+        are decoded by searching their keys in the heard set, 400 by
+        painting runs of sorted keys, and lanes left after painting
+        by the search again; both agree with the reference."""
+        scan = NDProtocol(
+            beacons=BeaconSchedule([Beacon(7, 3)], 40),
+            reception=ReceptionSchedule(
+                [ReceptionWindow(10 * i, 4) for i in range(40)], 400
+            ),
+        )
+        adv = NDProtocol(
+            beacons=BeaconSchedule([Beacon(0, 2), Beacon(50, 3)], 403),
+            reception=None,
+        )
+        few = [3, 171, -40, 999, 12_345]
+        many = list(range(-200, 1_400, 4))
+        for model in ReceptionModel:
+            for turnaround in (0, 2):
+                for offsets in (few, many):
+                    self._check(
+                        adv, scan, offsets, 40_000,
+                        model=model, turnaround=turnaround,
+                    )
+
+    def test_boot_pairs_exact_call_count_is_pinned(self, monkeypatch):
+        """The painter sends exactly the boot pairs the per-candidate
+        loop it replaced sent to the scalar ``packet_heard``: before
+        each lane's pattern hit, in candidate order."""
+        from repro.backends import numpy_kernel
+        from repro.simulation.analytic import packet_heard
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return packet_heard(*args)
+
+        monkeypatch.setattr(numpy_kernel, "packet_heard", counting)
+        protocol, offsets, horizon = _small_pair()
+        self._check(protocol, protocol, offsets, horizon, turnaround=9)
+        assert len(calls) == 1
+        calls.clear()
+        offsets = list(range(0, 9_000, 13))
+        self._check(protocol, protocol, offsets, horizon, turnaround=7)
+        assert len(calls) == 18
 
     def test_enumeration_bit_identical_with_guard_parity(self):
         from repro.simulation import critical_offsets
