@@ -666,7 +666,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     # Perf floors (PR 8): wall-clock ratios flake on shared runners, so
     # the floors sit far below the measured numbers (the 3x numpy floor
-    # against 70-140x measured over the reference on a 2-vCPU host,
+    # against 50-140x measured over the reference on a 2-vCPU host,
     # numpy 2.4) and --no-perf-floors turns them into recorded-only rows.
     floor_failures = []
     if not args.no_perf_floors:

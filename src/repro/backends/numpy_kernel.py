@@ -21,11 +21,10 @@ earliest candidate whose coverage holds it.
   candidates each shifted interval is one run of sorted keys (two
   ``searchsorted`` calls); runs expand into (lane, candidate) pairs,
   pairs with ``t`` outside ``[0, horizon)`` drop, and ``np.minimum.at``
-  keeps each lane's earliest candidate; covered lanes then leave.  When
-  fewer lanes than intervals are left, each key is searched in the
-  heard set instead, so work follows the smaller side.  Blocks double
-  from :data:`_FIRST_BLOCK` candidates up to :data:`_BLOCK_PAIRS`;
-  scratch holds that many pairs, or one candidate's at most.
+  keeps each lane's earliest candidate; covered lanes then leave.
+  Blocks double from :data:`_FIRST_BLOCK` candidates up to
+  :data:`_BLOCK_PAIRS`; scratch holds that many pairs, or one
+  candidate's at most.
 * **Retirement bound.**  From the *steady instance* -- the first whose
   every query lies at or past ``max(boot_max, 0)``, ``boot_max`` being
   the batch's latest boot end -- decodes are the pattern's, and a
@@ -484,29 +483,19 @@ def _paint(best, keys, red, cands, lo, length, hyper: int, horizon):
     """Lower ``best[i]`` to the earliest of ``cands`` whose heard set
     ``(lo, length)`` covers lane ``i``'s key (``keys`` sorted).
 
-    With fewer intervals than lanes, each shifted interval ``(lo - c)
-    mod hyper`` is one run of the sorted keys doubled by ``+ hyper``;
-    with fewer lanes, each shifted key is searched in the heard set.
-    Candidates go :data:`_BLOCK_PAIRS` (lane or interval, candidate)
-    pairs at a time.  With ``horizon`` set, pairs with ``c + red``
+    Each shifted interval ``(lo - c) mod hyper`` is one run of the
+    sorted keys doubled by ``+ hyper``.  Candidates go a chunk at a
+    time, so that neither the shifted intervals nor the pairs the runs
+    expand into (at most one per lane and candidate) pass
+    :data:`_BLOCK_PAIRS`.  With ``horizon`` set, pairs with ``c + red``
     outside ``[0, horizon)`` drop.
     """
     np = _np.np
     n = best.size
-    keys2, hi = np.concatenate((keys, keys + hyper)), lo + length
+    keys2 = np.concatenate((keys, keys + hyper))
     step = max(1, _BLOCK_PAIRS // max(n, lo.size))
     for at in range(0, cands.size if lo.size else 0, step):
         part = cands[at:at + step, None]
-        if n < lo.size:
-            shifted = (part + keys) % hyper
-            k = lo.searchsorted(shifted, "right") - 1
-            heard = (k >= 0) & (shifted < hi[k])
-            if horizon is not None:
-                heard &= (part + red >= 0) & (part + red < horizon)
-            first = part[heard.argmax(axis=0), 0]
-            np.minimum(best, np.where(heard.any(axis=0), first,
-                                      _INT64_MAX), out=best)
-            continue
         shifted = (lo - part) % hyper
         first = keys2.searchsorted(shifted).ravel()
         count = keys2.searchsorted(shifted + length).ravel() - first

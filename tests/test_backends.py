@@ -452,11 +452,10 @@ class TestNumpyReferenceParity:
             True, False
         }
 
-    def test_few_lanes_search_keys_many_lanes_paint_runs(self):
+    def test_few_and_many_lanes_against_many_intervals(self):
         """A receiver with 40 heard intervals per hyperperiod: 5 lanes
-        are decoded by searching their keys in the heard set, 400 by
-        painting runs of sorted keys, and lanes left after painting
-        by the search again; both agree with the reference."""
+        (most runs of sorted keys empty) and 400 lanes (runs of many
+        keys) both agree with the reference."""
         scan = NDProtocol(
             beacons=BeaconSchedule([Beacon(7, 3)], 40),
             reception=ReceptionSchedule(
