@@ -47,8 +47,10 @@ the uncached reference computation for every backend/jobs combination
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import time
+from collections import OrderedDict
 from pathlib import PurePath
 from typing import Mapping
 
@@ -56,6 +58,10 @@ from .result import network_result_payload, RunResult, sweep_report_payload
 from .spec import build_grid, build_pair, build_scenario, RunSpec, RuntimeProfile
 
 __all__ = ["Session"]
+
+#: Built pairs a session keeps (see :meth:`Session._build_pair`),
+#: least-recently-used evicted first.
+PAIR_MEMO = 16
 
 
 def _as_spec(spec) -> RunSpec:
@@ -115,6 +121,7 @@ class Session:
         self._backend = None
         self._retained_pool = None
         self._retain_token = None
+        self._pairs: OrderedDict[str, tuple] = OrderedDict()
 
     def _resolve_store(self, store):
         """Resolve the session's result store (explicit argument wins
@@ -258,6 +265,32 @@ class Session:
     # Spec resolution helpers
     # ------------------------------------------------------------------
 
+    def _build_pair(self, pair) -> tuple:
+        """:func:`~repro.api.spec.build_pair`, built once per session
+        for each declarative pair.
+
+        A client that asks for a pair's worst case and then its sweep
+        would otherwise build the same immutable protocols twice.  The
+        memo is keyed by the pair's compact key-sorted JSON, holds
+        successes only (a pair that fails to build raises again on every
+        call), and keeps at most :data:`PAIR_MEMO` pairs.  A pair of live
+        :class:`~repro.core.sequences.NDProtocol` objects, or anything
+        else that does not encode as JSON, bypasses it.
+        """
+        try:
+            key = json.dumps(pair, sort_keys=True, separators=(",", ":"))
+        except (TypeError, ValueError):
+            return build_pair(pair)
+        built = self._pairs.get(key)
+        if built is not None:
+            self._pairs.move_to_end(key)
+            return built
+        built = build_pair(pair)
+        self._pairs[key] = built
+        if len(self._pairs) > PAIR_MEMO:
+            self._pairs.popitem(last=False)
+        return built
+
     def _pair_workload(self, spec: RunSpec):
         """(protocol_e, protocol_f, offsets, horizon, sampling) for a
         pair verb; ``sampling`` names what actually ran (``"explicit"``,
@@ -265,7 +298,7 @@ class Session:
         requested critical enumeration exceeded ``max_critical``)."""
         if spec.pair is None:
             raise ValueError("RunSpec.pair is required for this verb")
-        protocol_e, protocol_f, base = build_pair(spec.pair)
+        protocol_e, protocol_f, base = self._build_pair(spec.pair)
         horizon = self._horizon_for(spec, base, protocol_e, protocol_f)
         if spec.offsets is not None:
             return protocol_e, protocol_f, list(spec.offsets), horizon, "explicit"
@@ -400,7 +433,7 @@ class Session:
         t0 = time.perf_counter()
         if spec.pair is None:
             raise ValueError("RunSpec.pair is required for worst_case")
-        protocol_e, protocol_f, base = build_pair(spec.pair)
+        protocol_e, protocol_f, base = self._build_pair(spec.pair)
         horizon = self._horizon_for(spec, base, protocol_e, protocol_f)
         engine = self._engine()
         t1 = time.perf_counter()

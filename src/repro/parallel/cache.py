@@ -42,7 +42,9 @@ period, the turnaround guard and the pattern size limit):
 * **Keys cannot go stale.**  :class:`repro.core.sequences.NDProtocol`
   and both schedule classes are immutable, so a fingerprint
   permanently identifies the listening behaviour it was computed from;
-  equal schedules share one cache.
+  equal schedules share one cache.  The same immutability lets a
+  small memo keep each receiver object's key, so a lookup re-hashes no
+  schedule the memo still holds.
 * **Explicit invalidation exists for memory, not correctness.**
   :func:`invalidate_listening_caches` drops one fingerprint or the
   whole registry (to reclaim memory, or force a cold rebuild in
@@ -112,6 +114,13 @@ _REGISTRY: dict[str, "ListeningCache"] = {}
 # LRU bound on registered caches.
 _REGISTRY_CAP = 64
 _STATS = {"hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
+# Registry keys per receiver object and (turnaround, max_segments):
+# protocols are immutable, so a receiver's fingerprint is hashed once
+# while it stays here.  Each entry holds its receiver, so the id() it is
+# keyed by cannot be reused while the entry lives; the memo empties
+# when full.
+_KEY_MEMO: dict[tuple, tuple[NDProtocol, str]] = {}
+_KEY_MEMO_CAP = 64
 # Guards _REGISTRY/_STATS: concurrent worker sessions (the service's
 # compute threads) share this registry.  Pattern *builds* stay outside
 # the lock -- a lost race costs one redundant build, never a torn
@@ -155,6 +164,22 @@ def protocol_fingerprint(
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
+def _registry_key(
+    receiver: NDProtocol, turnaround: int, max_segments: int
+) -> str:
+    """:func:`protocol_fingerprint` of ``receiver``, through the key memo."""
+    memo_key = (id(receiver), turnaround, max_segments)
+    entry = _KEY_MEMO.get(memo_key)
+    if entry is not None and entry[0] is receiver:
+        return entry[1]
+    fingerprint = protocol_fingerprint(receiver, turnaround, max_segments)
+    with _REGISTRY_LOCK:
+        if len(_KEY_MEMO) >= _KEY_MEMO_CAP:
+            _KEY_MEMO.clear()
+        _KEY_MEMO[memo_key] = (receiver, fingerprint)
+    return fingerprint
+
+
 def get_listening_cache(
     receiver: NDProtocol,
     turnaround: int = 0,
@@ -164,9 +189,10 @@ def get_listening_cache(
 
     Repeated sweeps over the same protocol zoo hit the registry instead
     of re-deriving two hyperperiods of segments per call; see the module
-    docstring for the invalidation contract.
+    docstring for the invalidation contract.  Repeated lookups of one
+    receiver object hash its schedules once.
     """
-    fingerprint = protocol_fingerprint(receiver, turnaround, max_segments)
+    fingerprint = _registry_key(receiver, turnaround, max_segments)
     with _REGISTRY_LOCK:
         cache = _REGISTRY.pop(fingerprint, None)
         if cache is not None:

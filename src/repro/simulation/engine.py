@@ -7,15 +7,17 @@ fire in scheduling order).  Determinism matters here -- worst-case
 latency validation compares exact microsecond values across runs, so the
 engine forbids wall-clock or hash-order dependence anywhere.
 
-Heap entries are ``(time, sequence, callback, event)`` tuples: the
+Heap entries are ``(time, sequence, callback, argument)`` tuples: the
 unique insertion sequence decides every tie, so ordering is a plain
-integer comparison and never reaches the callback or the event.  Only
-:meth:`Simulator.schedule` pushes can be cancelled: it returns the
-:class:`Event` it stores in the last slot.  The simulator's own radio
-stack pushes through :meth:`Simulator._push` instead -- beacon starts,
-packet ends and deferred decodes, which nobody cancels -- and those
-entries carry ``None`` there, so the hot path allocates no
-:class:`Event`.
+integer comparison and never reaches the callback or its argument.
+The simulator's own radio stack pushes through :meth:`Simulator._push`
+-- beacon starts, packet ends and deferred decodes, which nobody
+cancels -- and such an entry fires as ``callback(argument)``: a packet
+end carries ``(channel.end_transmission, tx)``, so the hot path builds
+neither a closure nor an :class:`Event`.  Only :meth:`Simulator.schedule`
+pushes can be cancelled: their entries carry ``None`` as the callback
+and the :class:`Event` as the argument, and a cancelled one is skipped
+without counting in :attr:`Simulator.events_processed`.
 
 The simulator knows nothing about radios; :mod:`repro.simulation.node`
 and :mod:`repro.simulation.channel` build the wireless semantics on top.
@@ -29,6 +31,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = ["Simulator", "Event"]
+
+
+def _call(callback: Callable[[], None]) -> None:
+    """Fire a :meth:`Simulator.schedule` callback, which takes no
+    argument, through the ``callback(argument)`` convention."""
+    callback()
 
 
 @dataclass(order=True, slots=True)
@@ -56,9 +64,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[
-            tuple[int, int, Callable[[], None], Event | None]
-        ] = []
+        self._queue: list[tuple[int, int, Callable | None, object]] = []
         self._sequence = itertools.count()
         self._now = 0
         self._events_processed = 0
@@ -82,17 +88,20 @@ class Simulator:
             )
         sequence = next(self._sequence)
         event = Event(at, sequence, callback)
-        heapq.heappush(self._queue, (at, sequence, callback, event))
+        heapq.heappush(self._queue, (at, sequence, None, event))
         return event
 
-    def _push(self, at: int, callback: Callable[[], None]) -> None:
-        """Queue an uncancellable ``callback`` at ``at`` (>= now).
+    def _push(self, at: int, callback: Callable[[object], None],
+              argument: object = None) -> None:
+        """Queue an uncancellable ``callback(argument)`` at ``at`` (>= now).
 
         The radio stack's own pushes: no :class:`Event` is built and the
         time is not checked, since every caller derives ``at`` from the
         current time or a later one.
         """
-        heapq.heappush(self._queue, (at, next(self._sequence), callback, None))
+        heapq.heappush(
+            self._queue, (at, next(self._sequence), callback, argument)
+        )
 
     def schedule_in(self, delay: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` ``delay`` us from now."""
@@ -120,12 +129,14 @@ class Simulator:
         pop = heapq.heappop
         self._stopped = False
         while queue and queue[0][0] <= end_time:
-            time, _, callback, event = pop(queue)
-            if event is not None and event.cancelled:
-                continue
+            time, _, callback, argument = pop(queue)
+            if callback is None:  # a Simulator.schedule event
+                if argument.cancelled:
+                    continue
+                callback, argument = _call, argument.callback
             self._now = time
             self._events_processed += 1
-            callback()
+            callback(argument)
             if self._stopped:
                 return
         self._now = max(self._now, end_time)
@@ -134,12 +145,14 @@ class Simulator:
         """Drain the queue completely (with a runaway guard)."""
         processed = 0
         while self._queue:
-            time, _, callback, event = heapq.heappop(self._queue)
-            if event is not None and event.cancelled:
-                continue
+            time, _, callback, argument = heapq.heappop(self._queue)
+            if callback is None:
+                if argument.cancelled:
+                    continue
+                callback, argument = _call, argument.callback
             self._now = time
             self._events_processed += 1
-            callback()
+            callback(argument)
             processed += 1
             if processed > max_events:
                 raise RuntimeError(
@@ -150,6 +163,6 @@ class Simulator:
     def peek(self) -> int | None:
         """Timestamp of the next live event, or ``None`` if idle."""
         queue = self._queue
-        while queue and queue[0][3] is not None and queue[0][3].cancelled:
+        while queue and queue[0][2] is None and queue[0][3].cancelled:
             heapq.heappop(queue)
         return queue[0][0] if queue else None

@@ -23,6 +23,28 @@ The window lookup bisects the schedule's sorted window ends, so a
 decode costs ``O(log W)`` in the windows per period, not ``O(W)``; the
 POINT decode builds no segment lists at all.
 
+A node with an ideal clock, an integer phase, no boot
+(``start_time <= 0``) and integer schedules skips the clock walk
+altogether.  Its local time is global time less the fixed origin
+``start_time + phase``, so a beacon lands at ``origin + instance *
+period + tau``, and an integer instant ``t`` lies in a window iff the
+residue ``r = (t - origin) mod T_C`` does: ``r`` is in the first window
+whose end exceeds it (one bisect on the window ends) iff that window
+starts at or before ``r``.  Windows lie inside ``[0, T_C)``, so the
+residue never misses one that wraps.  Drift, float schedules, boots
+and advertising jitter keep the walk, which rounds through
+``to_global``/``to_local``.  The DES keeps its own window table and
+shares no code with the sweep's
+:class:`~repro.parallel.cache.ListeningCache`.
+
+What a node reads of its schedules on every replay -- the beacon
+``(time, duration)`` pairs and whether they are all integers, and the
+residue lookup's window table -- is built once per schedule object and
+kept in a memo of at most :data:`SCHEDULE_MEMO` schedules, which
+empties when full.  Schedules are immutable, and each entry holds the
+schedule it is keyed by (``id()``), so no key is reused while its
+entry lives.
+
 Events at one timestamp fire in insertion order, and pushing each
 beacon only when its predecessor fires changes that order against a
 per-period unrolling.  No outcome depends on it:
@@ -45,11 +67,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from functools import partial
 from operator import itemgetter
 from typing import Callable
 
-from ..core.sequences import NDProtocol
+from ..core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
 from .analytic import ReceptionModel
 from .channel import Channel, Transmission
 from .clock import DriftingClock, IdealClock
@@ -59,6 +80,49 @@ __all__ = ["Node"]
 
 #: Own-TX blocks a node holds before its first trim (see ``_trim_blocks``).
 _MIN_TRIM = 64
+_NEVER = float("-inf")
+# Enum member lookups cost about 0.1 us each on CPython 3.11, once per
+# decode.
+_POINT = ReceptionModel.POINT
+_ANY_OVERLAP = ReceptionModel.ANY_OVERLAP
+
+#: Schedules whose constants the memo keeps (module docstring).
+SCHEDULE_MEMO = 64
+_SCHEDULE_MEMO: dict[int, tuple] = {}
+
+
+def _integral(values) -> bool:
+    return all(type(value) is int for value in values)
+
+
+def _beacon_constants(schedule: BeaconSchedule) -> tuple:
+    """``(pattern, integral)``: the ``(tau, duration)`` pairs in
+    schedule order, and whether the period and all of them are ints."""
+    pattern = tuple((b.time, b.duration) for b in schedule.beacons)
+    flat = (value for pair in pattern for value in pair)
+    return pattern, _integral((schedule.period, *flat))
+
+
+def _window_table(schedule: ReceptionSchedule) -> tuple | None:
+    """``(period, starts, ends)`` of the windows in order, or ``None``
+    unless all of them are ints."""
+    starts = tuple(w.start for w in schedule.windows)
+    ends = schedule.window_ends
+    if not _integral((schedule.period, *starts, *ends)):
+        return None
+    return schedule.period, starts, ends
+
+
+def _schedule_constants(schedule, build) -> tuple:
+    """``build(schedule)``, memoized per schedule object."""
+    entry = _SCHEDULE_MEMO.get(id(schedule))
+    if entry is not None and entry[0] is schedule:
+        return entry[1]
+    constants = build(schedule)
+    if len(_SCHEDULE_MEMO) >= SCHEDULE_MEMO:
+        _SCHEDULE_MEMO.clear()
+    _SCHEDULE_MEMO[id(schedule)] = (schedule, constants)
+    return constants
 
 
 class Node:
@@ -77,6 +141,11 @@ class Node:
         seed: int = 0,
         start_time: int = 0,
     ) -> None:
+        # Every node sets the same 29 attributes in this order, so
+        # CPython 3.11 keeps one shared key table for all of them.  A
+        # 30th attribute ends that sharing, and a pair replay then runs
+        # about 9% slower: fold new state into an existing attribute
+        # instead.
         self.name = name
         self.protocol = protocol
         self.sim = sim
@@ -96,8 +165,32 @@ class Node:
         advertising event relative to the *previous* one, so the random
         delays accumulate (this is what decorrelates the schedules and
         breaks rational Ta/Ts couplings)."""
+        self._push = sim._push
+        clock = self.clock
+        origin = None
+        if (
+            type(clock) is IdealClock
+            and type(clock.phase) is int
+            and type(start_time) is int
+            and start_time <= 0
+        ):
+            origin = start_time + clock.phase
+        self._origin = origin
+        """Global time of local time 0 for a node off the clock walk
+        (ideal clock, integer phase, no boot); ``None`` otherwise."""
+        self._rx_table = None
+        """``(period, window starts, window ends)`` when
+        :meth:`is_listening_at` answers by residue (``_origin`` set and
+        an integer reception schedule), else ``None``."""
+        if origin is not None and protocol.reception is not None:
+            self._rx_table = _schedule_constants(
+                protocol.reception, _window_table
+            )
         self._pattern: tuple = ()
         self._period = 0
+        self._ideal_beacons = False
+        """Beacons placed at ``_origin + instance * period + tau``: set
+        by :meth:`activate` when there is nothing to round or draw."""
         self._instance = 0
         self._index = 0
         """Beacon cursor: the pending beacon is ``_pattern[_index]`` (a
@@ -110,7 +203,8 @@ class Node:
         on both sides), oldest first.  ``reach`` is the largest ``hi`` of
         this block and every earlier one, so a newest-first scan stops at
         the first block whose reach is at or before the queried instant."""
-        self._reach = float("-inf")
+        self._reach = _NEVER
+        """The largest ``hi`` of all own-TX blocks so far."""
         self._trim_at = _MIN_TRIM
         """Block count at which :meth:`_trim_blocks` next runs."""
         self._deferred: list[int] = []
@@ -136,12 +230,11 @@ class Node:
         earlier beacons never went on air (their jitter is still drawn,
         keeping the draw sequence independent of the start time).
         """
-        if self.protocol.beacons is not None:
-            period = self.protocol.beacons.period
+        beacons = self.protocol.beacons
+        if beacons is not None:
+            period = beacons.period
             local_now = self.clock.to_local(self.sim.now - self.start_time)
-            pattern = tuple(
-                (b.time, b.duration) for b in self.protocol.beacons.beacons
-            )
+            pattern, integral = _schedule_constants(beacons, _beacon_constants)
             first_instance = (local_now - period) // period - 1
             index = -1
             if self.start_time > 0:
@@ -162,6 +255,7 @@ class Node:
                 # instance's first.
                 first_instance, residue = divmod(local_now, period)
                 index = bisect_left(pattern, (residue,)) - 1
+                self._ideal_beacons = self._origin is not None and integral
             self._pattern = pattern
             self._period = period
             self._instance = int(first_instance)
@@ -190,17 +284,33 @@ class Node:
                 break
         self._instance = instance
         self._index = index
-        self._pending = (when, duration)
-        self.sim._push(when, self._fire_beacon)
+        self._pending = pending = (when, duration)
+        self._push(when, self._fire_beacon, pending)
 
-    def _fire_beacon(self) -> None:
+    def _fire_beacon(self, pending: tuple[int, int]) -> None:
         """The pending beacon's event: transmit, then queue the next one.
 
         The transmission goes through ``self._begin_tx``, so an
-        instance-level override (the trace recorder's) sees it."""
-        when, duration = self._pending
+        instance-level override (the trace recorder's) sees it.  Off the
+        clock walk the next beacon is the cursor's successor, at
+        ``origin + instance * period + tau``: it lands after this one,
+        as beacon times rise within an instance and stay below the
+        period."""
+        when, duration = pending
         self._begin_tx(duration)
-        self._push_next_beacon(when)
+        if not self._ideal_beacons:
+            self._push_next_beacon(when)
+            return
+        pattern = self._pattern
+        index = self._index + 1
+        if index == len(pattern):
+            self._instance += 1
+            index = 0
+        self._index = index
+        tau, duration = pattern[index]
+        when = self._origin + self._instance * self._period + tau
+        self._pending = pending = (when, duration)
+        self._push(when, self._fire_beacon, pending)
 
     def schedule_response_tx(self, duration: int, at: int | None = None) -> None:
         """Schedule a one-off, out-of-schedule transmission.
@@ -219,18 +329,19 @@ class Node:
         self.sim.schedule(when, lambda: self._begin_tx(duration))
 
     def _begin_tx(self, duration: int) -> None:
-        start = self.sim.now
-        hi = start + duration + self.turnaround
+        start = self.sim._now
+        turnaround = self.turnaround
+        hi = start + duration + turnaround
         if hi > self._reach:
             self._reach = hi
         blocks = self._own_tx_blocks
-        blocks.append((start - self.turnaround, hi, self._reach))
+        blocks.append((start - turnaround, hi, self._reach))
         if len(blocks) > self._trim_at:
             self._trim_blocks(start)
-        tx = self.channel.begin_transmission(self, start, start + duration)
-        self.sim._push(
-            start + duration, partial(self.channel.end_transmission, tx)
-        )
+        end = start + duration
+        channel = self.channel
+        tx = channel.begin_transmission(self, start, end)
+        self._push(end, channel.end_transmission, tx)
 
     def _trim_blocks(self, now: int) -> None:
         """Drop the own-TX blocks no decode can consult any more.
@@ -319,19 +430,28 @@ class Node:
         """Half-open membership test of the effective listening set.
 
         Decided without segment lists: the own-TX blocks newest-first
-        (stopping at the first whose ``reach`` ends by ``time``), then a
-        bisected window walk with the ``to_global`` arithmetic of
-        :meth:`_window_segments`, stopping at the first window that
-        starts after ``time``.
+        (none when every block ends by ``time``, else stopping at the
+        first whose ``reach`` ends by ``time``), then,
+        for an integer ``time`` off the clock walk, the residue lookup
+        of the module docstring; otherwise a bisected window walk with
+        the ``to_global`` arithmetic of :meth:`_window_segments`,
+        stopping at the first window that starts after ``time``.
         """
         start_time = self.start_time
         if start_time > 0 and time < start_time:
             return False  # booted devices hear nothing before joining
-        for block_lo, block_hi, reach in reversed(self._own_tx_blocks):
-            if reach <= time:
-                break
-            if block_lo <= time < block_hi:
-                return False
+        if self._reach > time:
+            for block_lo, block_hi, reach in reversed(self._own_tx_blocks):
+                if reach <= time:
+                    break
+                if block_lo <= time < block_hi:
+                    return False
+        table = self._rx_table
+        if table is not None and type(time) is int:
+            period, starts, ends = table
+            residue = (time - self._origin) % period
+            i = bisect_right(ends, residue)
+            return i < len(starts) and starts[i] <= residue
         reception = self.protocol.reception
         if reception is None:
             return False
@@ -362,9 +482,6 @@ class Node:
     # ------------------------------------------------------------------
     # Channel callbacks
     # ------------------------------------------------------------------
-    def on_packet_start(self, tx: Transmission) -> None:
-        """No state needed at packet start; the decision is analytic."""
-
     def on_packet_end(self, tx: Transmission) -> None:
         """Decide the decode of a finished packet.
 
@@ -377,9 +494,8 @@ class Node:
             return
         if self.turnaround > 0:
             self._deferred.append(tx.start)
-            self.sim._push(
-                self.sim.now + self.turnaround,
-                partial(self._decide_deferred, tx),
+            self._push(
+                self.sim._now + self.turnaround, self._decide_deferred, tx
             )
         else:
             self._decide(tx)
@@ -391,11 +507,11 @@ class Node:
     def _decide(self, tx: Transmission) -> None:
         """Evaluate the decode once all relevant own-TX blocks are known."""
         model = self.reception_model
-        if model is ReceptionModel.POINT:
+        if model is _POINT:
             heard = self.is_listening_at(tx.start)
         else:
             segments = self._listening_segments(tx.start, tx.end)
-            if model is ReceptionModel.ANY_OVERLAP:
+            if model is _ANY_OVERLAP:
                 heard = bool(segments)
             else:  # CONTAINMENT: one segment spanning the whole packet
                 heard = segments == [(tx.start, tx.end)]

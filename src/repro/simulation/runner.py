@@ -43,6 +43,10 @@ __all__ = [
     "PairWorstCase",
 ]
 
+#: E's clock in every drift-free pair: clocks are immutable, so all
+#: replays share one instead of building it per replay.
+_ORIGIN_CLOCK = IdealClock(phase=0)
+
 
 def _make_pair(
     protocol_e: NDProtocol,
@@ -63,7 +67,7 @@ def _make_pair(
     clock_e = (
         DriftingClock(phase=0, drift_ppm=drift_ppm_e)
         if drift_ppm_e
-        else IdealClock(phase=0)
+        else _ORIGIN_CLOCK
     )
     clock_f = (
         DriftingClock(phase=offset, drift_ppm=drift_ppm_f)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.api import RunSpec, RuntimeProfile, Session
-from repro.backends import get_pooled_backend, PooledBackend
+from repro.backends import get_pooled_backend, have_numpy, PooledBackend
 from repro.backends.pooled import shutdown_pooled_backends
 
 
@@ -336,3 +336,72 @@ class TestVerbValidation:
             result = session.sweep(spec)
         assert result.payload["sampling"] == "uniform-fallback"
         assert result.payload["offsets"] <= 33
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` and return the list of its calls' args."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPairMemo:
+    """A session builds each declarative pair once, and the listening
+    registry hashes each receiver object's schedules once."""
+
+    PAIR = {"kind": "asymmetric", "eta_e": 0.18, "eta_f": 0.11, "omega": 24}
+
+    @pytest.mark.skipif(not have_numpy(), reason="needs NumPy")
+    def test_worst_case_then_sweep_builds_once(self, monkeypatch):
+        from repro.api import session as session_module
+        from repro.parallel import cache
+
+        worst = RunSpec(pair=self.PAIR, omega=24)
+        # Key order does not matter: the memo key is key-sorted.
+        sweep = RunSpec(pair=dict(reversed(self.PAIR.items())), samples=64)
+        builds = _counting(monkeypatch, session_module, "build_pair")
+        keys = _counting(monkeypatch, cache, "protocol_fingerprint")
+        with Session(RuntimeProfile(backend="numpy")) as session:
+            payloads = [
+                session.worst_case(worst).payload,
+                session.sweep(sweep).payload,
+            ]
+        assert len(builds) == 1
+        receivers = {id(args[0]) for args in keys}
+        assert len(keys) == len(receivers) == 2
+        fresh = []
+        for verb, spec in (("worst_case", worst), ("sweep", sweep)):
+            with Session(RuntimeProfile(backend="numpy")) as session:
+                fresh.append(getattr(session, verb)(spec).payload)
+        assert payloads == fresh
+
+    def test_failures_and_live_pairs_are_not_kept(self, monkeypatch):
+        from repro.api import SpecError
+        from repro.api import session as session_module
+        from repro.api.spec import build_pair
+
+        builds = _counting(monkeypatch, session_module, "build_pair")
+        live = build_pair({"kind": "symmetric", "eta": 0.05})[:2]
+        with Session(RuntimeProfile(backend="python")) as session:
+            for _ in range(2):
+                with pytest.raises(SpecError):
+                    session._build_pair({"kind": "no-such-kind"})
+                assert session._build_pair(live)[:2] == live
+            assert not session._pairs
+        assert len(builds) == 4
+
+    def test_memo_is_bounded(self):
+        from repro.api.session import PAIR_MEMO
+
+        with Session(RuntimeProfile(backend="python")) as session:
+            for i in range(PAIR_MEMO + 3):
+                session._build_pair(
+                    {"kind": "symmetric", "eta": 0.05 + i / 1000}
+                )
+            assert len(session._pairs) == PAIR_MEMO

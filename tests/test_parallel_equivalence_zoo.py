@@ -637,7 +637,7 @@ class TestKeyedCacheRegistry:
         assert listening_cache_stats()["size"] == 0
 
     def test_registry_is_lru_bounded(self):
-        from repro.parallel.cache import _REGISTRY_CAP
+        from repro.parallel.cache import _KEY_MEMO, _KEY_MEMO_CAP, _REGISTRY_CAP
 
         protocols = [
             NDProtocol(
@@ -648,6 +648,7 @@ class TestKeyedCacheRegistry:
         ]
         for proto in protocols:
             get_listening_cache(proto)
+            assert len(_KEY_MEMO) <= _KEY_MEMO_CAP
         stats = listening_cache_stats()
         assert stats["size"] == _REGISTRY_CAP
         # The oldest fingerprints were evicted, the newest retained.

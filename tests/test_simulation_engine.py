@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
 from repro.simulation.channel import Channel
 from repro.simulation.clock import DriftingClock, IdealClock
 from repro.simulation.engine import Simulator
+from repro.simulation.node import Node
 
 
 class TestSimulator:
@@ -57,6 +59,23 @@ class TestSimulator:
         event.cancel()
         sim.run_until(100)
         assert fired == []
+        assert sim.events_processed == 0
+
+    def test_radio_pushes_fire_with_their_argument_in_tie_order(self):
+        """The radio stack's uncancellable entries fire as
+        ``callback(argument)`` and share the tie order with scheduled
+        events; only the scheduled ones can be cancelled, and a
+        cancelled one is not counted."""
+        sim = Simulator()
+        fired = []
+        sim._push(5, fired.append, "push-1")
+        sim.schedule(5, lambda: fired.append("schedule")).cancel()
+        sim.schedule(5, lambda: fired.append("schedule-2"))
+        sim._push(5, fired.append, "push-2")
+        sim._push(4, fired.append, None)
+        sim.run_until(10)
+        assert fired == [None, "push-1", "schedule-2", "push-2"]
+        assert sim.events_processed == 4
 
     def test_cannot_schedule_in_past(self):
         sim = Simulator()
@@ -234,6 +253,53 @@ class TestChannel:
         # r1 hears both -> collision; r2 hears only b -> clean.
         assert id(r1) in tx1.collided_for and id(r1) in tx2.collided_for
         assert id(r2) not in tx2.collided_for
+
+    def test_sender_overlapping_its_own_beacon_collides(self):
+        """With two nodes only, a sender whose out-of-schedule response
+        overlaps its own beacon still corrupts both packets at the peer:
+        the peer hears two packets at once."""
+        sim = Simulator()
+        channel = Channel()
+        sender = Node(
+            "A",
+            NDProtocol(
+                beacons=BeaconSchedule.from_times([0], 1000, 32),
+                reception=None,
+            ),
+            sim,
+            channel,
+        )
+        receiver = Node(
+            "B",
+            NDProtocol(
+                beacons=None,
+                reception=ReceptionSchedule.single_window(1000, 1000),
+            ),
+            sim,
+            channel,
+        )
+        sender.activate()
+        receiver.activate()
+        # The beacon [1000, 1032) and the response [1010, 1042) overlap.
+        sender.schedule_response_tx(32, at=1010)
+        sim.run_until(1500)
+        assert channel.total_transmissions == 3
+        assert channel.total_collisions == 1
+        assert receiver.packets_missed_collision == 2
+        assert receiver.packets_received == 1  # the beacon at 0
+        assert receiver.discoveries == {"A": 0}
+
+    def test_node_schedule_memo_is_bounded(self):
+        from repro.simulation import node as node_module
+
+        for i in range(node_module.SCHEDULE_MEMO + 5):
+            sim = Simulator()
+            protocol = NDProtocol(
+                beacons=BeaconSchedule.from_times([0], 1000 + i, 32),
+                reception=ReceptionSchedule.single_window(100, 1000 + i),
+            )
+            Node("A", protocol, sim, Channel()).activate()
+            assert len(node_module._SCHEDULE_MEMO) <= node_module.SCHEDULE_MEMO
 
     def test_range_predicate_limits_delivery(self):
         channel = Channel(in_range=lambda x, y: False)
