@@ -65,14 +65,10 @@ def test_abl_slot_analytic(benchmark, emit):
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_abl_slot_empirical(benchmark, emit, parallel_sweep_offsets):
+def test_abl_slot_empirical(benchmark, emit):
     def run():
         return [
-            [
-                slot,
-                slot / OMEGA,
-                empirical_failure_fraction(slot, sweep=parallel_sweep_offsets),
-            ]
+            [slot, slot / OMEGA, empirical_failure_fraction(slot)]
             for slot in SIM_SLOTS
         ]
 

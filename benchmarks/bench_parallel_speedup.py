@@ -1,10 +1,13 @@
 """BENCH-PARALLEL -- in-process vs persistent-pool wall-clock on fixed workloads.
 
 Not a paper figure: the performance-trajectory tracker for the process
-runtime.  ``RuntimeProfile.jobs`` is the only parallelism setting:
-``jobs <= 1`` runs everything in-process, ``jobs > 1`` runs every
-sharded batch on the one persistent worker pool.  The bench times both
-on fixed, deterministic workloads, asserts bit-identity, and writes
+runtime.  ``RuntimeProfile.jobs`` is the only parallelism setting, and
+it parallelizes scenario grids only: ``jobs > 1`` runs each grid on the
+one persistent worker pool, while offset sweeps and DES spot checks
+run in-process whatever ``jobs`` is.  The bench times the kernels and
+both grid runtimes on fixed, deterministic workloads, asserts
+bit-identity (a ``--jobs`` executor's sweep and spot checks included),
+and writes
 ``results/BENCH_parallel.json`` (read-modify-write: the sections other
 benches write, i.e. ``bench_service_load.py``'s ``service``, survive;
 every other key is replaced)::
@@ -17,24 +20,21 @@ in-process default (numpy) kernel:
 * **reference** -- the analytic reference
   (:func:`repro.simulation.sweep_offsets`, which is also the
   ``python`` backend) on the fixed sweep below.  Every bit-identity
-  gate of the sweep, pool and kernel rows compares against this one
-  report.
+  gate of the sweep and kernel rows compares against this one report.
 * **sweep** -- a uniform phase-offset sweep of the synthesized
-  symmetric eta=0.02 pair, in-process vs the persistent pool, cold
-  (the first sweep boots the workers) and warm.  The top-level
-  ``speedup`` is *persistent pool (warm) vs in-process numpy*;
-  ``speedup_over_reference`` is the pool against the reference row.
+  symmetric eta=0.02 pair on the in-process default kernel; the same
+  sweep on a ``--jobs`` executor (in-process too) is gated equal to
+  the reference, untimed.
 * **grid** -- a 12-scenario dense-network grid, in-process vs the
-  persistent pool.
+  persistent pool: the one row the pool runs.
 * **kernels** -- the numpy kernel against the reference row.
   Bit-identity is a hard exit gate; the numpy speedup is guarded by a
   coarse 3x perf floor that ``--no-perf-floors`` turns into a
   recorded-only row.
 * **enumeration** -- critical-offset enumeration on Disco 101x103,
   python reference vs numpy, bit-identity hard-gated.
-* **DES spot checks** -- a replay batch below the pool's
-  estimated-event floor, so both timings run in-process (near parity
-  is the expected result).
+* **DES spot checks** -- a replay batch, timed in-process; the same
+  batch on a ``--jobs`` executor is gated equal to it, untimed.
 * **cost fit** -- measured per-scenario grid wall-clock that
   :func:`repro.parallel.fit_cost_weights` regresses into fitted cost
   weights, once per repeat: ``cost_fit`` records each repeat's fit and
@@ -279,41 +279,24 @@ def main(argv: list[str] | None = None) -> int:
         lambda: inprocess.sweep_offsets(protocol, protocol, offsets, horizon),
     )
     print(f"in-process   : {inprocess_s:.3f} s (best of {args.repeats})")
-    # The first pool sweep pays worker startup; later ones reuse the
-    # warm workers, which is the steady state of a session.
+    # A jobs > 1 executor sweeps in-process too: gate it, untimed.
     shutdown_pooled_backends()
     pool = ParallelSweep(jobs=args.jobs)
-    pool_cold_s, pool_cold_report = best_of(
-        1,
-        lambda: pool.sweep_offsets(protocol, protocol, offsets, horizon),
-    )
-    pool_warm_s, pool_report = best_of(
-        args.repeats,
-        lambda: pool.sweep_offsets(protocol, protocol, offsets, horizon),
-    )
-    identical = (
-        pool_report == pool_cold_report == inprocess_report
-        == reference_report
-    )
-    speedup = inprocess_s / pool_warm_s if pool_warm_s > 0 else float("inf")
-    reference_speedup = (
-        reference_s / pool_warm_s if pool_warm_s > 0 else float("inf")
-    )
+    jobs_report = pool.sweep_offsets(protocol, protocol, offsets, horizon)
+    identical = jobs_report == inprocess_report == reference_report
     print(
-        f"pool({args.jobs:2d})     : {pool_cold_s:.3f} s cold, "
-        f"{pool_warm_s:.3f} s warm (best of {args.repeats})"
-    )
-    print(
-        f"speedup      : {speedup:.2f}x persistent pool vs in-process "
-        f"numpy ({reference_speedup:.2f}x vs reference)   "
+        f"jobs={args.jobs:<2d}      : sweep in-process   "
         f"bit-identical: {identical}"
     )
 
-    # Phase: a scenario grid, in-process vs the warm persistent pool.
+    # Phase: a scenario grid, in-process vs the persistent pool.
     grid = scenario_grid(dense_network, **GRID_AXES)
     grid_inprocess_s, grid_inprocess = best_of(
         args.repeats, lambda: ParallelSweep(jobs=1).map_scenarios(grid)
     )
+    # Boot the pool untimed: the timed grids measure the warm pool, the
+    # steady state of a session.
+    pool.map_scenarios(grid)
     grid_pool_s, grid_pool = best_of(
         args.repeats, lambda: pool.map_scenarios(grid)
     )
@@ -390,11 +373,8 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     # Phase: DES spot-check replays (the verified_worst_case tail),
-    # in-process vs the jobs-aware path.  This batch sits below the
-    # pool's estimated-event floor, so near-parity between the two
-    # timings is the expected result -- it demonstrates the gate that
-    # keeps short replay batches off the pool; long-horizon validations
-    # clear the floor and shard across workers.
+    # timed in-process; the jobs > 1 executor replays in-process too
+    # and is gated equal, untimed.
     spot_offsets = offsets[:: max(1, len(offsets) // N_SPOT_CHECKS)][
         :N_SPOT_CHECKS
     ]
@@ -404,22 +384,18 @@ def main(argv: list[str] | None = None) -> int:
             protocol, protocol, spot_offsets, horizon
         ),
     )
-    spot_parallel_s, spot_parallel = best_of(
-        1,
-        lambda: pool.spot_check_pairs(
-            protocol, protocol, spot_offsets, horizon
-        ),
+    spot_jobs = pool.spot_check_pairs(
+        protocol, protocol, spot_offsets, horizon
     )
     # One DES outcome per offset, in offset order, on both paths.
-    spot_identical = spot_serial == spot_parallel and [
+    spot_identical = spot_serial == spot_jobs and [
         outcome.offset for outcome in spot_serial
     ] == list(spot_offsets)
     identical = identical and spot_identical
     shutdown_pooled_backends()
     print(
-        f"DES spot x{len(spot_offsets)} : {spot_serial_s:.3f} s serial, "
-        f"{spot_parallel_s:.3f} s jobs={args.jobs}   "
-        f"bit-identical: {spot_identical}"
+        f"DES spot x{len(spot_offsets)} : {spot_serial_s:.3f} s in-process   "
+        f"jobs={args.jobs} bit-identical: {spot_identical}"
     )
 
     # Phase: measured per-scenario grid wall-clock for cost-model
@@ -627,17 +603,12 @@ def main(argv: list[str] | None = None) -> int:
         "numpy_version": numpy_version(),
         "baseline": "in-process numpy (jobs=1)",
         "inprocess_seconds": inprocess_s,
-        "pool_cold_seconds": pool_cold_s,
-        "pool_warm_seconds": pool_warm_s,
-        "speedup": speedup,
         "reference_seconds": reference_s,
-        "speedup_over_reference": reference_speedup,
         "bit_identical": identical,
         "phases": {
             "cache_build_cold_seconds": cache_cold_s,
             "cache_build_warm_seconds": cache_warm_s,
             "des_spot_inprocess_seconds": spot_serial_s,
-            "des_spot_jobs_seconds": spot_parallel_s,
         },
         "grid": {
             "scenarios": len(grid),

@@ -41,12 +41,9 @@ def measure(protocol, n_offsets=256, sweep=sweep_offsets):
 
 
 @pytest.mark.benchmark(group="validation")
-def test_val_prot_guarantees_and_ranking(benchmark, emit, parallel_sweep_offsets):
+def test_val_prot_guarantees_and_ranking(benchmark, emit):
     def run():
-        return [
-            (name, proto, measure(proto, sweep=parallel_sweep_offsets))
-            for name, proto in ZOO
-        ]
+        return [(name, proto, measure(proto)) for name, proto in ZOO]
 
     results = benchmark(run)
     rows = []

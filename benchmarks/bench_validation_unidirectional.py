@@ -40,12 +40,9 @@ def validate(window, k, stride, sweep=sweep_offsets):
 
 
 @pytest.mark.benchmark(group="validation")
-def test_val_uni_bound_attained(benchmark, emit, parallel_sweep_offsets):
+def test_val_uni_bound_attained(benchmark, emit):
     def run_all():
-        return [
-            validate(*config, sweep=parallel_sweep_offsets)
-            for config in CONFIGS
-        ]
+        return [validate(*config) for config in CONFIGS]
 
     results = benchmark(run_all)
     rows = []

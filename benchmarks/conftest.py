@@ -5,17 +5,10 @@ the series under ``pytest-benchmark`` timing, prints the rows (visible
 with ``pytest benchmarks/ --benchmark-only -s``) and writes
 ``results/<experiment>.csv`` for external plotting.  EXPERIMENTS.md
 records the paper-vs-measured comparison for every experiment id.
-
-Parallel mode is opt-in: ``REPRO_BENCH_JOBS=N`` makes sweep-heavy
-benchmarks shard their offset sweeps across ``N`` worker processes (see
-the ``sweep_jobs`` fixture and ``parallel_sweep_offsets``, which
-asserts serial equivalence on the fly).  The default stays serial so
-published numbers are comparable across machines.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -23,59 +16,6 @@ import pytest
 from repro.analysis import format_table, write_csv
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-
-@pytest.fixture
-def sweep_jobs() -> int:
-    """Worker processes for offset sweeps (``REPRO_BENCH_JOBS``, default 1)."""
-    return max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
-
-
-@pytest.fixture
-def parallel_sweep_offsets(sweep_jobs):
-    """A ``sweep_offsets`` replacement that honors the opt-in parallel mode.
-
-    With ``REPRO_BENCH_JOBS > 1`` sweeps run through
-    :class:`repro.parallel.ParallelSweep`; every *distinct* call is
-    additionally re-run serially and compared **at fixture teardown**,
-    outside the benchmark-timed region -- so the timings measure the
-    parallel path alone, while a benchmark that silently diverged from
-    the serial reference still fails the run.
-    """
-    from repro.simulation import sweep_offsets
-
-    if sweep_jobs <= 1:
-        yield sweep_offsets
-        return
-
-    from repro.parallel import ParallelSweep
-
-    executor = ParallelSweep(jobs=sweep_jobs)
-    recorded = {}
-
-    def run(protocol_e, protocol_f, offsets, horizon, *args, **kwargs):
-        offsets = list(offsets)
-        parallel = executor.sweep_offsets(
-            protocol_e, protocol_f, offsets, horizon, *args, **kwargs
-        )
-        key = (
-            protocol_e, protocol_f, tuple(offsets), horizon,
-            args, tuple(sorted(kwargs.items())),
-        )
-        recorded[key] = parallel
-        return parallel
-
-    yield run
-
-    for key, parallel in recorded.items():
-        protocol_e, protocol_f, offsets, horizon, args, kwargs = key
-        serial = sweep_offsets(
-            protocol_e, protocol_f, list(offsets), horizon,
-            *args, **dict(kwargs),
-        )
-        assert parallel == serial, (
-            "parallel sweep diverged from the serial reference"
-        )
 
 
 @pytest.fixture

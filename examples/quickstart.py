@@ -12,9 +12,10 @@ experiment, one lifecycle-managed :class:`repro.api.Session` running
 them all.  The session resolves the sweep backend once (set
 ``REPRO_BACKEND=python|numpy`` and ``REPRO_JOBS=N``, or pass a
 :class:`repro.api.RuntimeProfile` to choose -- the only place runtime
-is set; ``jobs > 1`` runs on one persistent worker pool), owns that
-pool, and returns :class:`repro.api.RunResult` objects that carry
-their full reproduction recipe (spec + profile + backend + timings) and
+is set; ``jobs > 1`` runs scenario grids on one persistent worker
+pool, while sweeps always run in-process), owns that pool, and returns
+:class:`repro.api.RunResult` objects that carry their full
+reproduction recipe (spec + profile + backend + timings) and
 round-trip to JSON.
 """
 

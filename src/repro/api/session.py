@@ -25,10 +25,12 @@ The session *owns* what it creates and releases it deterministically on
 ``close()`` / ``__exit__`` -- no reliance on ``atexit``:
 
 * **The persistent pool** -- a ``jobs > 1`` session retains the
-  shared pool for its ``(kernel, jobs, mp_context)``
+  shared pool for its ``(jobs, mp_context)``
   (:meth:`PooledBackend.retain`): nested sessions sharing one profile
   share one pool, and the pool shuts down exactly when the last
-  session holding it exits.
+  session holding it exits.  Only :meth:`Session.grid` boots it:
+  ``sweep`` and ``worst_case`` run in-process whatever ``jobs`` is
+  (:mod:`repro.parallel.executor` has the measurements).
 
 A session installs **no** process-wide state: the listening-cache
 registry keeps its fixed LRU cap, and the worst-case ladder prices its
@@ -409,8 +411,8 @@ class Session:
         ``raw``: the :class:`repro.simulation.PairWorstCase`.  The
         session's resolved kernel runs the whole pipeline -- critical
         enumeration (``critical_offsets(backend=...)``, vectorized
-        under numpy) and the sweep; with ``jobs > 1`` the sweep and
-        long spot-check batches shard over the persistent pool.
+        under numpy), the sweep and the DES spot checks, all
+        in-process whatever ``jobs`` is.
 
         Exact by default.  With ``spec.budget_ms`` set (and
         ``spec.fidelity`` ``"auto"``/``"bounded"``), the same tier

@@ -85,8 +85,8 @@ def _plain(value: Any) -> Any:
 #: under a configuration it did not ask for.
 _REMOVED_FIELDS = {
     "schedule": "grids always use longest-first work stealing",
-    "shared_memory": "pool workers build their own listening patterns",
-    "chunks_per_job": "offset batches always split into 4 chunks per job",
+    "shared_memory": "no listening pattern crosses a process boundary",
+    "chunks_per_job": "offset sweeps run in-process, unchunked",
 }
 
 
@@ -496,10 +496,17 @@ class RuntimeProfile(_SerializableConfig):
     backend: Any = "auto"
     """Sweep-kernel selection (:mod:`repro.backends` name or instance)."""
     jobs: int | None = 1
-    """Worker processes; ``None`` = CPU count.  ``<= 1`` runs everything
-    in-process; ``> 1`` runs every sharded batch (offset sweeps, long
-    DES spot-check batches, scenario grids) on the one persistent pool
-    shared per ``(kernel, jobs, mp_context)``."""
+    """Processes for scenario grids; ``None`` = CPU count.  ``<= 1``
+    runs everything in-process; ``> 1`` runs each grid on the one
+    persistent pool shared per ``(jobs, mp_context)``.  Offset sweeps
+    and DES spot checks run in-process whatever ``jobs`` is: on 2 vCPUs
+    the pool lost every numpy-kernel sweep and bench-horizon spot-check
+    row measured, and its one clear win is the 12-scenario DES grid.
+    The cost falls on inputs no benchmark workload has: the no-NumPy
+    ``python`` kernel's 19.5k-offset Disco 101x103 sweep took 3.6 s on
+    a ``jobs=2`` pool and takes 7.0 s in-process, and long-horizon
+    float-schedule spot checks run about 1.7x slower
+    (:mod:`repro.parallel.executor` has the rows)."""
     mp_context: str | None = None
     """Multiprocessing start method; ``None`` = platform default."""
     store: str | None = None

@@ -63,8 +63,7 @@ together with the per-offset outcomes the report reduces.
   and reduces the report from them without per-offset outcomes.
 
 The base class provides exactly that composition as the default (the
-reference; the ``python`` kernel keeps it), and the persistent pool
-summarizes its workers' outcomes in the parent.
+reference; the ``python`` kernel keeps it).
 :meth:`repro.parallel.ParallelSweep.sweep_offsets` is one call to the
 primitive; the worst-case engine reads its DES spot-checked offsets
 from the outcomes, so its replays check the numbers it reports.
@@ -107,18 +106,20 @@ enumeration feeding ``verified_worst_case`` and
 Persistent-pool lifecycle
 -------------------------
 
-Process parallelism is not a backend: ``RuntimeProfile.jobs > 1`` runs
-every sharded batch on the persistent
-:class:`~repro.backends.pooled.PooledBackend` pool for the profile's
-``(kernel, jobs, mp_context)``, whose workers run the selected kernel.
-The pool creates **no processes until first sharded use**; it then
-survives across batches (and across ``ParallelSweep`` instances, via
-:func:`~repro.backends.pooled.get_pooled_backend`'s keyed sharing) so
-worker-side pattern registries stay warm.  Shutdown is explicit --
-``pool.close()``, the context-manager protocol, or
-:func:`~repro.backends.pooled.shutdown_pooled_backends` (idempotent) --
-with an ``atexit`` hook as the no-leak backstop for callers that hold
-no session.
+Process parallelism is not a backend, and no kernel runs in a worker
+process: every offset sweep and ``evaluate_offsets`` call runs the
+selected kernel in-process, and every DES spot check replays
+in-process, whatever ``jobs`` is.
+``RuntimeProfile.jobs > 1`` sends scenario grids -- and nothing else
+-- to the persistent :class:`~repro.backends.pooled.PooledBackend`
+pool for the profile's ``(jobs, mp_context)``.  The pool creates **no
+processes until the first grid**; it then survives across grids (and
+across ``ParallelSweep`` instances, via
+:func:`~repro.backends.pooled.get_pooled_backend`'s keyed sharing).
+Shutdown is explicit -- ``pool.close()``, the context-manager
+protocol, or :func:`~repro.backends.pooled.shutdown_pooled_backends`
+(idempotent) -- with an ``atexit`` hook as the no-leak backstop for
+callers that hold no session.
 
 The preferred owner is a :class:`repro.api.Session`: a ``jobs > 1``
 session takes a :meth:`~repro.backends.pooled.PooledBackend.retain`

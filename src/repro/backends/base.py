@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import _np
 
@@ -36,7 +36,6 @@ __all__ = [
     "SweepParams",
     "SweepBackend",
     "available_backends",
-    "chunk_evenly",
     "default_backend_name",
     "get_backend",
     "register_backend",
@@ -67,9 +66,8 @@ class SweepParams:
     """Everything that identifies one pair-sweep workload except the
     offsets themselves.
 
-    Frozen and picklable: the persistent pool ships one ``SweepParams``
-    per submitted chunk, and worker processes resolve the listening
-    patterns from it through their own keyed cache registries.
+    Frozen; the ``numpy`` kernel resolves the receivers' listening
+    patterns from it through the keyed cache registry.
     """
 
     protocol_e: "NDProtocol"
@@ -86,11 +84,11 @@ class SweepBackend(ABC):
     ``evaluate_offsets_batch(params, offsets)`` returns one
     :class:`DiscoveryOutcome` per offset, in input order, **bit-identical**
     to the exact serial computation for every protocol pair, reception
-    model and turnaround guard.  Implementations may precompute patterns,
-    vectorize, or shard across processes -- but never change results.
+    model and turnaround guard.  Implementations may precompute patterns
+    or vectorize -- but never change results.
     """
 
-    #: Registry name; also what `ParallelSweep` ships to worker processes.
+    #: Registry name: what ``RuntimeProfile.backend`` and ``--backend`` select.
     name: str = "abstract"
 
     @classmethod
@@ -182,11 +180,6 @@ def register_backend(name: str, factory: Callable[[], SweepBackend]) -> None:
     _INSTANCES.pop(name, None)
 
 
-def is_registered(name: str) -> bool:
-    """Is ``name`` a registered backend (available or not)?"""
-    return name in _FACTORIES
-
-
 def available_backends() -> list[str]:
     """Names of registered backends that can run right now."""
     return [
@@ -246,50 +239,3 @@ def resolve_backend(spec: "str | SweepBackend | None") -> SweepBackend:
     if spec is None or spec == "auto":
         spec = default_backend_name()
     return get_backend(spec)
-
-
-def chunk_evenly(items: list, n_chunks: int) -> list[list]:
-    """Contiguous, order-preserving partition into at most ``n_chunks``.
-
-    The persistent pool's chunking rule, so merged results always
-    preserve input order.
-    """
-    n = len(items)
-    n_chunks = max(1, min(n_chunks, n))
-    size, extra = divmod(n, n_chunks)
-    chunks = []
-    start = 0
-    for i in range(n_chunks):
-        stop = start + size + (1 if i < extra else 0)
-        chunks.append(items[start:stop])
-        start = stop
-    return chunks
-
-
-def encode_outcomes(outcomes: "Iterable[DiscoveryOutcome]") -> list[tuple]:
-    """Outcome wire format for worker -> parent transport.
-
-    Plain ``(offset, e_by_f, f_by_e)`` tuples: pickling a dataclass
-    costs several times a tuple, and at thousands of outcomes per sweep
-    the difference is measurable.  The format (and its field order) is
-    defined exactly once, here.
-    """
-    return [
-        (o.offset, o.e_discovered_by_f, o.f_discovered_by_e)
-        for o in outcomes
-    ]
-
-
-def decode_outcomes(rows: Iterable[tuple]) -> "list[DiscoveryOutcome]":
-    """Inverse of :func:`encode_outcomes`: rebuild field-for-field, so
-    callers see exactly the serial path's objects."""
-    from ..simulation.analytic import DiscoveryOutcome
-
-    return [
-        DiscoveryOutcome(
-            offset=offset,
-            e_discovered_by_f=e_by_f,
-            f_discovered_by_e=f_by_e,
-        )
-        for offset, e_by_f, f_by_e in rows
-    ]

@@ -1,33 +1,27 @@
 """The persistent worker pool: the one process runtime.
 
-Every batch this package shards -- offset sweeps, DES spot-check
-batches and scenario grids -- runs on :class:`PooledBackend`, a
-**lazily created, explicitly shut-down** ``ProcessPoolExecutor``
-wrapping one inner sweep kernel (``python`` or ``numpy``, by registry
-name).  :class:`repro.parallel.ParallelSweep` selects it
-whenever ``RuntimeProfile.jobs > 1``:
+Scenario grids are the one batch that runs on :class:`PooledBackend`,
+a **lazily created, explicitly shut-down** ``ProcessPoolExecutor``:
+:meth:`repro.parallel.ParallelSweep.map_scenarios` and the service
+daemon's checkpointed grid submit one network simulation per task.
+Offset sweeps and DES spot checks always run in-process, whatever
+``RuntimeProfile.jobs`` is: measured on 2 vCPUs, the pool lost every
+numpy-kernel sweep and bench-horizon spot-check row
+(:mod:`repro.parallel.executor` has the numbers).
 
-* **Lazy creation** -- no processes exist until the first batch large
-  enough to shard arrives; degenerate batches (fewer than two offsets,
-  ``jobs <= 1``) run through the inner kernel in-process.
-* **Reuse** -- the executor survives across batches (and across
+* **Lazy creation** -- no processes exist until the first grid of two
+  or more scenarios arrives.
+* **Reuse** -- the executor survives across grids (and across
   :class:`repro.parallel.ParallelSweep` instances via
-  :func:`get_pooled_backend`'s sharing keyed by
-  ``(kernel, jobs, mp_context)``), so workers keep their warm keyed
-  pattern registries: a zoo's patterns are built once per worker for
-  the whole session, not once per sweep.
+  :func:`get_pooled_backend`'s sharing keyed by ``(jobs, mp_context)``),
+  so successive small grids stop paying pool startup.
 * **Explicit shutdown** -- :meth:`PooledBackend.close` (or the context
   manager protocol, or module-wide :func:`shutdown_pooled_backends`)
   terminates the workers deterministically; an ``atexit`` hook is the
   backstop so no interpreter exit ever leaks processes.
 
-Sweep work ships as ``(inner_name, params, offsets)`` chunks through a
-module-level function -- everything pickles under fork and spawn, and
-no per-sweep initializer exists (or is needed: the worker registries
-memoize across tasks).  A worker running the ``numpy`` kernel
-resolves a pair's listening patterns through its own keyed registry,
-exactly as an in-process sweep does (a spawn-start worker builds them
-on its first chunk, in one linear pass over each pattern).
+Work ships through module-level functions, so everything pickles under
+fork and spawn, and no per-task initializer state exists.
 """
 
 from __future__ import annotations
@@ -37,31 +31,12 @@ import multiprocessing
 import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
-from typing import Sequence
-
-from ..simulation.analytic import (
-    DiscoveryOutcome,
-    summarize_outcomes,
-    SweepReport,
-)
-from .base import (
-    chunk_evenly,
-    decode_outcomes,
-    encode_outcomes,
-    get_backend,
-    SweepParams,
-)
 
 __all__ = [
     "PooledBackend",
     "get_pooled_backend",
     "shutdown_pooled_backends",
 ]
-
-
-#: Contiguous chunks submitted per worker for one offset batch: small
-#: enough to balance load, large enough to amortize IPC.
-_CHUNKS_PER_JOB = 4
 
 
 def _default_mp_context() -> str:
@@ -91,33 +66,12 @@ def _pool_worker_init() -> None:
             pass
 
 
-def _pooled_chunk(
-    inner_name: str, params: SweepParams, offsets: list[int]
-) -> list[tuple]:
-    """Worker entry point: evaluate one chunk through the inner kernel.
-
-    Outcomes travel back in the shared tuple wire format
-    (:func:`repro.backends.base.encode_outcomes`, cheaper to pickle than
-    dataclasses); the parent rebuilds :class:`DiscoveryOutcome`
-    field-for-field.
-    """
-    return encode_outcomes(
-        get_backend(inner_name).evaluate_offsets_batch(params, offsets)
-    )
-
-
 class PooledBackend:
-    """A persistent process pool wrapping one inner sweep kernel."""
+    """A persistent process pool for scenario grids."""
 
     def __init__(
-        self,
-        inner: str | None = None,
-        jobs: int | None = None,
-        mp_context: str | None = None,
+        self, jobs: int | None = None, mp_context: str | None = None
     ) -> None:
-        from .base import default_backend_name
-
-        self.inner = inner or default_backend_name()
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.mp_context = mp_context or _default_mp_context()
         self._executor: ProcessPoolExecutor | None = None
@@ -146,14 +100,14 @@ class PooledBackend:
     def submit(self, fn, /, *args, **kwargs):
         """Submit arbitrary picklable work to the persistent pool.
 
-        The hook grid and spot-check drivers use to reuse these workers
-        for non-sweep tasks (DES replays) without a second pool.
+        The hook the grid drivers use: one network simulation per
+        task.
         """
         return self.executor().submit(fn, *args, **kwargs)
 
     def close(self, wait: bool = True) -> None:
-        """Shut the worker pool down (idempotent); the next batch that
-        needs one lazily creates a fresh pool."""
+        """Shut the worker pool down (idempotent); the next grid lazily
+        creates a fresh pool."""
         executor, self._executor = self._executor, None
         _LIVE_POOLS.discard(self)
         if executor is not None:
@@ -208,45 +162,9 @@ class PooledBackend:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    def evaluate_offsets_batch(
-        self, params: SweepParams, offsets: Sequence[int]
-    ) -> list[DiscoveryOutcome]:
-        """Shard one batch over the persistent pool: per-offset outcomes
-        in input order, bit-identical to the inner kernel in-process."""
-        offsets = list(offsets)
-        if self.jobs <= 1 or len(offsets) < 2:
-            return get_backend(self.inner).evaluate_offsets_batch(
-                params, offsets
-            )
-        chunks = chunk_evenly(offsets, self.jobs * _CHUNKS_PER_JOB)
-        pool = self.executor()
-        futures = [
-            pool.submit(_pooled_chunk, self.inner, params, chunk)
-            for chunk in chunks
-        ]
-        # Futures are consumed in submission order, so flattening
-        # preserves the input offset order exactly.
-        return decode_outcomes(
-            row for future in futures for row in future.result()
-        )
-
-    def sweep_outcomes_batch(
-        self, params: SweepParams, offsets: Sequence[int]
-    ) -> tuple[SweepReport, Sequence[DiscoveryOutcome]]:
-        """Shard one batch and summarize its outcomes in the parent:
-        the report and outcomes of the inner kernel in-process."""
-        offsets = list(offsets)
-        if self.jobs <= 1 or len(offsets) < 2:
-            return get_backend(self.inner).sweep_outcomes_batch(
-                params, offsets
-            )
-        outcomes = self.evaluate_offsets_batch(params, offsets)
-        return summarize_outcomes(outcomes), outcomes
-
 
 # ----------------------------------------------------------------------
-# Shared instances: one persistent pool per (inner, jobs, mp_context)
+# Shared instances: one persistent pool per (jobs, mp_context)
 # ----------------------------------------------------------------------
 
 _SHARED: dict[tuple, PooledBackend] = {}
@@ -262,23 +180,17 @@ def _register_atexit() -> None:
 
 
 def get_pooled_backend(
-    inner: str | None = None,
-    jobs: int | None = None,
-    mp_context: str | None = None,
+    jobs: int | None = None, mp_context: str | None = None
 ) -> PooledBackend:
     """The shared persistent-pool backend for this shape.
 
-    Two callers asking for the same ``(inner, jobs, mp_context)`` get
-    the *same* instance -- and therefore the same warm worker pool --
-    which is what makes every ``jobs > 1``
-    :class:`repro.parallel.ParallelSweep` amortize startup across
-    independent sweeps.  Construct :class:`PooledBackend` directly for a
-    private pool.
+    Two callers asking for the same ``(jobs, mp_context)`` get the
+    *same* instance -- and therefore the same worker pool -- which is
+    what makes every ``jobs > 1`` :class:`repro.parallel.ParallelSweep`
+    amortize startup across independent grids.  Construct
+    :class:`PooledBackend` directly for a private pool.
     """
-    from .base import default_backend_name
-
     key = (
-        inner or default_backend_name(),
         jobs if jobs is not None else (os.cpu_count() or 1),
         mp_context or _default_mp_context(),
     )
@@ -287,7 +199,6 @@ def get_pooled_backend(
         backend = PooledBackend(*key)
         _SHARED[key] = backend
     return backend
-
 
 
 def shutdown_pooled_backends(wait: bool = True) -> int:

@@ -26,8 +26,9 @@ runtime flags instead of per-subcommand plumbing:
   machine);
 * ``--jobs N``, ``--backend {auto,python,numpy}`` and
   ``--mp-context`` override individual profile fields for one
-  invocation.  ``--jobs`` above 1 runs every sharded batch on one
-  persistent worker pool.
+  invocation.  ``--jobs`` above 1 runs scenario grids (``grid``, and
+  the daemon's grid jobs) on one persistent worker pool; sweeps and
+  DES spot checks always run in-process.
 
 Results are bit-identical for every profile: ``--jobs``/``--backend``
 only change how fast the answer arrives.  The session-owned persistent
@@ -691,9 +692,10 @@ def _runtime_flags() -> argparse.ArgumentParser:
     group.add_argument(
         "--jobs", type=_positive_int, default=None,
         help=(
-            "worker processes (profile default: 1 = in-process); above 1, "
-            "sweeps, long DES spot-check batches and grids run on one "
-            "persistent pool owned by the command's session"
+            "processes for scenario grids (profile default: 1 = "
+            "in-process); above 1, grids run on one persistent pool owned "
+            "by the command's session; sweeps and DES spot checks always "
+            "run in-process"
         ),
     )
     group.add_argument(

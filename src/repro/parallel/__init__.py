@@ -3,18 +3,16 @@
 The sweep workloads behind the paper's validation experiments are
 embarrassingly parallel -- one exact computation per phase offset, one
 DES replay per spot-check, one event-driven run per scenario grid
-point.  This package shards them across worker processes while
-guaranteeing results *bit-identical* to the serial path (same iteration
-order, same tie-breaking, same derived seeds), so everything downstream
--- tier-1 tests, paper-figure reproductions -- is unchanged, only
-faster.
+point.  This package runs them with results *bit-identical* to the
+serial path (same iteration order, same tie-breaking, same derived
+seeds), so everything downstream -- tier-1 tests, paper-figure
+reproductions -- is unchanged whatever the runtime.
 
-* :class:`ParallelSweep` -- the executor: chunked offset sweeps with
-  order-stable merging, one-submission-per-offset DES spot-checks, and
-  cost-model-sorted work-stealing scenario grids
-  (:mod:`repro.parallel.schedule`).  The *kernel* each worker runs is a
-  pluggable :mod:`repro.backends` selection
-  (``backend="auto"|"python"|"numpy"``): this package owns process
+* :class:`ParallelSweep` -- the executor: in-process offset sweeps and
+  DES spot-checks, and cost-model-sorted work-stealing scenario grids
+  (:mod:`repro.parallel.schedule`) on the process pool.  The *kernel*
+  a sweep runs is a pluggable :mod:`repro.backends` selection
+  (``backend="auto"|"python"|"numpy"``): this package owns
   orchestration, the backends package owns the math.
 * :class:`ListeningCache` -- a receiver's precomputed periodic
   listening pattern, the input the ``numpy`` kernel decodes against
@@ -39,32 +37,26 @@ protocol cannot be mutated, only replaced by a new object with a new
 fingerprint.  :func:`invalidate_listening_caches` exists to reclaim
 memory (or force cold rebuilds in benchmarks), never for correctness;
 the registry additionally self-bounds via LRU eviction at a fixed cap.
-Forked workers inherit the parent registry (safe: entries are
-immutable); spawned workers start empty and build each pattern on
-first use.
+Only in-process sweeps read it: pool workers run grids, which replay
+the DES and decode against no pattern.
 
 Process-runtime contract
 ------------------------
 
-``jobs`` is the only parallelism setting.  ``jobs <= 1`` runs every
-verb in-process.  ``jobs > 1`` sends every sharded batch -- offset
-sweeps, DES spot-check batches above the ``_SPOT_POOL_MIN_EVENTS``
-estimated-event floor, and scenario grids -- to the **persistent**
-pool of :mod:`repro.backends.pooled`, shared per
-``(kernel, jobs, mp_context)``: created lazily on the first sharded
-batch, reused across batches and executors, shut down explicitly via
+``jobs`` is the only parallelism setting, and it parallelizes
+scenario grids only.  ``jobs <= 1`` runs every verb in-process.
+``jobs > 1`` sends each grid of two or more scenarios to the
+**persistent** pool of :mod:`repro.backends.pooled`, shared per
+``(jobs, mp_context)``: created lazily on the first such grid, reused
+across grids and executors, shut down explicitly via
 ``PooledBackend.close()`` / ``shutdown_pooled_backends()`` (or the
 owning ``Session.__exit__``) with an ``atexit`` backstop so no
-interpreter exit leaks worker processes.  A custom kernel instance
-that is not registered cannot be named inside a worker, so it keeps
-everything in-process.
-
-Persistent workers hold no per-sweep initializer state: work arrives
-fully parameterized and patterns resolve through each worker's own
-keyed registry, which stays warm across sweeps.  The parent builds no
-pattern for a pooled sweep: a pattern is one linear pass over two
-hyperperiods of windows and own-beacon blocks, cheap enough for every
-worker to build its own.
+interpreter exit leaks worker processes.  Offset sweeps,
+``evaluate_offsets`` calls and DES spot-check batches always run
+in-process: on 2 vCPUs the pool lost every numpy-kernel sweep and
+bench-horizon spot-check row measured, and clearly won only the
+12-scenario DES grid (:mod:`repro.parallel.executor` has the numbers
+and the known cost).
 """
 
 from .cache import (

@@ -50,9 +50,6 @@ period, the turnaround guard and the pattern size limit):
   whole registry (to reclaim memory, or force a cold rebuild in
   benchmarks).  The registry also self-bounds by LRU eviction past
   ``_REGISTRY_CAP`` entries.
-* **Fork and spawn.**  Forked workers inherit the parent's registry;
-  entries are immutable after construction, so the copies stay
-  correct.  Spawned workers build each pattern on first use.
 """
 
 from __future__ import annotations

@@ -1,46 +1,62 @@
-"""Process-parallel executor for offset sweeps, spot-checks and grids.
+"""Process-parallel executor: in-process sweeps, pooled scenario grids.
 
 The experiments behind every bound-validation figure reduce to many
 *independent* evaluations -- one exact pair computation per phase
 offset, one DES replay per spot-check offset, or one event-driven
-network run per grid point.  :class:`ParallelSweep` shards them across
-worker processes while preserving the serial path's results exactly:
+network run per grid point.  :class:`ParallelSweep` runs them all with
+results identical to the serial path:
 
 * an offset sweep's report and its per-offset outcomes come from one
-  :meth:`repro.backends.SweepBackend.sweep_outcomes_batch` call.
-  In-process, the ``numpy`` kernel reduces its first-discovery vectors
-  straight into the :class:`SweepReport` and builds an outcome only
-  when one is read; the ``python`` kernel and the pool fold per-offset
-  outcomes (the pool's come back from its workers in offset order)
-  with :func:`repro.simulation.analytic.summarize_outcomes`, the
-  reference every reduction is pinned equal to (earliest-offset ties,
-  exact integer sums for the means);
+  :meth:`repro.backends.SweepBackend.sweep_outcomes_batch` call on the
+  selected kernel.  The ``numpy`` kernel reduces its first-discovery
+  vectors straight into the :class:`SweepReport` and builds an outcome
+  only when one is read; the ``python`` kernel folds per-offset
+  outcomes with :func:`repro.simulation.analytic.summarize_outcomes`,
+  the reference every reduction is pinned equal to (earliest-offset
+  ties, exact integer sums for the means);
 * a DES spot check is a replay and nothing else: the worst-case
   engine compares it with the sweep's own outcome at that offset, so
   the check covers the answer the engine reports.  The event-driven
   simulator shares no code with the kernels or the pattern cache;
-* seeded runs derive each item's seed from its *global* index via
-  :func:`repro.parallel.cache.derive_seed`, never from its submission
-  slot, so scheduling is invisible to the RNG.
+* seeded grid runs derive each scenario's seed from its *global*
+  index via :func:`repro.parallel.cache.derive_seed`, never from its
+  submission slot, so scheduling is invisible to the RNG.
 
-There is one process runtime, chosen by ``jobs`` alone: ``jobs <= 1``
-runs everything in-process, and ``jobs > 1`` sends every sharded batch
-to the persistent pool of :mod:`repro.backends.pooled` shared per
-``(kernel, jobs, mp_context)``.  The *kernel* each worker (or the
-in-process path) runs is a pluggable :class:`repro.backends.SweepBackend`
-selected by name -- ``"python"`` or ``"numpy"``; ``"auto"`` resolves
-to ``numpy`` when NumPy is importable.  This executor (built directly
-or by :class:`repro.api.Session` from a ``RuntimeProfile``) is the one
-place ``jobs`` and ``backend`` are chosen: the plain functions of
+There is one process runtime, and ``jobs`` is the number of processes
+for **scenario grids**: ``jobs <= 1`` runs every grid in-process, and
+``jobs > 1`` sends each grid's scenarios to the persistent pool of
+:mod:`repro.backends.pooled` shared per ``(jobs, mp_context)``, one
+submission per scenario in the cost-model-sorted work-stealing order
+of :mod:`repro.parallel.schedule` (longest first, merged back by grid
+index).  Offset sweeps, ``evaluate_offsets`` calls and DES spot-check
+batches always run in-process, whatever ``jobs`` is.  Measured on
+2 vCPUs with numpy 2.4.6, warm pool, identical results either way:
+
+* a 6000-offset sweep of the bench: in-process numpy 5.0 ms, pool
+  35.6 ms; with the ``python`` kernel 250 against 245 ms;
+* the 156k-offset Disco 101x103 critical sweep: 0.24-0.33 s
+  in-process, 0.87-0.89 s on the pool;
+* DES spot-check batches of disco-101x103 with 64 / 256 offsets:
+  37-55 / 189-246 ms in-process, 245-290 / 800-916 ms on the pool;
+* the 12-scenario DES grid, the one row the pool wins: 0.165-0.18 s
+  on the pool against 0.23-0.31 s in-process.
+
+The known cost falls on inputs no benchmark workload has: a 19.5k-offset
+Disco 101x103 sweep on the ``python`` kernel (no NumPy) took 3.6-3.75 s
+on a ``jobs=2`` pool and takes 7.0-7.2 s in-process, and float-schedule
+spot checks at 40x the bench horizon took 138-179 / 588-703 ms on the
+pool for 16 / 64 replays and take 252-291 / 986-1170 ms in-process.
+
+The *kernel* a sweep runs is a pluggable
+:class:`repro.backends.SweepBackend` selected by name -- ``"python"``
+or ``"numpy"``; ``"auto"`` resolves to ``numpy`` when NumPy is
+importable.  This executor (built directly or by
+:class:`repro.api.Session` from a ``RuntimeProfile``) is the one place
+``jobs`` and ``backend`` are chosen: the plain functions of
 :mod:`repro.simulation` take neither.
-Offset sweeps are contiguously chunked (per-offset cost is near
-uniform); grid scenarios go through the cost-model-sorted work-stealing
-order of :mod:`repro.parallel.schedule`: one submission per scenario,
-longest first, merged back by grid index.  DES spot-checks follow the
-same one-submission-per-offset pattern.
 
-Worker payloads are plain protocols/offsets sent through module-level
-functions; nothing closes over simulator state, so everything pickles
+Grid payloads are plain scenarios sent through a module-level
+function; nothing closes over simulator state, so everything pickles
 under both fork and spawn start methods.
 """
 
@@ -58,51 +74,14 @@ from ..simulation.analytic import (
     SweepReport,
 )
 from .cache import derive_seed
-from .schedule import default_simulation_cost, plan_longest_first
+from .schedule import plan_longest_first
 
 __all__ = ["ParallelSweep"]
 
-# Estimated simulated-event floor below which DES spot-checks stay
-# in-process even with jobs > 1: a handful of short replays finishes
-# serially before the pool's round-trips (or its first boot) would --
-# on any core count.  Roughly one second of serial replay work at
-# typical event throughput.
-_SPOT_POOL_MIN_EVENTS = 100_000
-
 
 # ----------------------------------------------------------------------
-# Worker entry points (module-level: picklable by name)
+# Grid worker entry point (module-level: picklable by name)
 # ----------------------------------------------------------------------
-
-
-def _spot_check_replay(
-    protocol_e: NDProtocol,
-    protocol_f: NDProtocol,
-    offset: int,
-    horizon: int,
-    model: ReceptionModel,
-    turnaround: int,
-    stop: int | None,
-) -> DiscoveryOutcome:
-    """One spot check: a DES replay
-    (:func:`repro.simulation.runner.simulate_pair`) and nothing else.
-
-    The replay stops once every direction that can discover has
-    discovered, which is all a :class:`DiscoveryOutcome` records, and,
-    for integer schedules (spot checks have ideal clocks and no
-    jitter), at ``stop``: the pair's periodicity point one joint
-    hyperperiod past the boot transient
-    (:func:`repro.simulation.runner._periodic_stop`, computed once per
-    batch), where a still-undiscovered direction is deadlocked.  Float
-    schedules (``float-period-pi``) have no ``stop`` and replay to the
-    horizon.  The single shared body is what makes the pooled and
-    in-process spot-check paths identical by construction.
-    """
-    from ..simulation.runner import _replay_pair
-
-    return _replay_pair(
-        protocol_e, protocol_f, offset, horizon, model, turnaround, stop
-    )
 
 
 def _network_one_cfg(config: dict, item: tuple[int, object]):
@@ -140,31 +119,18 @@ def _steal_merge(scenarios: list, submit) -> list:
     return results
 
 
-def _estimated_spot_events(
-    protocols, horizon, n_offsets: int, stop: int | None
-) -> float:
-    """Estimated simulated events for a DES spot-check batch.
-
-    The unit-weight event count: the ``_SPOT_POOL_MIN_EVENTS`` floor
-    is an absolute event-count threshold.  Each replay runs to the
-    horizon or, when the pair has one, to its periodic ``stop``,
-    whichever comes first.
-    """
-    if stop is not None:
-        horizon = min(horizon, stop)
-    return n_offsets * default_simulation_cost(protocols, horizon)
-
-
 class ParallelSweep:
-    """Shard independent evaluations across worker processes.
+    """Run offset sweeps in-process and shard scenario grids.
 
     Parameters
     ----------
     jobs:
-        Worker processes; ``None`` uses the CPU count, ``<= 1`` runs
-        everything in-process.  ``> 1`` runs every sharded batch on the
-        shared persistent pool for ``(kernel, jobs, mp_context)``
-        (:func:`repro.backends.pooled.get_pooled_backend`).
+        Worker processes for scenario grids; ``None`` uses the CPU
+        count, ``<= 1`` runs grids in-process.  ``> 1`` runs each grid
+        on the shared persistent pool for ``(jobs, mp_context)``
+        (:func:`repro.backends.pooled.get_pooled_backend`).  Offset
+        sweeps and DES spot checks run in-process whatever ``jobs`` is
+        (the module docstring has the measurements).
     mp_context:
         ``multiprocessing`` start-method name; defaults to ``fork``
         where available (Linux) and ``spawn`` elsewhere.  Results are
@@ -173,9 +139,7 @@ class ParallelSweep:
         Sweep-kernel selection (:mod:`repro.backends`): a registered
         name (``"python"``, ``"numpy"``), ``"auto"``
         (default: the fastest importable kernel), or a
-        :class:`repro.backends.SweepBackend` instance.  A custom
-        instance that is not registered cannot be named inside a
-        worker, so it keeps everything in-process.  Results are
+        :class:`repro.backends.SweepBackend` instance.  Results are
         bit-identical for every selection.
     """
 
@@ -214,23 +178,20 @@ class ParallelSweep:
 
     # ------------------------------------------------------------------
     def _resolve_backend(self):
-        """The kernel instance this sweep runs (in-process or, by
-        registry name, inside the pool's workers)."""
+        """The kernel instance this executor's sweeps run."""
         from ..backends import resolve_backend
 
         return resolve_backend(self.backend)
 
     def pool(self):
-        """The shared persistent pool this executor shards over, or
-        ``None`` when everything runs in-process (``jobs <= 1``, or an
-        unregistered kernel instance).  Resolving it boots nothing."""
-        from ..backends.base import is_registered
+        """The shared persistent pool this executor's grids run on, or
+        ``None`` when they run in-process (``jobs <= 1``).  Resolving
+        it boots nothing."""
         from ..backends.pooled import get_pooled_backend
 
-        kernel = self._resolve_backend()
-        if self.jobs <= 1 or not is_registered(kernel.name):
+        if self.jobs <= 1:
             return None
-        return get_pooled_backend(kernel.name, self.jobs, self.mp_context)
+        return get_pooled_backend(self.jobs, self.mp_context)
 
     # ------------------------------------------------------------------
     def sweep_offsets(
@@ -244,8 +205,9 @@ class ParallelSweep:
         *,
         with_outcomes: bool = False,
     ) -> SweepReport | tuple[SweepReport, Sequence[DiscoveryOutcome]]:
-        """Parallel :func:`repro.simulation.analytic.sweep_offsets`,
-        bit-identical to the serial call.
+        """:func:`repro.simulation.analytic.sweep_offsets` on the
+        selected kernel, in-process and bit-identical to the serial
+        call.
 
         Returns the :class:`SweepReport`, or with ``with_outcomes`` the
         pair ``(report, outcomes)``: the per-offset outcomes the report
@@ -256,8 +218,9 @@ class ParallelSweep:
         from ..backends import SweepParams
 
         params = SweepParams(protocol_e, protocol_f, horizon, model, turnaround)
-        runner = self.pool() or self._resolve_backend()
-        report, outcomes = runner.sweep_outcomes_batch(params, list(offsets))
+        report, outcomes = self._resolve_backend().sweep_outcomes_batch(
+            params, list(offsets)
+        )
         return (report, outcomes) if with_outcomes else report
 
     # ------------------------------------------------------------------
@@ -270,15 +233,15 @@ class ParallelSweep:
         model: ReceptionModel = ReceptionModel.POINT,
         turnaround: int = 0,
     ) -> list[DiscoveryOutcome]:
-        """Parallel :func:`repro.simulation.analytic.evaluate_offsets`:
-        per-offset outcomes in input order."""
+        """:func:`repro.simulation.analytic.evaluate_offsets` on the
+        selected kernel, in-process: per-offset outcomes in input
+        order."""
         from ..backends import SweepParams
 
         params = SweepParams(protocol_e, protocol_f, horizon, model, turnaround)
-        # The pool runs fewer than two offsets through its kernel
-        # in-process, so both branches see the same degenerate rule.
-        runner = self.pool() or self._resolve_backend()
-        return runner.evaluate_offsets_batch(params, list(offsets))
+        return self._resolve_backend().evaluate_offsets_batch(
+            params, list(offsets)
+        )
 
     # ------------------------------------------------------------------
     def spot_check_pairs(
@@ -303,47 +266,27 @@ class ParallelSweep:
         ``tests/test_des_periodic_stop_property.py`` pins the stopped
         replay against a full-horizon one.
 
-        The replays dominate ``verified_worst_case`` once sweeps are
-        fast; each offset is an independent simulation, so they shard
-        one-per-submission like the work-stealing grid path.  Both the
-        serial and the pooled path run identical computations per
-        offset, so the result list is independent of ``jobs``.
-
-        Batches whose estimated simulated-event count falls below
-        ``_SPOT_POOL_MIN_EVENTS`` run in-process regardless of ``jobs``:
-        short replays (small horizons, sparse schedules, few offsets)
-        finish serially faster than the pool round-trips them.
-        Long-horizon validations -- where the replays actually
-        dominate -- clear the floor and shard.
+        Each replay stops once every direction that can discover has
+        discovered, which is all a :class:`DiscoveryOutcome` records,
+        and, for integer schedules (spot checks have ideal clocks and
+        no jitter), at the pair's periodicity point one joint
+        hyperperiod past the boot transient
+        (:func:`repro.simulation.runner._periodic_stop`, computed once
+        per batch), where a still-undiscovered direction is
+        deadlocked.  Float schedules (``float-period-pi``) have no stop
+        and replay to the horizon.  The replays run in-process whatever
+        ``jobs`` is.
         """
-        from ..simulation.runner import _periodic_stop
+        from ..simulation.runner import _periodic_stop, _replay_pair
 
-        offsets = list(offsets)
         stop = _periodic_stop(protocol_e, protocol_f, turnaround)
-        pool = self.pool()
-        if (
-            pool is None
-            or len(offsets) < 2
-            or _estimated_spot_events(
-                [protocol_e, protocol_f], horizon, len(offsets), stop
-            ) < _SPOT_POOL_MIN_EVENTS
-        ):
-            return [
-                _spot_check_replay(
-                    protocol_e, protocol_f, offset, horizon, model,
-                    turnaround, stop,
-                )
-                for offset in offsets
-            ]
-        futures = [
-            pool.submit(
-                _spot_check_replay,
+        return [
+            _replay_pair(
                 protocol_e, protocol_f, offset, horizon, model, turnaround,
                 stop,
             )
             for offset in offsets
         ]
-        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     def map_scenarios(
@@ -358,9 +301,10 @@ class ParallelSweep:
 
         Each scenario's RNG seed derives from its global index, so the
         returned list is identical whatever ``jobs`` or ``backend`` is
-        (including the in-process serial path).  With ``jobs > 1`` the
-        grid runs on the persistent pool in work-stealing submission
-        order, so successive small grids stop paying pool startup.
+        (including the in-process serial path).  With ``jobs > 1`` a
+        grid of two or more scenarios runs on the persistent pool in
+        work-stealing submission order, so successive small grids stop
+        paying pool startup.
         """
         scenarios = list(scenarios)
         config = {

@@ -113,7 +113,8 @@ class TestRuntimeProfileSerialization:
             ({"backend": "auto", "gpu": True}, "unknown RuntimeProfile field"),
             ({"schedule": "steal"}, "'schedule' was removed"),
             ({"shared_memory": True}, "'shared_memory' was removed"),
-            ({"chunks_per_job": 4}, "'chunks_per_job' was removed"),
+            ({"chunks_per_job": 4},
+             "'chunks_per_job' was removed: offset sweeps run in-process"),
             ({"backend": "pooled", "jobs": 2}, "jobs > 1 now selects"),
             ({"cost_weights": [3e-6, 7e-6]}, r"unknown .*'cost_weights'"),
             ({"auto_calibrate": True}, r"unknown .*'auto_calibrate'"),

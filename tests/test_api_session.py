@@ -110,7 +110,7 @@ class TestSessionPoolLifecycle:
     def test_exit_shuts_down_session_pool(self):
         profile = RuntimeProfile(jobs=2)
         with Session(profile) as session:
-            session.sweep(_sweep_spec())
+            session.grid(_grid_spec())
             backend = _pool(session)
             assert isinstance(backend, PooledBackend)
             assert backend.started
@@ -124,20 +124,20 @@ class TestSessionPoolLifecycle:
         double-shutdown -- the satellite regression."""
         profile = RuntimeProfile(jobs=2)
         with Session(profile) as outer:
-            outer.sweep(_sweep_spec())
+            outer.grid(_grid_spec())
             backend = _pool(outer)
             pids = _worker_pids(backend)
             assert backend.session_refs == 1
             with Session(profile) as inner:
                 assert _pool(inner) is backend  # shared shape -> shared pool
                 assert backend.session_refs == 2
-                inner.sweep(_sweep_spec())
+                inner.grid(_grid_spec())
             # Inner exit released its reference but left the pool alive.
             assert backend.session_refs == 1
             assert backend.started
             for pid in pids:
                 os.kill(pid, 0)  # raises if a worker died
-            outer.sweep(_sweep_spec())  # outer still fully functional
+            outer.grid(_grid_spec())  # outer still fully functional
         assert backend.session_refs == 0
         assert not backend.started
         _assert_processes_exit(pids)
@@ -153,7 +153,7 @@ class TestSessionPoolLifecycle:
         assert shutdown_pooled_backends() == 0  # nothing was running
         assert backend.session_refs == 0
         fresh = Session(profile)
-        fresh.sweep(_sweep_spec())
+        fresh.grid(_grid_spec())
         assert _pool(fresh) is backend and backend.started
         fresh.close()
         assert not backend.started  # stale's reference did not pin it
@@ -166,17 +166,17 @@ class TestSessionPoolLifecycle:
         generation."""
         profile = RuntimeProfile(jobs=2)
         stale = Session(profile)
-        stale.sweep(_sweep_spec())
+        stale.grid(_grid_spec())
         backend = _pool(stale)
         shutdown_pooled_backends()  # voids stale's retain token
         fresh = Session(profile)
-        fresh.sweep(_sweep_spec())
+        fresh.grid(_grid_spec())
         assert _pool(fresh) is backend  # same shared shape
         assert backend.session_refs == 1
         stale.close()  # stale token: must be a no-op on the refcount
         assert backend.session_refs == 1
         assert backend.started, "stale close stole the fresh session's pool"
-        fresh.sweep(_sweep_spec())  # still fully functional
+        fresh.grid(_grid_spec())  # still fully functional
         fresh.close()
         assert backend.session_refs == 0
         assert not backend.started
@@ -186,7 +186,7 @@ class TestSessionPoolLifecycle:
         counts, so a session exiting afterwards is a clean no-op."""
         profile = RuntimeProfile(jobs=2)
         session = Session(profile)
-        session.sweep(_sweep_spec())
+        session.grid(_grid_spec())
         backend = _pool(session)
         assert backend.started
         assert shutdown_pooled_backends() == 1
@@ -244,13 +244,13 @@ class TestPoolRestart:
     def test_force_shutdown_mid_session_reboots_pool(self):
         profile = RuntimeProfile(jobs=2)
         with Session(profile) as session:
-            expected = session.sweep(_sweep_spec()).raw
+            expected = session.grid(_grid_spec()).raw
             backend = _pool(session)
             assert backend.started
             assert shutdown_pooled_backends() == 1
             assert not backend.started
-            # The next sweep lazily boots a fresh pool, results identical.
-            again = session.sweep(_sweep_spec())
+            # The next grid lazily boots a fresh pool, results identical.
+            again = session.grid(_grid_spec())
             assert again.raw == expected
             assert backend.started
         # The force shutdown voided the session's retain token, so (by
@@ -260,14 +260,14 @@ class TestPoolRestart:
         assert not backend.started
 
     def test_spawn_results_equal_serial(self):
-        """Spawn-start workers inherit no registry: they build every
-        pattern themselves and must match the serial path bit-for-bit."""
-        spec = _sweep_spec()
-        with Session(RuntimeProfile(backend="python", jobs=1)) as session:
-            expected = session.sweep(spec).raw
+        """Spawn-start workers inherit nothing from the parent and must
+        match the in-process grid bit-for-bit."""
+        spec = _grid_spec()
+        with Session(RuntimeProfile(jobs=1)) as session:
+            expected = session.grid(spec).raw
         profile = RuntimeProfile(jobs=2, mp_context="spawn")
         with Session(profile) as session:
-            got = session.sweep(spec)
+            got = session.grid(spec)
             assert _pool(session).started
         assert got.raw == expected
 

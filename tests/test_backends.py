@@ -80,17 +80,11 @@ class TestRegistry:
     def test_jobs_selects_shared_pool_for_shape(self):
         pool = ParallelSweep(jobs=2, backend="python").pool()
         assert isinstance(pool, PooledBackend)
-        assert pool.jobs == 2 and pool.inner == "python"
+        assert pool.jobs == 2
         assert ParallelSweep(jobs=2, backend="python").pool() is pool
+        # Grids run no kernel, so every kernel shares the one pool.
+        assert ParallelSweep(jobs=2).pool() is pool
         assert ParallelSweep(jobs=1, backend="python").pool() is None
-
-    def test_pooled_inner_kernel_tracks_numpy_availability(self, monkeypatch):
-        """A jobs > 1 executor must re-detect the pool's inner kernel per
-        call, not pin the first call's auto-detection forever."""
-        before = ParallelSweep(jobs=2).pool().inner
-        assert before == default_backend_name()
-        monkeypatch.setattr(_np, "np", None)
-        assert ParallelSweep(jobs=2).pool().inner == "python"
 
 
 class TestNumpyGuard:
@@ -278,9 +272,12 @@ class TestNumpyReferenceParity:
         )
         self._check(adv, scan, list(range(0, 600, 7)), 4_000)
 
-    def test_oversized_duration_takes_the_exact_path(self):
-        """A beacon longer than the receiver's hyperperiod is decided
-        by the exact scalar path and stays exact."""
+    def test_beacon_longer_than_receiver_period_is_painted(self):
+        """A 700-unit beacon is longer than the receiver's reception
+        period (350) but not its hyperperiod lcm(150, 350) = 1050, so
+        the batch is painted, not delegated, and stays exact.  With
+        ``test_beacon_longer_than_receiver_hyperperiod_delegates`` this
+        pins both sides of ``_direction_vectorizable``."""
         adv = NDProtocol(
             beacons=BeaconSchedule.uniform(1, 5_000, 700),
             reception=ReceptionSchedule.single_window(25, 600),
@@ -289,8 +286,12 @@ class TestNumpyReferenceParity:
             beacons=BeaconSchedule.uniform(1, 150, 3),
             reception=ReceptionSchedule.single_window(40, 350),
         )
-        assert adv.beacons.beacons[0].duration > scan.reception.period
-        self._check(adv, scan, list(range(0, 600, 11)), 20_000)
+        duration = adv.beacons.beacons[0].duration
+        assert scan.reception.period < duration <= scan.hyperperiod()
+        offsets = list(range(0, 600, 11))
+        params = SweepParams(adv, scan, 20_000, ReceptionModel.POINT)
+        assert NumpyBackend()._discovery_vectors(params, offsets) is not None
+        self._check(adv, scan, offsets, 20_000)
 
     def test_beacon_longer_than_receiver_hyperperiod_delegates(self):
         """A beacon longer than the receiver's hyperperiod (here

@@ -313,8 +313,8 @@ class TestCampaignRunner:
 
 
 class TestParallelRunner:
-    """A campaign whose session runs ``jobs=2`` shards each entry's work
-    on the persistent pool; entries still execute one at a time in
+    """A campaign whose session runs ``jobs=2`` (grids on the persistent
+    pool, sweeps in-process); entries still execute one at a time in
     lattice order, so capping, failure isolation and checkpointing
     behave exactly as on the in-process runtime."""
 
@@ -370,7 +370,7 @@ class TestParallelRunner:
         assert resumed["hits"] == 1 and resumed["executed"] == 2
 
     def test_parallel_per_entry_failure_isolated(self, tmp_path):
-        from repro.api import RuntimeProfile, Session
+        from repro.api import RunSpec, RuntimeProfile, Session
 
         store = ResultStore(tmp_path / "store")
         runner = CampaignRunner(
@@ -384,6 +384,11 @@ class TestParallelRunner:
             return real.sweep(spec)
 
         try:
+            # Boot the session's pool: only a grid does.
+            real.grid(RunSpec(grid={
+                "factory": "dense_network",
+                "axes": {"n_devices": [3, 4], "eta": [0.05]},
+            }))
             manifest = runner.run(session=SimpleNamespace(sweep=flaky_sweep))
             # The failure did not take the session's pool down with it.
             assert real._engine().pool().started

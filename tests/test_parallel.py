@@ -26,7 +26,6 @@ from repro.parallel import (
     ListeningCache,
     ParallelSweep,
 )
-from repro.backends.base import chunk_evenly
 from repro.simulation import (
     evaluate_offsets,
     mutual_discovery_times,
@@ -308,17 +307,9 @@ class TestBatchEntryPoints:
 
 
 class TestParallelSweep:
-    def test_chunking_partitions_in_order(self):
-        items = list(range(17))
-        chunks = chunk_evenly(items, 5)
-        assert [x for chunk in chunks for x in chunk] == items
-        assert len(chunks) == 5
-        assert max(len(c) for c in chunks) - min(len(c) for c in chunks) <= 1
-        assert chunk_evenly(items, 100) == [[x] for x in items]
-
     def test_bit_identical_to_serial_random_pairs(self):
-        """Property test: the pooled multiprocessing sweep reproduces
-        the serial report exactly -- counts, worsts, float means and
+        """Property test: a ``jobs=2`` executor's sweep reproduces the
+        serial report exactly -- counts, worsts, float means and
         tie-broken worst offsets."""
         rng = random.Random(11)
         executor = ParallelSweep(jobs=2)
@@ -338,7 +329,7 @@ class TestParallelSweep:
     def test_float_period_protocols_bit_identical(self):
         """Regression: non-integer schedule periods must not drift.
 
-        The worker-side beacon enumeration has to use the
+        The kernel's beacon enumeration has to use the
         ``reduced + instance * period`` multiplication of
         ``iter_beacons_infinite`` -- a running ``+= period`` float sum
         accumulates error and lands beacons on the wrong side of window
@@ -474,30 +465,10 @@ class TestSpotCheckSelection:
         assert serial == parallel
         assert serial.des_agrees
 
-    def test_spot_check_pool_bit_identical(self, monkeypatch):
-        """The pooled replay path (normally gated behind the estimated
-        work floor) matches the in-process path exactly."""
-        from repro.parallel import executor as executor_module
-
-        protocol, design = synthesize_symmetric(32, 0.05)
-        horizon = design.worst_case_latency
-        offsets = [0, 1_234, 56_789, 111_111]
-        serial = ParallelSweep(jobs=1).spot_check_pairs(
-            protocol, protocol, offsets, horizon
-        )
-        monkeypatch.setattr(executor_module, "_SPOT_POOL_MIN_EVENTS", 0)
-        pooled = ParallelSweep(jobs=2).spot_check_pairs(
-            protocol, protocol, offsets, horizon
-        )
-        assert pooled == serial
-        assert pooled == [
-            mutual_discovery_times(protocol, protocol, offset, horizon)
-            for offset in offsets
-        ]
-
     def test_short_spot_check_batch_stays_in_process(self):
-        """Below the estimated-event floor a ``jobs > 1`` batch replays
-        in-process: the shared pool is resolved but never booted."""
+        """A ``jobs > 1`` spot-check batch replays in-process: the
+        shared pool is resolved but never booted, and the replays are
+        the serial ones."""
         from repro.backends import shutdown_pooled_backends
 
         protocol, design = synthesize_symmetric(32, 0.05)
@@ -510,6 +481,10 @@ class TestSpotCheckSelection:
         assert got == ParallelSweep(jobs=1).spot_check_pairs(
             protocol, protocol, offsets, horizon
         )
+        assert got == [
+            mutual_discovery_times(protocol, protocol, offset, horizon)
+            for offset in offsets
+        ]
 
 
 class TestMutualAssistanceFidelity:

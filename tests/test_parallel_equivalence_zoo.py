@@ -1,11 +1,12 @@
 """Zoo-wide equivalence harness: every execution path is bit-identical.
 
-The load-bearing invariant of the parallel runtime is that both
-execution paths -- in-process and the persistent worker pool that
-``jobs > 1`` selects -- produce bit-identical results for every
-protocol family in the reproduction, including non-integer-period
-schedules (which disable the pattern cache) and the drift/jitter
-fidelity knobs of grid scenarios.  This file pins that invariant:
+The load-bearing invariant of the parallel runtime is that no runtime
+choice changes a result: every kernel, ``jobs=1`` and ``jobs=2`` (which
+runs sweeps in-process and grids on the persistent worker pool)
+produce bit-identical results for every protocol family in the
+reproduction, including non-integer-period schedules (which disable
+the pattern cache) and the drift/jitter fidelity knobs of grid
+scenarios.  This file pins that invariant:
 
 * one parametrized equivalence case per protocol family (13 families:
   the four classic slotted protocols, quorum, Nihao, Birthday, the two
@@ -20,9 +21,8 @@ fidelity knobs of grid scenarios.  This file pins that invariant:
 * backend equivalence: ``numpy`` and ``jobs=2`` pinned bit-identical
   to the reference ``evaluate_offsets`` (which the ``python`` kernel
   is) for every family under **all three** reception models, plus
-  persistent-pool lifecycle units (lazy creation, reuse across sweeps,
-  explicit shutdown, no leaked worker processes, patterns built by the
-  workers rather than the parent);
+  persistent-pool lifecycle units (grids only, lazy creation, reuse
+  across grids, explicit shutdown, no leaked worker processes);
 * the report path: ``NumpyBackend.sweep_outcomes_batch``'s report (both
   of its engines) equals ``summarize_outcomes`` over the reference for every
   family, model and turnaround {0, 150}, plus the reduction's corner
@@ -49,7 +49,6 @@ from repro.backends import (
     get_pooled_backend,
     have_numpy,
     NumpyBackend,
-    PooledBackend,
     shutdown_pooled_backends,
     SweepParams,
 )
@@ -175,7 +174,7 @@ def _workload(protocol_e, protocol_f):
 
 @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
 def test_family_all_paths_bit_identical(family):
-    """serial == in-process executor == persistent pool for every
+    """serial == ``jobs=1`` executor == ``jobs=2`` executor for every
     protocol family, as full per-offset outcome lists and as aggregated
     reports."""
     protocol_e, protocol_f = ZOO[family]()
@@ -194,7 +193,7 @@ def test_family_all_paths_bit_identical(family):
 
     paths = {
         "in-process-cached": ParallelSweep(jobs=1),
-        "pool": ParallelSweep(jobs=2),
+        "jobs=2": ParallelSweep(jobs=2),
     }
     for name, executor in paths.items():
         outcomes = executor.evaluate_offsets(
@@ -222,7 +221,7 @@ KERNELS = [name for name in available_backends() if name != "python"]
 
 
 def _engines():
-    """The non-reference kernels in-process, and the ``jobs=2`` pool."""
+    """The non-reference kernels, and a ``jobs=2`` executor."""
     engines = {name: ParallelSweep(jobs=1, backend=name) for name in KERNELS}
     engines["jobs=2"] = ParallelSweep(jobs=2)
     return engines
@@ -239,7 +238,7 @@ def _shutdown_pools_after_module():
 @pytest.mark.parametrize("backend", KERNELS + ["jobs=2"])
 @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
 def test_family_backends_bit_identical_all_models(family, backend):
-    """numpy and ``jobs=2`` (the persistent pool), pinned against the
+    """numpy and ``jobs=2`` (in-process too), pinned against the
     exact uncached reference, for every family under all three
     reception models -- full per-offset outcome lists, not just
     aggregates."""
@@ -263,10 +262,9 @@ def test_family_backends_bit_identical_all_models(family, backend):
 
 @pytest.mark.parametrize("backend", available_backends())
 def test_backend_threads_through_parallel_sweep(backend):
-    """The ParallelSweep backend knob is bit-identical on the sharded
-    multi-worker path too (workers run the selected kernel).  For
-    ``python`` this pins the pool's sharding and merge order, since
-    each worker runs the reference itself."""
+    """The ParallelSweep backend knob is bit-identical under
+    ``jobs=2`` too: the executor runs the selected kernel in-process
+    whatever ``jobs`` is."""
     protocol_e, protocol_f = ZOO["disco"]()
     offsets, horizon = _workload(protocol_e, protocol_f)
     serial = evaluate_offsets(protocol_e, protocol_f, offsets, horizon)
@@ -277,9 +275,9 @@ def test_backend_threads_through_parallel_sweep(backend):
 
 
 def test_turnaround_guard_reaches_every_backend():
-    """A non-zero turnaround changes decisions; every kernel and the
-    pool must agree with the reference under it (below-threshold boot
-    queries included)."""
+    """A non-zero turnaround changes decisions; every kernel and a
+    ``jobs=2`` executor must agree with the reference under it
+    (below-threshold boot queries included)."""
     protocol_e, protocol_f = ZOO["searchlight"]()
     offsets, horizon = _workload(protocol_e, protocol_f)
     for model in MODELS:
@@ -476,8 +474,7 @@ def test_family_report_path_matches_reference(family):
     "family", ["disco", "pi-adv-scan", "optimal-slotless"]
 )
 def test_report_path_pool_matches_in_process(family):
-    """``ParallelSweep(jobs=2).sweep_offsets`` (outcomes summarized in
-    the parent) equals ``jobs=1`` (the in-process reduction)."""
+    """``ParallelSweep(jobs=2).sweep_offsets`` equals ``jobs=1``."""
     protocol_e, protocol_f = ZOO[family]()
     _offsets, horizon = _workload(protocol_e, protocol_f)
     offsets = _report_offset_sets(family, protocol_e, protocol_f, 0)[
@@ -678,39 +675,43 @@ def _assert_processes_exit(pids, timeout_s=10.0):
     assert not remaining, f"worker processes leaked: {remaining}"
 
 
-class TestPersistentPoolLifecycle:
-    """The persistent pool's contract: lazy creation, reuse across
-    sweeps, explicit shutdown, no leaked worker processes."""
+def _grid():
+    """The small scenario grid the pool lifecycle tests run."""
+    return scenario_grid(
+        dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1]
+    )
 
-    def _params(self):
-        protocol_e, protocol_f = ZOO["disco"]()
-        offsets, horizon = _workload(protocol_e, protocol_f)
-        return (
-            SweepParams(protocol_e, protocol_f, horizon, ReceptionModel.POINT),
-            offsets,
-        )
+
+class TestPersistentPoolLifecycle:
+    """The persistent pool's contract: it runs scenario grids only;
+    lazy creation, reuse across grids, explicit shutdown, no leaked
+    worker processes."""
 
     def test_creation_is_lazy_and_degenerate_batches_stay_in_process(self):
-        backend = PooledBackend(jobs=2)
+        shutdown_pooled_backends()
+        executor = ParallelSweep(jobs=2)
+        backend = executor.pool()
         assert not backend.started
-        params, offsets = self._params()
-        single = backend.evaluate_offsets_batch(params, offsets[:1])
-        assert not backend.started  # one offset never boots a pool
+        grid = _grid()
+        single = executor.map_scenarios(grid[:1], base_seed=5)
+        assert not backend.started  # one scenario never boots a pool
         assert len(single) == 1
-        backend.evaluate_offsets_batch(params, offsets)
+        executor.map_scenarios(grid, base_seed=5)
         assert backend.started
         backend.close()
 
-    def test_pool_reused_across_sweeps(self):
-        backend = PooledBackend(jobs=2)
+    def test_pool_reused_across_grids(self):
+        shutdown_pooled_backends()
+        executor = ParallelSweep(jobs=2)
+        backend = executor.pool()
         try:
-            params, offsets = self._params()
-            backend.evaluate_offsets_batch(params, offsets)
+            grid = _grid()
+            executor.map_scenarios(grid, base_seed=5)
             first = backend.executor()
             pids = _worker_pids(backend)
-            backend.evaluate_offsets_batch(params, offsets)
+            executor.map_scenarios(grid, base_seed=5)
             # Same executor, and the original workers are still alive --
-            # the second sweep paid no pool startup.  (The PID *set* may
+            # the second grid paid no pool startup.  (The PID *set* may
             # grow as the lazy pool scales toward max_workers, so only
             # identity and liveness are contractual.)
             assert backend.executor() is first
@@ -720,43 +721,21 @@ class TestPersistentPoolLifecycle:
             backend.close()
 
     def test_explicit_shutdown_terminates_workers_and_allows_reuse(self):
-        backend = PooledBackend(jobs=2)
-        params, offsets = self._params()
-        serial = evaluate_offsets(
-            params.protocol_e, params.protocol_f, offsets, params.horizon
-        )
-        assert backend.evaluate_offsets_batch(params, offsets) == serial
+        shutdown_pooled_backends()
+        executor = ParallelSweep(jobs=2)
+        backend = executor.pool()
+        grid = _grid()
+        serial = sweep_network_grid(grid, base_seed=5)
+        assert executor.map_scenarios(grid, base_seed=5) == serial
         pids = _worker_pids(backend)
         backend.close()
         assert not backend.started
         _assert_processes_exit(pids)
         backend.close()  # idempotent
         # A closed backend lazily boots a fresh pool on next use.
-        assert backend.evaluate_offsets_batch(params, offsets) == serial
+        assert executor.map_scenarios(grid, base_seed=5) == serial
         assert backend.started
         backend.close()
-
-    def test_workers_build_their_own_patterns(self):
-        """A pool sweep builds no listening pattern in the parent: each
-        worker resolves the patterns through its own keyed registry,
-        as an in-process sweep does, and answers like the serial path."""
-        params, offsets = self._params()
-        fingerprints = {
-            protocol_fingerprint(protocol, params.turnaround)
-            for protocol in (params.protocol_e, params.protocol_f)
-        }
-        invalidate_listening_caches()
-        backend = PooledBackend(jobs=2)
-        try:
-            pooled = backend.evaluate_offsets_batch(params, offsets)
-            assert backend.started
-            assert not fingerprints & set(_REGISTRY)
-            assert listening_cache_stats()["size"] == 0
-        finally:
-            backend.close()
-        assert pooled == evaluate_offsets(
-            params.protocol_e, params.protocol_f, offsets, params.horizon
-        )
 
     def test_shared_instances_keyed_by_shape(self):
         a = get_pooled_backend(jobs=2)
@@ -765,41 +744,70 @@ class TestPersistentPoolLifecycle:
         assert a is b
         assert a is not c
         # Every jobs=2 ParallelSweep resolves the same shared map, so
-        # independent sweeps reuse one warm pool.
+        # independent grids reuse one warm pool.
         assert ParallelSweep(jobs=2).pool() is a
         assert ParallelSweep(jobs=1).pool() is None
 
     def test_shutdown_pooled_backends_counts_live_pools_only(self):
         shutdown_pooled_backends()
         backend = get_pooled_backend(jobs=2)
-        params, offsets = self._params()
-        backend.evaluate_offsets_batch(params, offsets)
+        ParallelSweep(jobs=2).map_scenarios(_grid(), base_seed=5)
         pids = _worker_pids(backend)
         assert shutdown_pooled_backends() == 1
         assert shutdown_pooled_backends() == 0
         _assert_processes_exit(pids)
 
-    def test_grid_and_spot_checks_reuse_persistent_pool(self):
-        """Grids and DES spot-checks share the pool's workers and stay
-        bit-identical to the serial path."""
-        grid = scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1])
-        executor = ParallelSweep(jobs=2)
-        serial = sweep_network_grid(grid, base_seed=5)
-        pooled = executor.map_scenarios(grid, base_seed=5)
-        assert pooled == serial
-        protocol_e, protocol_f = ZOO["disco"]()
-        offsets, horizon = _workload(protocol_e, protocol_f)
-        serial_checks = ParallelSweep(jobs=1).spot_check_pairs(
-            protocol_e, protocol_f, offsets[:4], horizon
+    def test_jobs_2_boots_the_pool_for_grids_only(self):
+        """A ``jobs=2`` executor runs an offset sweep, an
+        ``evaluate_offsets`` call and a DES spot-check batch in-process
+        and answers like ``jobs=1``; a grid still boots the pool and
+        equals the serial run.  The batch is 64 disco-101x103 replays
+        at the bench horizon: about 130k estimated events, above the
+        100k floor past which spot checks once went to the pool."""
+        shutdown_pooled_backends()
+        protocol_e, protocol_f = _pair(
+            Disco(101, 103, slot_length=1000, omega=32)
         )
-        assert executor.spot_check_pairs(
-            protocol_e, protocol_f, offsets[:4], horizon
-        ) == serial_checks
-        # One DES outcome per offset, in order, equal to the reference.
-        assert serial_checks == [
-            mutual_discovery_times(protocol_e, protocol_f, offset, horizon)
-            for offset in offsets[:4]
-        ]
+        _offsets, horizon = _workload(protocol_e, protocol_f)
+        period = horizon // 12
+        offsets = [index * (period // 64) + 7 for index in range(64)]
+        serial, pooled = ParallelSweep(jobs=1), ParallelSweep(jobs=2)
+        try:
+            report = pooled.sweep_offsets(
+                protocol_e, protocol_f, offsets, horizon
+            )
+            assert shutdown_pooled_backends() == 0
+            assert report == serial.sweep_offsets(
+                protocol_e, protocol_f, offsets, horizon
+            )
+            outcomes = pooled.evaluate_offsets(
+                protocol_e, protocol_f, offsets, horizon
+            )
+            assert shutdown_pooled_backends() == 0
+            assert outcomes == serial.evaluate_offsets(
+                protocol_e, protocol_f, offsets, horizon
+            )
+            checks = pooled.spot_check_pairs(
+                protocol_e, protocol_f, offsets, horizon
+            )
+            assert shutdown_pooled_backends() == 0
+            assert checks == serial.spot_check_pairs(
+                protocol_e, protocol_f, offsets, horizon
+            )
+            # One DES outcome per offset, in order, equal to the
+            # reference replay.
+            assert checks[:4] == [
+                mutual_discovery_times(protocol_e, protocol_f, offset, horizon)
+                for offset in offsets[:4]
+            ]
+            grid = _grid()
+            assert pooled.map_scenarios(grid, base_seed=5) == (
+                sweep_network_grid(grid, base_seed=5)
+            )
+            assert pooled.pool().started
+            assert shutdown_pooled_backends() == 1
+        finally:
+            shutdown_pooled_backends()
 
 
 # ----------------------------------------------------------------------
@@ -832,8 +840,8 @@ def test_session_sweep_matches_legacy_entry_points(family):
 
 
 def test_session_sweep_sharded_matches_legacy():
-    """The multi-worker facade path (jobs=2, the persistent pool) equals
-    the sharded executor and the serial reference."""
+    """The ``jobs=2`` facade path equals a ``jobs=2`` executor and the
+    serial reference."""
     protocol_e, protocol_f = ZOO["disco"]()
     offsets, horizon = _workload(protocol_e, protocol_f)
     serial = sweep_offsets(protocol_e, protocol_f, offsets, horizon)

@@ -72,7 +72,8 @@ class TestLoad:
         [
             ('schedule = "steal"', "'schedule' was removed"),
             ("shared_memory = true", "'shared_memory' was removed"),
-            ("chunks_per_job = 4", "'chunks_per_job' was removed"),
+            ("chunks_per_job = 4",
+             "'chunks_per_job' was removed: offset sweeps run in-process"),
             ('backend = "pooled"', "jobs > 1 now selects"),
             ("cost_weights = [3.3e-06, 4.8e-06]",
              r"unknown .*'cost_weights'"),

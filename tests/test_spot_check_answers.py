@@ -9,10 +9,9 @@ report was reduced from:
   selection (pinned against a test-local copy of it);
 * a kernel that misreports one direction at the sweep's worst offset
   makes ``des_agrees`` false;
-* on the ``python`` and ``numpy`` kernels and on the pool, the outcomes
-  the engine reads equal ``evaluate_offsets_batch`` at the same offsets;
-* a batch is priced for the pool to each replay's periodic stop, not
-  the horizon, so short replays under a long horizon stay in-process.
+* on the ``python`` and ``numpy`` kernels and on a ``jobs=2``
+  executor, the outcomes the engine reads equal
+  ``evaluate_offsets_batch`` at the same offsets.
 """
 
 import dataclasses
@@ -23,13 +22,10 @@ import pytest
 from repro.backends import (
     available_backends,
     PythonBackend,
-    shutdown_pooled_backends,
     SweepParams,
 )
 from repro.core.optimal import synthesize_symmetric
 from repro.parallel import ParallelSweep
-from repro.parallel.executor import _SPOT_POOL_MIN_EVENTS
-from repro.parallel.schedule import default_simulation_cost
 from repro.simulation import (
     critical_offsets,
     ReceptionModel,
@@ -37,7 +33,6 @@ from repro.simulation import (
     verified_worst_case,
 )
 from repro.simulation.runner import (
-    _periodic_stop,
     _select_spot_check_offsets,
     _verified_worst_case_impl,
 )
@@ -152,7 +147,7 @@ def test_a_misreported_worst_offset_disagrees(budget_ms):
 
 SWEEPERS = {
     **{name: {"jobs": 1, "backend": name} for name in available_backends()},
-    "pooled": {"jobs": 2},
+    "jobs=2": {"jobs": 2},
 }
 
 
@@ -188,30 +183,4 @@ def test_engine_reads_the_kernel_outcomes(family, sweeper):
     params = SweepParams(protocol_e, protocol_f, horizon, model, turnaround)
     assert [outcomes[position] for position in positions] == (
         PythonBackend().evaluate_offsets_batch(params, checked)
-    )
-
-
-def test_spot_checks_priced_to_the_periodic_stop_stay_in_process():
-    """Four Disco replays under a horizon of 500 periodic stops: priced
-    to the horizon they clear the pool floor, priced to the stop the
-    replays really end at they do not, so ``jobs=2`` boots no pool and
-    returns the in-process replays."""
-    shutdown_pooled_backends()
-    protocol_e, protocol_f = ZOO["disco"]()
-    stop = _periodic_stop(protocol_e, protocol_f, 0)
-    horizon = 500 * stop
-    offsets = [0, 37, 74, 111]
-    protocols = [protocol_e, protocol_f]
-    per_replay = default_simulation_cost(protocols, horizon)
-    assert len(offsets) * per_replay >= _SPOT_POOL_MIN_EVENTS
-    per_stopped_replay = default_simulation_cost(protocols, stop)
-    assert len(offsets) * per_stopped_replay < _SPOT_POOL_MIN_EVENTS
-    sweep = ParallelSweep(jobs=2)
-    try:
-        got = sweep.spot_check_pairs(protocol_e, protocol_f, offsets, horizon)
-        assert not sweep.pool().started
-    finally:
-        shutdown_pooled_backends()
-    assert got == ParallelSweep(jobs=1).spot_check_pairs(
-        protocol_e, protocol_f, offsets, horizon
     )
