@@ -196,6 +196,23 @@ class TestSessionPoolLifecycle:
         assert not backend.started
         assert shutdown_pooled_backends() == 0
 
+    def test_jobs_2_sweep_and_worst_case_boot_no_pool(self):
+        """A ``jobs=2`` session runs ``sweep`` and ``worst_case``
+        in-process: it resolves the shared pool but starts no worker,
+        and answers like ``jobs=1``."""
+        worst_spec = RunSpec(
+            pair={"kind": "symmetric", "eta": 0.05}, omega=32,
+            des_spot_checks=4,
+        )
+        with Session(RuntimeProfile(jobs=1)) as session:
+            swept = session.sweep(_sweep_spec()).raw
+            worst = session.worst_case(worst_spec).raw
+        with Session(RuntimeProfile(jobs=2)) as session:
+            assert session.sweep(_sweep_spec()).raw == swept
+            assert session.worst_case(worst_spec).raw == worst
+            assert not _pool(session).started
+        assert shutdown_pooled_backends() == 0
+
     def test_stateless_backend_sessions_own_nothing(self):
         with Session(RuntimeProfile(backend="python", jobs=1)) as session:
             session.sweep(_sweep_spec())

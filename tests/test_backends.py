@@ -86,6 +86,33 @@ class TestRegistry:
         assert ParallelSweep(jobs=2).pool() is pool
         assert ParallelSweep(jobs=1, backend="python").pool() is None
 
+    def test_jobs_2_kernel_tracks_numpy_availability(self, monkeypatch):
+        """A ``jobs > 1`` executor re-detects its ``auto`` kernel per
+        call, not pinning the first call's detection forever, and the
+        grid pool it resolves does not depend on the kernel."""
+        from repro.backends import shutdown_pooled_backends
+
+        shutdown_pooled_backends()
+        adv = NDProtocol(
+            beacons=BeaconSchedule.uniform(1, 100, 2),
+            reception=ReceptionSchedule.single_window(25, 600),
+        )
+        scan = NDProtocol(
+            beacons=BeaconSchedule.uniform(2, 150, 3),
+            reception=ReceptionSchedule.single_window(40, 350),
+        )
+        offsets, horizon = list(range(0, 700, 3)), 5_000
+        executor = ParallelSweep(jobs=2)
+        pool = executor.pool()
+        assert executor._resolve_backend().name == default_backend_name()
+        reference = sweep_offsets(adv, scan, offsets, horizon)
+        assert executor.sweep_offsets(adv, scan, offsets, horizon) == reference
+        monkeypatch.setattr(_np, "np", None)
+        assert executor._resolve_backend().name == "python"
+        assert executor.sweep_offsets(adv, scan, offsets, horizon) == reference
+        assert executor.pool() is pool
+        assert not pool.started
+
 
 class TestNumpyGuard:
     def test_auto_detection_prefers_fastest_available(self):
@@ -744,6 +771,22 @@ class TestCLIBackendFlag:
             "validate", "--eta", "0.05", "--backend", "auto",
         ]) == 0
         assert "DES agrees       : True" in capsys.readouterr().out
+
+    def test_sweep_with_jobs_boots_no_pool(self, capsys):
+        """``sweep --jobs 2`` runs in-process: it starts no worker and
+        prints the ``--jobs 1`` report."""
+        from repro.backends import shutdown_pooled_backends
+        from repro.cli import main
+
+        shutdown_pooled_backends()
+        argv = ["sweep", "--eta", "0.05", "--samples", "64"]
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        pooled = capsys.readouterr().out
+        assert shutdown_pooled_backends() == 0
+        assert "jobs=2" in pooled
+        assert pooled.replace("jobs=2", "jobs=1") == serial
 
     def test_grid_runs_on_pool_and_pooled_name_rejected(self, capsys):
         from repro.cli import main

@@ -486,6 +486,30 @@ class TestSpotCheckSelection:
             for offset in offsets
         ]
 
+    def test_float_schedule_spot_checks_stay_in_process(self):
+        """Non-integer schedule periods (no listening pattern, the
+        slowest replays) still replay in-process under ``jobs=2``: no
+        worker boots, and each replay is the reference one."""
+        from repro.backends import shutdown_pooled_backends
+
+        adv = NDProtocol(
+            beacons=BeaconSchedule.uniform(1, 100.1, 2),
+            reception=ReceptionSchedule.single_window(25, 600),
+        )
+        scan = NDProtocol(
+            beacons=BeaconSchedule.uniform(2, 150, 3),
+            reception=ReceptionSchedule.single_window(40.5, 350.25),
+        )
+        offsets = [0, 37, 211, 599]
+        horizon = 40_000
+        shutdown_pooled_backends()
+        got = ParallelSweep(jobs=2).spot_check_pairs(adv, scan, offsets, horizon)
+        assert shutdown_pooled_backends() == 0
+        assert got == [
+            mutual_discovery_times(adv, scan, offset, horizon)
+            for offset in offsets
+        ]
+
 
 class TestMutualAssistanceFidelity:
     """Regression: the assistance runner silently dropped the fidelity

@@ -737,6 +737,30 @@ class TestPersistentPoolLifecycle:
         assert backend.started
         backend.close()
 
+    @needs_numpy
+    def test_jobs_2_sweeps_reuse_the_parents_patterns(self):
+        """A ``jobs=2`` numpy sweep resolves its listening patterns in
+        the parent's keyed registry, as a ``jobs=1`` sweep does, so a
+        repeat sweep of the pair builds none and no worker boots."""
+        shutdown_pooled_backends()
+        protocol_e, protocol_f = ZOO["disco"]()
+        offsets, horizon = _workload(protocol_e, protocol_f)
+        fingerprints = {
+            protocol_fingerprint(protocol, 0)
+            for protocol in (protocol_e, protocol_f)
+        }
+        invalidate_listening_caches()
+        executor = ParallelSweep(jobs=2, backend="numpy")
+        first = executor.sweep_offsets(protocol_e, protocol_f, offsets, horizon)
+        assert fingerprints <= set(_REGISTRY)
+        misses = listening_cache_stats()["misses"]
+        again = executor.sweep_offsets(protocol_e, protocol_f, offsets, horizon)
+        assert listening_cache_stats()["misses"] == misses
+        assert again == first == sweep_offsets(
+            protocol_e, protocol_f, offsets, horizon
+        )
+        assert not executor.pool().started
+
     def test_shared_instances_keyed_by_shape(self):
         a = get_pooled_backend(jobs=2)
         b = get_pooled_backend(jobs=2)

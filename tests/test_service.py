@@ -56,6 +56,47 @@ async def make_service(tmp_path, **kwargs):
     return SweepService(RuntimeProfile(), store=store, **kwargs), store
 
 
+def test_jobs_2_service_boots_the_pool_for_grids_only(tmp_path):
+    """A ``jobs=2`` service answers a sweep with no pool worker
+    started and like a ``jobs=1`` session; only a grid boots the
+    shared pool."""
+    from repro.backends import get_pooled_backend, shutdown_pooled_backends
+
+    shutdown_pooled_backends()
+    grid_spec = {
+        "grid": {
+            "factory": "dense_network",
+            "axes": {"n_devices": [3, 4], "eta": [0.05]},
+        },
+        "seed": 5,
+    }
+
+    async def main():
+        service = SweepService(
+            RuntimeProfile(jobs=2), store=ResultStore(tmp_path / "store"),
+            workers=1, retry_backoff=0.01,
+        )
+        await service.start()
+        try:
+            swept = await service.submit("sweep", SWEEP_SPEC).wait()
+            booted_by_sweep = get_pooled_backend(2).started
+            gridded = await service.submit("grid", grid_spec).wait()
+            booted_by_grid = get_pooled_backend(2).started
+        finally:
+            await service.stop()
+        return swept, gridded, booted_by_sweep, booted_by_grid
+
+    try:
+        swept, gridded, booted_by_sweep, booted_by_grid = run(main())
+    finally:
+        shutdown_pooled_backends()
+    assert not booted_by_sweep
+    assert booted_by_grid
+    with Session(RuntimeProfile(jobs=1)) as session:
+        assert swept.payload == session.sweep(SWEEP_SPEC).payload
+        assert gridded.payload == session.grid(grid_spec).payload
+
+
 # ----------------------------------------------------------------------
 # Single-flight (the tentpole property)
 # ----------------------------------------------------------------------
